@@ -3,16 +3,19 @@
 For a fixed threshold ``theta`` the average PAoI splits into the expected
 service time of a received update,
 
-    E[Xr] = int_0^theta x dF(x) / F(theta),
+    E[Xr] = M(theta) / F(theta),    M(theta) = int_0^theta x dF(x),
 
 and the expected spacing between consecutive receptions,
 
-    E[Y] = (theta - int_0^theta F(x) dx) / F(theta)
-         = E[Xr] + theta * P(X > theta) / F(theta),
+    E[Y] = E[Xr] + theta * P(X > theta) / F(theta)
+         = (theta * P(X > theta) + M(theta)) / F(theta),
 
-with ``zeta = E[Xr] + E[Y]``.  Division by ``F(theta) = 0`` yields ``inf``
-(a threshold below the support never delivers), never an error, so the
-minimum over policy candidates stays total.
+with ``zeta = E[Xr] + E[Y] = c(theta) / F(theta)``, where
+``c(theta) = 2 M(theta) + theta P(X > theta)`` is the per-attempt cost of
+the optimizer's Bellman operator.  Only ``F``, ``P(X > theta)`` and ``M``
+enter, each once, and no term cancels.  Division by ``F(theta) = 0``
+yields ``inf`` (a threshold below the support never delivers), never an
+error, so the minimum over policy candidates stays total.
 """
 
 from __future__ import annotations
@@ -69,23 +72,21 @@ ThresholdSequence = RepetitiveSequence
 
 def expected_received_service(d: ServiceDistribution, theta: float) -> float:
     """Mean service time of the update that finally gets through."""
-    f = d.cdf(theta)
-    if f <= 0.0:
-        return math.inf
-    return d.truncated_first_moment(theta) / f
+    return paoi_fixed_threshold(d, theta).received_service
 
 
 def expected_interreception(d: ServiceDistribution, theta: float) -> float:
     """Mean time between consecutive receptions, preempted attempts included."""
-    f = d.cdf(theta)
-    if f <= 0.0:
-        return math.inf
-    return (theta - d.integrated_cdf(theta)) / f
+    return paoi_fixed_threshold(d, theta).interreception
 
 
 def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
-    ex = expected_received_service(d, theta)
-    ey = expected_interreception(d, theta)
+    f = d.cdf(theta)
+    if f <= 0.0:
+        return PaoiValue(math.inf, math.inf, math.inf)
+    m = d.truncated_first_moment(theta)
+    ex = m / f
+    ey = (theta * d.sf(theta) + m) / f
     return PaoiValue(zeta=ex + ey, received_service=ex, interreception=ey)
 
 

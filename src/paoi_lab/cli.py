@@ -79,17 +79,6 @@ def _workers() -> int:
     return max(n, 1)
 
 
-def _optimizer_window(cfg: ExperimentConfig) -> tuple[float, float]:
-    spec = cfg.optimizer
-    if spec.theta_min is None or spec.theta_max is None:
-        lo, hi = optimize.default_window(cfg.distribution)
-        return (
-            lo if spec.theta_min is None else spec.theta_min,
-            hi if spec.theta_max is None else spec.theta_max,
-        )
-    return spec.theta_min, spec.theta_max
-
-
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     print(f"distribution: {_dist_label(cfg.distribution)}")
@@ -113,11 +102,7 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
     spec = cfg.sweep
-    lo, hi = spec.theta_min, spec.theta_max
-    if lo is None or hi is None:
-        dlo, dhi = optimize.default_window(d)
-        lo = dlo if lo is None else lo
-        hi = dhi if hi is None else hi
+    lo, hi = optimize.window_or_default(d, spec.theta_min, spec.theta_max)
     if not lo < hi:
         raise InvalidWindow(f"sweep window [{lo}, {hi}] is empty")
     if spec.spacing == "log":
@@ -143,13 +128,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
-    lo, hi = _optimizer_window(cfg)
+    lo, hi = optimize.window_or_default(d, cfg.optimizer.theta_min, cfg.optimizer.theta_max)
     result = optimize.min_achievable_paoi(
         d, lo, hi, tol=cfg.optimizer.tol, grid_points=cfg.optimizer.grid_points
     )
-    verdict = optimize.preemption_beneficial(
-        d, lo, hi, grid_points=cfg.optimizer.grid_points
-    )
+    verdict = optimize.benefit_verdict(d, result)
     try:
         fixed_point = optimize.bellman_fixed_point(
             d, lo, hi, tol=cfg.optimizer.bellman_tol, grid_points=cfg.optimizer.grid_points
@@ -259,7 +242,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
 
 def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
-    lo, hi = _optimizer_window(cfg)
+    lo, hi = optimize.window_or_default(d, cfg.optimizer.theta_min, cfg.optimizer.theta_max)
     exact = optimize.preemption_beneficial(d, lo, hi, grid_points=cfg.optimizer.grid_points)
     grid = optimize.theta_grid(lo, hi, cfg.optimizer.grid_points)
     residual = optimize.mean_residual_witness(d, grid)

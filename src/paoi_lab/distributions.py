@@ -1,10 +1,11 @@
 """Service-time distribution catalog.
 
-Every member exposes the handful of integral primitives the peak-age
-formulas consume: the CDF/survival pair, the truncated first moment
-``E[X 1{X <= theta}]``, the integrated CDF ``int_0^theta F``, the
-conditional residual ``E[X - theta | X > theta]``, a generalized-inverse
-quantile, and seeded sampling.
+Each law implements the few primitives the peak-age formulas consume:
+the CDF/survival pair, the truncated first moment
+``M(theta) = E[X 1{X <= theta}]``, a generalized-inverse quantile and
+seeded sampling, all in closed form.  The base class derives the rest:
+the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by
+parts) and the conditional residual ``E[X - theta | X > theta]``.
 
 Conventions
 -----------
@@ -25,8 +26,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import DegenerateCondition
@@ -43,9 +42,14 @@ __all__ = [
     "Deterministic",
 ]
 
-# Quadrature settings for the one catalog member without closed forms.
-_QUAD_ABS_TOL = 1e-10
-_QUAD_MAX_PANELS = 10_000
+
+def _exp_truncated_moment(rate: float, tau: float) -> float:
+    """``int_0^tau x d(1 - e^{-rate x})``, i.e. ``P(2, rate tau) / rate``.
+
+    The regularized incomplete gamma keeps full relative accuracy deep in
+    the lower tail, where ``1 - e^{-u} - u e^{-u}`` cancels.
+    """
+    return float(gammainc(2, rate * tau)) / rate
 
 
 class ServiceDistribution(ABC):
@@ -72,16 +76,16 @@ class ServiceDistribution(ABC):
         """E[X 1{X <= theta}]; atoms at or below ``theta`` count fully."""
 
     @abstractmethod
-    def integrated_cdf(self, theta: float) -> float:
-        """int_0^theta F(x) dx."""
-
-    @abstractmethod
     def quantile(self, q: float) -> float:
         """Generalized inverse inf{x : F(x) >= q} for 0 < q < 1."""
 
     @abstractmethod
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. service times."""
+
+    def integrated_cdf(self, theta: float) -> float:
+        """int_0^theta F(x) dx, by parts ``theta F(theta) - M(theta)``."""
+        return theta * self.cdf(theta) - self.truncated_first_moment(theta)
 
     def conditional_residual(self, theta: float) -> float:
         """E[X - theta | X > theta].
@@ -127,13 +131,7 @@ class Exponential(ServiceDistribution):
     def truncated_first_moment(self, theta):
         if theta <= 0:
             return 0.0
-        u = self.rate * theta
-        return (-math.expm1(-u) - u * math.exp(-u)) / self.rate
-
-    def integrated_cdf(self, theta):
-        if theta <= 0:
-            return 0.0
-        return theta + math.expm1(-self.rate * theta) / self.rate
+        return _exp_truncated_moment(self.rate, theta)
 
     def conditional_residual(self, theta):
         # memoryless: the residual never depends on theta
@@ -178,15 +176,6 @@ class Erlang(ServiceDistribution):
             return 0.0
         return self.mean() * float(gammainc(self.shape + 1, self.rate * theta))
 
-    def integrated_cdf(self, theta):
-        # int_0^t Fbar = sum_{j=1}^{k} P(j, rate*t)/rate, hence
-        # int_0^t F = t minus that sum.
-        if theta <= 0:
-            return 0.0
-        u = self.rate * theta
-        s = sum(float(gammainc(j, u)) for j in range(1, self.shape + 1))
-        return theta - s / self.rate
-
     def quantile(self, q):
         return float(gammaincinv(self.shape, q)) / self.rate
 
@@ -199,7 +188,9 @@ class Pareto(ServiceDistribution):
     """Pareto law on ``[xm, inf)`` with tail index ``alpha``.
 
     The mean is infinite for ``alpha <= 1``; every operation stays total
-    in that regime.
+    in that regime.  ``F`` and ``M`` use ``L = ln(x / xm)`` computed as
+    ``log1p((x - xm) / xm)``, plus ``expm1``, so they keep full relative
+    accuracy just above ``xm`` and as ``alpha -> 1``.
     """
 
     xm: float
@@ -211,10 +202,13 @@ class Pareto(ServiceDistribution):
         if self.xm <= 0 or self.alpha <= 0:
             raise ValueError("xm and alpha must be positive")
 
+    def _log_ratio(self, x):
+        return math.log1p((x - self.xm) / self.xm)
+
     def cdf(self, x):
         if x < self.xm:
             return 0.0
-        return -math.expm1(self.alpha * math.log(self.xm / x))
+        return -math.expm1(-self.alpha * self._log_ratio(x))
 
     def sf(self, x):
         if x < self.xm:
@@ -233,17 +227,10 @@ class Pareto(ServiceDistribution):
         if theta < self.xm:
             return 0.0
         a, xm = self.alpha, self.xm
+        log_ratio = self._log_ratio(theta)
         if a == 1.0:
-            return xm * math.log(theta / xm)
-        return (a / (a - 1.0)) * xm * (1.0 - (xm / theta) ** (a - 1.0))
-
-    def integrated_cdf(self, theta):
-        if theta <= self.xm:
-            return 0.0
-        a, xm = self.alpha, self.xm
-        if a == 1.0:
-            return (theta - xm) - xm * math.log(theta / xm)
-        return (theta - xm) + (xm / (a - 1.0)) * ((xm / theta) ** (a - 1.0) - 1.0)
+            return xm * log_ratio
+        return a * xm * -math.expm1(-(a - 1.0) * log_ratio) / (a - 1.0)
 
     def conditional_residual(self, theta):
         if self.alpha <= 1.0:
@@ -288,15 +275,7 @@ class ShiftedExponential(ServiceDistribution):
         if theta <= self.shift:
             return 0.0
         tau = theta - self.shift
-        u = self.rate * tau
-        base = (-math.expm1(-u) - u * math.exp(-u)) / self.rate
-        return base + self.shift * (-math.expm1(-u))
-
-    def integrated_cdf(self, theta):
-        if theta <= self.shift:
-            return 0.0
-        tau = theta - self.shift
-        return tau + math.expm1(-self.rate * tau) / self.rate
+        return _exp_truncated_moment(self.rate, tau) + self.shift * self.cdf(theta)
 
     def conditional_residual(self, theta):
         if theta < self.shift:
@@ -353,13 +332,6 @@ class TwoPoint(ServiceDistribution):
             return self.p * self.t1
         return self.mean()
 
-    def integrated_cdf(self, theta):
-        if theta <= self.t1:
-            return 0.0
-        if theta <= self.t2:
-            return self.p * (theta - self.t1)
-        return self.p * (self.t2 - self.t1) + (theta - self.t2)
-
     def quantile(self, q):
         return self.t1 if q <= self.p else self.t2
 
@@ -385,7 +357,9 @@ class HyperExponential(ServiceDistribution):
             raise ValueError("weights must sum to 1")
 
     def cdf(self, x):
-        return 1.0 - self.sf(x)
+        if x <= 0:
+            return 0.0
+        return sum(w * -math.expm1(-r * x) for w, r in zip(self.weights, self.rates))
 
     def sf(self, x):
         if x <= 0:
@@ -401,17 +375,8 @@ class HyperExponential(ServiceDistribution):
     def truncated_first_moment(self, theta):
         if theta <= 0:
             return 0.0
-        total = 0.0
-        for w, r in zip(self.weights, self.rates):
-            u = r * theta
-            total += w * (-math.expm1(-u) - u * math.exp(-u)) / r
-        return total
-
-    def integrated_cdf(self, theta):
-        if theta <= 0:
-            return 0.0
-        return theta + sum(
-            w * math.expm1(-r * theta) / r for w, r in zip(self.weights, self.rates)
+        return sum(
+            w * _exp_truncated_moment(r, theta) for w, r in zip(self.weights, self.rates)
         )
 
     def conditional_residual(self, theta):
@@ -425,10 +390,25 @@ class HyperExponential(ServiceDistribution):
         return sum(t / r for t, r in zip(tails, self.rates)) / z
 
     def quantile(self, q):
-        hi = -math.log1p(-q) / min(self.rates)
-        if hi == 0.0:
-            return 0.0
-        return float(brentq(lambda x: self.cdf(x) - q, 0.0, hi, xtol=1e-14, rtol=1e-14))
+        # Bisection down to adjacent floats, so the result is the exact
+        # generalized inverse of this class's own F.  Above the median the
+        # test reads sf, the accurate side there.
+        def below(x):
+            return self.cdf(x) < q if q <= 0.5 else self.sf(x) > 1.0 - q
+
+        # The slowest phase alone reaches q last; rounding may leave its
+        # quantile a hair short, hence the doubling.
+        lo, hi = 0.0, -math.log1p(-q) / min(self.rates)
+        while hi > lo and below(hi):
+            lo, hi = hi, 2.0 * hi
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return hi
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
 
     def sample_batch(self, rng, n):
         cum = np.cumsum(self.weights)
@@ -442,8 +422,8 @@ class HyperExponential(ServiceDistribution):
 class LogNormal(ServiceDistribution):
     """log X ~ Normal(mu, sigma^2).
 
-    No closed form is used for the truncated integrals; both go through
-    adaptive Gauss-Kronrod quadrature at absolute tolerance 1e-10.
+    The truncated first moment has the closed form
+    ``M(theta) = e^{mu + sigma^2/2} Phi((ln theta - mu - sigma^2) / sigma)``.
     """
 
     mu: float
@@ -458,12 +438,6 @@ class LogNormal(ServiceDistribution):
     def _z(self, x):
         return (math.log(x) - self.mu) / self.sigma
 
-    def _pdf(self, x):
-        if x <= 0:
-            return 0.0
-        z = self._z(x)
-        return math.exp(-0.5 * z * z) / (x * self.sigma * math.sqrt(2.0 * math.pi))
-
     def cdf(self, x):
         return float(ndtr(self._z(x))) if x > 0 else 0.0
 
@@ -476,24 +450,10 @@ class LogNormal(ServiceDistribution):
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
-    def _quad(self, fn, theta):
-        scale = math.exp(self.mu)
-        points = (scale,) if theta > scale else None
-        value, _ = integrate.quad(
-            fn, 0.0, theta, points=points, epsabs=_QUAD_ABS_TOL, epsrel=1e-12,
-            limit=_QUAD_MAX_PANELS,
-        )
-        return value
-
     def truncated_first_moment(self, theta):
         if theta <= 0:
             return 0.0
-        return self._quad(lambda x: x * self._pdf(x), theta)
-
-    def integrated_cdf(self, theta):
-        if theta <= 0:
-            return 0.0
-        return self._quad(self.cdf, theta)
+        return self.mean() * float(ndtr(self._z(theta) - self.sigma))
 
     def quantile(self, q):
         return math.exp(self.mu + self.sigma * float(ndtri(q)))
@@ -525,9 +485,6 @@ class Deterministic(ServiceDistribution):
 
     def truncated_first_moment(self, theta):
         return self.value if theta >= self.value else 0.0
-
-    def integrated_cdf(self, theta):
-        return max(0.0, theta - self.value)
 
     def quantile(self, q):
         return self.value

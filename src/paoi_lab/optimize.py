@@ -35,6 +35,7 @@ __all__ = [
     "WINNER_ZERO_WAIT",
     "WINNER_XMIN",
     "default_window",
+    "window_or_default",
     "theta_grid",
     "optimal_threshold",
     "min_achievable_paoi",
@@ -42,6 +43,7 @@ __all__ = [
     "bellman_apply",
     "bellman_fixed_point",
     "preemption_beneficial",
+    "benefit_verdict",
     "mean_residual_witness",
     "twopoint_benefit_threshold",
 ]
@@ -106,6 +108,21 @@ def default_window(d: ServiceDistribution) -> tuple[float, float]:
             "pass an explicit window"
         )
     return lo, hi
+
+
+def window_or_default(
+    d: ServiceDistribution, theta_min: Optional[float], theta_max: Optional[float]
+) -> tuple[float, float]:
+    """The given window, with a missing end taken from :func:`default_window`.
+
+    :func:`default_window` is consulted only when an end is missing, since
+    it raises for laws whose support is a single point.
+    """
+    if theta_min is None or theta_max is None:
+        lo, hi = default_window(d)
+        theta_min = lo if theta_min is None else theta_min
+        theta_max = hi if theta_max is None else theta_max
+    return theta_min, theta_max
 
 
 def theta_grid(theta_min: float, theta_max: float, n: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -214,10 +231,11 @@ def min_achievable_paoi(
     Candidates that are infinite still participate in the min; with an
     infinite service mean the zero-wait candidate simply never wins.
     """
-    if theta_min is None or theta_max is None:
-        lo, hi = default_window(d)
-        theta_min = lo if theta_min is None else theta_min
-        theta_max = hi if theta_max is None else theta_max
+    theta_min, theta_max = window_or_default(d, theta_min, theta_max)
+    return _min_achievable(d, theta_min, theta_max, tol, grid_points)
+
+
+def _min_achievable(d, theta_min, theta_max, tol, grid_points) -> OptimizationResult:
     theta_opt, zeta_opt, evals, iters = _search_optimal(
         d, theta_min, theta_max, tol, grid_points
     )
@@ -317,26 +335,29 @@ def preemption_beneficial(
 ) -> PreemptionVerdict:
     """Exact verdict: does some preemptive policy strictly beat ``2 E[X]``?
 
+    Runs the search of :func:`min_achievable_paoi` and judges it with
+    :func:`benefit_verdict`.
+    """
+    theta_min, theta_max = window_or_default(d, theta_min, theta_max)
+    return benefit_verdict(d, _min_achievable(d, theta_min, theta_max, None, grid_points))
+
+
+def benefit_verdict(d: ServiceDistribution, result: OptimizationResult) -> PreemptionVerdict:
+    """The exact verdict for ``d``, read off a finished optimization.
+
     Compares ``min(zeta(s_theta_opt), zeta_xmin)`` against ``2 E[X]`` with
     a 1e-9 relative strictness guard.  An infinite mean short-circuits to
     beneficial with infinite margin: any finite-PAoI threshold policy wins.
     """
-    if theta_min is None or theta_max is None:
-        lo, hi = default_window(d)
-        theta_min = lo if theta_min is None else theta_min
-        theta_max = hi if theta_max is None else theta_max
-    theta_opt, zeta_opt, _, _ = _search_optimal(d, theta_min, theta_max, None, grid_points)
-    mean = d.mean()
-    if math.isinf(mean):
-        return PreemptionVerdict(True, theta_opt, "necessary-sufficient", math.inf)
+    baseline = result.zeta_zero_wait
+    if math.isinf(baseline):
+        return PreemptionVerdict(True, result.theta_opt, "necessary-sufficient", math.inf)
 
-    zeta_xm = paoi_xmin(d)
-    best = min(zeta_opt, zeta_xm)
-    baseline = 2.0 * mean
+    best = min(result.zeta_opt, result.zeta_xmin)
     beneficial = best < baseline * (1.0 - _TIE_REL_TOL)
     witness = None
     if beneficial:
-        witness = theta_opt if zeta_opt <= zeta_xm else d.support_min()
+        witness = result.theta_opt if result.zeta_opt <= result.zeta_xmin else d.support_min()
     return PreemptionVerdict(beneficial, witness, "necessary-sufficient", baseline - best)
 
 

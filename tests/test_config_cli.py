@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,18 @@ class TestCli:
         assert float(row["zeta_min"]) == 3.0
         assert row["beneficial"] == "1"
 
+    def test_optimize_searches_once(self, tp_config, tmp_path, monkeypatch):
+        # the benefit verdict is read off the search behind the report
+        from paoi_lab import optimize
+
+        searches = []
+        search = optimize._search_optimal
+        monkeypatch.setattr(
+            optimize, "_search_optimal", lambda *args: searches.append(args) or search(*args)
+        )
+        assert main(["optimize", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
+        assert len(searches) == 1
+
     def test_check_reports_critical_atom(self, tp_config, tmp_path, capsys):
         rc = main(["check", "--config", str(tp_config), "--out", str(tmp_path)])
         assert rc == 0
@@ -249,3 +265,20 @@ class TestCliExtras:
             "receive_time",
         ]
         assert len(rows) == 50
+
+    def test_import_loads_only_scipy_special(self):
+        # scipy.integrate and scipy.optimize add about 0.4 s to every
+        # command's start-up on a 2-vCPU machine
+        import paoi_lab
+
+        src = str(Path(paoi_lab.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        probe = (
+            "import sys, paoi_lab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

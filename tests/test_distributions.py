@@ -236,6 +236,25 @@ class TestQuantile:
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    rates=st.sampled_from([(10.0, 1.0), (1.0,), (2.5,), (1.0, 1.0 + 1e-12), (3.0, 0.5, 0.01)]),
+    q=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
+    | st.sampled_from([1e-9, 0.5, 0.5000000000000001, 1 - 1e-9]),
+)
+def test_hyper_exponential_quantile_is_exact_inverse(rates, q):
+    # inf{x : F(x) >= q} of the law's own F to the last float, read through
+    # sf above the median where 1 - q is exact and F has run out of digits
+    d = HyperExponential(rates, tuple(1.0 / len(rates) for _ in rates))
+
+    def reached(x):
+        return d.cdf(x) >= q if q <= 0.5 else d.sf(x) <= 1.0 - q
+
+    x = d.quantile(q)
+    assert reached(x)
+    assert not reached(math.nextafter(x, 0.0))
+
+
 class TestSampling:
     def test_deterministic_constant(self):
         rng = np.random.default_rng(0)

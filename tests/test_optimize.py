@@ -24,7 +24,7 @@ from paoi_lab import (
     theta_grid,
     twopoint_benefit_threshold,
 )
-from paoi_lab.optimize import bellman_apply, bellman_tables
+from paoi_lab.optimize import bellman_apply, bellman_tables, benefit_verdict
 
 from conftest import CATALOG
 
@@ -209,6 +209,12 @@ class TestPreemptionVerdicts:
         v = preemption_beneficial(Pareto(1.0, 0.5))
         assert v.beneficial and math.isinf(v.margin)
         assert v.witness_theta is not None
+
+    @pytest.mark.parametrize(
+        "d", [TP, TwoPoint(1.0, 1.9, 0.5), Erlang(3, 1.0), Pareto(1.0, 2.0), Pareto(1.0, 0.5)]
+    )
+    def test_verdict_reads_the_optimization(self, d):
+        assert benefit_verdict(d, min_achievable_paoi(d)) == preemption_beneficial(d)
 
     @settings(max_examples=60, deadline=None)
     @given(
