@@ -36,7 +36,6 @@ from .errors import (
     DegenerateCondition,
     InvalidWindow,
     NoAnalyticForm,
-    NoContraction,
     PaoiLabError,
     SeriesDiverged,
     SimulationStall,

@@ -4,7 +4,7 @@ Commands
 --------
 eval       closed-form PAoI per (distribution, policy) pair
 sweep      PAoI vs threshold curve as CSV, minimum row flagged
-optimize   optimal threshold, minimum achievable PAoI, verdicts, value-iteration cross-check
+optimize   optimal threshold, minimum achievable PAoI, verdicts, policy-iteration cross-check
 simulate   Monte-Carlo replications with pooled batch-means CI
 check      preemption-benefit verdicts (exact and residual-based)
 reproduce  the four figure-data bundles (Erlang/Pareto studies)
@@ -30,7 +30,7 @@ import numpy as np
 from . import analytic, optimize, simulate
 from .config import ExperimentConfig, load_config
 from .distributions import Erlang, Pareto, TwoPoint
-from .errors import ConfigError, InvalidWindow, NoAnalyticForm, NoContraction, SimulationStall
+from .errors import ConfigError, InvalidWindow, NoAnalyticForm, SimulationStall
 
 _FIGURES = ("fig4", "fig5", "fig6", "fig7")
 
@@ -133,16 +133,10 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         d, lo, hi, tol=cfg.optimizer.tol, grid_points=cfg.optimizer.grid_points
     )
     verdict = optimize.benefit_verdict(d, result)
-    try:
-        fixed_point = optimize.bellman_fixed_point(
-            d, lo, hi, tol=cfg.optimizer.bellman_tol, grid_points=cfg.optimizer.grid_points
-        )
-        bellman_delta: float | None = abs(fixed_point - result.zeta_opt)
-        bellman_note = _fmt(bellman_delta)
-    except (NoContraction, RuntimeError) as exc:
-        fixed_point = None
-        bellman_delta = None
-        bellman_note = f"skipped ({exc})"
+    fixed_point = optimize.bellman_fixed_point(
+        d, lo, hi, tol=cfg.optimizer.bellman_tol, grid_points=cfg.optimizer.grid_points
+    )
+    bellman_delta = abs(fixed_point - result.zeta_opt)
 
     print(f"distribution: {_dist_label(d)}")
     print(f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]")
@@ -156,7 +150,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(
         f"preemptions beneficial: {verdict.beneficial}   margin vs 2E[X]: {_fmt(verdict.margin)}"
     )
-    print(f"value-iteration cross-check delta: {bellman_note}")
+    print(f"policy-iteration cross-check delta: {_fmt(bellman_delta)}")
     print(f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}")
 
     rows = [[
@@ -169,7 +163,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         result.winner,
         int(verdict.beneficial),
         verdict.margin,
-        bellman_delta if bellman_delta is not None else "",
+        bellman_delta,
     ]]
     _write_csv(
         out_dir / f"{cfg.prefix}_optimize.csv",
@@ -243,7 +237,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
 def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
     lo, hi = optimize.window_or_default(d, cfg.optimizer.theta_min, cfg.optimizer.theta_max)
-    exact = optimize.preemption_beneficial(d, lo, hi, grid_points=cfg.optimizer.grid_points)
+    result = optimize.min_achievable_paoi(
+        d, lo, hi, tol=cfg.optimizer.tol, grid_points=cfg.optimizer.grid_points
+    )
+    exact = optimize.benefit_verdict(d, result)
     grid = optimize.theta_grid(lo, hi, cfg.optimizer.grid_points)
     residual = optimize.mean_residual_witness(d, grid)
 

@@ -21,10 +21,6 @@ class InvalidWindow(PaoiLabError):
     """Threshold search window violates its preconditions."""
 
 
-class NoContraction(PaoiLabError):
-    """Value iteration cannot contract on the given window."""
-
-
 class SimulationStall(PaoiLabError):
     """The event loop preempted too many times without a reception."""
 

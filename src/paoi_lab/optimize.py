@@ -6,14 +6,20 @@ here: the PAoI curve is monotone for memoryless service times and only
 becomes convex for more regular shapes, so unimodality can never be
 assumed.
 
-An independent optimality verifier iterates the one-stage operator
+The optimality cross-check solves the one-stage Bellman equation
 
-    T(U) = min_theta { c(theta) + U * P(X > theta) },
+    U = min_theta { c(theta) + U * P(X > theta) },
     c(theta) = 2 * int_0^theta x dF(x) + theta * P(X > theta),
 
-whose unique fixed point equals ``min_theta zeta(s_theta)`` over the same
-grid whenever ``P(X > theta_min) < 1`` (the operator is then a
-contraction with exactly that modulus).
+on the same grid by policy iteration (Howard's method, here the same as
+Dinkelbach's fractional-programming step): from ``U = c/F`` at the last
+grid point, pick ``theta_n = argmin c - U_n F`` and set
+``U_{n+1} = c(theta_n) / F(theta_n)``.  ``U`` strictly decreases through
+the finitely many grid values ``c/F``, so the loop ends exactly at the
+grid minimum after at most one step per grid point; it needs only
+``F > 0`` somewhere on the grid, not a contraction modulus.  Because
+``zeta(s_theta)`` is ``c/F`` by construction, the cross-check confirms the
+grid-and-golden search, not the peak-age formula.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .analytic import paoi_fixed_threshold, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
-from .errors import DegenerateCondition, InvalidWindow, NoContraction
+from .errors import DegenerateCondition, InvalidWindow
 
 __all__ = [
     "OptimizationResult",
@@ -176,7 +182,7 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
     _validate_window(d, theta_min, theta_max)
     if tol is None:
         tol = 1e-8 * (theta_max - theta_min)
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidWindow("tol must be positive")
 
     thetas = theta_grid(theta_min, theta_max, grid_points)
@@ -232,10 +238,6 @@ def min_achievable_paoi(
     infinite service mean the zero-wait candidate simply never wins.
     """
     theta_min, theta_max = window_or_default(d, theta_min, theta_max)
-    return _min_achievable(d, theta_min, theta_max, tol, grid_points)
-
-
-def _min_achievable(d, theta_min, theta_max, tol, grid_points) -> OptimizationResult:
     theta_opt, zeta_opt, evals, iters = _search_optimal(
         d, theta_min, theta_max, tol, grid_points
     )
@@ -276,7 +278,7 @@ def bellman_tables(
     theta_max: float,
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid, per-attempt cost, and survival tables for the value iteration."""
+    """Grid, per-attempt cost, and survival tables of the Bellman operator."""
     _validate_window(d, theta_min, theta_max)
     thetas = theta_grid(theta_min, theta_max, grid_points)
     m1 = np.array([d.truncated_first_moment(float(t)) for t in thetas])
@@ -296,35 +298,35 @@ def bellman_fixed_point(
     theta_max: float,
     tol: float = 1e-10,
     grid_points: int = _DEFAULT_GRID_POINTS,
-    max_iters: int = 1_000_000,
 ) -> float:
-    """Value-iterate ``U <- min_theta {c(theta) + U * P(X > theta)}`` from 0.
+    """Solve ``U = min_theta {c(theta) + U * P(X > theta)}`` by policy iteration.
 
-    The fixed point independently recovers the grid minimum of
-    ``zeta(s_theta)``.  Raises :class:`NoContraction` when
-    ``P(X > theta_min)`` evaluates to 1 (window at or below the support,
-    or so deep into the lower tail that the success probability
-    underflows), since the modulus ``max P(X > theta)`` then fails to
-    contract.
+    The solution independently recovers the grid minimum of
+    ``zeta(s_theta) = c/F``.  Each step minimizes ``c - U F``, which has
+    the same argmin as ``c + U * P(X > theta)`` but keeps the tiny
+    differences of the lower tail that adding ``U`` would round away.
+    Stops when ``U`` no longer decreases, or earlier once successive
+    iterates differ by less than ``tol``.  Grid points with ``F = 0``
+    never improve ``U``; if ``F`` is 0 on the whole grid the result is
+    ``inf``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidWindow("tol must be positive")
-    _, cost, surv = bellman_tables(d, theta_min, theta_max, grid_points)
-    if surv[0] >= 1.0:
-        raise NoContraction(
-            f"P(X > theta_min={theta_min}) = 1 to machine precision; "
-            "value iteration cannot contract on this window"
-        )
-    u = 0.0
-    for _ in range(max_iters):
-        u_next = bellman_apply(cost, surv, u)
-        if abs(u_next - u) < tol:
-            return u_next
+    thetas, cost, _ = bellman_tables(d, theta_min, theta_max, grid_points)
+    f = np.array([d.cdf(float(t)) for t in thetas])
+    delivers = f > 0.0
+    if not delivers.any():
+        return math.inf
+    cost, f = cost[delivers], f[delivers]
+    u = cost[-1] / f[-1]
+    while True:
+        i = int(np.argmin(cost - u * f))
+        u_next = cost[i] / f[i]
+        if not u_next < u:
+            return float(u)
+        if u - u_next < tol:
+            return float(u_next)
         u = u_next
-    raise RuntimeError(
-        f"value iteration did not converge within {max_iters} sweeps; "
-        "the window's lower edge is too deep in the tail"
-    )
 
 
 def preemption_beneficial(
@@ -338,8 +340,7 @@ def preemption_beneficial(
     Runs the search of :func:`min_achievable_paoi` and judges it with
     :func:`benefit_verdict`.
     """
-    theta_min, theta_max = window_or_default(d, theta_min, theta_max)
-    return benefit_verdict(d, _min_achievable(d, theta_min, theta_max, None, grid_points))
+    return benefit_verdict(d, min_achievable_paoi(d, theta_min, theta_max, None, grid_points))
 
 
 def benefit_verdict(d: ServiceDistribution, result: OptimizationResult) -> PreemptionVerdict:

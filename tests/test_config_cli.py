@@ -156,6 +156,44 @@ class TestCli:
         assert main(["optimize", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
         assert len(searches) == 1
 
+    def test_optimize_cross_check_runs_on_exponential(self, tmp_path, capsys):
+        # the default window starts at theta = 1e-9, where P(X > theta) = 1 - 1e-9
+        cfg = tmp_path / "e.yaml"
+        cfg.write_text("distribution: {kind: exponential, params: {rate: 1.0}}\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        (line,) = [x for x in out.splitlines() if x.startswith("policy-iteration cross-check")]
+        delta = float(line.rsplit(":", 1)[1])
+        row = read_csv(tmp_path / "paoi_optimize.csv")[0]
+        assert float(row["bellman_delta"]) == delta
+        assert 0.0 <= delta <= 1e-9 * float(row["zeta_opt"])
+
+    @pytest.mark.parametrize(
+        "verb, optimizer",
+        [("optimize", "{tol: .nan}"), ("check", "{tol: .nan}"), ("optimize", "{bellman_tol: .nan}")],
+    )
+    def test_nan_tolerance_exit_2(self, tmp_path, capsys, verb, optimizer):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(
+            "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+            f"optimizer: {optimizer}\n"
+        )
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+
+    def test_check_margin_uses_optimizer_tol(self, tmp_path, capsys):
+        # a coarse tol stops the golden refinement early, which moves the margin
+        cfg = tmp_path / "tol.yaml"
+        cfg.write_text(
+            "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+            "optimizer: {tol: 0.5}\n"
+        )
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        margin = read_csv(tmp_path / "paoi_optimize.csv")[0]["margin"]
+        assert f" margin={margin} " in capsys.readouterr().out
+
     def test_check_reports_critical_atom(self, tp_config, tmp_path, capsys):
         rc = main(["check", "--config", str(tp_config), "--out", str(tmp_path)])
         assert rc == 0

@@ -11,7 +11,6 @@ from paoi_lab import (
     Erlang,
     Exponential,
     InvalidWindow,
-    NoContraction,
     Pareto,
     TwoPoint,
     bellman_fixed_point,
@@ -70,8 +69,11 @@ class TestOptimalThreshold:
             optimal_threshold(d, 0.1, math.inf)
         with pytest.raises(InvalidWindow):
             optimal_threshold(Pareto(1.0, 2.0), 0.2, 0.8)
-        with pytest.raises(InvalidWindow):
-            optimal_threshold(d, 0.1, 1.0, tol=-1.0)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(InvalidWindow):
+                optimal_threshold(d, 0.1, 1.0, tol=tol)
+            with pytest.raises(InvalidWindow):
+                bellman_fixed_point(d, 0.1, 1.0, tol=tol)
 
     def test_default_window_collapses_for_deterministic(self):
         with pytest.raises(InvalidWindow):
@@ -145,11 +147,23 @@ class TestBellman:
         fp = bellman_fixed_point(d, 0.5, 10.0, tol=1e-12)
         assert fp == pytest.approx(paoi_fixed_threshold(d, 0.5).zeta, rel=1e-9)
 
-    def test_no_contraction_at_support_edge(self):
-        with pytest.raises(NoContraction):
-            bellman_fixed_point(Pareto(1.0, 2.0), 1.0, 5.0)
-        with pytest.raises(NoContraction):
-            bellman_fixed_point(Exponential(1.0), 0.0, 5.0)
+    def test_support_edge_windows_match_grid_minimum(self):
+        # P(X > theta_min) == 1 here, so these windows admit no contraction
+        # modulus; F == 0 at theta = 0 must not be divided by
+        for d, lo, hi in [(Pareto(1.0, 2.0), 1.0, 5.0), (Exponential(1.0), 0.0, 5.0)]:
+            fp = bellman_fixed_point(d, lo, hi)
+            grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in theta_grid(lo, hi))
+            assert fp == pytest.approx(grid_min, rel=1e-12), d
+
+    def test_policy_iteration_at_catalog_default_windows(self):
+        # the default windows start at theta = 1e-9: P(X > theta) rounds to 1
+        # there for Erlang and log-normal, and the exponential and
+        # hyper-exponential optima sit there
+        for name, d in CATALOG.items():
+            lo, hi = (1.5, 3.0) if name == "deterministic" else default_window(d)
+            fp = bellman_fixed_point(d, lo, hi)
+            grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in theta_grid(lo, hi))
+            assert fp == pytest.approx(grid_min, rel=1e-9), name
 
     def test_contraction_modulus(self):
         d = CATALOG["erlang"]
