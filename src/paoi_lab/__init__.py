@@ -10,7 +10,6 @@ against a discrete-event simulation.
 
 from .analytic import (
     PaoiValue,
-    ThresholdSequence,
     expected_interreception,
     expected_received_service,
     has_atom_at_support_min,

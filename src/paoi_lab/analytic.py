@@ -15,7 +15,10 @@ with ``zeta = E[Xr] + E[Y] = c(theta) / F(theta)``, where
 the optimizer's Bellman operator.  Only ``F``, ``P(X > theta)`` and ``M``
 enter, each once, and no term cancels.  Division by ``F(theta) = 0``
 yields ``inf`` (a threshold below the support never delivers), never an
-error, so the minimum over policy candidates stays total.
+error, so the minimum over policy candidates stays total.  ``theta = inf``
+never preempts (the zero-wait policy): every attempt is received, and the
+value is ``2 E[X]`` straight from the mean, where the formula would
+multiply ``inf * 0``.
 """
 
 from __future__ import annotations
@@ -25,19 +28,10 @@ from dataclasses import dataclass
 
 from .distributions import ServiceDistribution
 from .errors import NoAnalyticForm, SeriesDiverged
-from .policies import (
-    FixedThreshold,
-    MedianThreshold,
-    Policy,
-    RandomizedThreshold,
-    RepetitiveSequence,
-    XMinThreshold,
-    ZeroWait,
-)
+from .policies import Policy, RepetitiveSequence, resolve
 
 __all__ = [
     "PaoiValue",
-    "ThresholdSequence",
     "expected_received_service",
     "expected_interreception",
     "paoi_fixed_threshold",
@@ -66,10 +60,6 @@ class PaoiValue:
     truncation_bound: float = 0.0
 
 
-# Alias kept for callers that think in terms of the policy object.
-ThresholdSequence = RepetitiveSequence
-
-
 def expected_received_service(d: ServiceDistribution, theta: float) -> float:
     """Mean service time of the update that finally gets through."""
     return paoi_fixed_threshold(d, theta).received_service
@@ -81,6 +71,9 @@ def expected_interreception(d: ServiceDistribution, theta: float) -> float:
 
 
 def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
+    if theta == math.inf:  # never preempt: each attempt is received
+        m = d.mean()
+        return PaoiValue(zeta=2.0 * m, received_service=m, interreception=m)
     f = d.cdf(theta)
     if f <= 0.0:
         return PaoiValue(math.inf, math.inf, math.inf)
@@ -92,7 +85,7 @@ def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
 
 def paoi_zero_wait(d: ServiceDistribution) -> float:
     """Average PAoI of the never-preempting policy: ``2 E[X]``."""
-    return 2.0 * d.mean()
+    return paoi_fixed_threshold(d, math.inf).zeta
 
 
 def has_atom_at_support_min(d: ServiceDistribution) -> bool:
@@ -108,8 +101,6 @@ def paoi_xmin(d: ServiceDistribution) -> float:
     different quantity and is reported by the optimizer's window endpoint,
     not here.
     """
-    if not has_atom_at_support_min(d):
-        return math.inf
     return paoi_fixed_threshold(d, d.support_min()).zeta
 
 
@@ -186,21 +177,11 @@ def paoi_repetitive(
 
 def paoi_policy(d: ServiceDistribution, policy: Policy) -> PaoiValue:
     """Closed-form PAoI for any policy that has one."""
-    if isinstance(policy, FixedThreshold):
-        return paoi_fixed_threshold(d, policy.theta)
-    if isinstance(policy, MedianThreshold):
-        return paoi_fixed_threshold(d, d.quantile(0.5))
-    if isinstance(policy, ZeroWait):
-        m = d.mean()
-        return PaoiValue(zeta=2.0 * m, received_service=m, interreception=m)
-    if isinstance(policy, XMinThreshold):
-        if not has_atom_at_support_min(d):
-            return PaoiValue(math.inf, math.inf, math.inf)
-        return paoi_fixed_threshold(d, d.support_min())
     if isinstance(policy, RepetitiveSequence):
         return paoi_repetitive(d, policy)
-    if isinstance(policy, RandomizedThreshold):
+    thresholds = resolve(policy, d)
+    if thresholds is None:
         raise NoAnalyticForm(
             "randomized-threshold policies have no closed form; simulate instead"
         )
-    raise TypeError(f"unknown policy {policy!r}")
+    return paoi_fixed_threshold(d, thresholds[0])

@@ -7,6 +7,7 @@ distribution itself; key names are documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -119,7 +120,7 @@ def _integer(node: dict, key: str, where: str, default=None, required=False):
     v = _number(node, key, where, default, required)
     if v is None:
         return None
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
     return int(v)
 

@@ -6,15 +6,22 @@ update is received, and the wait until the next event is
 (threshold infinity); ``XMinThreshold`` re-requests every ``support_min``
 time units; ``MedianThreshold`` is sugar for a fixed threshold at the
 service-time median.
+
+Every deterministic policy is a threshold sequence under a given law, and
+:func:`resolve` is the one mapping from a policy to those thresholds: the
+closed forms and the simulator both read a policy through it.  Only
+``RandomizedThreshold`` has no sequence; it draws a threshold per request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
+
+from .distributions import ServiceDistribution
 
 __all__ = [
     "FixedThreshold",
@@ -29,6 +36,7 @@ __all__ = [
     "UniformSampler",
     "ChoiceSampler",
     "TriangularSampler",
+    "resolve",
 ]
 
 
@@ -37,8 +45,8 @@ class FixedThreshold:
     theta: float
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not self.theta >= 0:  # also rejects nan; +inf is zero-wait
+            raise ValueError(f"threshold must be nonnegative, got {self.theta!r}")
 
     def label(self) -> str:
         return f"fixed({self.theta:g})"
@@ -100,6 +108,10 @@ class ThresholdSampler:
 class PointSampler(ThresholdSampler):
     value: float
 
+    def __post_init__(self):
+        if not self.value >= 0:
+            raise ValueError(f"threshold must be nonnegative, got {self.value!r}")
+
     def draw(self, rng):
         return self.value
 
@@ -135,6 +147,8 @@ class ChoiceSampler(ThresholdSampler):
             raise ValueError("values and weights must be nonempty and equal length")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        if not all(v >= 0 for v in self.values):
+            raise ValueError(f"thresholds must be nonnegative, got {self.values!r}")
 
     def draw(self, rng):
         u = rng.random()
@@ -184,3 +198,22 @@ Policy = Union[
     RepetitiveSequence,
     RandomizedThreshold,
 ]
+
+
+def resolve(policy: Policy, d: ServiceDistribution) -> Optional[tuple[float, ...]]:
+    """The thresholds ``policy`` uses under ``d``, one per request since the
+    last reception, the last repeating forever; ``None`` for a randomized
+    policy, whose thresholds are drawn per request."""
+    if isinstance(policy, FixedThreshold):
+        return (policy.theta,)
+    if isinstance(policy, ZeroWait):
+        return (math.inf,)
+    if isinstance(policy, XMinThreshold):
+        return (d.support_min(),)
+    if isinstance(policy, MedianThreshold):
+        return (d.quantile(0.5),)
+    if isinstance(policy, RepetitiveSequence):
+        return policy.thresholds
+    if isinstance(policy, RandomizedThreshold):
+        return None
+    raise TypeError(f"unknown policy {policy!r}")

@@ -11,6 +11,10 @@ service draw, so the first peak is that draw plus the first
 inter-reception time.  A service time exactly equal to its threshold
 counts as received, matching the right-closed truncated integrals on the
 analytic side (this is load-bearing for distributions with atoms).
+
+A deterministic policy whose largest threshold has ``F = 0`` can never
+deliver and raises :class:`SimulationStall` before the first draw;
+otherwise ``stall_limit`` consecutive preemptions raise it.
 """
 
 from __future__ import annotations
@@ -24,16 +28,7 @@ import numpy as np
 
 from .distributions import ServiceDistribution
 from .errors import SimulationStall
-from .policies import (
-    FixedThreshold,
-    MedianThreshold,
-    Policy,
-    RandomizedThreshold,
-    RepetitiveSequence,
-    ThresholdSampler,
-    XMinThreshold,
-    ZeroWait,
-)
+from .policies import Policy, RandomizedThreshold, ThresholdSampler, resolve
 
 __all__ = [
     "PeakRecord",
@@ -121,24 +116,17 @@ class _ServiceStream:
         return float(x)
 
 
-def _threshold_fn(d: ServiceDistribution, policy: Policy):
-    """Resolve a policy to ``(attempt_index, rng) -> threshold``."""
-    if isinstance(policy, FixedThreshold):
-        theta = policy.theta
-        return lambda r, rng: theta
-    if isinstance(policy, ZeroWait):
-        return lambda r, rng: math.inf
-    if isinstance(policy, XMinThreshold):
-        theta = d.support_min()
-        return lambda r, rng: theta
-    if isinstance(policy, MedianThreshold):
-        theta = d.quantile(0.5)
-        return lambda r, rng: theta
-    if isinstance(policy, RepetitiveSequence):
-        return lambda r, rng: policy.threshold_for_attempt(r)
-    if isinstance(policy, RandomizedThreshold):
+def _threshold_fn(policy: Policy, thresholds: Optional[tuple[float, ...]]):
+    """``(attempt_index, rng) -> threshold`` for ``policy`` resolved to
+    ``thresholds``; a one-entry sequence gets a constant closure, the
+    common case of the hot loop."""
+    if thresholds is None:
         return lambda r, rng: policy.sampler.draw(rng)
-    raise TypeError(f"unknown policy {policy!r}")
+    n = len(thresholds)
+    if n == 1:
+        theta = thresholds[0]
+        return lambda r, rng: theta
+    return lambda r, rng: thresholds[min(r, n) - 1]
 
 
 def _iter_peaks(
@@ -147,13 +135,23 @@ def _iter_peaks(
     seed: int,
     stall_limit: int,
 ) -> Iterator[PeakRecord]:
+    thresholds = resolve(policy, d)
+    if thresholds is not None:
+        t = max(thresholds)
+        # the loop itself needs only sample_batch and support_min from a
+        # law, so cdf is read only for a threshold at or below its minimum
+        if t <= d.support_min() and d.cdf(t) == 0.0:
+            raise SimulationStall(
+                f"no threshold of {policy!r} can deliver under {d!r}: "
+                f"P(X <= {t:g}) = 0"
+            )
+    threshold_at = _threshold_fn(policy, thresholds)
     # Two child streams so that policies which do not randomize consume
     # the exact same service draws as a fixed-threshold run with the
     # same seed.
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
     stream = _ServiceStream(d, np.random.default_rng(ss_service))
     rng_threshold = np.random.default_rng(ss_threshold)
-    threshold_at = _threshold_fn(d, policy)
 
     x_prev = stream.next()  # initial AoI: a packet is received at time zero
     now = 0.0

@@ -24,7 +24,7 @@ from paoi_lab import (
     paoi_xmin,
     paoi_zero_wait,
 )
-from paoi_lab.policies import MedianThreshold
+from paoi_lab.policies import FixedThreshold, MedianThreshold, resolve
 
 from conftest import CATALOG, FINITE_MEAN, theta_probe_grid
 
@@ -219,3 +219,24 @@ class TestPolicyDispatch:
     def test_randomized_has_no_closed_form(self):
         with pytest.raises(NoAnalyticForm):
             paoi_policy(EXP, RandomizedThreshold(PointSampler(1.0)))
+
+
+class TestResolve:
+    @pytest.mark.parametrize(
+        "d, xmin, median",
+        [(TwoPoint(1.0, 3.0, 0.5), 1.0, 1.0), (Exponential(1.0), 0.0, math.log(2.0))],
+    )
+    def test_policy_to_thresholds(self, d, xmin, median):
+        assert resolve(FixedThreshold(2.0), d) == (2.0,)
+        assert resolve(ZeroWait(), d) == (math.inf,)
+        assert resolve(XMinThreshold(), d) == (xmin,)
+        assert resolve(MedianThreshold(), d) == (median,)
+        assert resolve(RepetitiveSequence((1.0, 2.0)), d) == (1.0, 2.0)
+        assert resolve(RandomizedThreshold(PointSampler(1.0)), d) is None
+        with pytest.raises(TypeError):
+            resolve(object(), d)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_infinite_threshold_is_zero_wait(self, name):
+        d = CATALOG[name]
+        assert paoi_policy(d, FixedThreshold(math.inf)) == paoi_policy(d, ZeroWait())

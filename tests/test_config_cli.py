@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,3 +322,89 @@ class TestCliExtras:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "verb, section",
+        [
+            ("optimize", "optimizer: {grid_points: .nan}"),
+            ("simulate", "simulation: {peaks: .inf}"),
+            ("sweep", "sweep: {count: .nan}"),
+        ],
+    )
+    def test_non_finite_integer_exit_2(self, tmp_path, capsys, verb, section):
+        cfg = tmp_path / "n.yaml"
+        cfg.write_text(ERLANG + section + "\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            "{kind: fixed, theta: .nan}",
+            "{kind: randomized, sampler: {kind: point, value: -1.0}}",
+            "{kind: randomized, sampler: {kind: choice, values: [1.0, -1.0], "
+            "weights: [0.5, 0.5]}}",
+        ],
+    )
+    def test_invalid_threshold_exit_2(self, tmp_path, capsys, policy):
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(ERLANG + f"policies: [{policy}]\n"
+                       "simulation: {peaks: 10, replications: 1, stall_limit: 1000}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_policy_that_never_delivers_exits_3_at_once(self, tmp_path):
+        # P(X <= 0) = 0: at the default stall_limit of 1e9 the attempt
+        # loop would run for minutes before giving up
+        cfg = tmp_path / "x.yaml"
+        cfg.write_text(
+            "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+            "policies: [xmin]\n"
+        )
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5.0
+
+    def test_infinite_fixed_threshold_evals_as_zero_wait(self, tmp_path, capsys):
+        cfg = tmp_path / "z.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait, {kind: fixed, theta: .inf}]\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        zero_wait, fixed_inf = capsys.readouterr().out.splitlines()[2:]
+        assert fixed_inf.split()[0] == "fixed(inf)"
+        assert fixed_inf.split()[1:] == zero_wait.split()[1:] == ["6", "3", "3"]
+
+
+# CSV digests of the outputs below, pinned when every deterministic policy
+# was first read through ``policies.resolve``; any change to these bytes
+# must be deliberate.
+PINNED_SHA256 = {
+    "paoi_eval.csv": "bd410e20c834c1500f33b719cd3ce85668106f47d1dfc87ac0dd514825eec88e",
+    "paoi_simulate_fixed_2.csv":
+        "47845af615dba5aaade295bd6d0054cc8beda8fc03153ef75fc750271466742d",
+    "paoi_simulate_median-threshold.csv":
+        "86c14244e94c8630a391f5699b237d6cd2f44f478d6a56514ca59b15d4cb89e7",
+    "paoi_simulate_zero-wait.csv":
+        "9c97f3bec4dd08dacdd9384a13f655849728ba539ca19601843ac7de9fe0dc5c",
+}
+
+
+def test_cli_outputs_match_pinned_bytes(tmp_path):
+    law = "distribution: {kind: two-point, params: {t1: 1.0, t2: 3.0, p: 0.5}}\n"
+    configs = {
+        "eval": law + "policies: [zero-wait, xmin, median, {kind: fixed, theta: 2.0}, "
+        "{kind: repetitive, thresholds: [1.0, 2.0, 2.5]}]\n",
+        "simulate": law + "policies: [zero-wait, median, {kind: fixed, theta: 2.0}]\n"
+        "simulation: {peaks: 200, replications: 2, seed: 1}\n",
+    }
+    out = tmp_path / "out"
+    for verb, text in configs.items():
+        cfg = tmp_path / f"{verb}.yaml"
+        cfg.write_text(text)
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == PINNED_SHA256

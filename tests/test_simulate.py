@@ -138,6 +138,16 @@ class TestEventLoop:
                 Exponential(1.0), FixedThreshold(0.0), peaks=1, seed=1, stall_limit=500
             )
 
+    def test_certain_stall_raises_before_any_draw(self):
+        # P(X <= 0.5) = 0 under Pareto(1, 2): at the default stall_limit the
+        # loop would run 1e9 attempts before giving up
+        class Undrawn(Pareto):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        with pytest.raises(SimulationStall, match="can deliver"):
+            simulate_peaks(Undrawn(1.0, 2.0), FixedThreshold(0.5), peaks=1, seed=1)
+
     def test_xmin_policy_on_atom(self):
         tp = TwoPoint(1.0, 3.0, 0.5)
         records = simulate_peaks(tp, XMinThreshold(), peaks=100_000, seed=12)
