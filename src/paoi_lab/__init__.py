@@ -36,7 +36,6 @@ from .errors import (
     InvalidWindow,
     NoAnalyticForm,
     PaoiLabError,
-    SeriesDiverged,
     SimulationStall,
 )
 from .optimize import (

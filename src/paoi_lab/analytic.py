@@ -1,4 +1,4 @@
-"""Closed-form and series evaluation of the average peak age of information.
+"""Closed-form average peak age of information of threshold policies.
 
 For a fixed threshold ``theta`` the average PAoI splits into the expected
 service time of a received update,
@@ -19,6 +19,12 @@ error, so the minimum over policy candidates stays total.  ``theta = inf``
 never preempts (the zero-wait policy): every attempt is received, and the
 value is ``2 E[X]`` straight from the mean, where the formula would
 multiply ``inf * 0``.
+
+The process regenerates at every reception, so a deterministic threshold
+sequence whose last entry repeats is exact too: a finite sum over the
+attempts before the last entry plus the fixed-threshold value of that
+entry, weighted by the probability of reaching it (:func:`paoi_repetitive`).
+Every deterministic policy is such a sequence (:func:`paoi_policy`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import ServiceDistribution
-from .errors import NoAnalyticForm, SeriesDiverged
+from .errors import NoAnalyticForm
 from .policies import Policy, RepetitiveSequence, resolve
 
 __all__ = [
@@ -42,22 +48,17 @@ __all__ = [
     "paoi_policy",
 ]
 
-_MAX_SERIES_TERMS = 10_000_000
-
 
 @dataclass(frozen=True)
 class PaoiValue:
     """Average PAoI with its two-component decomposition.
 
     ``zeta = received_service + interreception`` whenever both are finite.
-    ``truncation_bound`` is nonzero only for series-evaluated policies and
-    certifies ``|zeta - exact| <= truncation_bound``.
     """
 
     zeta: float
     received_service: float
     interreception: float
-    truncation_bound: float = 0.0
 
 
 def expected_received_service(d: ServiceDistribution, theta: float) -> float:
@@ -104,84 +105,40 @@ def paoi_xmin(d: ServiceDistribution) -> float:
     return paoi_fixed_threshold(d, d.support_min()).zeta
 
 
-def paoi_repetitive(
-    d: ServiceDistribution,
-    seq: RepetitiveSequence,
-    eps: float = 1e-10,
-) -> PaoiValue:
-    """Series evaluation for a repeated deterministic threshold sequence.
+def paoi_repetitive(d: ServiceDistribution, seq: RepetitiveSequence) -> PaoiValue:
+    """Exact PAoI of a threshold sequence restarted after every reception.
 
-    The sequence restarts after every reception; past its last entry the
-    final threshold repeats, which makes the series tail geometric.  Terms
-    are accumulated until an explicit remainder bound (the surviving-prefix
-    probability times a per-term cost that grows linearly with the term
-    index) certifies a total error below ``eps``.
-
-    Raises :class:`SeriesDiverged` when the surviving probability cannot
-    contract, i.e. the repeated tail threshold sits below the support and
-    some sample path never delivers an update.
+    With ``S_1 = 1`` and ``S_{j+1} = S_j P(X > theta_j)`` the probability of
+    reaching attempt ``j``, the first ``n - 1`` attempts contribute
+    ``S_j M(theta_j)`` to ``E[Xr]`` and ``S_j E[min(X, theta_j)]`` to
+    ``E[Y]``; from attempt ``n`` on the last threshold repeats, which is
+    the fixed-threshold policy weighted by ``S_n``.  The value is ``inf``
+    when that tail is reached and cannot deliver (``F(theta_n) = 0``).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    xmin = d.support_min()
-    if any(t < xmin for t in seq.thresholds):
-        raise ValueError("thresholds below the support minimum are never useful")
+    return _paoi_sequence(d, seq.thresholds)
 
-    thetas = seq.thresholds
-    last = thetas[-1]
-    q_tail = d.sf(last)
-    m_tail = d.truncated_first_moment(last)
 
-    ex = d.truncated_first_moment(thetas[0])
-    extra = 0.0  # E[Y] - E[Xr]: threshold time burned by preemptions
-    prefix = 1.0  # probability every attempt so far was preempted
-    spent = 0.0  # sum of thresholds of those attempts
-    bound = 0.0
-    j = 0
-    while True:
-        j += 1
-        if j > _MAX_SERIES_TERMS:
-            raise RuntimeError(
-                "series failed to certify the truncation bound within "
-                f"{_MAX_SERIES_TERMS} terms (tail survival {q_tail})"
-            )
-        theta_j = seq.threshold_for_attempt(j)
-        prefix *= d.sf(theta_j)
-        spent += theta_j
-        if prefix == 0.0:
-            bound = 0.0
-            break
-        theta_next = seq.threshold_for_attempt(j + 1)
-        ex += prefix * d.truncated_first_moment(theta_next)
-        extra += prefix * d.cdf(theta_next) * spent
-        if j >= len(thetas):  # geometric tail regime
-            if q_tail >= 1.0:
-                raise SeriesDiverged(
-                    "every tail attempt is preempted with probability 1; "
-                    "the policy never delivers"
-                )
-            rem_x = prefix * m_tail * q_tail / (1.0 - q_tail)
-            rem_extra = prefix * q_tail * (spent + last / (1.0 - q_tail))
-            bound = 2.0 * rem_x + rem_extra
-            if bound < eps:
-                break
-
-    ey = ex + extra
-    return PaoiValue(
-        zeta=ex + ey,
-        received_service=ex,
-        interreception=ey,
-        truncation_bound=bound,
-    )
+def _paoi_sequence(d: ServiceDistribution, thresholds: tuple[float, ...]) -> PaoiValue:
+    ex = ey = 0.0
+    reach = 1.0  # probability that every attempt so far was preempted
+    for theta in thresholds[:-1]:
+        m, sf = d.truncated_first_moment(theta), d.sf(theta)
+        ex += reach * m
+        ey += reach * (m + theta * sf)
+        reach *= sf
+    if reach > 0.0:  # skipped when never reached, so 0 * inf cannot appear
+        tail = paoi_fixed_threshold(d, thresholds[-1])
+        ex += reach * tail.received_service
+        ey += reach * tail.interreception
+    return PaoiValue(zeta=ex + ey, received_service=ex, interreception=ey)
 
 
 def paoi_policy(d: ServiceDistribution, policy: Policy) -> PaoiValue:
-    """Closed-form PAoI for any policy that has one."""
-    if isinstance(policy, RepetitiveSequence):
-        return paoi_repetitive(d, policy)
+    """Closed-form PAoI of every deterministic policy, read as the threshold
+    sequence it resolves to under ``d``."""
     thresholds = resolve(policy, d)
     if thresholds is None:
         raise NoAnalyticForm(
             "randomized-threshold policies have no closed form; simulate instead"
         )
-    return paoi_fixed_threshold(d, thresholds[0])
+    return _paoi_sequence(d, thresholds)

@@ -9,10 +9,6 @@ class DegenerateCondition(PaoiLabError):
     """Conditioning event has probability zero (e.g. residual beyond the support)."""
 
 
-class SeriesDiverged(PaoiLabError):
-    """A threshold sequence whose tail can never deliver an update."""
-
-
 class NoAnalyticForm(PaoiLabError):
     """The requested policy has no closed-form PAoI; simulate instead."""
 

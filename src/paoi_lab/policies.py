@@ -125,8 +125,8 @@ class UniformSampler(ThresholdSampler):
     high: float
 
     def __post_init__(self):
-        if not 0 <= self.low < self.high:
-            raise ValueError("need 0 <= low < high")
+        if not 0 <= self.low < self.high < math.inf:
+            raise ValueError("need 0 <= low < high < inf")
 
     def draw(self, rng):
         return rng.uniform(self.low, self.high)
@@ -170,8 +170,8 @@ class TriangularSampler(ThresholdSampler):
     high: float
 
     def __post_init__(self):
-        if not 0 <= self.low <= self.mode <= self.high or self.low == self.high:
-            raise ValueError("need 0 <= low <= mode <= high with low < high")
+        if not 0 <= self.low <= self.mode <= self.high < math.inf or self.low == self.high:
+            raise ValueError("need 0 <= low <= mode <= high < inf with low < high")
 
     def draw(self, rng):
         return rng.triangular(self.low, self.mode, self.high)

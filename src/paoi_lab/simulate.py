@@ -12,9 +12,11 @@ inter-reception time.  A service time exactly equal to its threshold
 counts as received, matching the right-closed truncated integrals on the
 analytic side (this is load-bearing for distributions with atoms).
 
-A deterministic policy whose largest threshold has ``F = 0`` can never
-deliver and raises :class:`SimulationStall` before the first draw;
-otherwise ``stall_limit`` consecutive preemptions raise it.
+A deterministic policy whose repeating last threshold has ``F = 0`` and
+is reached with positive probability strands every peak that gets there
+(the analytic value is ``inf``) and raises :class:`SimulationStall`
+before the first draw; otherwise ``stall_limit`` consecutive preemptions
+raise it.
 """
 
 from __future__ import annotations
@@ -137,13 +139,17 @@ def _iter_peaks(
 ) -> Iterator[PeakRecord]:
     thresholds = resolve(policy, d)
     if thresholds is not None:
-        t = max(thresholds)
+        t = thresholds[-1]
         # the loop itself needs only sample_batch and support_min from a
-        # law, so cdf is read only for a threshold at or below its minimum
-        if t <= d.support_min() and d.cdf(t) == 0.0:
+        # law, so cdf and sf are read only for a tail at or below its minimum
+        if (
+            t <= d.support_min()
+            and d.cdf(t) == 0.0
+            and all(d.sf(s) > 0.0 for s in thresholds[:-1])
+        ):
             raise SimulationStall(
-                f"no threshold of {policy!r} can deliver under {d!r}: "
-                f"P(X <= {t:g}) = 0"
+                f"no attempt at the repeating last threshold of {policy!r} "
+                f"can deliver under {d!r}: P(X <= {t:g}) = 0"
             )
     threshold_at = _threshold_fn(policy, thresholds)
     # Two child streams so that policies which do not randomize consume

@@ -116,14 +116,11 @@ def test_c06_interreception_identity():
 
 
 def test_c07_series_collapse():
-    eps = 1e-10
     for name, d in ALL_KINDS.items():
         for q in (0.2, 0.4, 0.6, 0.8, 0.95):
             theta = float(d.quantile(q))
-            got = pl.paoi_repetitive(d, pl.RepetitiveSequence((theta,)), eps=eps)
-            want = pl.paoi_fixed_threshold(d, theta).zeta
-            assert got.truncation_bound < eps
-            assert abs(got.zeta - want) <= got.truncation_bound + 1e-9, (name, theta)
+            got = pl.paoi_repetitive(d, pl.RepetitiveSequence((theta,)))
+            assert got == pl.paoi_fixed_threshold(d, theta), (name, theta)
     report(7, "series collapse")
 
 

@@ -7,11 +7,11 @@ from paoi_lab import (
     Deterministic,
     Exponential,
     NoAnalyticForm,
+    PaoiValue,
     Pareto,
     PointSampler,
     RandomizedThreshold,
     RepetitiveSequence,
-    SeriesDiverged,
     TwoPoint,
     XMinThreshold,
     ZeroWait,
@@ -165,14 +165,12 @@ class TestRepetitiveSeries:
     def test_constant_sequence_collapses_to_fixed_threshold(self, member):
         for q in (0.2, 0.4, 0.6, 0.8, 0.95):
             theta = member.quantile(q)
-            got = paoi_repetitive(member, RepetitiveSequence((theta,)), eps=1e-10)
-            want = paoi_fixed_threshold(member, theta).zeta
-            assert got.zeta == pytest.approx(want, abs=max(1e-9, got.truncation_bound * 2))
-            assert got.truncation_bound < 1e-10
+            got = paoi_repetitive(member, RepetitiveSequence((theta,)))
+            assert got == paoi_fixed_threshold(member, theta)
 
     def test_deterministic_single_attempt(self):
         v = paoi_repetitive(Deterministic(1.0), RepetitiveSequence((1.0,)))
-        assert v.zeta == 2.0 and v.truncation_bound == 0.0
+        assert v.zeta == 2.0
 
     def test_two_point_no_preemption(self):
         v = paoi_repetitive(TP, RepetitiveSequence((3.0,)))
@@ -181,22 +179,31 @@ class TestRepetitiveSeries:
 
     def test_varying_sequence_matches_naive_sum(self):
         seq = RepetitiveSequence((0.5, 1.5, 2.5))
-        got = paoi_repetitive(EXP, seq, eps=1e-12)
+        got = paoi_repetitive(EXP, seq)
         assert got.zeta == pytest.approx(self.naive_series(EXP, seq.thresholds), rel=1e-10)
 
         seq2 = RepetitiveSequence((1.0, 2.0))
-        got2 = paoi_repetitive(TP, seq2, eps=1e-12)
+        got2 = paoi_repetitive(TP, seq2)
         assert got2.zeta == pytest.approx(self.naive_series(TP, seq2.thresholds), rel=1e-10)
 
     def test_tail_below_support_diverges(self):
-        with pytest.raises(SeriesDiverged):
-            paoi_repetitive(CATALOG["pareto"], RepetitiveSequence((1.0,)))
-        with pytest.raises(SeriesDiverged):
-            paoi_repetitive(EXP, RepetitiveSequence((0.0,)))
+        inf = PaoiValue(math.inf, math.inf, math.inf)
+        assert paoi_repetitive(CATALOG["pareto"], RepetitiveSequence((1.0,))) == inf
+        assert paoi_repetitive(EXP, RepetitiveSequence((0.0,))) == inf
+        assert paoi_repetitive(EXP, RepetitiveSequence((2.0, 0.0))) == inf
 
-    def test_thresholds_below_support_rejected(self):
-        with pytest.raises(ValueError):
-            paoi_repetitive(TP, RepetitiveSequence((0.5, 2.0)))
+    def test_thresholds_below_support_burn_their_length(self):
+        fixed = paoi_fixed_threshold(TP, 2.0)
+        got = paoi_repetitive(TP, RepetitiveSequence((0.5, 2.0)))
+        assert got.zeta == fixed.zeta + 0.5
+        assert got.received_service == fixed.received_service
+        assert got.interreception == fixed.interreception + 0.5
+
+    def test_unreached_tail_is_skipped(self):
+        # the first attempt always delivers, so the undeliverable tail
+        # threshold is never used and contributes no inf
+        got = paoi_repetitive(TP, RepetitiveSequence((3.0, 0.5)))
+        assert got == paoi_fixed_threshold(TP, 3.0)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -370,6 +370,54 @@ class TestDegenerateInputs:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert time.perf_counter() - start < 5.0
 
+    def test_tail_that_never_delivers_exits_3_at_once(self, tmp_path, capsys):
+        # every peak that misses its first attempt is stranded on theta = 0
+        cfg = tmp_path / "x.yaml"
+        cfg.write_text(
+            "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+            "policies: [{kind: repetitive, thresholds: [2.0, 0.0]}]\n"
+        )
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert "repeating last threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            "{kind: uniform, low: 1.0, high: .inf}",
+            "{kind: triangular, low: 1.0, mode: 2.0, high: .inf}",
+        ],
+    )
+    def test_sampler_with_infinite_high_exit_2(self, tmp_path, capsys, sampler):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(ERLANG + f"policies: [{{kind: randomized, sampler: {sampler}}}]\n"
+                       "simulation: {peaks: 10, replications: 1, stall_limit: 1000}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "< inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "law, thresholds, want",
+        [
+            # fixed(2.0) is (10/3, 4/3, 2); a prefix threshold below the
+            # support burns its own length, 0.5, on zeta and E[Y]
+            ("{kind: pareto, params: {xm: 1.0, alpha: 2.0}}", "[0.5, 2.0]",
+             ["3.83333333333", "1.33333333333", "2.5"]),
+            ("{kind: exponential, params: {rate: 1.0}}", "[0.0]", ["inf", "inf", "inf"]),
+            ("{kind: exponential, params: {rate: 1.0}}", "[2.0, 1.0e-6]",
+             ["1.59399421796", "0.593994217958", "1"]),
+        ],
+    )
+    def test_eval_of_sequences_at_the_support_edge(self, tmp_path, law, thresholds, want):
+        cfg = tmp_path / "e.yaml"
+        cfg.write_text(f"distribution: {law}\n"
+                       f"policies: [{{kind: repetitive, thresholds: {thresholds}}}]\n")
+        start = time.perf_counter()
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        (row,) = read_csv(tmp_path / "paoi_eval.csv")
+        assert [row["zeta"], row["e_x_check"], row["e_y"]] == want
+
     def test_infinite_fixed_threshold_evals_as_zero_wait(self, tmp_path, capsys):
         cfg = tmp_path / "z.yaml"
         cfg.write_text(ERLANG + "policies: [zero-wait, {kind: fixed, theta: .inf}]\n")
@@ -380,10 +428,12 @@ class TestDegenerateInputs:
 
 
 # CSV digests of the outputs below, pinned when every deterministic policy
-# was first read through ``policies.resolve``; any change to these bytes
-# must be deliberate.
+# was first read through ``policies.resolve`` and re-pinned for the eval
+# table when threshold sequences became exact (its repetitive row moved
+# from 3.62499999991 to 3.625); any change to these bytes must be
+# deliberate.
 PINNED_SHA256 = {
-    "paoi_eval.csv": "bd410e20c834c1500f33b719cd3ce85668106f47d1dfc87ac0dd514825eec88e",
+    "paoi_eval.csv": "26541f26394eb8d1339db1a92f447bc4380be793ff68929d8d8f905acad7afb3",
     "paoi_simulate_fixed_2.csv":
         "47845af615dba5aaade295bd6d0054cc8beda8fc03153ef75fc750271466742d",
     "paoi_simulate_median-threshold.csv":

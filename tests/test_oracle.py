@@ -6,10 +6,12 @@ float parameters and thresholds, which it takes as exact.  It checks
 ``F``, ``P(X > theta)``, ``M(theta) = E[X 1{X <= theta}]``, ``zeta``,
 ``E[Xr]`` and ``E[Y]`` at thresholds from the 1e-9 to the 1 - 1e-9
 quantile, including the lower tail where the exponential-family optima
-sit and heavy tails with ``alpha`` near 1.
+sit and heavy tails with ``alpha`` near 1.  It also checks the three
+components of threshold sequences whose last entry repeats.
 """
 
 import math
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -23,9 +25,11 @@ from paoi_lab import (
     HyperExponential,
     LogNormal,
     Pareto,
+    RepetitiveSequence,
     ShiftedExponential,
     TwoPoint,
     paoi_fixed_threshold,
+    paoi_repetitive,
 )
 
 from conftest import CATALOG, catalog_ids
@@ -124,7 +128,11 @@ def program(d, theta):
 def worst_error(d, theta):
     """Largest relative error of the program against the oracle at ``theta``,
     with the quantity it occurred in."""
-    want, got = oracle(d, theta), program(d, theta)
+    return largest_error(oracle(d, theta), program(d, theta))
+
+
+def largest_error(want, got):
+    """Largest relative error of ``got`` against ``want``, with its key."""
     worst = (0.0, None)
     for key, exact in want.items():
         if exact == 0 or mp.isinf(exact):
@@ -207,3 +215,80 @@ def test_drawn_laws_against_oracle(d, q):
     theta = d.quantile(q)
     err, key = worst_error(d, theta)
     assert err <= RTOL, (d, q, theta, key, err)
+
+
+def oracle_sequence(d, thresholds):
+    """zeta, E[Xr] and E[Y] of a sequence restarted after every reception
+    whose last entry repeats, summed over the attempt that delivers.
+
+    Reception at attempt ``j`` happens with probability ``S_j F(theta_j)``
+    and follows ``T_j = theta_1 + ... + theta_{j-1}`` of preempted time,
+    so ``E[Xr] = sum S_j M(theta_j)`` and ``E[Y] = sum S_j (M(theta_j) +
+    F(theta_j) T_j)``; from attempt ``n`` on the sums are geometric in
+    ``q = P(X > theta_n)``.  This is a different grouping of the terms
+    than the program's per-attempt cost, so it checks that algebra too.
+    """
+    with mp.workdps(50):
+        ts = [mp.mpf(t) for t in thresholds]
+        reach, spent = mp.mpf(1), mp.mpf(0)
+        ex = ey = mp.mpf(0)
+        for t in ts[:-1]:
+            f, sf, m = _law_parts(d, t)
+            ex += reach * m
+            ey += reach * (m + f * spent)
+            reach *= sf
+            spent += t
+        if reach > 0:
+            t = ts[-1]
+            f, q, m = _law_parts(d, t)
+            if f <= 0:
+                return {"zeta": mp.inf, "ex": mp.inf, "ey": mp.inf}
+            ex += reach * m / f
+            ey += reach * (m / f + spent + t * q / f)
+        return {"zeta": ex + ey, "ex": ex, "ey": ey}
+
+
+def sequence_error(d, thresholds):
+    v = paoi_repetitive(d, RepetitiveSequence(thresholds))
+    got = {"zeta": v.zeta, "ex": v.received_service, "ey": v.interreception}
+    return largest_error(oracle_sequence(d, thresholds), got)
+
+
+def sequence_entries(d):
+    """Thresholds below the support, in the lower tail down to quantile
+    1e-9, in the bulk, and at the law's atoms."""
+    atoms = ()
+    if isinstance(d, TwoPoint):
+        atoms = (d.t1, d.t2)
+    elif isinstance(d, Deterministic):
+        atoms = (d.value,)
+    below = d.support_min() / 2  # 0 when the support starts at 0
+    return (below,) + tuple(d.quantile(q) for q in (1e-9, 1e-6, 1e-3, 0.5, 0.9)) + atoms
+
+
+# Measured over every sequence of length 1 to 3 from ``sequence_entries``
+# of every catalog law: the largest relative error was 4.3e-15; over 5000
+# drawn laws and sequences of length 1 to 4 it was 1.4e-14 (log-normal).
+@pytest.mark.parametrize("name", catalog_ids())
+def test_sequences_against_oracle(name):
+    d = CATALOG[name]
+    entries = sequence_entries(d)
+    seqs = [s for n in (1, 2) for s in product(entries, repeat=n)]
+    # every length-3 and length-4 sequence would be slow; these cover a
+    # below-support and a lower-tail entry in each position
+    bulk, below, tail = entries[4], entries[0], entries[1]
+    seqs += [(below, bulk, tail), (tail, below, bulk), (bulk, tail, below),
+             (below, tail, bulk, entries[5]), (tail, tail, below, bulk),
+             (entries[5], bulk, tail, tail), entries[-4:]]
+    for seq in seqs:
+        err, key = sequence_error(d, seq)
+        assert err <= RTOL, (d, seq, key, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=LAWS, picks=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
+def test_drawn_sequences_against_oracle(d, picks):
+    entries = sequence_entries(d)
+    seq = tuple(entries[i] for i in picks)
+    err, key = sequence_error(d, seq)
+    assert err <= RTOL, (d, seq, key, err)

@@ -27,6 +27,7 @@ from paoi_lab import (
     expected_interreception,
     expected_received_service,
     optimal_threshold,
+    paoi_repetitive,
     paoi_xmin,
     pooled_estimate,
     run_replications,
@@ -147,6 +148,25 @@ class TestEventLoop:
 
         with pytest.raises(SimulationStall, match="can deliver"):
             simulate_peaks(Undrawn(1.0, 2.0), FixedThreshold(0.5), peaks=1, seed=1)
+
+    def test_stranding_tail_raises_before_any_draw(self):
+        # a peak that misses its first attempt waits on theta = 0 forever
+        class Undrawn(Exponential):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        seq = RepetitiveSequence((2.0, 0.0))
+        with pytest.raises(SimulationStall, match="repeating last threshold"):
+            simulate_peaks(Undrawn(1.0), seq, peaks=1, seed=1)
+
+    def test_unreached_tail_does_not_stall(self):
+        # the first attempt at theta = 3 always delivers, so the tail
+        # threshold below the support is never used
+        tp = TwoPoint(1.0, 3.0, 0.5)
+        records = simulate_peaks(tp, RepetitiveSequence((3.0, 0.5)), peaks=20_000, seed=4)
+        est = estimate_paoi(records)
+        assert all(r.preemptions == 0 for r in records)
+        assert abs(est.mean - 4.0) < 3 * est.std_error
 
     def test_xmin_policy_on_atom(self):
         tp = TwoPoint(1.0, 3.0, 0.5)
@@ -284,6 +304,13 @@ class TestRandomized:
 
         want = paoi_repetitive(d, RepetitiveSequence((1.0, 3.0))).zeta
         assert abs(est.mean - want) < 3 * est.std_error
+
+    def test_prefix_below_support_matches_closed_form(self):
+        # the first attempt at 0.5 < xm is always preempted and burns 0.5
+        d = Pareto(1.0, 2.0)
+        seq = RepetitiveSequence((0.5, 2.0))
+        est = estimate_paoi(simulate_peaks(d, seq, peaks=40_000, seed=19))
+        assert est.ci_low <= paoi_repetitive(d, seq).zeta <= est.ci_high
 
     def test_median_threshold_sugar(self):
         d = Exponential(1.0)
