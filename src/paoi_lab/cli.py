@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -179,7 +180,12 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None) -> int:
     d = cfg.distribution
     sim = cfg.simulation
-    seed = sim.seed if seed_override is None else seed_override
+    if seed_override is not None:
+        try:
+            sim = dataclasses.replace(sim, seed=seed_override)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
+    seed = sim.seed
     workers = _workers()
     for policy in cfg.policies:
         estimates = simulate.run_replications(

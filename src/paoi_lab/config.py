@@ -1,14 +1,23 @@
 """Experiment configuration: one YAML file describes a whole run.
 
-Unknown keys anywhere in the file are an error (typos must not silently
-change an experiment).  Every field has a default except the service-time
-distribution itself; key names are documented in the README.
+The dataclasses are the schema: :func:`_construct` reads a section, a
+law's ``params``, a sampler or a policy from the fields of the class it
+builds.  The fields are the only allowed keys (typos must not silently
+change an experiment), a field without a default is required, ``null``
+keeps the default, and the field's annotation picks how a value is read.
+Range checks live in each class's ``__post_init__``, whose ``ValueError``
+becomes a :class:`ConfigError` naming the key path.  A ``kind`` key picks
+a law, sampler or policy class.  Only the distribution is required.
+Numbers follow YAML 1.2, so ``1e-6`` is a float.  Key names are
+documented in the README.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Any, Optional
 
 import yaml
@@ -25,6 +34,7 @@ from .distributions import (
     TwoPoint,
 )
 from .errors import ConfigError
+from .optimize import _BELLMAN_TOL, _DEFAULT_GRID_POINTS
 from .policies import (
     ChoiceSampler,
     FixedThreshold,
@@ -33,12 +43,12 @@ from .policies import (
     Policy,
     RandomizedThreshold,
     RepetitiveSequence,
-    ThresholdSampler,
     TriangularSampler,
     UniformSampler,
     XMinThreshold,
     ZeroWait,
 )
+from .simulate import DEFAULT_STALL_LIMIT
 
 __all__ = [
     "SweepSpec",
@@ -59,6 +69,14 @@ class SweepSpec:
     count: int = 200
     spacing: str = "linear"  # or "log"
 
+    def __post_init__(self):
+        if any(t is not None and not math.isfinite(t) for t in (self.theta_min, self.theta_max)):
+            raise ValueError("theta_min and theta_max must be finite")
+        if self.count < 2:
+            raise ValueError("count must be at least 2")
+        if self.spacing not in ("linear", "log"):
+            raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -66,9 +84,17 @@ class SimulationSpec:
     replications: int = 5
     seed: int = 12345
     warmup: int = 0
-    stall_limit: int = 10**9
+    stall_limit: int = DEFAULT_STALL_LIMIT
     dump_peaks: bool = False
     trajectory_horizon: Optional[float] = None
+
+    def __post_init__(self):
+        if self.peaks < 2 or self.replications < 1 or self.warmup < 0 or self.stall_limit < 1:
+            raise ValueError("need peaks >= 2, replications >= 1, warmup >= 0, stall_limit >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.trajectory_horizon is not None and not 0 < self.trajectory_horizon < math.inf:
+            raise ValueError("trajectory_horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,8 +102,8 @@ class OptimizerSpec:
     theta_min: Optional[float] = None
     theta_max: Optional[float] = None
     tol: Optional[float] = None
-    grid_points: int = 2000
-    bellman_tol: float = 1e-10
+    grid_points: int = _DEFAULT_GRID_POINTS
+    bellman_tol: float = _BELLMAN_TOL
 
 
 @dataclass(frozen=True)
@@ -90,308 +116,182 @@ class ExperimentConfig:
     prefix: str = "paoi"
 
 
-def _require_mapping(node: Any, where: str) -> dict:
+@dataclass(frozen=True)
+class _Output:  # the file's output section, which sets ExperimentConfig.prefix
+    prefix: str = ExperimentConfig.prefix
+
+
+_LAWS = {
+    "exponential": Exponential,
+    "erlang": Erlang,
+    "pareto": Pareto,
+    "shifted-exponential": ShiftedExponential,
+    "two-point": TwoPoint,
+    "hyper-exponential": HyperExponential,
+    "log-normal": LogNormal,
+    "deterministic": Deterministic,
+}
+
+_SAMPLERS = {
+    "point": PointSampler,
+    "uniform": UniformSampler,
+    "choice": ChoiceSampler,
+    "triangular": TriangularSampler,
+}
+
+# A bare string names a kind without fields: zero-wait, xmin or median.
+_POLICIES = {
+    "zero-wait": ZeroWait,
+    "xmin": XMinThreshold,
+    "xmin-threshold": XMinThreshold,
+    "median": MedianThreshold,
+    "median-threshold": MedianThreshold,
+    "fixed": FixedThreshold,
+    "fixed-threshold": FixedThreshold,
+    "repetitive": RepetitiveSequence,
+    "randomized": RandomizedThreshold,
+}
+
+
+def _mapping(node: Any, where: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(node).__name__}")
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _check_keys(node: dict, allowed, where: str) -> None:
+    unknown = sorted(map(str, node.keys() - set(allowed)))  # YAML keys need not be strings
     if unknown:
         raise ConfigError(
             f"{where}: unknown key(s) {', '.join(unknown)}; allowed: "
-            + ", ".join(sorted(allowed))
+            + (", ".join(sorted(allowed)) or "none")
         )
 
 
-def _number(node: dict, key: str, where: str, default=None, required=False):
-    if key not in node or node[key] is None:
-        if required:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
-    v = node[key]
+def _number(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+        raise ConfigError(f"{where}: expected a number, got {v!r}")
     return float(v)
 
 
-def _integer(node: dict, key: str, where: str, default=None, required=False):
-    v = _number(node, key, where, default, required)
-    if v is None:
-        return None
-    if not math.isfinite(v) or v != int(v):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    return int(v)
+def _integer(v: Any, where: str) -> int:
+    x = _number(v, where)
+    if not x.is_integer():  # nor is nan or inf
+        raise ConfigError(f"{where}: expected an integer, got {x!r}")
+    return int(x)
 
 
-def _number_list(node: dict, key: str, where: str) -> tuple[float, ...]:
-    v = node.get(key)
+def _numbers(v: Any, where: str) -> tuple[float, ...]:
     if not isinstance(v, (list, tuple)) or not v:
-        raise ConfigError(f"{where}.{key}: expected a nonempty list of numbers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected numbers, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
+        raise ConfigError(f"{where}: expected a nonempty list of numbers")
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(v))
 
 
-_DIST_PARAM_KEYS = {
-    "exponential": {"rate"},
-    "erlang": {"shape", "rate"},
-    "pareto": {"xm", "alpha"},
-    "shifted-exponential": {"shift", "rate"},
-    "two-point": {"t1", "t2", "p"},
-    "hyper-exponential": {"rates", "weights"},
-    "log-normal": {"mu", "sigma"},
-    "deterministic": {"value"},
-}
+def _boolean(v: Any, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}: expected a boolean, got {v!r}")
+    return v
+
+
+def _string(v: Any, where: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{where}: expected a nonempty string, got {v!r}")
+    return v
+
+
+def _policies(v: Any, where: str) -> tuple[Policy, ...]:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected a nonempty list")
+    return tuple(parse_policy(p, f"{where}[{i}]") for i, p in enumerate(v))
+
+
+def _construct(cls, node: Any, where: str, **sections):
+    """Build ``cls`` from the mapping ``node``, keyed by the fields of ``cls``.
+
+    Each of ``sections`` names a key of ``node`` and the class that reads
+    it; the fields of that class are passed on to ``cls``.
+    """
+    node = {} if node is None else _mapping(node, where)
+    at = "" if cls is ExperimentConfig else f"{where}."  # the file's sections sit at the top
+    values = {}
+    for key, section in sections.items():
+        values.update(vars(_construct(section, node.get(key), at + key)))
+    keyed = [f for f in fields(cls) if f.name not in values]
+    _check_keys(node, [f.name for f in keyed] + list(sections), where)
+    for f in keyed:
+        if node.get(f.name) is not None:
+            values[f.name] = _READERS[f.type](node[f.name], at + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required key '{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build(kinds: dict, node: Any, where: str):
+    """The class ``node["kind"]`` names in ``kinds``, built from the other keys."""
+    if isinstance(node, str):  # a bare kind name, complete only for a class without fields
+        node = {"kind": node}
+    node = _mapping(node, where)
+    rest = {k: v for k, v in node.items() if k != "kind"}
+    return _construct(_pick(kinds, node, where), rest, where)
+
+
+def _pick(kinds: dict, node: dict, where: str):
+    kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}; one of {', '.join(sorted(kinds))}")
+    return kinds[kind]
 
 
 def parse_distribution(node: Any, where: str = "distribution") -> ServiceDistribution:
-    node = _require_mapping(node, where)
-    _check_keys(node, {"kind", "params"}, where)
-    kind = node.get("kind")
-    if kind not in _DIST_PARAM_KEYS:
-        raise ConfigError(
-            f"{where}.kind: unknown kind {kind!r}; one of "
-            + ", ".join(sorted(_DIST_PARAM_KEYS))
-        )
-    params = _require_mapping(node.get("params", {}), f"{where}.params")
-    _check_keys(params, _DIST_PARAM_KEYS[kind], f"{where}.params")
-    w = f"{where}.params"
-    try:
-        if kind == "exponential":
-            return Exponential(rate=_number(params, "rate", w, required=True))
-        if kind == "erlang":
-            return Erlang(
-                shape=_integer(params, "shape", w, required=True),
-                rate=_number(params, "rate", w, required=True),
-            )
-        if kind == "pareto":
-            return Pareto(
-                xm=_number(params, "xm", w, required=True),
-                alpha=_number(params, "alpha", w, required=True),
-            )
-        if kind == "shifted-exponential":
-            return ShiftedExponential(
-                shift=_number(params, "shift", w, required=True),
-                rate=_number(params, "rate", w, required=True),
-            )
-        if kind == "two-point":
-            return TwoPoint(
-                t1=_number(params, "t1", w, required=True),
-                t2=_number(params, "t2", w, required=True),
-                p=_number(params, "p", w, required=True),
-            )
-        if kind == "hyper-exponential":
-            return HyperExponential(
-                rates=_number_list(params, "rates", w),
-                weights=_number_list(params, "weights", w),
-            )
-        if kind == "log-normal":
-            return LogNormal(
-                mu=_number(params, "mu", w, required=True),
-                sigma=_number(params, "sigma", w, required=True),
-            )
-        return Deterministic(value=_number(params, "value", w, required=True))
-    except ValueError as exc:
-        raise ConfigError(f"{w}: {exc}") from exc
-
-
-_SAMPLER_KEYS = {
-    "point": {"value"},
-    "uniform": {"low", "high"},
-    "choice": {"values", "weights"},
-    "triangular": {"low", "mode", "high"},
-}
-
-
-def _parse_sampler(node: Any, where: str) -> ThresholdSampler:
-    node = _require_mapping(node, where)
-    kind = node.get("kind")
-    if kind not in _SAMPLER_KEYS:
-        raise ConfigError(
-            f"{where}.kind: unknown sampler {kind!r}; one of "
-            + ", ".join(sorted(_SAMPLER_KEYS))
-        )
-    _check_keys(node, _SAMPLER_KEYS[kind] | {"kind"}, where)
-    try:
-        if kind == "point":
-            return PointSampler(_number(node, "value", where, required=True))
-        if kind == "uniform":
-            return UniformSampler(
-                _number(node, "low", where, required=True),
-                _number(node, "high", where, required=True),
-            )
-        if kind == "choice":
-            return ChoiceSampler(
-                _number_list(node, "values", where),
-                _number_list(node, "weights", where),
-            )
-        return TriangularSampler(
-            _number(node, "low", where, required=True),
-            _number(node, "mode", where, required=True),
-            _number(node, "high", where, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-_POLICY_SHORTHANDS = {
-    "zero-wait": ZeroWait(),
-    "xmin": XMinThreshold(),
-    "xmin-threshold": XMinThreshold(),
-    "median": MedianThreshold(),
-    "median-threshold": MedianThreshold(),
-}
+    node = _mapping(node, where)
+    _check_keys(node, ("kind", "params"), where)
+    return _construct(_pick(_LAWS, node, where), node.get("params"), f"{where}.params")
 
 
 def parse_policy(node: Any, where: str = "policy") -> Policy:
-    if isinstance(node, str):
-        if node in _POLICY_SHORTHANDS:
-            return _POLICY_SHORTHANDS[node]
-        raise ConfigError(
-            f"{where}: unknown policy shorthand {node!r}; one of "
-            + ", ".join(sorted(_POLICY_SHORTHANDS))
-        )
-    node = _require_mapping(node, where)
-    kind = node.get("kind")
-    try:
-        if kind in _POLICY_SHORTHANDS:
-            _check_keys(node, {"kind"}, where)
-            return _POLICY_SHORTHANDS[kind]
-        if kind in ("fixed", "fixed-threshold"):
-            _check_keys(node, {"kind", "theta"}, where)
-            return FixedThreshold(theta=_number(node, "theta", where, required=True))
-        if kind == "repetitive":
-            _check_keys(node, {"kind", "thresholds"}, where)
-            return RepetitiveSequence(thresholds=_number_list(node, "thresholds", where))
-        if kind == "randomized":
-            _check_keys(node, {"kind", "sampler"}, where)
-            if "sampler" not in node:
-                raise ConfigError(f"{where}: randomized policy needs a sampler")
-            return RandomizedThreshold(sampler=_parse_sampler(node["sampler"], f"{where}.sampler"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind: unknown policy kind {kind!r}")
+    return _build(_POLICIES, node, where)
 
 
-def _parse_sweep(node: Any) -> SweepSpec:
-    node = _require_mapping(node, "sweep")
-    _check_keys(node, {"theta_min", "theta_max", "count", "spacing"}, "sweep")
-    spacing = node.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
-        raise ConfigError(f"sweep.spacing: expected 'linear' or 'log', got {spacing!r}")
-    count = _integer(node, "count", "sweep", default=200)
-    if count < 2:
-        raise ConfigError("sweep.count: need at least 2 points")
-    return SweepSpec(
-        theta_min=_number(node, "theta_min", "sweep"),
-        theta_max=_number(node, "theta_max", "sweep"),
-        count=count,
-        spacing=spacing,
-    )
-
-
-def _parse_simulation(node: Any) -> SimulationSpec:
-    node = _require_mapping(node, "simulation")
-    _check_keys(
-        node,
-        {"peaks", "replications", "seed", "warmup", "stall_limit", "dump_peaks",
-         "trajectory_horizon"},
-        "simulation",
-    )
-    dump = node.get("dump_peaks", False)
-    if not isinstance(dump, bool):
-        raise ConfigError("simulation.dump_peaks: expected a boolean")
-    spec = SimulationSpec(
-        peaks=_integer(node, "peaks", "simulation", default=10_000),
-        replications=_integer(node, "replications", "simulation", default=5),
-        seed=_integer(node, "seed", "simulation", default=12345),
-        warmup=_integer(node, "warmup", "simulation", default=0),
-        stall_limit=_integer(node, "stall_limit", "simulation", default=10**9),
-        dump_peaks=dump,
-        trajectory_horizon=_number(node, "trajectory_horizon", "simulation"),
-    )
-    if spec.peaks < 2 or spec.replications < 1 or spec.warmup < 0 or spec.stall_limit < 1:
-        raise ConfigError(
-            "simulation: need peaks >= 2, replications >= 1, warmup >= 0, stall_limit >= 1"
-        )
-    if spec.trajectory_horizon is not None and spec.trajectory_horizon <= 0:
-        raise ConfigError("simulation.trajectory_horizon: must be positive")
-    return spec
-
-
-def _parse_optimizer(node: Any) -> OptimizerSpec:
-    node = _require_mapping(node, "optimizer")
-    _check_keys(
-        node, {"theta_min", "theta_max", "tol", "grid_points", "bellman_tol"}, "optimizer"
-    )
-    return OptimizerSpec(
-        theta_min=_number(node, "theta_min", "optimizer"),
-        theta_max=_number(node, "theta_max", "optimizer"),
-        tol=_number(node, "tol", "optimizer"),
-        grid_points=_integer(node, "grid_points", "optimizer", default=2000),
-        bellman_tol=_number(node, "bellman_tol", "optimizer", default=1e-10),
-    )
+# Field annotation -> reader of the value under that field's key.
+_READERS = {
+    "float": _number,
+    "Optional[float]": _number,
+    "int": _integer,
+    "tuple[float, ...]": _numbers,
+    "bool": _boolean,
+    "str": _string,
+    "ThresholdSampler": partial(_build, _SAMPLERS),
+    "ServiceDistribution": parse_distribution,
+    "tuple[Policy, ...]": _policies,
+    "SweepSpec": partial(_construct, SweepSpec),
+    "SimulationSpec": partial(_construct, SimulationSpec),
+    "OptimizerSpec": partial(_construct, OptimizerSpec),
+}
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
-    raw = _require_mapping(raw, "config")
-    _check_keys(
-        raw,
-        {"distribution", "policies", "sweep", "simulation", "optimizer", "output"},
-        "config",
-    )
-    if "distribution" not in raw:
-        raise ConfigError("config: missing required section 'distribution'")
-    dist = parse_distribution(raw["distribution"])
+    return _construct(ExperimentConfig, raw, "config", output=_Output)
 
-    policies: tuple[Policy, ...] = (ZeroWait(),)
-    if "policies" in raw and raw["policies"] is not None:
-        items = raw["policies"]
-        if not isinstance(items, list) or not items:
-            raise ConfigError("policies: expected a nonempty list")
-        policies = tuple(
-            parse_policy(item, f"policies[{i}]") for i, item in enumerate(items)
-        )
 
-    sweep = _parse_sweep(raw["sweep"]) if raw.get("sweep") is not None else SweepSpec()
-    sim = (
-        _parse_simulation(raw["simulation"])
-        if raw.get("simulation") is not None
-        else SimulationSpec()
-    )
-    opt = (
-        _parse_optimizer(raw["optimizer"])
-        if raw.get("optimizer") is not None
-        else OptimizerSpec()
-    )
+class _Loader(yaml.SafeLoader):
+    """Safe loading that also reads YAML 1.2 floats such as ``1e-6`` and ``1E3``
+    (YAML 1.1 wants a dot and a signed exponent)."""
 
-    prefix = "paoi"
-    if raw.get("output") is not None:
-        out = _require_mapping(raw["output"], "output")
-        _check_keys(out, {"prefix"}, "output")
-        prefix = out.get("prefix", "paoi")
-        if not isinstance(prefix, str) or not prefix:
-            raise ConfigError("output.prefix: expected a nonempty string")
 
-    return ExperimentConfig(
-        distribution=dist,
-        policies=policies,
-        sweep=sweep,
-        simulation=sim,
-        optimizer=opt,
-        prefix=prefix,
-    )
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9][0-9_]*(?:\.[0-9_]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

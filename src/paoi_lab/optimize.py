@@ -63,6 +63,7 @@ _WINNER_PRIORITY = (WINNER_FIXED, WINNER_XMIN, WINNER_ZERO_WAIT)
 _TIE_REL_TOL = 1e-9
 
 _DEFAULT_GRID_POINTS = 2000
+_BELLMAN_TOL = 1e-10
 _LOG_SPACING_RATIO = 100.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -296,7 +297,7 @@ def bellman_fixed_point(
     d: ServiceDistribution,
     theta_min: float,
     theta_max: float,
-    tol: float = 1e-10,
+    tol: float = _BELLMAN_TOL,
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> float:
     """Solve ``U = min_theta {c(theta) + U * P(X > theta)}`` by policy iteration.

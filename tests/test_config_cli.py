@@ -5,24 +5,46 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from conftest import CATALOG
 
 from paoi_lab import (
+    ChoiceSampler,
     ConfigError,
     Erlang,
+    Exponential,
     FixedThreshold,
     HyperExponential,
     MedianThreshold,
     Pareto,
+    PointSampler,
     RandomizedThreshold,
     RepetitiveSequence,
+    TriangularSampler,
     UniformSampler,
+    XMinThreshold,
     ZeroWait,
 )
 from paoi_lab.cli import main
-from paoi_lab.config import parse_config, parse_distribution, parse_policy
+from paoi_lab.config import (
+    ExperimentConfig,
+    OptimizerSpec,
+    SimulationSpec,
+    SweepSpec,
+    load_config,
+    parse_config,
+    parse_distribution,
+    parse_policy,
+)
+
+
+def as_node(obj):
+    """The config mapping of ``obj``'s own fields, lists where YAML has them."""
+    node = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in node.items()}
 
 
 class TestConfigParsing:
@@ -39,6 +61,9 @@ class TestConfigParsing:
                 "params": {"rates": [10.0, 1.0], "weights": [0.5, 0.5]},
             }
         ) == HyperExponential((10.0, 1.0), (0.5, 0.5))
+        # every catalog law round-trips through the config's field names
+        for kind, law in CATALOG.items():
+            assert parse_distribution({"kind": kind, "params": as_node(law)}) == law
 
     def test_unknown_distribution_keys_error(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -62,6 +87,29 @@ class TestConfigParsing:
         assert parse_policy(
             {"kind": "randomized", "sampler": {"kind": "uniform", "low": 1.0, "high": 2.0}}
         ) == RandomizedThreshold(UniformSampler(1.0, 2.0))
+        # every policy kind and alias, and every sampler kind, round-trips
+        cases = {
+            "zero-wait": ZeroWait(),
+            "xmin": XMinThreshold(),
+            "xmin-threshold": XMinThreshold(),
+            "median": MedianThreshold(),
+            "median-threshold": MedianThreshold(),
+            "fixed": FixedThreshold(2.5),
+            "fixed-threshold": FixedThreshold(0.0),
+            "repetitive": RepetitiveSequence((1.0, 2.0, 0.5)),
+        }
+        for kind, policy in cases.items():
+            assert parse_policy({"kind": kind, **as_node(policy)}) == policy
+            if not fields(policy):
+                assert parse_policy(kind) == policy
+        for kind, sampler in {
+            "point": PointSampler(1.5),
+            "uniform": UniformSampler(0.5, 2.0),
+            "choice": ChoiceSampler((1.0, 3.0), (0.25, 0.75)),
+            "triangular": TriangularSampler(0.5, 1.0, 2.0),
+        }.items():
+            node = {"kind": "randomized", "sampler": {"kind": kind, **as_node(sampler)}}
+            assert parse_policy(node) == RandomizedThreshold(sampler)
 
     def test_policy_typos_error(self):
         with pytest.raises(ConfigError):
@@ -85,10 +133,57 @@ class TestConfigParsing:
                     "simulatoin": {},
                 }
             )
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) 1, a;"):
+            parse_config({"distribution": {"kind": "exponential", "params": {"rate": 1.0}},
+                          1: {}, "a": {}})
 
     def test_missing_distribution(self):
         with pytest.raises(ConfigError):
             parse_config({"policies": ["zero-wait"]})
+
+    def test_null_keeps_every_default(self):
+        law = {"kind": "exponential", "params": {"rate": 1.0}}
+        defaults = ExperimentConfig(distribution=Exponential(1.0))
+        assert parse_config({"distribution": law}) == defaults
+        sections = {"sweep": SweepSpec, "simulation": SimulationSpec, "optimizer": OptimizerSpec}
+        every_key = {k: dict.fromkeys(f.name for f in fields(v)) for k, v in sections.items()}
+        every_key |= {"distribution": law, "policies": None, "output": {"prefix": None}}
+        assert parse_config(every_key) == defaults
+        assert parse_config(dict.fromkeys(every_key) | {"distribution": law}) == defaults
+
+    def test_exponents_without_a_dot_are_numbers(self, tmp_path):
+        # YAML 1.2 floats; .inf and .nan keep their meaning, quoted text stays text
+        path = tmp_path / "e.yaml"
+        path.write_text(
+            "distribution: {kind: exponential, params: {rate: 2E0}}\n"
+            "policies: [{kind: repetitive, thresholds: [2e0, 1e-6, 1.5e3, +5e-1]},"
+            " {kind: fixed, theta: .inf}]\n"
+            "simulation: {stall_limit: 1e9}\n"
+            "optimizer: {theta_min: .5e-3, bellman_tol: .nan}\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg.distribution == Exponential(2.0)
+        assert cfg.policies == (
+            RepetitiveSequence((2.0, 1e-6, 1500.0, 0.5)), FixedThreshold(math.inf)
+        )
+        assert cfg.simulation.stall_limit == 10**9
+        assert type(cfg.simulation.stall_limit) is int
+        assert cfg.optimizer.theta_min == 5e-4
+        assert math.isnan(cfg.optimizer.bellman_tol)
+        path.write_text("distribution: {kind: exponential, params: {rate: '1e0'}}\n")
+        with pytest.raises(ConfigError, match="expected a number, got '1e0'"):
+            load_config(str(path))
+
+    def test_readme_block_documents_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        cfg = load_config(str(path))
+        assert cfg.sweep == SweepSpec()
+        assert cfg.simulation == SimulationSpec()
+        assert cfg.optimizer == OptimizerSpec()
+        assert cfg.prefix == ExperimentConfig.prefix
 
 
 TP_YAML = """
@@ -406,6 +501,8 @@ class TestDegenerateInputs:
             ("{kind: exponential, params: {rate: 1.0}}", "[0.0]", ["inf", "inf", "inf"]),
             ("{kind: exponential, params: {rate: 1.0}}", "[2.0, 1.0e-6]",
              ["1.59399421796", "0.593994217958", "1"]),
+            ("{kind: exponential, params: {rate: 1.0}}", "[2.0, 1e-6]",
+             ["1.59399421796", "0.593994217958", "1"]),
         ],
     )
     def test_eval_of_sequences_at_the_support_edge(self, tmp_path, law, thresholds, want):
@@ -417,6 +514,31 @@ class TestDegenerateInputs:
         assert time.perf_counter() - start < 1.0
         (row,) = read_csv(tmp_path / "paoi_eval.csv")
         assert [row["zeta"], row["e_x_check"], row["e_y"]] == want
+
+    @pytest.mark.parametrize(
+        "section, flags",
+        [("simulation: {seed: -1}\n", []), ("", ["--seed", "-1"])],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_exit_2(self, tmp_path, capsys, section, flags):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(ERLANG + section)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["{theta_min: -.inf}", "{theta_max: .inf}"])
+    def test_non_finite_sweep_window_exit_2(self, tmp_path, capsys, window):
+        cfg = tmp_path / "w.yaml"
+        cfg.write_text(ERLANG + f"sweep: {window}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_infinite_trajectory_horizon_rejected(self):
+        # simulate would never leave the trajectory loop
+        node = {"distribution": {"kind": "exponential", "params": {"rate": 1.0}},
+                "simulation": {"trajectory_horizon": math.inf}}
+        with pytest.raises(ConfigError, match="trajectory_horizon"):
+            parse_config(node)
 
     def test_infinite_fixed_threshold_evals_as_zero_wait(self, tmp_path, capsys):
         cfg = tmp_path / "z.yaml"
