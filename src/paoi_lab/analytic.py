@@ -25,12 +25,19 @@ sequence whose last entry repeats is exact too: a finite sum over the
 attempts before the last entry plus the fixed-threshold value of that
 entry, weighted by the probability of reaching it (:func:`paoi_repetitive`).
 Every deterministic policy is such a sequence (:func:`paoi_policy`).
+
+Every grid of thresholds (the optimizer's search and cross-check, the
+sweep, the figure curves) is read in one pass by :func:`paoi_thresholds`,
+once per point and primitive, with the same rounding as a single value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import ServiceDistribution
 from .errors import NoAnalyticForm
@@ -38,9 +45,11 @@ from .policies import Policy, RepetitiveSequence, resolve
 
 __all__ = [
     "PaoiValue",
+    "PaoiGrid",
     "expected_received_service",
     "expected_interreception",
     "paoi_fixed_threshold",
+    "paoi_thresholds",
     "paoi_zero_wait",
     "paoi_xmin",
     "has_atom_at_support_min",
@@ -71,6 +80,18 @@ def expected_interreception(d: ServiceDistribution, theta: float) -> float:
     return paoi_fixed_threshold(d, theta).interreception
 
 
+# Arrays over a threshold grid: the three values, each ``inf`` where ``cdf``
+# is 0, and the primitives they came from (``m`` is the truncated first moment).
+PaoiGrid = namedtuple("PaoiGrid", "zeta received_service interreception cdf sf m")
+
+
+def _paoi(theta, f, sf, m):
+    """``(zeta, E[Xr], E[Y])`` from ``F > 0``, ``P(X > theta)`` and ``M``."""
+    ex = m / f
+    ey = (theta * sf + m) / f
+    return ex + ey, ex, ey
+
+
 def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
     if theta == math.inf:  # never preempt: each attempt is received
         m = d.mean()
@@ -78,10 +99,19 @@ def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
     f = d.cdf(theta)
     if f <= 0.0:
         return PaoiValue(math.inf, math.inf, math.inf)
-    m = d.truncated_first_moment(theta)
-    ex = m / f
-    ey = (theta * d.sf(theta) + m) / f
-    return PaoiValue(zeta=ex + ey, received_service=ex, interreception=ey)
+    return PaoiValue(*_paoi(theta, f, d.sf(theta), d.truncated_first_moment(theta)))
+
+
+def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
+    """:func:`paoi_fixed_threshold` at every finite threshold of ``thetas``,
+    bit for bit, reading each primitive once per point."""
+    thetas = np.asarray(thetas, dtype=float)
+    f, sf, m = (np.array([prim(t) for t in thetas.tolist()], dtype=float)
+                for prim in (d.cdf, d.sf, d.truncated_first_moment))
+    values = np.full((3, thetas.size), math.inf)
+    delivers = f > 0.0
+    values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
+    return PaoiGrid(*values, f, sf, m)
 
 
 def paoi_zero_wait(d: ServiceDistribution) -> float:

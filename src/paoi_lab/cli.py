@@ -33,15 +33,22 @@ from .config import ExperimentConfig, load_config
 from .distributions import Erlang, Pareto, TwoPoint
 from .errors import ConfigError, InvalidWindow, NoAnalyticForm, SimulationStall
 
-_FIGURES = ("fig4", "fig5", "fig6", "fig7")
-
-_FIG4_SHAPES = (1, 2, 3, 4)
-_FIG4_THETAS = np.linspace(0.05, 15.0, 300)
-_FIG5_SHAPES = (1, 2, 3, 4, 5, 6)
-_FIG6_ALPHAS = (0.5, 1.0, 2.0, 3.0)
-_FIG6_THETAS = np.linspace(1.001, 12.0, 400)
-# The source study only pins alpha <= 1 vs larger; this grid is our choice.
-_FIG7_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# figure -> (law of one parameter, parameter values, curve label, thresholds):
+# one zeta curve over the thresholds per parameter value
+_CURVE_FIGURES = {
+    "fig4": (lambda k: Erlang(shape=k, rate=1.0), (1, 2, 3, 4), "erlang-k{}",
+             np.linspace(0.05, 15.0, 300)),
+    "fig6": (lambda alpha: Pareto(xm=1.0, alpha=alpha), (0.5, 1.0, 2.0, 3.0), "pareto-a{:g}",
+             np.linspace(1.001, 12.0, 400)),
+}
+# figure -> (law of one parameter, parameter values): the zero-wait, optimal
+# and median policies compared at each parameter value
+_COMPARISON_FIGURES = {
+    "fig5": (lambda k: Erlang(shape=k, rate=1.0), (1, 2, 3, 4, 5, 6)),
+    # The source study only pins alpha <= 1 vs larger; this grid is our choice.
+    "fig7": (lambda alpha: Pareto(xm=1.0, alpha=alpha), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+}
+_FIGURES = tuple(sorted(_CURVE_FIGURES.keys() | _COMPARISON_FIGURES.keys()))
 
 
 def _fmt(x: float) -> str:
@@ -113,31 +120,22 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         thetas = np.linspace(lo, hi, spec.count)
 
-    values = [analytic.paoi_fixed_threshold(d, float(t)) for t in thetas]
-    zetas = [v.zeta for v in values]
-    i_min = int(np.argmin(zetas))
-    rows = [
-        [float(t), v.zeta, v.received_service, v.interreception, 1 if i == i_min else 0]
-        for i, (t, v) in enumerate(zip(thetas, values))
-    ]
+    grid = analytic.paoi_thresholds(d, thetas)
+    i_min = int(np.argmin(grid.zeta))
+    columns = zip(thetas.tolist(), *(a.tolist() for a in grid[:3]))  # zeta, E[Xr], E[Y]
+    rows = [[*row, 1 if i == i_min else 0] for i, row in enumerate(columns)]
     path = out_dir / f"{cfg.prefix}_sweep.csv"
     _write_csv(path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], rows)
     print(f"sweep: {len(rows)} rows -> {path}")
-    print(f"minimum zeta {_fmt(zetas[i_min])} at theta {_fmt(float(thetas[i_min]))}")
+    print(f"minimum zeta {_fmt(rows[i_min][1])} at theta {_fmt(rows[i_min][0])}")
     return 0
 
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
-    lo, hi = optimize.window_or_default(d, cfg.optimizer.theta_min, cfg.optimizer.theta_max)
-    result = optimize.min_achievable_paoi(
-        d, lo, hi, tol=cfg.optimizer.tol, grid_points=cfg.optimizer.grid_points
-    )
+    result = optimize.min_achievable_paoi(d, **vars(cfg.optimizer))
     verdict = optimize.benefit_verdict(d, result)
-    fixed_point = optimize.bellman_fixed_point(
-        d, lo, hi, tol=cfg.optimizer.bellman_tol, grid_points=cfg.optimizer.grid_points
-    )
-    bellman_delta = abs(fixed_point - result.zeta_opt)
+    bellman_delta = abs(result.bellman_value - result.zeta_opt)
 
     print(f"distribution: {_dist_label(d)}")
     print(f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]")
@@ -242,12 +240,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
 
 def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     d = cfg.distribution
-    lo, hi = optimize.window_or_default(d, cfg.optimizer.theta_min, cfg.optimizer.theta_max)
-    result = optimize.min_achievable_paoi(
-        d, lo, hi, tol=cfg.optimizer.tol, grid_points=cfg.optimizer.grid_points
-    )
+    result = optimize.min_achievable_paoi(d, **vars(cfg.optimizer))
     exact = optimize.benefit_verdict(d, result)
-    grid = optimize.theta_grid(lo, hi, cfg.optimizer.grid_points)
+    grid = optimize.theta_grid(*result.window, cfg.optimizer.grid_points)
     residual = optimize.mean_residual_witness(d, grid)
 
     print(f"distribution: {_dist_label(d)}")
@@ -265,36 +260,19 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _reproduce_rows(figure: str) -> list[list]:
     rows: list[list] = []
-    if figure == "fig4":
-        for k in _FIG4_SHAPES:
-            d = Erlang(shape=k, rate=1.0)
-            for t in _FIG4_THETAS:
-                rows.append([float(t), f"erlang-k{k}",
-                             analytic.paoi_fixed_threshold(d, float(t)).zeta])
-    elif figure == "fig5":
-        for k in _FIG5_SHAPES:
-            d = Erlang(shape=k, rate=1.0)
-            lo, hi = optimize.default_window(d)
-            _, zeta_opt = optimize.optimal_threshold(d, lo, hi)
-            rows.append([k, "zero-wait", analytic.paoi_zero_wait(d)])
-            rows.append([k, "optimal", zeta_opt])
-            rows.append([k, "median",
-                         analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta])
-    elif figure == "fig6":
-        for alpha in _FIG6_ALPHAS:
-            d = Pareto(xm=1.0, alpha=alpha)
-            for t in _FIG6_THETAS:
-                rows.append([float(t), f"pareto-a{alpha:g}",
-                             analytic.paoi_fixed_threshold(d, float(t)).zeta])
-    elif figure == "fig7":
-        for alpha in _FIG7_ALPHAS:
-            d = Pareto(xm=1.0, alpha=alpha)
-            lo, hi = optimize.default_window(d)
-            _, zeta_opt = optimize.optimal_threshold(d, lo, hi)
-            rows.append([alpha, "zero-wait", analytic.paoi_zero_wait(d)])
-            rows.append([alpha, "optimal", zeta_opt])
-            rows.append([alpha, "median",
-                         analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta])
+    if figure in _CURVE_FIGURES:
+        law, params, label, thetas = _CURVE_FIGURES[figure]
+        for param in params:
+            zetas = analytic.paoi_thresholds(law(param), thetas).zeta
+            rows += [[t, label.format(param), z] for t, z in zip(thetas.tolist(), zetas.tolist())]
+        return rows
+    law, params = _COMPARISON_FIGURES[figure]
+    for param in params:
+        d = law(param)
+        _, zeta_opt = optimize.optimal_threshold(d, *optimize.default_window(d))
+        rows.append([param, "zero-wait", analytic.paoi_zero_wait(d)])
+        rows.append([param, "optimal", zeta_opt])
+        rows.append([param, "median", analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta])
     return rows
 
 
@@ -317,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("eval", "sweep", "optimize", "simulate", "check"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment YAML file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
     p = sub.add_parser("reproduce")
     p.add_argument("--figure", required=True, help="one of fig4, fig5, fig6, fig7")
-    p.add_argument("--config", default=None, help="ignored; accepted for uniformity")
-    p.add_argument("--seed", type=int, default=None, help="ignored; accepted for uniformity")
     p.add_argument("--out", default=".", help="output directory")
     return parser
 

@@ -34,7 +34,7 @@ from .distributions import (
     TwoPoint,
 )
 from .errors import ConfigError
-from .optimize import _BELLMAN_TOL, _DEFAULT_GRID_POINTS
+from .optimize import _DEFAULT_GRID_POINTS
 from .policies import (
     ChoiceSampler,
     FixedThreshold,
@@ -70,8 +70,8 @@ class SweepSpec:
     spacing: str = "linear"  # or "log"
 
     def __post_init__(self):
-        if any(t is not None and not math.isfinite(t) for t in (self.theta_min, self.theta_max)):
-            raise ValueError("theta_min and theta_max must be finite")
+        if any(t is not None and not 0 <= t < math.inf for t in (self.theta_min, self.theta_max)):
+            raise ValueError("theta_min and theta_max must be finite and nonnegative")
         if self.count < 2:
             raise ValueError("count must be at least 2")
         if self.spacing not in ("linear", "log"):
@@ -98,12 +98,11 @@ class SimulationSpec:
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
+class OptimizerSpec:  # the keyword arguments of optimize.min_achievable_paoi
     theta_min: Optional[float] = None
     theta_max: Optional[float] = None
     tol: Optional[float] = None
     grid_points: int = _DEFAULT_GRID_POINTS
-    bellman_tol: float = _BELLMAN_TOL
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,17 @@ The optimality cross-check solves the one-stage Bellman equation
     U = min_theta { c(theta) + U * P(X > theta) },
     c(theta) = 2 * int_0^theta x dF(x) + theta * P(X > theta),
 
-on the same grid by policy iteration (Howard's method, here the same as
+on the search's grid, from the ``F``, ``P(X > theta)`` and ``M`` arrays
+the search read, by policy iteration (Howard's method, here the same as
 Dinkelbach's fractional-programming step): from ``U = c/F`` at the last
 grid point, pick ``theta_n = argmin c - U_n F`` and set
 ``U_{n+1} = c(theta_n) / F(theta_n)``.  ``U`` strictly decreases through
-the finitely many grid values ``c/F``, so the loop ends exactly at the
-grid minimum after at most one step per grid point; it needs only
-``F > 0`` somewhere on the grid, not a contraction modulus.  Because
-``zeta(s_theta)`` is ``c/F`` by construction, the cross-check confirms the
-grid-and-golden search, not the peak-age formula.
+the finitely many grid values ``c/F``, so the loop stops exactly, with no
+tolerance, when ``U`` stops decreasing: at the grid minimum, after at
+most one step per grid point.  It needs only ``F > 0`` somewhere on the
+grid, not a contraction modulus.  Because ``zeta(s_theta)`` is ``c/F`` by
+construction, the cross-check confirms the grid-and-golden search, not
+the peak-age formula.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import paoi_fixed_threshold, paoi_xmin, paoi_zero_wait
+from .analytic import paoi_fixed_threshold, paoi_thresholds, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
 from .errors import DegenerateCondition, InvalidWindow
 
@@ -63,7 +65,6 @@ _WINNER_PRIORITY = (WINNER_FIXED, WINNER_XMIN, WINNER_ZERO_WAIT)
 _TIE_REL_TOL = 1e-9
 
 _DEFAULT_GRID_POINTS = 2000
-_BELLMAN_TOL = 1e-10
 _LOG_SPACING_RATIO = 100.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -82,6 +83,7 @@ class OptimizationResult:
     window: tuple[float, float]
     evaluations: int
     refine_iters: int
+    bellman_value: float  # the policy-iteration solution on the search's grid
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
     evaluated = []
     dist = hi - lo
     if dist <= tol:
-        return evaluated, 0
+        return evaluated
     n = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
     c = lo + _INV_PHI_SQ * dist
     e = lo + _INV_PHI * dist
@@ -176,38 +178,36 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
             e = lo + _INV_PHI * dist
             ye = fn(e)
             evaluated.append((ye, e))
-    return evaluated, max(n - 1, 0) + 2
+    return evaluated
+
+
+def _grid(d, theta_min, theta_max, grid_points):
+    """The checked window's grid, its values, and the Bellman cost ``2 M + theta sf``."""
+    _validate_window(d, theta_min, theta_max)
+    thetas = theta_grid(theta_min, theta_max, grid_points)
+    grid = paoi_thresholds(d, thetas)
+    return thetas, grid, 2.0 * grid.m + thetas * grid.sf
 
 
 def _search_optimal(d, theta_min, theta_max, tol, grid_points):
-    _validate_window(d, theta_min, theta_max)
+    thetas, grid, cost = _grid(d, theta_min, theta_max, grid_points)
     if tol is None:
         tol = 1e-8 * (theta_max - theta_min)
     if not tol > 0:
         raise InvalidWindow("tol must be positive")
 
-    thetas = theta_grid(theta_min, theta_max, grid_points)
-    zetas = np.array([paoi_fixed_threshold(d, float(t)).zeta for t in thetas])
-    i = int(np.argmin(zetas))  # first minimum: smallest theta wins ties
-    evals = len(thetas)
+    i = int(np.argmin(grid.zeta))  # first minimum: smallest theta wins ties
 
     lo = float(thetas[max(i - 1, 0)])
     hi = float(thetas[min(i + 1, len(thetas) - 1)])
-    candidates = [(float(zetas[i]), float(thetas[i]))]
-    refined, iters = _golden_refine(
-        lambda t: paoi_fixed_threshold(d, t).zeta, lo, hi, tol
-    )
-    candidates += refined
-    evals += len(refined)
+    refined = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta, lo, hi, tol)
+    candidates = [(float(grid.zeta[i]), float(thetas[i])), *refined]
 
     best_val = min(v for v, _ in candidates)
-    if math.isinf(best_val):
-        ties = [t for _, t in candidates]
-    else:
-        cut = best_val + 1e-12 * (1.0 + abs(best_val))
-        ties = [t for v, t in candidates if v <= cut]
-    theta_best = min(ties)
-    return theta_best, best_val, evals, iters
+    cut = best_val + 1e-12 * (1.0 + abs(best_val))  # inf when every candidate is inf
+    ties = [t for v, t in candidates if v <= cut]
+    evals = len(thetas) + len(refined)
+    return min(ties), best_val, evals, len(refined), (cost, grid.cdf)
 
 
 def optimal_threshold(
@@ -222,7 +222,7 @@ def optimal_threshold(
     Returns ``(theta, zeta)``.  Flat stretches tie-break toward the
     smallest threshold.
     """
-    theta, zeta, _, _ = _search_optimal(d, theta_min, theta_max, tol, grid_points)
+    theta, zeta, *_ = _search_optimal(d, theta_min, theta_max, tol, grid_points)
     return theta, zeta
 
 
@@ -239,7 +239,7 @@ def min_achievable_paoi(
     infinite service mean the zero-wait candidate simply never wins.
     """
     theta_min, theta_max = window_or_default(d, theta_min, theta_max)
-    theta_opt, zeta_opt, evals, iters = _search_optimal(
+    theta_opt, zeta_opt, evals, iters, tables = _search_optimal(
         d, theta_min, theta_max, tol, grid_points
     )
     zeta_zw = paoi_zero_wait(d)
@@ -270,6 +270,7 @@ def min_achievable_paoi(
         window=(theta_min, theta_max),
         evaluations=evals,
         refine_iters=iters,
+        bellman_value=_policy_iteration(*tables),
     )
 
 
@@ -280,12 +281,8 @@ def bellman_tables(
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid, per-attempt cost, and survival tables of the Bellman operator."""
-    _validate_window(d, theta_min, theta_max)
-    thetas = theta_grid(theta_min, theta_max, grid_points)
-    m1 = np.array([d.truncated_first_moment(float(t)) for t in thetas])
-    surv = np.array([d.sf(float(t)) for t in thetas])
-    cost = 2.0 * m1 + thetas * surv
-    return thetas, cost, surv
+    thetas, grid, cost = _grid(d, theta_min, theta_max, grid_points)
+    return thetas, cost, grid.sf
 
 
 def bellman_apply(cost: np.ndarray, surv: np.ndarray, u: float) -> float:
@@ -297,24 +294,23 @@ def bellman_fixed_point(
     d: ServiceDistribution,
     theta_min: float,
     theta_max: float,
-    tol: float = _BELLMAN_TOL,
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> float:
-    """Solve ``U = min_theta {c(theta) + U * P(X > theta)}`` by policy iteration.
+    """Solve ``U = min_theta {c(theta) + U * P(X > theta)}`` by policy iteration
+    alone; :func:`min_achievable_paoi` reports it as ``bellman_value``."""
+    _, grid, cost = _grid(d, theta_min, theta_max, grid_points)
+    return _policy_iteration(cost, grid.cdf)
 
-    The solution independently recovers the grid minimum of
-    ``zeta(s_theta) = c/F``.  Each step minimizes ``c - U F``, which has
-    the same argmin as ``c + U * P(X > theta)`` but keeps the tiny
-    differences of the lower tail that adding ``U`` would round away.
-    Stops when ``U`` no longer decreases, or earlier once successive
-    iterates differ by less than ``tol``.  Grid points with ``F = 0``
+
+def _policy_iteration(cost: np.ndarray, f: np.ndarray) -> float:
+    """The Bellman fixed point from a grid's per-attempt cost and ``F``.
+
+    Each step minimizes ``c - U F``, which has the same argmin as
+    ``c + U * P(X > theta)`` but keeps the tiny differences of the lower
+    tail that adding ``U`` would round away.  Grid points with ``F = 0``
     never improve ``U``; if ``F`` is 0 on the whole grid the result is
     ``inf``.
     """
-    if not tol > 0:
-        raise InvalidWindow("tol must be positive")
-    thetas, cost, _ = bellman_tables(d, theta_min, theta_max, grid_points)
-    f = np.array([d.cdf(float(t)) for t in thetas])
     delivers = f > 0.0
     if not delivers.any():
         return math.inf
@@ -325,8 +321,6 @@ def bellman_fixed_point(
         u_next = cost[i] / f[i]
         if not u_next < u:
             return float(u)
-        if u - u_next < tol:
-            return float(u_next)
         u = u_next
 
 

@@ -133,7 +133,7 @@ def test_c08_bellman_verification():
     }
     rng = np.random.default_rng(SEED)
     for name, (d, (lo, hi)) in windows.items():
-        fp = pl.bellman_fixed_point(d, lo, hi, tol=1e-12)
+        fp = pl.bellman_fixed_point(d, lo, hi)
         grid = pl.theta_grid(lo, hi, 2000)
         grid_min = min(pl.paoi_fixed_threshold(d, float(t)).zeta for t in grid)
         assert abs(fp - grid_min) / grid_min <= 1e-6, name
@@ -144,7 +144,7 @@ def test_c08_bellman_verification():
             u1, u2 = rng.uniform(0.0, 40.0, size=2)
             gap = abs(bellman_apply(cost, surv, u1) - bellman_apply(cost, surv, u2))
             assert gap <= modulus * abs(u1 - u2) + 1e-12, name
-    report(8, "value-iteration verification")
+    report(8, "policy-iteration verification")
 
 
 def _policy_cells():

@@ -24,6 +24,8 @@ from paoi_lab import (
     paoi_xmin,
     paoi_zero_wait,
 )
+from paoi_lab.analytic import paoi_thresholds
+from paoi_lab.optimize import default_window, theta_grid
 from paoi_lab.policies import FixedThreshold, MedianThreshold, resolve
 
 from conftest import CATALOG, FINITE_MEAN, theta_probe_grid
@@ -122,6 +124,29 @@ class TestFixedThreshold:
         theta = d.quantile(1 - 1e-9)
         z = paoi_fixed_threshold(d, theta).zeta
         assert z == pytest.approx(2 * d.mean(), rel=1e-4)
+
+
+class TestThresholdGrid:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_grid_equals_fixed_threshold(self, name):
+        # points below the support, the support minimum, the atoms and the
+        # default window, evaluated in one pass
+        d = CATALOG[name]
+        lo, hi = (1.5, 3.0) if name == "deterministic" else default_window(d)
+        atoms = [getattr(d, a) for a in ("t1", "t2", "value") if hasattr(d, a)]
+        xmin = d.support_min()
+        thetas = [0.0, 0.5 * xmin, xmin, *atoms, *theta_grid(lo, hi, 300).tolist()]
+        grid = paoi_thresholds(d, thetas)
+        for i, theta in enumerate(thetas):
+            v = paoi_fixed_threshold(d, theta)
+            got = (grid.zeta[i], grid.received_service[i], grid.interreception[i])
+            assert got == (v.zeta, v.received_service, v.interreception), (name, theta)
+            assert (grid.cdf[i], grid.sf[i], grid.m[i]) == (
+                d.cdf(theta), d.sf(theta), d.truncated_first_moment(theta))
+        undelivered = grid.cdf == 0.0
+        assert undelivered[0]  # theta = 0 never delivers on any catalog law
+        assert np.all(np.isinf(np.array(grid[:3])[:, undelivered]))
+        assert np.all(np.isfinite(np.array(grid[:3])[:, ~undelivered]))
 
 
 class TestSimplePolicies:

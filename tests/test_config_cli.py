@@ -2,9 +2,11 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from paoi_lab import (
     XMinThreshold,
     ZeroWait,
 )
-from paoi_lab.cli import main
+from paoi_lab.cli import cmd_optimize, main
 from paoi_lab.config import (
     ExperimentConfig,
     OptimizerSpec,
@@ -159,7 +161,7 @@ class TestConfigParsing:
             "policies: [{kind: repetitive, thresholds: [2e0, 1e-6, 1.5e3, +5e-1]},"
             " {kind: fixed, theta: .inf}]\n"
             "simulation: {stall_limit: 1e9}\n"
-            "optimizer: {theta_min: .5e-3, bellman_tol: .nan}\n"
+            "optimizer: {theta_min: .5e-3, tol: .nan}\n"
         )
         cfg = load_config(str(path))
         assert cfg.distribution == Exponential(2.0)
@@ -169,7 +171,7 @@ class TestConfigParsing:
         assert cfg.simulation.stall_limit == 10**9
         assert type(cfg.simulation.stall_limit) is int
         assert cfg.optimizer.theta_min == 5e-4
-        assert math.isnan(cfg.optimizer.bellman_tol)
+        assert math.isnan(cfg.optimizer.tol)
         path.write_text("distribution: {kind: exponential, params: {rate: '1e0'}}\n")
         with pytest.raises(ConfigError, match="expected a number, got '1e0'"):
             load_config(str(path))
@@ -253,6 +255,42 @@ class TestCli:
         assert main(["optimize", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
         assert len(searches) == 1
 
+    def test_optimize_reads_each_grid_point_once(self, tmp_path, capsys):
+        # the search, the golden refinement and the cross-check share one
+        # evaluation per point; cdf is read twice more at the support
+        # minimum, for the xmin candidate and the no-atom note
+        calls = Counter()
+
+        class Counting(Erlang):
+            def cdf(self, x):
+                calls["cdf"] += 1
+                return super().cdf(x)
+
+            def sf(self, x):
+                calls["sf"] += 1
+                return super().sf(x)
+
+            def truncated_first_moment(self, theta):
+                calls["m"] += 1
+                return super().truncated_first_moment(theta)
+
+        assert cmd_optimize(ExperimentConfig(distribution=Counting(3, 1.0)), tmp_path) == 0
+        evaluations = int(re.search(r"grid evaluations: (\d+)", capsys.readouterr().out)[1])
+        assert evaluations == 2000 + 29  # the grid plus the golden steps
+        assert calls["cdf"] <= evaluations + 2
+        assert calls["sf"] <= evaluations and calls["m"] <= evaluations
+
+    @pytest.mark.parametrize(
+        "argv", [["optimize", "--seed", "5"], ["reproduce", "--figure", "fig4", "--config", "x"]]
+    )
+    def test_flags_that_do_nothing_are_usage_errors(self, tp_config, tmp_path, argv):
+        # only simulate reads --seed, and reproduce reads no config
+        if argv[0] == "optimize":
+            argv = [*argv, "--config", str(tp_config)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_optimize_cross_check_runs_on_exponential(self, tmp_path, capsys):
         # the default window starts at theta = 1e-9, where P(X > theta) = 1 - 1e-9
         cfg = tmp_path / "e.yaml"
@@ -268,7 +306,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "verb, optimizer",
-        [("optimize", "{tol: .nan}"), ("check", "{tol: .nan}"), ("optimize", "{bellman_tol: .nan}")],
+        [("optimize", "{tol: .nan}"), ("check", "{tol: .nan}")],
     )
     def test_nan_tolerance_exit_2(self, tmp_path, capsys, verb, optimizer):
         cfg = tmp_path / "nan.yaml"
@@ -526,7 +564,9 @@ class TestDegenerateInputs:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["{theta_min: -.inf}", "{theta_max: .inf}"])
+    @pytest.mark.parametrize(
+        "window", ["{theta_min: -.inf}", "{theta_max: .inf}", "{theta_min: -1.0}"]
+    )
     def test_non_finite_sweep_window_exit_2(self, tmp_path, capsys, window):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(ERLANG + f"sweep: {window}\n")
@@ -552,8 +592,9 @@ class TestDegenerateInputs:
 # CSV digests of the outputs below, pinned when every deterministic policy
 # was first read through ``policies.resolve`` and re-pinned for the eval
 # table when threshold sequences became exact (its repetitive row moved
-# from 3.62499999991 to 3.625); any change to these bytes must be
-# deliberate.
+# from 3.62499999991 to 3.625); the optimize, sweep and figure outputs were
+# pinned before the threshold grid was read in one pass.  Any change to
+# these bytes must be deliberate.
 PINNED_SHA256 = {
     "paoi_eval.csv": "26541f26394eb8d1339db1a92f447bc4380be793ff68929d8d8f905acad7afb3",
     "paoi_simulate_fixed_2.csv":
@@ -562,21 +603,40 @@ PINNED_SHA256 = {
         "86c14244e94c8630a391f5699b237d6cd2f44f478d6a56514ca59b15d4cb89e7",
     "paoi_simulate_zero-wait.csv":
         "9c97f3bec4dd08dacdd9384a13f655849728ba539ca19601843ac7de9fe0dc5c",
+    "two-point_optimize.csv":
+        "858bbbd48e25d881526c5fc646d33efab19a70d72f7be9993cbff343b01cf45d",
+    "exponential_optimize.csv":
+        "6a1790beba126731a3b3b2bc23858037d4da5e55a7f59e059b84c828bdabbda5",
+    "pareto_sweep.csv": "24631e6b59fa9ad06d4614d9fcd1dfdcc6922cb027e2727db561abe9fd0d9b41",
+    "fig4.csv": "8799537bb5d2db1f99aafb955042f3754bceb934b1aefc7a611bee40c1e6401f",
+    "fig5.csv": "3692733b316ce41160c36a11083c80c9ae138e3810df762b61d71aac53f99ca9",
+    "fig6.csv": "a9fa58168b4db74c3d9f7a1607e0a1d3b7b13da2224e0eedc11f271fe6f1dcf5",
+    "fig7.csv": "0fcf091388387236fb77d5cfc1c0b0a6ad07f323cef955c991c71269a1955f83",
 }
 
 
 def test_cli_outputs_match_pinned_bytes(tmp_path):
     law = "distribution: {kind: two-point, params: {t1: 1.0, t2: 3.0, p: 0.5}}\n"
-    configs = {
-        "eval": law + "policies: [zero-wait, xmin, median, {kind: fixed, theta: 2.0}, "
-        "{kind: repetitive, thresholds: [1.0, 2.0, 2.5]}]\n",
-        "simulate": law + "policies: [zero-wait, median, {kind: fixed, theta: 2.0}]\n"
-        "simulation: {peaks: 200, replications: 2, seed: 1}\n",
-    }
+    commands = [
+        ("eval", law + "policies: [zero-wait, xmin, median, {kind: fixed, theta: 2.0}, "
+         "{kind: repetitive, thresholds: [1.0, 2.0, 2.5]}]\n"),
+        ("simulate", law + "policies: [zero-wait, median, {kind: fixed, theta: 2.0}]\n"
+         "simulation: {peaks: 200, replications: 2, seed: 1}\n"),
+        ("optimize", law + "output: {prefix: two-point}\n"),
+        # the optimum sits on the window floor theta = 1e-9
+        ("optimize", "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+         "output: {prefix: exponential}\n"),
+        # the window starts below the support, so the first rows have F = 0
+        ("sweep", "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+         "sweep: {theta_min: 0.5, theta_max: 5.0, count: 25, spacing: log}\n"
+         "output: {prefix: pareto}\n"),
+    ]
     out = tmp_path / "out"
-    for verb, text in configs.items():
-        cfg = tmp_path / f"{verb}.yaml"
+    for i, (verb, text) in enumerate(commands):
+        cfg = tmp_path / f"{i}.yaml"
         cfg.write_text(text)
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+    for figure in ("fig4", "fig5", "fig6", "fig7"):
+        assert main(["reproduce", "--figure", figure, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == PINNED_SHA256

@@ -72,8 +72,6 @@ class TestOptimalThreshold:
         for tol in (-1.0, math.nan):
             with pytest.raises(InvalidWindow):
                 optimal_threshold(d, 0.1, 1.0, tol=tol)
-            with pytest.raises(InvalidWindow):
-                bellman_fixed_point(d, 0.1, 1.0, tol=tol)
 
     def test_default_window_collapses_for_deterministic(self):
         with pytest.raises(InvalidWindow):
@@ -133,7 +131,7 @@ class TestBellman:
     def test_fixed_point_matches_grid_minimum(self, name):
         d = CATALOG[name]
         lo, hi = self.WINDOWS[name]
-        fp = bellman_fixed_point(d, lo, hi, tol=1e-12)
+        fp = bellman_fixed_point(d, lo, hi)
         thetas = theta_grid(lo, hi, 2000)
         grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in thetas)
         assert fp == pytest.approx(grid_min, rel=1e-9)
@@ -144,7 +142,7 @@ class TestBellman:
     def test_exponential_left_endpoint_window(self):
         # increasing curve: the fixed point is the left endpoint's value
         d = Exponential(1.0)
-        fp = bellman_fixed_point(d, 0.5, 10.0, tol=1e-12)
+        fp = bellman_fixed_point(d, 0.5, 10.0)
         assert fp == pytest.approx(paoi_fixed_threshold(d, 0.5).zeta, rel=1e-9)
 
     def test_support_edge_windows_match_grid_minimum(self):
@@ -164,6 +162,8 @@ class TestBellman:
             fp = bellman_fixed_point(d, lo, hi)
             grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in theta_grid(lo, hi))
             assert fp == pytest.approx(grid_min, rel=1e-9), name
+            # the search's own cross-check, on the arrays it read
+            assert min_achievable_paoi(d, lo, hi).bellman_value == fp, name
 
     def test_contraction_modulus(self):
         d = CATALOG["erlang"]
@@ -188,7 +188,7 @@ class TestBellman:
                     (d.quantile(0.40), d.quantile(0.80)),
                 ]
             for lo, hi in windows:
-                fp = bellman_fixed_point(d, lo, hi, tol=1e-12, grid_points=400)
+                fp = bellman_fixed_point(d, lo, hi, grid_points=400)
                 grid = theta_grid(lo, hi, 400)
                 grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in grid)
                 assert fp == pytest.approx(grid_min, rel=1e-8), (name, lo, hi)
