@@ -113,8 +113,8 @@ class Exponential(ServiceDistribution):
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         return -math.expm1(-self.rate * x) if x > 0 else 0.0
@@ -150,12 +150,12 @@ class Erlang(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if self.shape < 1 or self.shape != int(self.shape):
+        if not 1 <= self.shape < math.inf or self.shape != int(self.shape):
             raise ValueError("shape must be a positive integer")
         object.__setattr__(self, "shape", int(self.shape))
         object.__setattr__(self, "rate", float(self.rate))
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         return float(gammainc(self.shape, self.rate * x)) if x > 0 else 0.0
@@ -199,8 +199,8 @@ class Pareto(ServiceDistribution):
     def __post_init__(self):
         object.__setattr__(self, "xm", float(self.xm))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if self.xm <= 0 or self.alpha <= 0:
-            raise ValueError("xm and alpha must be positive")
+        if not (0 < self.xm < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError("xm and alpha must be positive and finite")
 
     def _log_ratio(self, x):
         return math.log1p((x - self.xm) / self.xm)
@@ -254,10 +254,10 @@ class ShiftedExponential(ServiceDistribution):
     def __post_init__(self):
         object.__setattr__(self, "shift", float(self.shift))
         object.__setattr__(self, "rate", float(self.rate))
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 <= self.shift < math.inf:
+            raise ValueError("shift must be nonnegative and finite")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         return -math.expm1(-self.rate * (x - self.shift)) if x > self.shift else 0.0
@@ -300,8 +300,8 @@ class TwoPoint(ServiceDistribution):
     def __post_init__(self):
         for name in ("t1", "t2", "p"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 < self.t1 < self.t2:
-            raise ValueError("need 0 < t1 < t2")
+        if not 0.0 < self.t1 < self.t2 < math.inf:
+            raise ValueError("need finite 0 < t1 < t2")
         if not 0.0 < self.p < 1.0:
             raise ValueError("need 0 < p < 1")
 
@@ -351,8 +351,8 @@ class HyperExponential(ServiceDistribution):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.rates) != len(self.weights) or not self.rates:
             raise ValueError("rates and weights must be nonempty and equal length")
-        if any(r <= 0 for r in self.rates) or any(w <= 0 for w in self.weights):
-            raise ValueError("rates and weights must be positive")
+        if not all(0 < v < math.inf for v in self.rates + self.weights):
+            raise ValueError("rates and weights must be positive and finite")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
@@ -432,8 +432,8 @@ class LogNormal(ServiceDistribution):
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (-math.inf < self.mu < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("mu must be finite and sigma positive and finite")
 
     def _z(self, x):
         return (math.log(x) - self.mu) / self.sigma
@@ -468,8 +468,8 @@ class Deterministic(ServiceDistribution):
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-        if self.value <= 0:
-            raise ValueError("value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError("value must be positive and finite")
 
     def cdf(self, x):
         return 1.0 if x >= self.value else 0.0

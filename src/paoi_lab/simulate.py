@@ -4,7 +4,10 @@ The event loop is attempt-driven: after every reception a new request
 goes out immediately (work conservation), each attempt either completes
 within its threshold or is preempted at the threshold, and time advances
 by ``min(threshold, service)`` per attempt.  No event queue is needed for
-a single source and server.
+a single source and server.  The loop reads two iterators: the service
+times, drawn in blocks from one generator, and per peak the thresholds
+of its attempts (a deterministic policy's sequence with its last entry
+repeated, or one i.i.d. draw per attempt from a second generator).
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count, islice, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,78 +103,47 @@ class PaoiEstimate:
         return (self.ci_low, self.ci_high)
 
 
-class _ServiceStream:
-    """Block-buffered i.i.d. service draws from one owned generator."""
-
-    __slots__ = ("_d", "_rng", "_buf", "_pos")
-
-    def __init__(self, d: ServiceDistribution, rng: np.random.Generator):
-        self._d = d
-        self._rng = rng
-        self._buf = d.sample_batch(rng, _DRAW_BLOCK)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._d.sample_batch(self._rng, _DRAW_BLOCK)
-            self._pos = 0
-        x = self._buf[self._pos]
-        self._pos += 1
-        return float(x)
-
-
-def _threshold_fn(policy: Policy, thresholds: Optional[tuple[float, ...]]):
-    """``(attempt_index, rng) -> threshold`` for ``policy`` resolved to
-    ``thresholds``; a one-entry sequence gets a constant closure, the
-    common case of the hot loop."""
-    if thresholds is None:
-        return lambda r, rng: policy.sampler.draw(rng)
-    n = len(thresholds)
-    if n == 1:
-        theta = thresholds[0]
-        return lambda r, rng: theta
-    return lambda r, rng: thresholds[min(r, n) - 1]
-
-
 def _iter_peaks(
     d: ServiceDistribution,
     policy: Policy,
     seed: int,
     stall_limit: int,
 ) -> Iterator[PeakRecord]:
-    thresholds = resolve(policy, d)
-    if thresholds is not None:
-        t = thresholds[-1]
-        # the loop itself needs only sample_batch and support_min from a
-        # law, so cdf and sf are read only for a tail at or below its minimum
-        if (
-            t <= d.support_min()
-            and d.cdf(t) == 0.0
-            and all(d.sf(s) > 0.0 for s in thresholds[:-1])
-        ):
-            raise SimulationStall(
-                f"no attempt at the repeating last threshold of {policy!r} "
-                f"can deliver under {d!r}: P(X <= {t:g}) = 0"
-            )
-    threshold_at = _threshold_fn(policy, thresholds)
     # Two child streams so that policies which do not randomize consume
     # the exact same service draws as a fixed-threshold run with the
     # same seed.
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
-    stream = _ServiceStream(d, np.random.default_rng(ss_service))
+    rng_service = np.random.default_rng(ss_service)
     rng_threshold = np.random.default_rng(ss_threshold)
+    thresholds = resolve(policy, d)
+    if thresholds is None:
+        # every peak reads the one endless stream of i.i.d. draws
+        per_peak = repeat(iter(partial(policy.sampler.draw, rng_threshold), None))
+    else:
+        head, tail = thresholds[:-1], thresholds[-1]
+        # the loop itself needs only sample_batch and support_min from a
+        # law, so cdf and sf are read only for a tail at or below its minimum
+        if (
+            tail <= d.support_min()
+            and d.cdf(tail) == 0.0
+            and all(d.sf(s) > 0.0 for s in head)
+        ):
+            raise SimulationStall(
+                f"no attempt at the repeating last threshold of {policy!r} "
+                f"can deliver under {d!r}: P(X <= {tail:g}) = 0"
+            )
+        per_peak = (chain(head, repeat(tail)) for _ in count())
+    draws = chain.from_iterable(
+        iter(lambda: d.sample_batch(rng_service, _DRAW_BLOCK).tolist(), None)
+    )
 
-    x_prev = stream.next()  # initial AoI: a packet is received at time zero
+    x_prev = next(draws)  # initial AoI: a packet is received at time zero
     now = 0.0
-    k = 0
-    while True:
-        k += 1
+    for k, thetas in enumerate(per_peak, 1):
         y = 0.0
         drops = 0
-        r = 1
-        while True:
-            theta = threshold_at(r, rng_threshold)
-            x = stream.next()
+        for theta in thetas:
+            x = next(draws)
             if x <= theta:  # reception wins the tie
                 y += x
                 break
@@ -180,7 +154,6 @@ def _iter_peaks(
                     f"{drops} consecutive preemptions without a reception "
                     f"under {policy!r}; is the threshold below the support?"
                 )
-            r += 1
         now += y
         yield PeakRecord(
             index=k,
@@ -201,24 +174,21 @@ def simulate_peaks(
     stall_limit: int = DEFAULT_STALL_LIMIT,
     warmup: int = 0,
 ) -> list[PeakRecord]:
-    """Simulate exactly ``peaks`` AoI peaks (after ``warmup`` discarded ones).
+    """Simulate exactly ``peaks`` AoI peaks after ``warmup`` discarded ones.
 
     Identical arguments reproduce the identical record list.  The process
-    regenerates at every reception, so warmup only matters for policies
-    whose thresholds depend on history.
+    regenerates at every reception, and no policy carries history across
+    one, so every peak but the first has the same law.  The first differs:
+    its carried service is the unconditioned initial draw, where every
+    later peak carries a service time that completed within its threshold
+    (``X | X <= theta``).  Any ``warmup >= 1`` drops it.
     """
     if peaks < 1:
         raise ValueError("need at least one peak")
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
     gen = _iter_peaks(d, policy, seed, stall_limit)
-    out = []
-    for record in gen:
-        if record.index > warmup:
-            out.append(record)
-            if len(out) == peaks:
-                break
-    return out
+    return list(islice(gen, warmup, warmup + peaks))
 
 
 def aoi_trajectory(

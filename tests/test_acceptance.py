@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import paoi_lab as pl
+from conftest import CATALOG, catalog_ids
 from paoi_lab.cli import main as cli_main
 from paoi_lab.optimize import bellman_apply, bellman_tables
 
@@ -177,6 +178,31 @@ def test_c09_simulation_confirms_analytics():
                 baseline = 2 * d.mean()
                 assert abs(pooled.mean - baseline) / baseline <= 0.01, name
     report(9, "simulation vs analytics")
+
+
+# Explicit windows where the default optimum sits on the window floor (or,
+# for the single atom, where the default window collapses).
+_C09_WINDOWS = {
+    "exponential": (0.2, 20.0),
+    "hyper-exponential": (0.2, 20.0),
+    "deterministic": (1.5, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", catalog_ids())
+def test_c09_simulation_confirms_analytics_on_every_law(name):
+    # c09's 10 x 10k peaks on every catalog law; the band is 4 pooled
+    # standard errors around the closed form.
+    d = CATALOG[name]
+    lo, hi = _C09_WINDOWS.get(name) or pl.default_window(d)
+    theta_opt, _ = pl.optimal_threshold(d, lo, hi)
+    for policy in (pl.ZeroWait(), pl.MedianThreshold(), pl.FixedThreshold(theta_opt)):
+        zeta = pl.paoi_policy(d, policy).zeta
+        estimates = pl.run_replications(
+            d, policy, peaks=10_000, replications=10, base_seed=SEED
+        )
+        pooled = pl.pooled_estimate(estimates, seed=SEED)
+        assert abs(pooled.mean - zeta) <= 4 * pooled.std_error, (policy.label(), pooled, zeta)
 
 
 def test_c10_randomized_never_beats_fixed_optimum():

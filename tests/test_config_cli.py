@@ -573,6 +573,28 @@ class TestDegenerateInputs:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            "{kind: exponential, params: {rate: .nan}}",
+            "{kind: erlang, params: {shape: 3, rate: .nan}}",
+            "{kind: pareto, params: {xm: .nan, alpha: 2.0}}",
+            "{kind: shifted-exponential, params: {shift: .inf, rate: 2.0}}",
+            "{kind: two-point, params: {t1: 1.0, t2: .inf, p: 0.5}}",
+            "{kind: hyper-exponential, params: {rates: [.nan, 1.0], weights: [0.5, 0.5]}}",
+            "{kind: log-normal, params: {mu: .inf, sigma: 1.0}}",
+            "{kind: deterministic, params: {value: .inf}}",
+        ],
+    )
+    def test_non_finite_law_parameter_exit_2(self, tmp_path, capsys, law):
+        # unchecked, such a law gives nan rows and simulate preempts every attempt
+        cfg = tmp_path / "law.yaml"
+        cfg.write_text(f"distribution: {law}\n"
+                       "simulation: {peaks: 10, replications: 1, stall_limit: 100}\n")
+        for verb in ("eval", "optimize", "simulate"):
+            assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2, verb
+            assert "finite" in capsys.readouterr().err
+
     def test_infinite_trajectory_horizon_rejected(self):
         # simulate would never leave the trajectory loop
         node = {"distribution": {"kind": "exponential", "params": {"rate": 1.0}},
@@ -593,8 +615,9 @@ class TestDegenerateInputs:
 # was first read through ``policies.resolve`` and re-pinned for the eval
 # table when threshold sequences became exact (its repetitive row moved
 # from 3.62499999991 to 3.625); the optimize, sweep and figure outputs were
-# pinned before the threshold grid was read in one pass.  Any change to
-# these bytes must be deliberate.
+# pinned before the threshold grid was read in one pass, and the ``sampled_*``
+# outputs before the simulator's attempt loop read plain iterators.  Any
+# change to these bytes must be deliberate.
 PINNED_SHA256 = {
     "paoi_eval.csv": "26541f26394eb8d1339db1a92f447bc4380be793ff68929d8d8f905acad7afb3",
     "paoi_simulate_fixed_2.csv":
@@ -612,6 +635,36 @@ PINNED_SHA256 = {
     "fig5.csv": "3692733b316ce41160c36a11083c80c9ae138e3810df762b61d71aac53f99ca9",
     "fig6.csv": "a9fa58168b4db74c3d9f7a1607e0a1d3b7b13da2224e0eedc11f271fe6f1dcf5",
     "fig7.csv": "0fcf091388387236fb77d5cfc1c0b0a6ad07f323cef955c991c71269a1955f83",
+    "sampled_peaks_randomized_choice_1_3.csv":
+        "0337764271e7afaa6b0b095580befe5c8a756cdf4d1f6dcdba8c3981104d980d",
+    "sampled_peaks_randomized_point_2.csv":
+        "4d79521c4123a3fe405bb670deb418698b8a19a4ed751b450ab754726dfbca68",
+    "sampled_peaks_randomized_triangular_0.5_1.5_3.5.csv":
+        "f2032e0c3549c8fbc3b76e6c0da94bf1c4c844cb3a57afcef69d3903bf509e3e",
+    "sampled_peaks_randomized_uniform_0.5_3.5.csv":
+        "d70460f5f5b5fc9d2b942831342ac57c04622bab049e2719b536769ed346f23b",
+    "sampled_peaks_repetitive_1_2_2.5.csv":
+        "1699c1fa5ab06425cc517056f120be10bc4e40800d1f9f976daa0e1c081c4771",
+    "sampled_simulate_randomized_choice_1_3.csv":
+        "106c261a0c708343cd6808bcb53164307345c4ce4d6432156229ba204eaf2dda",
+    "sampled_simulate_randomized_point_2.csv":
+        "2b7c1e0a2a187119a1fb60b344e51286be5e0a56aacaa36e30057ee98aaa8269",
+    "sampled_simulate_randomized_triangular_0.5_1.5_3.5.csv":
+        "0790ce176adcd873915a6a298284ddf68807ad0d34809819eed9f69526865726",
+    "sampled_simulate_randomized_uniform_0.5_3.5.csv":
+        "1a39a928010e324c11fb1bec65799528e02834187502f0174dd08a4ef05abc5a",
+    "sampled_simulate_repetitive_1_2_2.5.csv":
+        "7ef1e460e5a64ed042faa43165bf8c5c297bdafc9129b32c2df1a12c55cf5c9a",
+    "sampled_trajectory_randomized_choice_1_3.csv":
+        "e3539f80dd458ccd1786418838b27ad103f504e058df7fcf2995fb346642e3f3",
+    "sampled_trajectory_randomized_point_2.csv":
+        "955a4f5887f947dbb80a96ee0e07b236ecef3f389fde5b72088fe8694bf88725",
+    "sampled_trajectory_randomized_triangular_0.5_1.5_3.5.csv":
+        "a23dff54a93cc70a508aefbc2b1fdfe081025ae79960cfd7821fa6264049c4bb",
+    "sampled_trajectory_randomized_uniform_0.5_3.5.csv":
+        "516ae82a626a039ece5d607a0edaddbb10c755309bcaa725c1882dd415608fb3",
+    "sampled_trajectory_repetitive_1_2_2.5.csv":
+        "af9686a0babddd195163968001c6fcb8e3265416bd413a670d52598d65db8778",
 }
 
 
@@ -622,6 +675,16 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
          "{kind: repetitive, thresholds: [1.0, 2.0, 2.5]}]\n"),
         ("simulate", law + "policies: [zero-wait, median, {kind: fixed, theta: 2.0}]\n"
          "simulation: {peaks: 200, replications: 2, seed: 1}\n"),
+        # a threshold sequence and every sampler, with warm-up, the peak dump
+        # and the trajectory
+        ("simulate", law + "policies: [{kind: repetitive, thresholds: [1.0, 2.0, 2.5]}, "
+         "{kind: randomized, sampler: {kind: choice, values: [1.0, 3.0], weights: [0.3, 0.7]}}, "
+         "{kind: randomized, sampler: {kind: triangular, low: 0.5, mode: 1.5, high: 3.5}}, "
+         "{kind: randomized, sampler: {kind: uniform, low: 0.5, high: 3.5}}, "
+         "{kind: randomized, sampler: {kind: point, value: 2.0}}]\n"
+         "simulation: {peaks: 200, replications: 2, seed: 3, warmup: 5, dump_peaks: true, "
+         "trajectory_horizon: 50.0}\n"
+         "output: {prefix: sampled}\n"),
         ("optimize", law + "output: {prefix: two-point}\n"),
         # the optimum sits on the window floor theta = 1e-9
         ("optimize", "distribution: {kind: exponential, params: {rate: 1.0}}\n"

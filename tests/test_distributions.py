@@ -298,3 +298,12 @@ class TestValidation:
             HyperExponential((1.0, 2.0), (0.7, 0.7))
         with pytest.raises(ValueError):
             Pareto(-1.0, 2.0)
+        # non-finite parameters; an infinite Erlang shape must fail before int(),
+        # which raises OverflowError
+        for make in (
+            lambda: Erlang(math.inf, 1.0),
+            lambda: HyperExponential((10.0, 1.0), (math.nan, 0.5)),
+            lambda: Pareto(1.0, math.inf),
+        ):
+            with pytest.raises(ValueError, match="finite|integer"):
+                make()

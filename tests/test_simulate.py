@@ -258,6 +258,14 @@ class TestTrajectory:
             assert 0.0 < p.reset_to <= 3.0
             assert p.peak > p.reset_to
 
+    def test_stops_at_the_first_reception_past_the_horizon(self):
+        # receptions at 1 and 2; the attempt after the one at 2 would be
+        # preempted (5 > 2) and stall at stall_limit = 1, so the trajectory
+        # must not simulate past the first reception beyond the horizon
+        d = Scripted((0.5, 1.0, 1.0, 5.0))
+        points = aoi_trajectory(d, FixedThreshold(2.0), horizon=1.5, seed=0, stall_limit=1)
+        assert [(p.time, p.peak, p.reset_to) for p in points] == [(1.0, 1.5, 1.0)]
+
     def test_agrees_with_peak_simulation(self):
         d = Exponential(1.0)
         policy = FixedThreshold(1.5)
