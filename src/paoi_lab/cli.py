@@ -224,16 +224,16 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                 [[p.time, p.peak, p.reset_to] for p in points],
             )
         if sim.dump_peaks:
-            records = simulate.simulate_peaks(
+            cols = simulate.peak_columns(
                 d, policy, peaks=sim.peaks, seed=seed,
                 stall_limit=sim.stall_limit, warmup=sim.warmup,
             )
+            index = range(sim.warmup + 1, sim.warmup + sim.peaks + 1)
             _write_csv(
                 out_dir / f"{cfg.prefix}_peaks_{_slug(policy.label())}.csv",
                 ["k", "peak", "received_service", "interreception", "preemptions",
                  "receive_time"],
-                [[r.index, r.peak, r.received_service, r.interreception,
-                  r.preemptions, r.receive_time] for r in records],
+                zip(index, *(c.tolist() for c in cols)),
             )
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -95,9 +96,20 @@ class RepetitiveSequence:
 
 
 class ThresholdSampler:
-    """Base for i.i.d. per-request threshold samplers."""
+    """Base for i.i.d. per-request threshold samplers.
+
+    ``draw_batch(rng, n)`` returns the same ``n`` thresholds, bit for bit,
+    as ``n`` successive ``draw(rng)`` calls on the same generator.
+    """
+
+    def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        raise NotImplementedError
 
     def draw(self, rng: np.random.Generator) -> float:
+        return float(self.draw_batch(rng, 1)[0])
+
+    def supremum(self) -> float:
+        """Least upper bound of the thresholds this sampler draws."""
         raise NotImplementedError
 
     def label(self) -> str:
@@ -112,7 +124,10 @@ class PointSampler(ThresholdSampler):
         if not self.value >= 0:
             raise ValueError(f"threshold must be nonnegative, got {self.value!r}")
 
-    def draw(self, rng):
+    def draw_batch(self, rng, n):
+        return np.full(n, self.value, dtype=float)
+
+    def supremum(self):
         return self.value
 
     def label(self):
@@ -128,8 +143,11 @@ class UniformSampler(ThresholdSampler):
         if not 0 <= self.low < self.high < math.inf:
             raise ValueError("need 0 <= low < high < inf")
 
-    def draw(self, rng):
-        return rng.uniform(self.low, self.high)
+    def draw_batch(self, rng, n):
+        return rng.uniform(self.low, self.high, n)
+
+    def supremum(self):
+        return self.high
 
     def label(self):
         return f"uniform({self.low:g},{self.high:g})"
@@ -150,14 +168,15 @@ class ChoiceSampler(ThresholdSampler):
         if not all(v >= 0 for v in self.values):
             raise ValueError(f"thresholds must be nonnegative, got {self.values!r}")
 
-    def draw(self, rng):
-        u = rng.random()
-        acc = 0.0
-        for v, w in zip(self.values, self.weights):
-            acc += w
-            if u <= acc:
-                return v
-        return self.values[-1]
+    def draw_batch(self, rng, n):
+        # value i is the first whose running weight sum reaches u; the
+        # running maximum keeps that rule when a weight is negative
+        acc = np.maximum.accumulate(list(accumulate(self.weights)))
+        pick = np.searchsorted(acc, rng.random(n), side="left")
+        return np.asarray(self.values)[np.minimum(pick, len(self.values) - 1)]
+
+    def supremum(self):
+        return max(self.values)
 
     def label(self):
         return "choice[" + ",".join(f"{v:g}" for v in self.values) + "]"
@@ -173,8 +192,11 @@ class TriangularSampler(ThresholdSampler):
         if not 0 <= self.low <= self.mode <= self.high < math.inf or self.low == self.high:
             raise ValueError("need 0 <= low <= mode <= high < inf with low < high")
 
-    def draw(self, rng):
-        return rng.triangular(self.low, self.mode, self.high)
+    def draw_batch(self, rng, n):
+        return rng.triangular(self.low, self.mode, self.high, n)
+
+    def supremum(self):
+        return self.high
 
     def label(self):
         return f"triangular({self.low:g},{self.mode:g},{self.high:g})"

@@ -1,13 +1,21 @@
 """Monte-Carlo simulation of the AoI sample path under preemptive requests.
 
-The event loop is attempt-driven: after every reception a new request
-goes out immediately (work conservation), each attempt either completes
-within its threshold or is preempted at the threshold, and time advances
-by ``min(threshold, service)`` per attempt.  No event queue is needed for
-a single source and server.  The loop reads two iterators: the service
-times, drawn in blocks from one generator, and per peak the thresholds
-of its attempts (a deterministic policy's sequence with its last entry
-repeated, or one i.i.d. draw per attempt from a second generator).
+The model is attempt-driven: after every reception a new request goes out
+immediately (work conservation), each attempt either completes within its
+threshold or is preempted at the threshold, and time advances by
+``min(threshold, service)`` per attempt.  No event queue is needed for a
+single source and server.
+
+The engine works on blocks of 4096 service draws from one generator.
+Attempt ``i`` reads service draw ``i + 1`` and, under a randomized policy,
+threshold draw ``i`` from a second generator (``draw_batch``, bit-equal to
+one ``draw`` per attempt).  Per block it finds the receptions with one
+array comparison (a threshold sequence with a head chases one pointer per
+peak through a table of where each start position leads), sums each peak's
+dropped thresholds in the order one attempt at a time would add them, and
+emits the block's peaks as columns (:class:`PeakColumns`).  A peak still
+open at the block end carries its partial sum and drop count into the next
+block.  The result equals the one-attempt-at-a-time loop bit for bit.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -15,11 +23,12 @@ inter-reception time.  A service time exactly equal to its threshold
 counts as received, matching the right-closed truncated integrals on the
 analytic side (this is load-bearing for distributions with atoms).
 
-A deterministic policy whose repeating last threshold has ``F = 0`` and
-is reached with positive probability strands every peak that gets there
-(the analytic value is ``inf``) and raises :class:`SimulationStall`
-before the first draw; otherwise ``stall_limit`` consecutive preemptions
-raise it.
+A policy that can never deliver raises :class:`SimulationStall` before the
+first draw: a deterministic policy whose repeating last threshold has
+``F = 0`` and is reached with positive probability (the analytic value is
+``inf``), or a randomized one whose largest possible threshold has
+``F = 0``.  Otherwise a peak that reaches ``stall_limit`` consecutive
+preemptions raises it, once a caller asks for that peak.
 """
 
 from __future__ import annotations
@@ -27,9 +36,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, count, islice, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +48,8 @@ __all__ = [
     "PeakRecord",
     "AoiBreakpoint",
     "PaoiEstimate",
+    "PeakColumns",
+    "peak_columns",
     "simulate_peaks",
     "estimate_paoi",
     "aoi_trajectory",
@@ -103,12 +112,96 @@ class PaoiEstimate:
         return (self.ci_low, self.ci_high)
 
 
-def _iter_peaks(
+class PeakColumns(NamedTuple):
+    """A peak series as arrays, one entry per peak, holding
+    :class:`PeakRecord`'s fields after ``index`` in the same order."""
+
+    peak: np.ndarray
+    received_service: np.ndarray
+    interreception: np.ndarray
+    preemptions: np.ndarray
+    receive_time: np.ndarray
+
+
+def _sequence_ends(x, table, rank0):
+    """Reception positions in the block ``x`` under the threshold sequence
+    ``table`` (its last entry repeating), when the peak open at the block
+    start has made ``rank0`` attempts."""
+    size, m = len(x), len(table) - 1
+    if not m:
+        return np.flatnonzero(x <= table[0])  # reception wins the tie
+    pos = np.arange(size + 1)
+    # nxt[q]: the first reception at the repeating threshold at or after q
+    nxt = np.minimum.accumulate(np.where(x <= table[m], pos[:-1], size)[::-1])[::-1]
+    nxt = np.append(nxt, size)
+    # end[p]: the reception a peak starting at p leads to (size: none here)
+    end = nxt[np.minimum(pos + m, size)]
+    for i in reversed(range(m)):  # the earliest head hit wins
+        hit = np.flatnonzero(x[i:] <= table[i])
+        end[hit] = hit + i
+    # the open peak goes on with the head entries it has left
+    left = min(max(m - rank0, 0), size)
+    e = nxt[left]
+    for p in range(left):
+        if x[p] <= table[rank0 + p]:
+            e = p
+            break
+    ends, end = [], end.tolist()
+    while e < size:  # one step per peak
+        ends.append(e)
+        e = end[e + 1]
+    return np.array(ends, dtype=np.intp)
+
+
+def _sequence_sums(table, y_open, rank0, drops):
+    """Per peak, the thresholds of its dropped attempts under the sequence
+    ``table``, added left to right as the attempt loop adds them.  The first
+    peak goes on from ``y_open`` at rank ``rank0``; every later one starts
+    from 0.0 at rank 0, so its sum is a prefix sum of the sequence."""
+    m = len(table) - 1
+    ranks = np.arange(drops[1:].max(initial=0))
+    prefix = np.cumsum(np.concatenate(([0.0], table[np.minimum(ranks, m)])))
+    y = np.empty(len(drops))
+    y[1:] = prefix[drops[1:]]
+    ranks = np.arange(rank0, rank0 + drops[0])
+    y[0] = np.cumsum(np.concatenate(([y_open], table[np.minimum(ranks, m)])))[-1]
+    return y
+
+
+def _sampled_sums(thetas, y_open, ends, drops):
+    """Per peak, the drawn thresholds of its dropped attempts, which start
+    after the previous reception in ``ends``, added left to right as the
+    attempt loop adds them; the first peak goes on from ``y_open``.
+
+    Round ``j`` adds the ``j``-th dropped threshold of every peak with more
+    than ``j`` drops; the peaks still open after the last round finish in
+    one ``np.cumsum`` each, which is a sequential sum too.  A round and a
+    cumsum cost about the same, so the rounds stop at the rank that
+    minimizes rounds plus cumsums.
+    """
+    starts = np.concatenate(([0], ends + 1))
+    more = len(drops) - np.cumsum(np.bincount(drops))  # peaks with > j drops
+    rounds = int(np.argmin(more + np.arange(len(more))))
+    y = np.zeros(len(starts))
+    y[0] = y_open
+    act = np.flatnonzero(drops)
+    for j in range(rounds):
+        y[act] += thetas[starts[act] + j]
+        act = act[drops[act] > j + 1]
+    for i in act.tolist():
+        tail = thetas[starts[i] + rounds : starts[i] + drops[i]]
+        y[i] = np.cumsum(np.concatenate(([y[i]], tail)))[-1]
+    return y
+
+
+def _blocks(
     d: ServiceDistribution,
     policy: Policy,
     seed: int,
     stall_limit: int,
-) -> Iterator[PeakRecord]:
+) -> Iterator[PeakColumns]:
+    """The endless peak series: per block of service draws, the columns of
+    the peaks whose reception falls in it (none if no peak ends there)."""
     # Two child streams so that policies which do not randomize consume
     # the exact same service draws as a fixed-threshold run with the
     # same seed.
@@ -116,54 +209,84 @@ def _iter_peaks(
     rng_service = np.random.default_rng(ss_service)
     rng_threshold = np.random.default_rng(ss_threshold)
     thresholds = resolve(policy, d)
+    # the loop itself needs only sample_batch and support_min from a law,
+    # so cdf and sf are read only for a threshold at or below its minimum
     if thresholds is None:
-        # every peak reads the one endless stream of i.i.d. draws
-        per_peak = repeat(iter(partial(policy.sampler.draw, rng_threshold), None))
+        top = policy.sampler.supremum()
+        if top <= d.support_min() and d.cdf(top) == 0.0:
+            raise SimulationStall(
+                f"no threshold that {policy!r} draws can deliver under {d!r}: "
+                f"P(X <= {top:g}) = 0"
+            )
     else:
-        head, tail = thresholds[:-1], thresholds[-1]
-        # the loop itself needs only sample_batch and support_min from a
-        # law, so cdf and sf are read only for a tail at or below its minimum
+        tail = thresholds[-1]
         if (
             tail <= d.support_min()
             and d.cdf(tail) == 0.0
-            and all(d.sf(s) > 0.0 for s in head)
+            and all(d.sf(s) > 0.0 for s in thresholds[:-1])
         ):
             raise SimulationStall(
                 f"no attempt at the repeating last threshold of {policy!r} "
                 f"can deliver under {d!r}: P(X <= {tail:g}) = 0"
             )
-        per_peak = (chain(head, repeat(tail)) for _ in count())
-    draws = chain.from_iterable(
-        iter(lambda: d.sample_batch(rng_service, _DRAW_BLOCK).tolist(), None)
-    )
+        table = np.array(thresholds, dtype=float)
+    limit = max(stall_limit, 1)  # the count is checked after a drop
 
-    x_prev = next(draws)  # initial AoI: a packet is received at time zero
+    draws = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
+    x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
     now = 0.0
-    for k, thetas in enumerate(per_peak, 1):
-        y = 0.0
-        drops = 0
-        for theta in thetas:
-            x = next(draws)
-            if x <= theta:  # reception wins the tie
-                y += x
-                break
-            y += theta
-            drops += 1
-            if drops >= stall_limit:
-                raise SimulationStall(
-                    f"{drops} consecutive preemptions without a reception "
-                    f"under {policy!r}; is the threshold below the support?"
-                )
-        now += y
-        yield PeakRecord(
-            index=k,
-            peak=x_prev + y,
-            received_service=x_prev,
-            interreception=y,
-            preemptions=drops,
-            receive_time=now,
-        )
-        x_prev = x
+    y_open, drops_open = 0.0, 0  # the peak waiting for its reception
+    while True:
+        size = len(x)
+        # drops[i]: the attempts peak i drops in this block; the last peak
+        # is still open at the block end
+        if thresholds is None:
+            thetas = policy.sampler.draw_batch(rng_threshold, size)
+            ends = np.flatnonzero(x <= thetas)  # reception wins the tie
+            drops = np.diff(ends, prepend=-1, append=size) - 1
+            y = _sampled_sums(thetas, y_open, ends, drops)
+        else:
+            ends = _sequence_ends(x, table, drops_open)
+            drops = np.diff(ends, prepend=-1, append=size) - 1
+            y = _sequence_sums(table, y_open, drops_open, drops)
+        drops[0] += drops_open
+        y_open, drops_open = y[-1], int(drops[-1])
+        y = y[:-1] + x[ends]
+        stalled = np.flatnonzero(drops >= limit)
+        k = int(stalled[0]) if stalled.size else len(ends)
+        if k:
+            received = np.concatenate(([x_prev], x[ends[: k - 1]]))
+            times = np.cumsum(np.concatenate(([now], y[:k])))[1:]
+            yield PeakColumns(received + y[:k], received, y[:k], drops[:k], times)
+            x_prev, now = x[ends[k - 1]], times[-1]
+        if stalled.size:
+            raise SimulationStall(
+                f"{limit} consecutive preemptions without a reception "
+                f"under {policy!r}; is the threshold below the support?"
+            )
+        x = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
+
+
+def peak_columns(
+    d: ServiceDistribution,
+    policy: Policy,
+    peaks: int,
+    seed: int,
+    stall_limit: int = DEFAULT_STALL_LIMIT,
+    warmup: int = 0,
+) -> PeakColumns:
+    """:func:`simulate_peaks` as arrays, one entry per peak."""
+    if peaks < 1:
+        raise ValueError("need at least one peak")
+    if warmup < 0:
+        raise ValueError("warmup must be nonnegative")
+    parts, have = [], 0
+    for cols in _blocks(d, policy, seed, stall_limit):
+        parts.append(cols)
+        have += len(cols.peak)
+        if have >= warmup + peaks:  # ask for no block past the last peak
+            break
+    return PeakColumns(*(np.concatenate(c)[warmup : warmup + peaks] for c in zip(*parts)))
 
 
 def simulate_peaks(
@@ -183,12 +306,9 @@ def simulate_peaks(
     later peak carries a service time that completed within its threshold
     (``X | X <= theta``).  Any ``warmup >= 1`` drops it.
     """
-    if peaks < 1:
-        raise ValueError("need at least one peak")
-    if warmup < 0:
-        raise ValueError("warmup must be nonnegative")
-    gen = _iter_peaks(d, policy, seed, stall_limit)
-    return list(islice(gen, warmup, warmup + peaks))
+    cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
+    rows = zip(*(c.tolist() for c in cols))
+    return [PeakRecord(k, *row) for k, row in enumerate(rows, warmup + 1)]
 
 
 def aoi_trajectory(
@@ -202,32 +322,35 @@ def aoi_trajectory(
 
     Shares the event loop with :func:`simulate_peaks`, so the peaks read
     off the trajectory coincide with the simulated peak series for the
-    same seed.
+    same seed.  The loop runs up to the first reception past ``horizon``,
+    whose carried service time is the last drop-to value.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    gen = _iter_peaks(d, policy, seed, stall_limit)
-    out = []
-    prev = next(gen)
-    while prev.receive_time <= horizon:
-        # the drop-to value of this reception is the next record's
-        # carried service time
-        nxt = next(gen)
-        out.append(AoiBreakpoint(prev.receive_time, prev.peak, nxt.received_service))
-        prev = nxt
-    return out
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    parts = []
+    for cols in _blocks(d, policy, seed, stall_limit):
+        parts.append(cols)
+        if cols.receive_time[-1] > horizon:
+            break
+    cols = PeakColumns(*(np.concatenate(c) for c in zip(*parts)))
+    n = int(np.searchsorted(cols.receive_time, horizon, side="right"))
+    # a reception's drop-to value is the next peak's carried service time
+    return [
+        AoiBreakpoint(*point)
+        for point in zip(
+            cols.receive_time[:n].tolist(),
+            cols.peak[:n].tolist(),
+            cols.received_service[1 : n + 1].tolist(),
+        )
+    ]
 
 
-def estimate_paoi(
-    peaks: Sequence[PeakRecord],
-    seed: Optional[int] = None,
-    batches: int = _BATCH_COUNT,
+def _batch_means(
+    values: np.ndarray, seed: Optional[int] = None, batches: int = _BATCH_COUNT
 ) -> PaoiEstimate:
-    """Batch-means estimate of the average PAoI from a peak series."""
-    if len(peaks) < 2:
-        raise ValueError("need at least two peaks to estimate")
-    values = np.array([r.peak for r in peaks])
     k = len(values)
+    if k < 2:
+        raise ValueError("need at least two peaks to estimate")
     nb = min(batches, k)
     m = k // nb
     batch_means = values[: nb * m].reshape(nb, m).mean(axis=1)
@@ -243,6 +366,21 @@ def estimate_paoi(
     )
 
 
+def estimate_paoi(
+    peaks: Sequence[PeakRecord],
+    seed: Optional[int] = None,
+    batches: int = _BATCH_COUNT,
+) -> PaoiEstimate:
+    """Batch-means estimate of the average PAoI from a peak series."""
+    return _batch_means(np.array([r.peak for r in peaks]), seed, batches)
+
+
+def _replicate(args) -> PaoiEstimate:
+    d, policy, peaks, seed, stall_limit, warmup = args
+    cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
+    return _batch_means(cols.peak, seed)
+
+
 def simulate_randomized(
     d: ServiceDistribution,
     sampler: ThresholdSampler,
@@ -252,16 +390,8 @@ def simulate_randomized(
     warmup: int = 0,
 ) -> PaoiEstimate:
     """Estimate PAoI under i.i.d. per-request threshold randomization."""
-    records = simulate_peaks(
-        d, RandomizedThreshold(sampler), peaks, seed, stall_limit, warmup
-    )
-    return estimate_paoi(records, seed=seed)
-
-
-def _replicate(args) -> PaoiEstimate:
-    d, policy, peaks, seed, stall_limit, warmup = args
-    records = simulate_peaks(d, policy, peaks, seed, stall_limit, warmup)
-    return estimate_paoi(records, seed=seed)
+    policy = RandomizedThreshold(sampler)
+    return _replicate((d, policy, peaks, seed, stall_limit, warmup))
 
 
 def run_replications(

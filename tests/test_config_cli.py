@@ -518,6 +518,35 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize(
         "sampler",
         [
+            "{kind: uniform, low: 0.1, high: 0.9}",
+            "{kind: choice, values: [0.5, 0.9], weights: [0.5, 0.5]}",
+            "{kind: point, value: 0.9}",
+        ],
+    )
+    def test_sampler_that_never_delivers_exits_3_at_once(self, tmp_path, capsys, sampler):
+        # every threshold these draw lies below Pareto(1, 2)'s support
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+            f"policies: [{{kind: randomized, sampler: {sampler}}}]\n"
+        )
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert "can deliver" in capsys.readouterr().err
+
+    def test_sampler_that_reaches_the_support_simulates(self, tmp_path):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(
+            "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+            "policies: [{kind: randomized, sampler: {kind: uniform, low: 0.5, high: 1.5}}]\n"
+            "simulation: {peaks: 100, replications: 1}\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
             "{kind: uniform, low: 1.0, high: .inf}",
             "{kind: triangular, low: 1.0, mode: 2.0, high: .inf}",
         ],
@@ -615,9 +644,10 @@ class TestDegenerateInputs:
 # was first read through ``policies.resolve`` and re-pinned for the eval
 # table when threshold sequences became exact (its repetitive row moved
 # from 3.62499999991 to 3.625); the optimize, sweep and figure outputs were
-# pinned before the threshold grid was read in one pass, and the ``sampled_*``
-# outputs before the simulator's attempt loop read plain iterators.  Any
-# change to these bytes must be deliberate.
+# pinned before the threshold grid was read in one pass, the ``sampled_*``
+# outputs before the simulator's attempt loop read plain iterators, and the
+# ``heavy_*`` outputs before the simulator summed whole blocks of attempts
+# with numpy.  Any change to these bytes must be deliberate.
 PINNED_SHA256 = {
     "paoi_eval.csv": "26541f26394eb8d1339db1a92f447bc4380be793ff68929d8d8f905acad7afb3",
     "paoi_simulate_fixed_2.csv":
@@ -665,6 +695,18 @@ PINNED_SHA256 = {
         "516ae82a626a039ece5d607a0edaddbb10c755309bcaa725c1882dd415608fb3",
     "sampled_trajectory_repetitive_1_2_2.5.csv":
         "af9686a0babddd195163968001c6fcb8e3265416bd413a670d52598d65db8778",
+    "heavy_peaks_fixed_0.01.csv":
+        "47af8e84329b1f07ddda299f83bab25c89b97031320553435c6ee5a69cae7ce4",
+    "heavy_peaks_repetitive_0.5_0.05_0.01.csv":
+        "f0c0dce7ebba761025a76686968ed9e97636ab33b0f62d174ef67955eefaf58f",
+    "heavy_simulate_fixed_0.01.csv":
+        "39a6ddbe13a4246c85752f7fc2dc61a4311c6a3b5b3c0316f1e37ab837b87e9b",
+    "heavy_simulate_repetitive_0.5_0.05_0.01.csv":
+        "c037e4010bce987bfe0f5168d630a2dd3b22508f5a4e7e275f7881c957fe734d",
+    "heavy_trajectory_fixed_0.01.csv":
+        "3ab2ccbec048db7319501a570fa1ed4cfae6d6efa51a9160bbcc46975cad0232",
+    "heavy_trajectory_repetitive_0.5_0.05_0.01.csv":
+        "7007bf008703705f7310d5934521c293fb4894268488e4cfeddc537b61f7e900",
 }
 
 
@@ -685,6 +727,13 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
          "simulation: {peaks: 200, replications: 2, seed: 3, warmup: 5, dump_peaks: true, "
          "trajectory_horizon: 50.0}\n"
          "output: {prefix: sampled}\n"),
+        # about 100 attempts per peak, so peaks straddle the 4096-draw blocks
+        ("simulate", "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+         "policies: [{kind: fixed, theta: 0.01}, "
+         "{kind: repetitive, thresholds: [0.5, 0.05, 0.01]}]\n"
+         "simulation: {peaks: 300, replications: 2, seed: 11, warmup: 3, dump_peaks: true, "
+         "trajectory_horizon: 100.0}\n"
+         "output: {prefix: heavy}\n"),
         ("optimize", law + "output: {prefix: two-point}\n"),
         # the optimum sits on the window floor theta = 1e-9
         ("optimize", "distribution: {kind: exponential, params: {rate: 1.0}}\n"

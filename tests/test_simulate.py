@@ -1,5 +1,8 @@
 import math
+import time
+import tracemalloc
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -11,13 +14,16 @@ from paoi_lab import (
     Erlang,
     Exponential,
     FixedThreshold,
+    HyperExponential,
     MedianThreshold,
     Pareto,
+    PeakRecord,
     PointSampler,
     RandomizedThreshold,
     RepetitiveSequence,
     ServiceDistribution,
     SimulationStall,
+    TriangularSampler,
     TwoPoint,
     UniformSampler,
     XMinThreshold,
@@ -34,6 +40,7 @@ from paoi_lab import (
     simulate_peaks,
     simulate_randomized,
 )
+from paoi_lab.policies import resolve
 
 
 @dataclass
@@ -266,6 +273,11 @@ class TestTrajectory:
         points = aoi_trajectory(d, FixedThreshold(2.0), horizon=1.5, seed=0, stall_limit=1)
         assert [(p.time, p.peak, p.reset_to) for p in points] == [(1.0, 1.5, 1.0)]
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            aoi_trajectory(Exponential(1.0), ZeroWait(), horizon=horizon, seed=0)
+
     def test_agrees_with_peak_simulation(self):
         d = Exponential(1.0)
         policy = FixedThreshold(1.5)
@@ -335,3 +347,169 @@ class TestParallelReplications:
             d, ZeroWait(), peaks=2000, replications=4, base_seed=55, workers=2
         )
         assert seq == par
+
+
+def _scalar_draw(sampler, rng):
+    """One threshold, drawn the way the samplers drew one per call."""
+    if isinstance(sampler, PointSampler):
+        return sampler.value
+    if isinstance(sampler, UniformSampler):
+        return rng.uniform(sampler.low, sampler.high)
+    if isinstance(sampler, TriangularSampler):
+        return rng.triangular(sampler.low, sampler.mode, sampler.high)
+    u = rng.random()
+    acc = 0.0
+    for v, w in zip(sampler.values, sampler.weights):
+        acc += w
+        if u <= acc:
+            return v
+    return sampler.values[-1]
+
+
+def _reference_peaks(d, policy, seed, stall_limit=10**9):
+    """The attempt loop one attempt at a time: an independent model of the
+    simulator, with the same two seed streams and 4096-draw blocks."""
+    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
+    rng_service = np.random.default_rng(ss_service)
+    rng_threshold = np.random.default_rng(ss_threshold)
+    thresholds = resolve(policy, d)
+
+    def service():
+        while True:
+            yield from d.sample_batch(rng_service, 4096).tolist()
+
+    draws = service()
+    x_prev = next(draws)
+    now = 0.0
+    for k in count(1):
+        y = 0.0
+        drops = 0
+        while True:
+            if thresholds is None:
+                theta = _scalar_draw(policy.sampler, rng_threshold)
+            else:
+                theta = thresholds[min(drops, len(thresholds) - 1)]
+            x = next(draws)
+            if x <= theta:
+                y += x
+                break
+            y += theta
+            drops += 1
+            if drops >= stall_limit:
+                raise SimulationStall("stalled")
+        now += y
+        yield PeakRecord(k, x_prev + y, x_prev, y, drops, now)
+        x_prev = x
+
+
+def _reference(d, policy, peaks, seed, warmup=0):
+    return list(islice(_reference_peaks(d, policy, seed), warmup, warmup + peaks))
+
+
+HYPER = HyperExponential((10.0, 1.0), (10 / 11, 1 / 11))
+
+
+class TestMatchesReferenceLoop:
+    """The block engine reproduces the attempt-by-attempt loop, every field
+    with ``==``."""
+
+    @pytest.mark.parametrize(
+        "d, policy, peaks",
+        [
+            (Erlang(3, 1.0), FixedThreshold(2.0), 5000),
+            (Erlang(3, 1.0), ZeroWait(), 5000),
+            (TwoPoint(1.0, 3.0, 0.5), XMinThreshold(), 5000),
+            (Exponential(1.0), MedianThreshold(), 5000),
+            (Erlang(3, 1.0), RepetitiveSequence((1.0, 2.0, 2.5)), 5000),
+            (Pareto(1.0, 2.0), RepetitiveSequence((0.5, 2.0)), 3000),
+            (Exponential(1.0), RepetitiveSequence((0.5, 0.05, 0.01)), 300),
+            (Erlang(3, 1.0), RandomizedThreshold(ChoiceSampler((1.0, 3.0), (0.3, 0.7))), 5000),
+            (Erlang(3, 1.0), RandomizedThreshold(UniformSampler(0.5, 3.5)), 5000),
+            (Erlang(3, 1.0), RandomizedThreshold(TriangularSampler(0.5, 1.5, 3.5)), 5000),
+            (Erlang(3, 1.0), RandomizedThreshold(PointSampler(2.0)), 5000),
+            # drawn thresholds on the atoms: a tie is a reception
+            (TwoPoint(1.0, 3.0, 0.5), RandomizedThreshold(ChoiceSampler((1.0, 3.0), (0.5, 0.5))),
+             3000),
+            # F about 0.01: about 100 attempts per peak, so peaks straddle
+            # the block edges
+            (HYPER, FixedThreshold(0.0011), 300),
+            (HYPER, RandomizedThreshold(UniformSampler(0.0005, 0.0017)), 300),
+            (HYPER, RepetitiveSequence((0.05, 0.0011)), 300),
+            # a few peaks of about 1e4 attempts each, across many blocks
+            (Exponential(1.0), FixedThreshold(1e-4), 4),
+            (Exponential(1.0), RandomizedThreshold(UniformSampler(1e-5, 2e-4)), 4),
+        ],
+        ids=lambda v: v.label() if hasattr(v, "label") else None,
+    )
+    def test_every_field_matches(self, d, policy, peaks):
+        got = simulate_peaks(d, policy, peaks=peaks, seed=23)
+        assert got == _reference(d, policy, peaks, seed=23)
+
+    def test_warmup(self):
+        d, policy = Erlang(3, 1.0), RepetitiveSequence((1.0, 2.0, 2.5))
+        got = simulate_peaks(d, policy, peaks=2000, seed=5, warmup=37)
+        assert got == _reference(d, policy, 2000, seed=5, warmup=37)
+        assert got[0].index == 38
+
+    @pytest.mark.parametrize("stall_limit", [200, 400])
+    def test_stall_hit_mid_block_after_completed_peaks(self, stall_limit):
+        # at F = 0.01 a peak drops 200 (400) attempts with probability
+        # about 0.13 (0.018), so the stall comes after several peaks
+        d, policy = Exponential(1.0), FixedThreshold(0.01)
+        done = []
+        with pytest.raises(SimulationStall):
+            for r in _reference_peaks(d, policy, seed=3, stall_limit=stall_limit):
+                done.append(r)
+        assert len(done) >= 2
+        attempts = 1 + sum(r.preemptions + 1 for r in done)
+        assert attempts % 4096 not in (0, 1)  # the stalling peak starts mid-block
+        got = simulate_peaks(d, policy, peaks=len(done), seed=3, stall_limit=stall_limit)
+        assert got == done
+        with pytest.raises(SimulationStall):
+            simulate_peaks(d, policy, peaks=len(done) + 1, seed=3, stall_limit=stall_limit)
+
+    @pytest.mark.parametrize(
+        "draws, policy, peaks",
+        [
+            ((0.0, 1.0, 2.0, 3.0), ZeroWait(), 3),
+            ((1.0, 5.0, 1.5, 0.5), FixedThreshold(2.0), 2),
+            ((1.0, 2.0), FixedThreshold(2.0), 1),
+            ((0.5, 3.0, 1.5, 0.5, 4.0, 4.0, 1.0), RepetitiveSequence((1.0, 2.0, 3.0)), 3),
+        ],
+    )
+    def test_scripted_traces(self, draws, policy, peaks):
+        got = simulate_peaks(Scripted(draws), policy, peaks=peaks, seed=0)
+        assert got == _reference(Scripted(draws), policy, peaks, seed=0)
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            PointSampler(2.0),
+            UniformSampler(0.5, 3.5),
+            TriangularSampler(0.5, 1.5, 3.5),
+            ChoiceSampler((1.0, 2.0, 3.0), (0.2, 0.5, 0.3)),
+        ],
+    )
+    def test_batch_draws_equal_scalar_draws(self, sampler):
+        rng_a, rng_b, rng_c = (np.random.default_rng(8) for _ in range(3))
+        want = [_scalar_draw(sampler, rng_a) for _ in range(10_000)]
+        batches = [sampler.draw_batch(rng_b, n) for n in (4095, 4096, 1809)]
+        assert np.concatenate(batches).tolist() == want
+        assert [sampler.draw(rng_c) for _ in range(10_000)] == want
+
+
+def test_memory_stays_bounded_over_many_blocks():
+    # F(1e-6) = 1e-6: one peak of many preemptions, carried across blocks
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        (record,) = simulate_peaks(
+            Exponential(1.0), FixedThreshold(1e-6), peaks=1, seed=1, stall_limit=10**7
+        )
+        elapsed = time.perf_counter() - start
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.preemptions > 10 * 4096
+    assert peak_bytes < 4_000_000
+    assert elapsed < 1.0
