@@ -10,17 +10,16 @@ check      preemption-benefit verdicts (exact and residual-based)
 reproduce  the four figure-data bundles (Erlang/Pareto studies)
 
 Exit codes: 0 success, 2 configuration problem, 3 simulation stall.
-All numeric CSV cells use ``.`` decimals and the literal token ``inf``
-for an infinite value; re-running a command overwrites its outputs
-byte-identically.
+Numeric CSV cells use ``.`` decimals and 12 significant digits, and the
+literal tokens ``inf``, ``-inf`` and ``nan`` for non-finite values; text
+cells are quoted only when they hold a comma, a double quote or a newline.
+Re-running a command overwrites its outputs byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import math
 import os
 import re
 import sys
@@ -49,23 +48,44 @@ _COMPARISON_FIGURES = {
     "fig7": (lambda alpha: Pareto(xm=1.0, alpha=alpha), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
 }
 _FIGURES = tuple(sorted(_CURVE_FIGURES.keys() | _COMPARISON_FIGURES.keys()))
+_CSV_CHUNK = 1024  # rows joined per write
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
     return format(float(x), ".12g")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _quote(cell: str) -> str:
+    """``cell`` as ``csv.QUOTE_MINIMAL`` writes it with a ``\\n`` line end."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write one row per entry of the equally long ``columns`` under ``header``.
+
+    A float column writes its cells as ``_fmt`` does (``%.12g``), an integer
+    column as ``%d``, and any other column its cells' ``str``, quoted where
+    needed; one ``%`` template per row fills them in, a chunk of rows at a
+    time.
+    """
+    formats, cells = [], []
+    for column in columns:
+        array = np.asarray(column)
+        if array.dtype.kind in "fiu":
+            formats.append("%.12g" if array.dtype.kind == "f" else "%d")
+            cells.append(array)
+        else:
+            formats.append("%s")
+            cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
+    template = ",".join(formats)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for i in range(0, max(map(len, cells)), _CSV_CHUNK):
+            rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)
+            fh.write("\n".join([template % row for row in rows]) + "\n")
 
 
 def _slug(label: str) -> str:
@@ -88,7 +108,7 @@ def _workers() -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
-    rows = []
+    labels, values = [], []
     print(f"distribution: {_dist_label(cfg.distribution)}")
     print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
     for policy in cfg.policies:
@@ -100,10 +120,13 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"{policy.label():<28} {_fmt(value.zeta):>14} "
             f"{_fmt(value.received_service):>14} {_fmt(value.interreception):>14}"
         )
-        rows.append(
-            [policy.label(), value.zeta, value.received_service, value.interreception]
-        )
-    _write_csv(out_dir / f"{cfg.prefix}_eval.csv", ["policy", "zeta", "e_x_check", "e_y"], rows)
+        labels.append(policy.label())
+        values.append((value.zeta, value.received_service, value.interreception))
+    _write_csv(
+        out_dir / f"{cfg.prefix}_eval.csv",
+        ["policy", "zeta", "e_x_check", "e_y"],
+        [labels, *np.array(values, dtype=float).T],
+    )
     return 0
 
 
@@ -122,12 +145,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     grid = analytic.paoi_thresholds(d, thetas)
     i_min = int(np.argmin(grid.zeta))
-    columns = zip(thetas.tolist(), *(a.tolist() for a in grid[:3]))  # zeta, E[Xr], E[Y]
-    rows = [[*row, 1 if i == i_min else 0] for i, row in enumerate(columns)]
+    is_minimum = np.zeros(len(thetas), dtype=int)
+    is_minimum[i_min] = 1
     path = out_dir / f"{cfg.prefix}_sweep.csv"
-    _write_csv(path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], rows)
-    print(f"sweep: {len(rows)} rows -> {path}")
-    print(f"minimum zeta {_fmt(rows[i_min][1])} at theta {_fmt(rows[i_min][0])}")
+    _write_csv(  # zeta, E[Xr], E[Y]
+        path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], [thetas, *grid[:3], is_minimum]
+    )
+    print(f"sweep: {len(thetas)} rows -> {path}")
+    print(f"minimum zeta {_fmt(grid.zeta[i_min])} at theta {_fmt(thetas[i_min])}")
     return 0
 
 
@@ -152,7 +177,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"policy-iteration cross-check delta: {_fmt(bellman_delta)}")
     print(f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}")
 
-    rows = [[
+    row = [
         _dist_label(d),
         result.theta_opt,
         result.zeta_opt,
@@ -163,14 +188,14 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         int(verdict.beneficial),
         verdict.margin,
         bellman_delta,
-    ]]
+    ]
     _write_csv(
         out_dir / f"{cfg.prefix}_optimize.csv",
         [
             "distribution", "theta_opt", "zeta_opt", "zeta_zero_wait", "zeta_xmin",
             "zeta_min", "winner", "beneficial", "margin", "bellman_delta",
         ],
-        rows,
+        [[cell] for cell in row],
     )
     return 0
 
@@ -200,40 +225,35 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         print(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
               f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
               f"({sim.replications} x {sim.peaks} peaks)")
-        rows: list[list] = [
-            [i, e.seed, e.peak_count, e.mean, e.std_error, e.ci_low, e.ci_high]
-            for i, e in enumerate(estimates)
-        ]
-        rows.append(
-            ["pooled", seed, pooled.peak_count, pooled.mean, pooled.std_error,
-             pooled.ci_low, pooled.ci_high]
-        )
+        fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
         _write_csv(
             out_dir / f"{cfg.prefix}_simulate_{_slug(policy.label())}.csv",
             ["replication", "seed", "peaks", "mean", "stderr", "ci_low", "ci_high"],
-            rows,
+            [
+                [*map(str, range(len(estimates))), "pooled"],
+                *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
+            ],
         )
         if sim.trajectory_horizon is not None:
-            points = simulate.aoi_trajectory(
-                d, policy, horizon=sim.trajectory_horizon, seed=seed,
-                stall_limit=sim.stall_limit,
-            )
             _write_csv(
                 out_dir / f"{cfg.prefix}_trajectory_{_slug(policy.label())}.csv",
                 ["time", "peak", "reset_to"],
-                [[p.time, p.peak, p.reset_to] for p in points],
+                simulate.trajectory_columns(
+                    d, policy, horizon=sim.trajectory_horizon, seed=seed,
+                    stall_limit=sim.stall_limit,
+                ),
             )
         if sim.dump_peaks:
             cols = simulate.peak_columns(
                 d, policy, peaks=sim.peaks, seed=seed,
                 stall_limit=sim.stall_limit, warmup=sim.warmup,
             )
-            index = range(sim.warmup + 1, sim.warmup + sim.peaks + 1)
+            index = np.arange(sim.warmup + 1, sim.warmup + sim.peaks + 1)
             _write_csv(
                 out_dir / f"{cfg.prefix}_peaks_{_slug(policy.label())}.csv",
                 ["k", "peak", "received_service", "interreception", "preemptions",
                  "receive_time"],
-                zip(index, *(c.tolist() for c in cols)),
+                [index, *cols],
             )
     return 0
 
@@ -258,31 +278,36 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _reproduce_rows(figure: str) -> list[list]:
-    rows: list[list] = []
+def _reproduce_columns(figure: str) -> list:
+    """The figure's ``param``, ``policy`` and ``zeta`` columns."""
     if figure in _CURVE_FIGURES:
         law, params, label, thetas = _CURVE_FIGURES[figure]
-        for param in params:
-            zetas = analytic.paoi_thresholds(law(param), thetas).zeta
-            rows += [[t, label.format(param), z] for t, z in zip(thetas.tolist(), zetas.tolist())]
-        return rows
+        return [
+            np.tile(thetas, len(params)),
+            [label.format(param) for param in params for _ in thetas],
+            np.concatenate([analytic.paoi_thresholds(law(p), thetas).zeta for p in params]),
+        ]
     law, params = _COMPARISON_FIGURES[figure]
+    zetas = []
     for param in params:
         d = law(param)
         _, zeta_opt = optimize.optimal_threshold(d, *optimize.default_window(d))
-        rows.append([param, "zero-wait", analytic.paoi_zero_wait(d)])
-        rows.append([param, "optimal", zeta_opt])
-        rows.append([param, "median", analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta])
-    return rows
+        median = analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta
+        zetas += [analytic.paoi_zero_wait(d), zeta_opt, median]
+    return [
+        [param for param in params for _ in range(3)],
+        ["zero-wait", "optimal", "median"] * len(params),
+        zetas,
+    ]
 
 
 def cmd_reproduce(figure: str, out_dir: Path) -> int:
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; one of {', '.join(_FIGURES)}")
-    rows = _reproduce_rows(figure)
+    columns = _reproduce_columns(figure)
     path = out_dir / f"{figure}.csv"
-    _write_csv(path, ["param", "policy", "zeta"], rows)
-    print(f"{figure}: {len(rows)} rows -> {path}")
+    _write_csv(path, ["param", "policy", "zeta"], columns)
+    print(f"{figure}: {len(columns[0])} rows -> {path}")
     return 0
 
 

@@ -392,20 +392,38 @@ class HyperExponential(ServiceDistribution):
     def quantile(self, q):
         # Bisection down to adjacent floats, so the result is the exact
         # generalized inverse of this class's own F.  Above the median the
-        # test reads sf, the accurate side there.
-        def below(x):
-            return self.cdf(x) < q if q <= 0.5 else self.sf(x) > 1.0 - q
+        # gap reads sf, the accurate side there.
+        if q == 1.0:
+            return math.inf  # F reaches 1 only in the limit
 
-        # The slowest phase alone reaches q last; rounding may leave its
-        # quantile a hair short, hence the doubling.
-        lo, hi = 0.0, -math.log1p(-q) / min(self.rates)
-        while hi > lo and below(hi):
-            lo, hi = hi, 2.0 * hi
+        def gap(x):  # positive exactly below the answer; convex, decreasing
+            return q - self.cdf(x) if q <= 0.5 else self.sf(x) - (1.0 - q)
+
+        # Newton on the convex gap climbs from below and, but for rounding,
+        # never passes the answer.  It starts where the slowest phase's tail
+        # alone, w e^{-r x}, falls to 1 - q; the mixture's sf is above that.
+        rate, weight = min(zip(self.rates, self.weights))
+        x = max((math.log(weight) - math.log1p(-q)) / rate, 0.0)
+        for _ in range(32):  # a bound only: a handful of steps converge
+            g = gap(x)
+            if not g > 0.0:
+                break
+            step = g / sum(w * r * math.exp(-r * x) for w, r in zip(self.weights, self.rates))
+            if not x < x + step < math.inf:
+                break
+            x += step
+        # gallop out from x in doubling steps to a bracket, then bisect it
+        lo = hi = x
+        d = math.ulp(x)
+        while gap(hi) > 0.0:
+            lo, hi, d = hi, hi + d, 2.0 * d
+        while lo > 0.0 and not gap(lo) > 0.0:
+            lo, hi, d = max(lo - d, 0.0), lo, 2.0 * d
         while True:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 return hi
-            if below(mid):
+            if gap(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid

@@ -53,6 +53,7 @@ __all__ = [
     "simulate_peaks",
     "estimate_paoi",
     "aoi_trajectory",
+    "trajectory_columns",
     "simulate_randomized",
     "run_replications",
     "pooled_estimate",
@@ -311,6 +312,28 @@ def simulate_peaks(
     return [PeakRecord(k, *row) for k, row in enumerate(rows, warmup + 1)]
 
 
+def trajectory_columns(
+    d: ServiceDistribution,
+    policy: Policy,
+    horizon: float,
+    seed: int,
+    stall_limit: int = DEFAULT_STALL_LIMIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aoi_trajectory` as arrays ``(time, peak, reset_to)``, one
+    entry per breakpoint."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    parts = []
+    for cols in _blocks(d, policy, seed, stall_limit):
+        parts.append(cols)
+        if cols.receive_time[-1] > horizon:
+            break
+    cols = PeakColumns(*(np.concatenate(c) for c in zip(*parts)))
+    n = int(np.searchsorted(cols.receive_time, horizon, side="right"))
+    # a reception's drop-to value is the next peak's carried service time
+    return cols.receive_time[:n], cols.peak[:n], cols.received_service[1 : n + 1]
+
+
 def aoi_trajectory(
     d: ServiceDistribution,
     policy: Policy,
@@ -325,24 +348,8 @@ def aoi_trajectory(
     same seed.  The loop runs up to the first reception past ``horizon``,
     whose carried service time is the last drop-to value.
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    parts = []
-    for cols in _blocks(d, policy, seed, stall_limit):
-        parts.append(cols)
-        if cols.receive_time[-1] > horizon:
-            break
-    cols = PeakColumns(*(np.concatenate(c) for c in zip(*parts)))
-    n = int(np.searchsorted(cols.receive_time, horizon, side="right"))
-    # a reception's drop-to value is the next peak's carried service time
-    return [
-        AoiBreakpoint(*point)
-        for point in zip(
-            cols.receive_time[:n].tolist(),
-            cols.peak[:n].tolist(),
-            cols.received_service[1 : n + 1].tolist(),
-        )
-    ]
+    columns = trajectory_columns(d, policy, horizon, seed, stall_limit)
+    return [AoiBreakpoint(*point) for point in zip(*(c.tolist() for c in columns))]
 
 
 def _batch_means(

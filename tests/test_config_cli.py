@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import CATALOG
 
@@ -30,7 +31,7 @@ from paoi_lab import (
     XMinThreshold,
     ZeroWait,
 )
-from paoi_lab.cli import cmd_optimize, main
+from paoi_lab.cli import _fmt, _write_csv, cmd_optimize, main
 from paoi_lab.config import (
     ExperimentConfig,
     OptimizerSpec,
@@ -455,6 +456,86 @@ class TestCliExtras:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def reference_csv(path, header, rows):
+    """The row writer the column writer replaced: ``csv.writer`` with every
+    float cell through the old ``_fmt`` and its ``isinf``/``isnan`` branches."""
+
+    def fmt(x):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+        return format(float(x), ".12g")
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+
+
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 123456789012345.0, 0.1]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("v", [*EDGE_FLOATS, np.float64(2.0 / 3.0)], ids=repr)
+    def test_fmt_is_format_12g(self, v):
+        assert _fmt(v) == "%.12g" % v == format(v, ".12g")
+
+    # (header, columns as the CLI passes them, rows as the old CLI built them)
+    CASES = {
+        "quoted labels": (
+            ["policy", "zeta", "count"],
+            [
+                ["repetitive[1,2,2.5]", 'say "hi"', 'a,"b"', "Erlang(3, 1.0)", "line\nbreak",
+                 "zero-wait", "fixed(2)", "pareto-a0.5"],
+                np.array([0.1, 1e300, 5e-324, -0.0, 123456789012345.0, 2.0, 1.0 / 3.0, 7.0]),
+                np.array([0, -3, 2**40, 7, 1, 123, 2**62, 9]),
+            ],
+            None,
+        ),
+        "int against float params": (
+            ["param", "policy", "zeta"],
+            [[1, 1, 2, 2], ["zero-wait", "optimal"] * 2, [4.0, 3.5, math.inf, 2.75]],
+            [[1, "zero-wait", 4.0], [1, "optimal", 3.5], [2, "zero-wait", math.inf],
+             [2, "optimal", 2.75]],
+        ),
+        "float params": (
+            ["param", "policy", "zeta"],
+            [np.array([0.05, 1.0, 1e-9, 15.0]), ["erlang-k1"] * 4,
+             np.array([1.25, 2.0, 1.0000000005, 15.5])],
+            None,
+        ),
+        "pooled row": (
+            ["replication", "seed", "peaks", "mean", "stderr"],
+            [["0", "1", "pooled"], [7, 8, 7], [200, 200, 400], [2.5, 2.25, 2.375],
+             [0.125, 0.0625, math.nan]],
+            [[0, 7, 200, 2.5, 0.125], [1, 8, 200, 2.25, 0.0625],
+             ["pooled", 7, 400, 2.375, math.nan]],
+        ),
+        "non-finite cells": (
+            ["a", "b"],
+            [np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])],
+            None,
+        ),
+        "no rows": (["time", "peak", "reset_to"], [np.empty(0)] * 3, []),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_row_writer_byte_for_byte(self, case, tmp_path):
+        header, columns, rows = self.CASES[case]
+        if rows is None:
+            rows = list(zip(*(np.asarray(c).tolist() if isinstance(c, np.ndarray) else c
+                              for c in columns)))
+        _write_csv(tmp_path / "new.csv", header, columns)
+        reference_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_unequal_columns_are_an_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"

@@ -41,6 +41,7 @@ from paoi_lab import (
     simulate_randomized,
 )
 from paoi_lab.policies import resolve
+from paoi_lab.simulate import trajectory_columns
 
 
 @dataclass
@@ -285,6 +286,26 @@ class TestTrajectory:
         records = simulate_peaks(d, policy, peaks=len(points), seed=44)
         assert [p.time for p in points] == [r.receive_time for r in records]
         assert [p.peak for p in points] == [r.peak for r in records]
+
+    @pytest.mark.parametrize(
+        "policy", [FixedThreshold(2.0), RandomizedThreshold(UniformSampler(0.5, 3.0))]
+    )
+    def test_columns_equal_the_breakpoints(self, policy):
+        d = Erlang(3, 1.0)
+        times, peak, reset_to = trajectory_columns(d, policy, horizon=600.0, seed=12)
+        points = aoi_trajectory(d, policy, horizon=600.0, seed=12)
+        assert len(points) > 50
+        assert times.tolist() == [p.time for p in points]
+        assert peak.tolist() == [p.peak for p in points]
+        assert reset_to.tolist() == [p.reset_to for p in points]
+        # a drop-to value is the next peak's carried service time
+        records = simulate_peaks(d, policy, peaks=len(points) + 1, seed=12)
+        assert reset_to.tolist() == [r.received_service for r in records[1:]]
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_columns_reject_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            trajectory_columns(Exponential(1.0), ZeroWait(), horizon=horizon, seed=0)
 
 
 class TestRandomized:
