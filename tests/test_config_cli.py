@@ -833,3 +833,72 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
         assert main(["reproduce", "--figure", figure, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == PINNED_SHA256
+
+
+# optimize and check on the laws the test above does not search, each read
+# as stdout and CSV, and a 2000-point log sweep that starts below Pareto's
+# support; pinned on the per-point scalar loop, before grids were read as arrays
+PINNED_LAWS = {
+    "erlang": "{kind: erlang, params: {shape: 3, rate: 1.0}}",
+    "log-normal": "{kind: log-normal, params: {mu: 0.0, sigma: 1.0}}",
+    "hyper-exponential": "{kind: hyper-exponential, params: "
+                         "{rates: [10.0, 1.0], weights: [0.9090909090909091, 0.09090909090909091]}}",
+    "shifted-exponential": "{kind: shifted-exponential, params: {shift: 0.5, rate: 2.0}}",
+    "deterministic": "{kind: deterministic, params: {value: 1.5}}\n"
+                     "optimizer: {theta_min: 1.5, theta_max: 3.0}",
+}
+PINNED_LAW_SHA256 = {
+    "erlang optimize stdout":
+        "d3e37717292373b7e7b4dd321dd87319b709767ee1186f6c1864d34c2111fa0f",
+    "erlang check stdout":
+        "f14831b73c2b08059ede277b74fc12fb171465cb5d3bc60974631f2ea49c1c18",
+    "log-normal optimize stdout":
+        "bfa48c994529bf0b23cc1661d4e8210ea76bf823fa36f308c9387a6c51a179b2",
+    "log-normal check stdout":
+        "a8ce9e451029f88879410f02675622adf15dc69223470b77cef870d937ac6a2b",
+    "hyper-exponential optimize stdout":
+        "7b75c571f282e862c4b3bf6fdccce475b22b9494e2fc58178a0986b88a76d5e9",
+    "hyper-exponential check stdout":
+        "0b72c48224b9001646bbe1c0cb6690a6dec11e7cbfb5c85eac5e6e22d5a7c051",
+    "shifted-exponential optimize stdout":
+        "fea2f18f37ae189a734bda6f7d5e97bd6f0cad4720d6c945972f78f42a5e61f2",
+    "shifted-exponential check stdout":
+        "4b8e96bf06f9b2d3b3927f22c2f2c0da9972b790ce464a7b8d9ee765d3bd9d74",
+    "deterministic optimize stdout":
+        "59d88aa60a6e88a6f81d8284cb53db1bbaae1b4656261f282a55d8360baabd67",
+    "deterministic check stdout":
+        "d6546b0719f8f4c0d1d38bcdc99fa10ea128747f917d2c50e15f6a517dfdf9d8",
+    "erlang_optimize.csv":
+        "e585a63322a61df0d259d686e3cf114be512d6140283d8c0d68fd00a1f11ac3e",
+    "log-normal_optimize.csv":
+        "ca801c96f849e741ec12d8c72a1659d7ffcfa4964deb4c5b45f2bd3afb830d1b",
+    "hyper-exponential_optimize.csv":
+        "4eabe4c490e81b8d2190d7ccd91a445465aeb19312f9c7c15134f01bbc1f129e",
+    "shifted-exponential_optimize.csv":
+        "a077e8c92fe04ad4c0cd0b502d74a822a99092539b1aa4fb280ede2f6967f9f3",
+    "deterministic_optimize.csv":
+        "c8a69de0bc83227a78d261dbe62bac4aa7f0e6d58087c5f175fc7e8595b418e9",
+    "pareto1.5_sweep.csv":
+        "382271d9929249750b50bb839db30f5ff8fdb9e197e70ec9e3a41e18206e5cef",
+}
+
+
+def test_cli_law_outputs_match_pinned_bytes(tmp_path, capsys):
+    out = tmp_path / "out"
+    digests = {}
+    for name, law in PINNED_LAWS.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(f"distribution: {law}\noutput: {{prefix: {name}}}\n")
+        for verb in ("optimize", "check"):
+            assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.encode()
+            digests[f"{name} {verb} stdout"] = hashlib.sha256(stdout).hexdigest()
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text("distribution: {kind: pareto, params: {xm: 1.0, alpha: 1.5}}\n"
+                   "sweep: {theta_min: 0.5, theta_max: 1000.0, count: 2000, spacing: log}\n"
+                   "output: {prefix: pareto1.5}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for p in out.glob("*.csv"):
+        digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digests == PINNED_LAW_SHA256
