@@ -28,7 +28,14 @@ Every deterministic policy is such a sequence (:func:`paoi_policy`).
 
 Every grid of thresholds (the optimizer's search and cross-check, the
 sweep, the figure curves) is read in one pass by :func:`paoi_thresholds`,
-once per point and primitive, with the same rounding as a single value.
+which takes ``F``, ``P(X > theta)`` and ``M`` for the whole grid from one
+call of the law's array form
+(:meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`).
+The array forms round every point as the scalar primitives do: scipy's
+ufuncs take the array, ``math``'s transcendental functions run once per
+element, and numpy does only ``+ - * /`` (numpy's ``power``, ``log`` and
+``expm1`` would move last bits), so the grid and a single value agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -103,14 +110,20 @@ def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
 
 
 def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
-    """:func:`paoi_fixed_threshold` at every finite threshold of ``thetas``,
-    bit for bit, reading each primitive once per point."""
+    """:func:`paoi_fixed_threshold` at every threshold of ``thetas``, bit
+    for bit, from one call of ``d.grid_primitives``.
+
+    An infinite threshold never preempts and reads the zero-wait row
+    ``(2 E[X], E[X], E[X])``, where the formula would multiply ``inf * 0``.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    f, sf, m = (np.array([prim(t) for t in thetas.tolist()], dtype=float)
-                for prim in (d.cdf, d.sf, d.truncated_first_moment))
+    f, sf, m = d.grid_primitives(thetas)
     values = np.full((3, thetas.size), math.inf)
-    delivers = f > 0.0
+    never = thetas == math.inf
+    delivers = (f > 0.0) & ~never
     values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
+    mean = d.mean()  # as paoi_fixed_threshold(d, inf)
+    values[0, never], values[1:, never] = 2.0 * mean, mean
     return PaoiGrid(*values, f, sf, m)
 
 

@@ -7,6 +7,28 @@ seeded sampling, all in closed form.  The base class derives the rest:
 the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by
 parts) and the conditional residual ``E[X - theta | X > theta]``.
 
+Every law also reads a whole threshold grid in one call:
+:meth:`ServiceDistribution.grid_primitives` returns the ``F``, ``sf`` and
+``M`` arrays and :meth:`ServiceDistribution.grid_residuals` the residuals,
+each bit for bit the scalar method's value at every point.  That holds
+because the array forms keep the scalar arithmetic and change only how it
+is dispatched:
+
+* a ``scipy.special`` function (``gammainc``, ``gammaincc``, ``ndtr``)
+  takes the whole array, the same ufunc loop a scalar call runs;
+* a ``math`` function (``exp``, ``expm1``, ``log``, ``log1p``, ``pow``) is
+  called once per element (:func:`_each`), because numpy's ``exp``,
+  ``expm1``, ``log`` and ``power`` round some points differently: on
+  ``(xm / x) ** alpha``, ``np.power`` differs from ``**`` on about 5 % of
+  points for Pareto alpha = 1.5 and 3;
+* numpy does only ``+ - * /`` and comparisons, which round each element
+  as Python's operators do, in the scalar expression's order (a mixture
+  sums its phases in ``sum``'s order);
+* thresholds below the support never reach a ``math`` function (``log1p``
+  raises below Pareto's ``xm``) and take the scalar's constants instead,
+  and numpy's overflow warning is silenced, since Python's float
+  arithmetic overflows to ``inf`` silently.
+
 Conventions
 -----------
 * All Stieltjes integrals over ``[0, theta]`` are right-closed: an atom
@@ -24,6 +46,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
@@ -43,13 +66,20 @@ __all__ = [
 ]
 
 
-def _exp_truncated_moment(rate: float, tau: float) -> float:
-    """``int_0^tau x d(1 - e^{-rate x})``, i.e. ``P(2, rate tau) / rate``.
+def _exp_truncated_moment(rate: float, tau):
+    """``int_0^tau x d(1 - e^{-rate x})``, i.e. ``P(2, rate tau) / rate``,
+    for a number or an array ``tau``.
 
     The regularized incomplete gamma keeps full relative accuracy deep in
     the lower tail, where ``1 - e^{-u} - u e^{-u}`` cancels.
     """
-    return float(gammainc(2, rate * tau)) / rate
+    return gammainc(2, rate * tau) / rate
+
+
+def _each(fn, xs: np.ndarray, *constants) -> np.ndarray:
+    """``fn(x, *constants)`` for every element ``x`` of ``xs``: a ``math``
+    function called once per element, so each rounds as the scalar call."""
+    return np.fromiter(map(fn, xs.tolist(), *map(repeat, constants)), float, xs.size)
 
 
 class ServiceDistribution(ABC):
@@ -106,6 +136,45 @@ class ServiceDistribution(ABC):
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.sample_batch(rng, 1)[0])
 
+    def grid_primitives(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(F, sf, M)`` at every threshold of ``thetas`` in one call, each
+        bit for bit what :meth:`cdf`, :meth:`sf` and
+        :meth:`truncated_first_moment` return there (for thresholds that
+        are not ``nan``)."""
+        x = np.asarray(thetas, dtype=float)
+        f, sf, m = np.zeros(x.shape), np.ones(x.shape), np.zeros(x.shape)
+        inside = self._reaches_support(x)
+        with np.errstate(over="ignore"):
+            f[inside], sf[inside], m[inside] = self._primitives(x[inside])
+        return f, sf, m
+
+    def grid_residuals(self, thetas) -> np.ndarray:
+        """:meth:`conditional_residual` at every threshold of ``thetas`` in
+        one call, bit for bit, and ``nan`` where it raises
+        :class:`DegenerateCondition`."""
+        with np.errstate(over="ignore"):
+            return self._residuals(np.asarray(thetas, dtype=float))
+
+    # Each catalog law defines the two hooks below; they are not abstract so
+    # that a law written only for the simulator still builds.
+    def _reaches_support(self, x: np.ndarray) -> np.ndarray:
+        """The thresholds the scalar primitives evaluate in closed form; at
+        the others they return ``F = 0``, ``sf = 1`` and ``M = 0``."""
+        raise NotImplementedError(f"{type(self).__name__} has no array form")
+
+    def _primitives(self, x: np.ndarray):
+        """``(F, sf, M)`` on thresholds that reach the support."""
+        raise NotImplementedError(f"{type(self).__name__} has no array form")
+
+    def _residuals(self, x: np.ndarray) -> np.ndarray:
+        """The base form ``(E[X] - M) / sf - theta`` where ``sf > 0``."""
+        _, tail, m = self.grid_primitives(x)
+        out = np.full(x.shape, math.nan)
+        live = tail > 0.0
+        mean = self.mean()
+        out[live] = math.inf if math.isinf(mean) else (mean - m[live]) / tail[live] - x[live]
+        return out
+
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
@@ -131,11 +200,21 @@ class Exponential(ServiceDistribution):
     def truncated_first_moment(self, theta):
         if theta <= 0:
             return 0.0
-        return _exp_truncated_moment(self.rate, theta)
+        return float(_exp_truncated_moment(self.rate, theta))
 
     def conditional_residual(self, theta):
         # memoryless: the residual never depends on theta
         return 1.0 / self.rate
+
+    def _reaches_support(self, x):
+        return x > 0
+
+    def _primitives(self, x):
+        u = -self.rate * x
+        return -_each(math.expm1, u), _each(math.exp, u), _exp_truncated_moment(self.rate, x)
+
+    def _residuals(self, x):
+        return np.full(x.shape, 1.0 / self.rate)
 
     def quantile(self, q):
         return -math.log1p(-q) / self.rate
@@ -175,6 +254,14 @@ class Erlang(ServiceDistribution):
         if theta <= 0:
             return 0.0
         return self.mean() * float(gammainc(self.shape + 1, self.rate * theta))
+
+    def _reaches_support(self, x):
+        return x > 0
+
+    def _primitives(self, x):
+        u = self.rate * x
+        return (gammainc(self.shape, u), gammaincc(self.shape, u),
+                self.mean() * gammainc(self.shape + 1, u))
 
     def quantile(self, q):
         return float(gammaincinv(self.shape, q)) / self.rate
@@ -239,6 +326,23 @@ class Pareto(ServiceDistribution):
             return self.mean() - theta
         return theta / (self.alpha - 1.0)
 
+    def _reaches_support(self, x):
+        return x >= self.xm
+
+    def _primitives(self, x):
+        a, xm = self.alpha, self.xm
+        log_ratio = _each(math.log1p, (x - xm) / xm)
+        f = -_each(math.expm1, -a * log_ratio)
+        sf = _each(math.pow, xm / x, a)  # math.pow rounds as ``**`` does
+        if a == 1.0:
+            return f, sf, xm * log_ratio
+        return f, sf, a * xm * -_each(math.expm1, -(a - 1.0) * log_ratio) / (a - 1.0)
+
+    def _residuals(self, x):
+        if self.alpha <= 1.0:
+            return np.full(x.shape, math.inf)
+        return np.where(x < self.xm, self.mean() - x, x / (self.alpha - 1.0))
+
     def quantile(self, q):
         return self.xm * math.exp(-math.log1p(-q) / self.alpha)
 
@@ -275,12 +379,24 @@ class ShiftedExponential(ServiceDistribution):
         if theta <= self.shift:
             return 0.0
         tau = theta - self.shift
-        return _exp_truncated_moment(self.rate, tau) + self.shift * self.cdf(theta)
+        return float(_exp_truncated_moment(self.rate, tau)) + self.shift * self.cdf(theta)
 
     def conditional_residual(self, theta):
         if theta < self.shift:
             return self.shift - theta + 1.0 / self.rate
         return 1.0 / self.rate
+
+    def _reaches_support(self, x):
+        return x > self.shift
+
+    def _primitives(self, x):
+        tau = x - self.shift
+        u = -self.rate * tau
+        f = -_each(math.expm1, u)
+        return f, _each(math.exp, u), _exp_truncated_moment(self.rate, tau) + self.shift * f
+
+    def _residuals(self, x):
+        return np.where(x < self.shift, self.shift - x + 1.0 / self.rate, 1.0 / self.rate)
 
     def quantile(self, q):
         return self.shift - math.log1p(-q) / self.rate
@@ -332,6 +448,14 @@ class TwoPoint(ServiceDistribution):
             return self.p * self.t1
         return self.mean()
 
+    def _reaches_support(self, x):
+        return x >= self.t1
+
+    def _primitives(self, x):
+        below = x < self.t2
+        return (np.where(below, self.p, 1.0), np.where(below, 1.0 - self.p, 0.0),
+                np.where(below, self.p * self.t1, self.mean()))
+
     def quantile(self, q):
         return self.t1 if q <= self.p else self.t2
 
@@ -376,7 +500,7 @@ class HyperExponential(ServiceDistribution):
         if theta <= 0:
             return 0.0
         return sum(
-            w * _exp_truncated_moment(r, theta) for w, r in zip(self.weights, self.rates)
+            w * float(_exp_truncated_moment(r, theta)) for w, r in zip(self.weights, self.rates)
         )
 
     def conditional_residual(self, theta):
@@ -388,6 +512,26 @@ class HyperExponential(ServiceDistribution):
         if z <= 0.0:
             raise DegenerateCondition(f"P(X > {theta}) underflowed to 0")
         return sum(t / r for t, r in zip(tails, self.rates)) / z
+
+    def _reaches_support(self, x):
+        return x > 0
+
+    def _primitives(self, x):
+        # each column sums its phases in the scalar ``sum``'s order
+        phases = list(zip(self.weights, self.rates))
+        return (sum(w * -_each(math.expm1, -r * x) for w, r in phases),
+                sum(w * _each(math.exp, -r * x) for w, r in phases),
+                sum(w * _exp_truncated_moment(r, x) for w, r in phases))
+
+    def _residuals(self, x):
+        out = np.full(x.shape, self.mean())
+        on = np.flatnonzero(x > 0)
+        tails = [w * _each(math.exp, -r * x[on]) for w, r in zip(self.weights, self.rates)]
+        z = sum(tails)
+        live = z > 0.0  # the posterior weights exist; nan where z underflowed
+        out[on] = math.nan
+        out[on[live]] = sum(t[live] / r for t, r in zip(tails, self.rates)) / z[live]
+        return out
 
     def quantile(self, q):
         # Bisection down to adjacent floats, so the result is the exact
@@ -473,6 +617,13 @@ class LogNormal(ServiceDistribution):
             return 0.0
         return self.mean() * float(ndtr(self._z(theta) - self.sigma))
 
+    def _reaches_support(self, x):
+        return x > 0
+
+    def _primitives(self, x):
+        z = (_each(math.log, x) - self.mu) / self.sigma
+        return ndtr(z), ndtr(-z), self.mean() * ndtr(z - self.sigma)
+
     def quantile(self, q):
         return math.exp(self.mu + self.sigma * float(ndtri(q)))
 
@@ -503,6 +654,12 @@ class Deterministic(ServiceDistribution):
 
     def truncated_first_moment(self, theta):
         return self.value if theta >= self.value else 0.0
+
+    def _reaches_support(self, x):
+        return x >= self.value
+
+    def _primitives(self, x):
+        return 1.0, 0.0, self.value
 
     def quantile(self, q):
         return self.value

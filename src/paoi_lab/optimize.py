@@ -34,7 +34,7 @@ import numpy as np
 
 from .analytic import paoi_fixed_threshold, paoi_thresholds, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
-from .errors import DegenerateCondition, InvalidWindow
+from .errors import InvalidWindow
 
 __all__ = [
     "OptimizationResult",
@@ -365,21 +365,23 @@ def mean_residual_witness(d: ServiceDistribution, thetas) -> PreemptionVerdict:
     preemptions are beneficial.  The converse does not hold: finding no
     witness proves nothing.  For an infinite mean the comparison is
     vacuous and the verdict is returned unestablished with ``nan`` margin.
+
+    The residuals come from one call of ``d.grid_residuals``, each bit for
+    bit :meth:`~paoi_lab.distributions.ServiceDistribution.conditional_residual`
+    (the base form ``(E[X] - M) / sf - theta`` read from the law's
+    ``sf`` and ``M`` arrays, or the law's own closed form).  A threshold
+    with ``P(X > theta) = 0`` has no residual and is skipped; when every
+    threshold is skipped the margin is ``-inf`` and there is no witness.
+    The witness is the first threshold whose residual exceeds the mean.
     """
     mean = d.mean()
     if math.isinf(mean):
         return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
-    best_margin = -math.inf
-    witness = None
-    for theta in np.asarray(thetas, dtype=float):
-        try:
-            residual = d.conditional_residual(float(theta))
-        except DegenerateCondition:
-            continue
-        margin = residual - mean
-        best_margin = max(best_margin, margin)
-        if witness is None and margin > 0.0:
-            witness = float(theta)
+    thetas = np.asarray(thetas, dtype=float)
+    margins = d.grid_residuals(thetas) - mean
+    best_margin = float(np.max(margins[~np.isnan(margins)], initial=-math.inf))
+    above = np.flatnonzero(margins > 0.0)
+    witness = float(thetas[above[0]]) if above.size else None
     return PreemptionVerdict(witness is not None, witness, "sufficient-residual", best_margin)
 
 

@@ -148,6 +148,18 @@ class TestThresholdGrid:
         assert np.all(np.isinf(np.array(grid[:3])[:, undelivered]))
         assert np.all(np.isfinite(np.array(grid[:3])[:, ~undelivered]))
 
+    @pytest.mark.parametrize(
+        "d", [*CATALOG.values(), Pareto(1.0, 0.5)], ids=[*CATALOG, "pareto-a0.5"])
+    def test_infinite_threshold_reads_zero_wait(self, d):
+        # theta = inf never preempts: the row is (2 E[X], E[X], E[X]), as for
+        # a single value, where the formula would multiply inf * 0
+        grid = paoi_thresholds(d, [d.support_min() + 1.0, math.inf])
+        v = paoi_fixed_threshold(d, math.inf)
+        assert (grid.zeta[1], grid.received_service[1], grid.interreception[1]) == (
+            v.zeta, v.received_service, v.interreception)
+        assert grid.zeta[1] == paoi_zero_wait(d)
+        assert grid.zeta[0] == paoi_fixed_threshold(d, d.support_min() + 1.0).zeta
+
 
 class TestSimplePolicies:
     def test_zero_wait(self):

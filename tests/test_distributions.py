@@ -11,6 +11,7 @@ from paoi_lab import (
     Erlang,
     Exponential,
     HyperExponential,
+    LogNormal,
     Pareto,
     TwoPoint,
 )
@@ -204,6 +205,82 @@ class TestConditionalResidual:
             assert d.conditional_residual(theta) == pytest.approx(
                 num / d.sf(theta), rel=1e-7
             )
+
+
+# The catalog plus the shapes whose arithmetic differs: Pareto on both sides
+# of alpha = 1 (where M changes form) and 2, a wide log-normal and three phases.
+ARRAY_LAWS = {
+    **CATALOG,
+    "pareto-a0.5": Pareto(1.0, 0.5),
+    "pareto-a1": Pareto(1.0, 1.0),
+    "pareto-a1.5": Pareto(1.0, 1.5),
+    "pareto-a3": Pareto(1.0, 3.0),
+    "log-normal-s2.5": LogNormal(0.0, 2.5),
+    "hyper-exponential-3": HyperExponential((20.0, 2.0, 0.1), (0.5, 0.3, 0.2)),
+}
+
+
+def scalar_columns(d, thetas):
+    """F, sf, M and the residual (``nan`` where it raises), point by point."""
+
+    def residual(t):
+        try:
+            return d.conditional_residual(t)
+        except DegenerateCondition:
+            return math.nan
+
+    prims = (d.cdf, d.sf, d.truncated_first_moment, residual)
+    return [np.array([prim(t) for t in thetas], dtype=float) for prim in prims]
+
+
+def assert_same_bits(name, thetas, got, want):
+    """Equal as 64-bit patterns, so -0.0 against 0.0 or a last-bit slip fails."""
+    for column, a, b in zip(("F", "sf", "M", "residual"), got, want):
+        a = np.asarray(a, dtype=float)
+        differ = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
+        assert differ.size == 0, (name, column, [(thetas[i], a[i], b[i]) for i in differ[:5]])
+
+
+def array_columns(d, thetas):
+    return [*d.grid_primitives(thetas), d.grid_residuals(thetas)]
+
+
+class TestArrayForms:
+    """``grid_primitives`` and ``grid_residuals`` against the scalar methods,
+    bit for bit.
+
+    The array forms may use numpy only for ``+ - * /``: swapping in
+    ``np.power`` for Pareto's ``(xm / x) ** alpha``, ``np.log`` for the
+    log-normal's ``math.log`` or ``np.expm1`` for the exponential laws'
+    ``math.expm1`` moves last bits and fails both tests below.
+    """
+
+    @staticmethod
+    def dense_grid(d):
+        xmin = d.support_min()
+        atoms = [getattr(d, a) for a in ("t1", "t2", "value") if hasattr(d, a)]
+        edges = [0.0, -0.0, -1.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
+                 0.5 * xmin, math.nextafter(xmin, 0.0), xmin, math.nextafter(xmin, math.inf),
+                 *atoms, *(math.nextafter(a, s) for a in atoms for s in (0.0, math.inf)),
+                 1e300, math.inf]
+        return np.concatenate([edges, np.geomspace(1e-12, 1e6, 10_000),
+                               np.linspace(0.0, 20.0, 10_001)]).tolist()
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_LAWS))
+    def test_dense_grid_matches_scalar_bits(self, name):
+        d = ARRAY_LAWS[name]
+        thetas = self.dense_grid(d)
+        assert len(thetas) > 20_000
+        assert_same_bits(name, thetas, array_columns(d, thetas), scalar_columns(d, thetas))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ARRAY_LAWS)),
+        thetas=st.lists(st.floats(min_value=-1.0, allow_nan=False), max_size=40),
+    )
+    def test_any_grid_matches_scalar_bits(self, name, thetas):
+        d = ARRAY_LAWS[name]
+        assert_same_bits(name, thetas, array_columns(d, thetas), scalar_columns(d, thetas))
 
 
 class TestQuantile:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from paoi_lab import (
+    DegenerateCondition,
     Deterministic,
     Erlang,
     Exponential,
     InvalidWindow,
     Pareto,
+    PreemptionVerdict,
     TwoPoint,
     bellman_fixed_point,
     default_window,
@@ -294,6 +296,67 @@ class TestResidualCondition:
         lo, hi = default_window(d)
         assert mean_residual_witness(d, theta_grid(lo, hi, 2000)).beneficial
         assert preemption_beneficial(d, lo, hi).beneficial
+
+
+def loop_witness(d, thetas):
+    """The reference for :func:`mean_residual_witness`: ``conditional_residual``
+    one threshold at a time, skipping those where it raises."""
+    mean = d.mean()
+    if math.isinf(mean):
+        return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
+    best_margin = -math.inf
+    witness = None
+    for theta in np.asarray(thetas, dtype=float).tolist():
+        try:
+            residual = d.conditional_residual(theta)
+        except DegenerateCondition:
+            continue
+        margin = residual - mean
+        best_margin = max(best_margin, margin)
+        if witness is None and margin > 0.0:
+            witness = theta
+    return PreemptionVerdict(witness is not None, witness, "sufficient-residual", best_margin)
+
+
+def assert_same_verdict(got, want):
+    assert (got.beneficial, got.witness_theta, got.condition) == (
+        want.beneficial, want.witness_theta, want.condition)
+    assert got.margin == want.margin or (math.isnan(got.margin) and math.isnan(want.margin))
+
+
+class TestResidualWitnessFromArrays:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_default_grid_matches_loop(self, name):
+        d = CATALOG[name]
+        window = (1.5, 3.0) if name == "deterministic" else default_window(d)
+        thetas = theta_grid(*window, 2000)
+        assert_same_verdict(mean_residual_witness(d, thetas), loop_witness(d, thetas))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_infinite_mean_is_nan(self, alpha):
+        d = Pareto(1.0, alpha)
+        thetas = theta_grid(*default_window(d), 2000)
+        got = mean_residual_witness(d, thetas)
+        assert math.isnan(got.margin) and got.witness_theta is None
+        assert_same_verdict(got, loop_witness(d, thetas))
+
+    def test_every_lane_skipped_is_minus_inf(self):
+        # P(X > theta) = 0 on the whole window: no residual anywhere
+        d = Deterministic(1.5)
+        thetas = theta_grid(1.5, 3.0, 2000)
+        got = mean_residual_witness(d, thetas)
+        assert got.margin == -math.inf and got.witness_theta is None and not got.beneficial
+        assert_same_verdict(got, loop_witness(d, thetas))
+
+    @pytest.mark.parametrize("window", [(3.0, 6.0), (0.5, 6.0)])
+    def test_two_point_past_the_upper_atom(self, window):
+        # P(X > theta) = 0 from t2 = 3 on: the first window skips every lane,
+        # the second mixes skipped and live lanes
+        thetas = theta_grid(*window, 2000)
+        got = mean_residual_witness(TP, thetas)
+        assert_same_verdict(got, loop_witness(TP, thetas))
+        if window[0] >= TP.t2:
+            assert got.margin == -math.inf and got.witness_theta is None
 
 
 class TestTwoPointCritical:
