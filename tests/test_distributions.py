@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -220,6 +221,26 @@ ARRAY_LAWS = {
 }
 
 
+# SHA-256 of the int64 views of the F, sf, M and residual columns on
+# ``TestArrayForms.dense_grid``, concatenated in that order.
+PINNED_GRID_BITS = {
+    "deterministic": "213430740983485354123751bb8e352da52e648544330aaaff5289d2009764a2",
+    "erlang": "959d6498b92c8feb0a935165d8f86679af1ccefa137a3d62dc5c14c0e96799e8",
+    "exponential": "aa8b329f948c680792abcf1fffcd54a20bc89add047e3216e4c4bc2e485bccb1",
+    "hyper-exponential": "864fd35492ed4d8174159cb2fee1ac3c5f3949be70d99a9036b3b4cc8614b59b",
+    "hyper-exponential-3": "53a228d89534870b094ff53b6f13a86400b734416fe34cbebe5c49cf25da6ba6",
+    "log-normal": "2fd3d376724e6509473e8503b24153477973c909ae13e641bf92c6b255f7cdc4",
+    "log-normal-s2.5": "2072e96ebb362c4910eb247f55d2e3404e059f0d504b7367fbcd58b631849a30",
+    "pareto": "9311a4db3a75f70ee6f806988124e7a44a48f37a1d17c10588e0debbd6f99d9d",
+    "pareto-a0.5": "41da821e6b0774d6a46dae9f8766a6912d2b5c0d67425e062e91a3f36ef96929",
+    "pareto-a1": "070c548697fa559d26ec002328241cbf40831088dac90641a3b144a0a2dadf73",
+    "pareto-a1.5": "c9fd7f102fc291d4d3b6c6a2853fc64d53291b5936ff3a1659981b71d26c9bfd",
+    "pareto-a3": "5160290b3843d778cd27f4159920bbcaf813a1a440c8ea3a39b2ac54fd70b54b",
+    "shifted-exponential": "0c8186935b4dac7fd059816c266fab77d1598218bc21fd6b4866d438a1261eb1",
+    "two-point": "feab1134b3d1043a9387dddcfb25c61626ab3e4d6c9973ba3e019baa4fc806cc",
+}
+
+
 def scalar_columns(d, thetas):
     """F, sf, M and the residual (``nan`` where it raises), point by point."""
 
@@ -272,6 +293,16 @@ class TestArrayForms:
         thetas = self.dense_grid(d)
         assert len(thetas) > 20_000
         assert_same_bits(name, thetas, array_columns(d, thetas), scalar_columns(d, thetas))
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_LAWS))
+    def test_dense_grid_bits_are_pinned(self, name):
+        # The scalar and array forms are checked against each other above;
+        # this pins what both read, so a change to a law's arithmetic shows
+        # even where it moves the two forms together.
+        d = ARRAY_LAWS[name]
+        columns = array_columns(d, self.dense_grid(d))
+        data = b"".join(np.asarray(c, dtype="<f8").view("<i8").tobytes() for c in columns)
+        assert hashlib.sha256(data).hexdigest() == PINNED_GRID_BITS[name]
 
     @settings(max_examples=200, deadline=None)
     @given(
