@@ -26,16 +26,14 @@ attempts before the last entry plus the fixed-threshold value of that
 entry, weighted by the probability of reaching it (:func:`paoi_repetitive`).
 Every deterministic policy is such a sequence (:func:`paoi_policy`).
 
-Every grid of thresholds (the optimizer's search and cross-check, the
-sweep, the figure curves) is read in one pass by :func:`paoi_thresholds`,
-which takes ``F``, ``P(X > theta)`` and ``M`` for the whole grid from one
-call of the law's array form
-(:meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`).
-The array forms round every point as the scalar primitives do: scipy's
-ufuncs take the array, ``math``'s transcendental functions run once per
-element, and numpy does only ``+ - * /`` (numpy's ``power``, ``log`` and
-``expm1`` would move last bits), so the grid and a single value agree bit
-for bit.
+A single threshold reads ``F``, ``P(X > theta)`` and ``M`` from one call
+of :meth:`~paoi_lab.distributions.ServiceDistribution.primitives`.  Every
+grid of thresholds (the optimizer's search and cross-check, the sweep, the
+figure curves) is read in one pass by :func:`paoi_thresholds`, which takes
+the three for the whole grid from one call of
+:meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`.  Both
+run the law's one formula, so the grid and a single value agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -103,10 +101,10 @@ def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
     if theta == math.inf:  # never preempt: each attempt is received
         m = d.mean()
         return PaoiValue(zeta=2.0 * m, received_service=m, interreception=m)
-    f = d.cdf(theta)
+    f, sf, m = d.primitives(theta)
     if f <= 0.0:
         return PaoiValue(math.inf, math.inf, math.inf)
-    return PaoiValue(*_paoi(theta, f, d.sf(theta), d.truncated_first_moment(theta)))
+    return PaoiValue(*_paoi(theta, f, sf, m))
 
 
 def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
@@ -165,7 +163,7 @@ def _paoi_sequence(d: ServiceDistribution, thresholds: tuple[float, ...]) -> Pao
     ex = ey = 0.0
     reach = 1.0  # probability that every attempt so far was preempted
     for theta in thresholds[:-1]:
-        m, sf = d.truncated_first_moment(theta), d.sf(theta)
+        _, sf, m = d.primitives(theta)
         ex += reach * m
         ey += reach * (m + theta * sf)
         reach *= sf

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -311,7 +312,11 @@ def cmd_reproduce(figure: str, out_dir: Path) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each
+    ``parse_args`` call starts from a fresh namespace, so no argument of
+    one call carries into the next."""
     parser = argparse.ArgumentParser(
         prog="paoi-lab",
         description="Average peak-AoI analysis for preemptive threshold request policies",

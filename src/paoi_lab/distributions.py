@@ -1,32 +1,35 @@
 """Service-time distribution catalog.
 
-Each law implements the few primitives the peak-age formulas consume:
-the CDF/survival pair, the truncated first moment
-``M(theta) = E[X 1{X <= theta}]``, a generalized-inverse quantile and
-seeded sampling, all in closed form.  The base class derives the rest:
-the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by
-parts) and the conditional residual ``E[X - theta | X > theta]``.
+The peak-age formulas read a law only through ``F``, ``P(X > theta)`` and
+the truncated first moment ``M(theta) = E[X 1{X <= theta}]``.  Each law
+writes those three once, in ``_primitives(x)``, beside
+``_reaches_support(x)``, the mask of thresholds inside its support, plus a
+generalized-inverse quantile and seeded sampling, all in closed form.  The
+same expressions take a float or an array:
+:meth:`ServiceDistribution.primitives` reads one threshold and
+:meth:`ServiceDistribution.grid_primitives` a whole grid, so a single value
+and a grid agree bit for bit.  ``cdf``, ``sf``, ``truncated_first_moment``,
+the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by parts)
+and the conditional residual ``E[X - theta | X > theta]`` derive from
+them in the base class; four laws give the residual in closed form
+(``_residuals``).
 
-Every law also reads a whole threshold grid in one call:
-:meth:`ServiceDistribution.grid_primitives` returns the ``F``, ``sf`` and
-``M`` arrays and :meth:`ServiceDistribution.grid_residuals` the residuals,
-each bit for bit the scalar method's value at every point.  That holds
-because the array forms keep the scalar arithmetic and change only how it
-is dispatched:
+One formula serves both because the array form changes only how the
+arithmetic is dispatched:
 
 * a ``scipy.special`` function (``gammainc``, ``gammaincc``, ``ndtr``)
-  takes the whole array, the same ufunc loop a scalar call runs;
+  takes a float or the whole array, the same ufunc loop either way;
 * a ``math`` function (``exp``, ``expm1``, ``log``, ``log1p``, ``pow``) is
   called once per element (:func:`_each`), because numpy's ``exp``,
   ``expm1``, ``log`` and ``power`` round some points differently: on
   ``(xm / x) ** alpha``, ``np.power`` differs from ``**`` on about 5 % of
   points for Pareto alpha = 1.5 and 3;
 * numpy does only ``+ - * /`` and comparisons, which round each element
-  as Python's operators do, in the scalar expression's order (a mixture
-  sums its phases in ``sum``'s order);
+  as Python's operators do, in the expression's order (a mixture sums its
+  phases in ``sum``'s order);
 * thresholds below the support never reach a ``math`` function (``log1p``
-  raises below Pareto's ``xm``) and take the scalar's constants instead,
-  and numpy's overflow warning is silenced, since Python's float
+  raises below Pareto's ``xm``) and read ``(0, 1, 0)`` instead, and
+  numpy's overflow warning is silenced on a grid, since Python's float
   arithmetic overflows to ``inf`` silently.
 
 Conventions
@@ -76,22 +79,17 @@ def _exp_truncated_moment(rate: float, tau):
     return gammainc(2, rate * tau) / rate
 
 
-def _each(fn, xs: np.ndarray, *constants) -> np.ndarray:
-    """``fn(x, *constants)`` for every element ``x`` of ``xs``: a ``math``
-    function called once per element, so each rounds as the scalar call."""
+def _each(fn, xs, *constants):
+    """``fn(x, *constants)`` for a float ``xs``, or for every element of an
+    array ``xs``: a ``math`` function called once per element, so each
+    rounds as a call on that float alone."""
+    if not isinstance(xs, np.ndarray):
+        return fn(xs, *constants)
     return np.fromiter(map(fn, xs.tolist(), *map(repeat, constants)), float, xs.size)
 
 
 class ServiceDistribution(ABC):
     """A nonnegative service-time law with the primitives PAoI formulas need."""
-
-    @abstractmethod
-    def cdf(self, x: float) -> float:
-        """P(X <= x), right-continuous."""
-
-    @abstractmethod
-    def sf(self, x: float) -> float:
-        """P(X > x), computed directly for tail accuracy."""
 
     @abstractmethod
     def support_min(self) -> float:
@@ -102,10 +100,6 @@ class ServiceDistribution(ABC):
         """E[X]; ``inf`` when the integral diverges."""
 
     @abstractmethod
-    def truncated_first_moment(self, theta: float) -> float:
-        """E[X 1{X <= theta}]; atoms at or below ``theta`` count fully."""
-
-    @abstractmethod
     def quantile(self, q: float) -> float:
         """Generalized inverse inf{x : F(x) >= q} for 0 < q < 1."""
 
@@ -113,34 +107,60 @@ class ServiceDistribution(ABC):
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. service times."""
 
+    def primitives(self, theta: float) -> tuple[float, float, float]:
+        """``(F(theta), P(X > theta), M(theta))`` with ``M(theta) =
+        E[X 1{X <= theta}]``: ``F`` right-continuous, ``P(X > theta)``
+        computed directly for tail accuracy, and atoms at or below
+        ``theta`` counted fully.
+
+        A threshold below the support reads ``(0, 1, 0)``, and so does
+        ``nan``, which no comparison places inside it: a ``nan`` threshold
+        never delivers, so its PAoI is ``inf``, on a grid as alone.
+        """
+        x = float(theta)
+        if not self._reaches_support(x):
+            return 0.0, 1.0, 0.0
+        f, sf, m = self._primitives(x)
+        return float(f), float(sf), float(m)
+
+    def cdf(self, x: float) -> float:
+        """P(X <= x), right-continuous."""
+        return self.primitives(x)[0]
+
+    def sf(self, x: float) -> float:
+        """P(X > x), computed directly for tail accuracy."""
+        return self.primitives(x)[1]
+
+    def truncated_first_moment(self, theta: float) -> float:
+        """E[X 1{X <= theta}]; atoms at or below ``theta`` count fully."""
+        return self.primitives(theta)[2]
+
     def integrated_cdf(self, theta: float) -> float:
         """int_0^theta F(x) dx, by parts ``theta F(theta) - M(theta)``."""
-        return theta * self.cdf(theta) - self.truncated_first_moment(theta)
+        f, _, m = self.primitives(theta)
+        return theta * f - m
 
     def conditional_residual(self, theta: float) -> float:
         """E[X - theta | X > theta].
 
         Returns ``inf`` when the mean diverges.  Raises
-        :class:`DegenerateCondition` when P(X > theta) = 0.
+        :class:`DegenerateCondition` where :meth:`grid_residuals` reads
+        ``nan``: when P(X > theta) = 0, or a mixture's posterior phase
+        weights underflow.
         """
-        tail = self.sf(theta)
-        if tail <= 0.0:
+        residual = float(self.grid_residuals([theta])[0])
+        if math.isnan(residual):
             raise DegenerateCondition(
                 f"P(X > {theta}) = 0; the residual conditioning event is null"
             )
-        m = self.mean()
-        if math.isinf(m):
-            return math.inf
-        return (m - self.truncated_first_moment(theta)) / tail - theta
+        return residual
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.sample_batch(rng, 1)[0])
 
     def grid_primitives(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(F, sf, M)`` at every threshold of ``thetas`` in one call, each
-        bit for bit what :meth:`cdf`, :meth:`sf` and
-        :meth:`truncated_first_moment` return there (for thresholds that
-        are not ``nan``)."""
+        """:meth:`primitives` at every threshold of ``thetas`` in one call,
+        as the ``F``, ``sf`` and ``M`` arrays."""
         x = np.asarray(thetas, dtype=float)
         f, sf, m = np.zeros(x.shape), np.ones(x.shape), np.zeros(x.shape)
         inside = self._reaches_support(x)
@@ -155,16 +175,17 @@ class ServiceDistribution(ABC):
         with np.errstate(over="ignore"):
             return self._residuals(np.asarray(thetas, dtype=float))
 
-    # Each catalog law defines the two hooks below; they are not abstract so
-    # that a law written only for the simulator still builds.
-    def _reaches_support(self, x: np.ndarray) -> np.ndarray:
-        """The thresholds the scalar primitives evaluate in closed form; at
-        the others they return ``F = 0``, ``sf = 1`` and ``M = 0``."""
-        raise NotImplementedError(f"{type(self).__name__} has no array form")
+    # Each catalog law defines the two hooks below, one formula each that
+    # takes a float or an array; they are not abstract so that a law
+    # written only for the simulator still builds.
+    def _reaches_support(self, x):
+        """Where ``x`` reaches the support and ``(F, sf, M)`` come from
+        :meth:`_primitives`; elsewhere they are ``(0, 1, 0)``."""
+        raise NotImplementedError(f"{type(self).__name__} has no primitives")
 
-    def _primitives(self, x: np.ndarray):
+    def _primitives(self, x):
         """``(F, sf, M)`` on thresholds that reach the support."""
-        raise NotImplementedError(f"{type(self).__name__} has no array form")
+        raise NotImplementedError(f"{type(self).__name__} has no primitives")
 
     def _residuals(self, x: np.ndarray) -> np.ndarray:
         """The base form ``(E[X] - M) / sf - theta`` where ``sf > 0``."""
@@ -185,25 +206,10 @@ class Exponential(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def cdf(self, x):
-        return -math.expm1(-self.rate * x) if x > 0 else 0.0
-
-    def sf(self, x):
-        return math.exp(-self.rate * x) if x > 0 else 1.0
-
     def support_min(self):
         return 0.0
 
     def mean(self):
-        return 1.0 / self.rate
-
-    def truncated_first_moment(self, theta):
-        if theta <= 0:
-            return 0.0
-        return float(_exp_truncated_moment(self.rate, theta))
-
-    def conditional_residual(self, theta):
-        # memoryless: the residual never depends on theta
         return 1.0 / self.rate
 
     def _reaches_support(self, x):
@@ -214,6 +220,7 @@ class Exponential(ServiceDistribution):
         return -_each(math.expm1, u), _each(math.exp, u), _exp_truncated_moment(self.rate, x)
 
     def _residuals(self, x):
+        # memoryless: the residual never depends on theta
         return np.full(x.shape, 1.0 / self.rate)
 
     def quantile(self, q):
@@ -236,29 +243,18 @@ class Erlang(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def cdf(self, x):
-        return float(gammainc(self.shape, self.rate * x)) if x > 0 else 0.0
-
-    def sf(self, x):
-        return float(gammaincc(self.shape, self.rate * x)) if x > 0 else 1.0
-
     def support_min(self):
         return 0.0
 
     def mean(self):
         return self.shape / self.rate
 
-    def truncated_first_moment(self, theta):
-        # x f_k(x) = (k/rate) f_{k+1}(x), so the truncated moment is a
-        # higher-shape CDF evaluation.
-        if theta <= 0:
-            return 0.0
-        return self.mean() * float(gammainc(self.shape + 1, self.rate * theta))
-
     def _reaches_support(self, x):
         return x > 0
 
     def _primitives(self, x):
+        # x f_k(x) = (k/rate) f_{k+1}(x), so the truncated moment is a
+        # higher-shape CDF evaluation.
         u = self.rate * x
         return (gammainc(self.shape, u), gammaincc(self.shape, u),
                 self.mean() * gammainc(self.shape + 1, u))
@@ -289,19 +285,6 @@ class Pareto(ServiceDistribution):
         if not (0 < self.xm < math.inf and 0 < self.alpha < math.inf):
             raise ValueError("xm and alpha must be positive and finite")
 
-    def _log_ratio(self, x):
-        return math.log1p((x - self.xm) / self.xm)
-
-    def cdf(self, x):
-        if x < self.xm:
-            return 0.0
-        return -math.expm1(-self.alpha * self._log_ratio(x))
-
-    def sf(self, x):
-        if x < self.xm:
-            return 1.0
-        return (self.xm / x) ** self.alpha
-
     def support_min(self):
         return self.xm
 
@@ -309,22 +292,6 @@ class Pareto(ServiceDistribution):
         if self.alpha <= 1.0:
             return math.inf
         return self.alpha * self.xm / (self.alpha - 1.0)
-
-    def truncated_first_moment(self, theta):
-        if theta < self.xm:
-            return 0.0
-        a, xm = self.alpha, self.xm
-        log_ratio = self._log_ratio(theta)
-        if a == 1.0:
-            return xm * log_ratio
-        return a * xm * -math.expm1(-(a - 1.0) * log_ratio) / (a - 1.0)
-
-    def conditional_residual(self, theta):
-        if self.alpha <= 1.0:
-            return math.inf
-        if theta < self.xm:
-            return self.mean() - theta
-        return theta / (self.alpha - 1.0)
 
     def _reaches_support(self, x):
         return x >= self.xm
@@ -363,28 +330,11 @@ class ShiftedExponential(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def cdf(self, x):
-        return -math.expm1(-self.rate * (x - self.shift)) if x > self.shift else 0.0
-
-    def sf(self, x):
-        return math.exp(-self.rate * (x - self.shift)) if x > self.shift else 1.0
-
     def support_min(self):
         return self.shift
 
     def mean(self):
         return self.shift + 1.0 / self.rate
-
-    def truncated_first_moment(self, theta):
-        if theta <= self.shift:
-            return 0.0
-        tau = theta - self.shift
-        return float(_exp_truncated_moment(self.rate, tau)) + self.shift * self.cdf(theta)
-
-    def conditional_residual(self, theta):
-        if theta < self.shift:
-            return self.shift - theta + 1.0 / self.rate
-        return 1.0 / self.rate
 
     def _reaches_support(self, x):
         return x > self.shift
@@ -421,32 +371,11 @@ class TwoPoint(ServiceDistribution):
         if not 0.0 < self.p < 1.0:
             raise ValueError("need 0 < p < 1")
 
-    def cdf(self, x):
-        if x < self.t1:
-            return 0.0
-        if x < self.t2:
-            return self.p
-        return 1.0
-
-    def sf(self, x):
-        if x < self.t1:
-            return 1.0
-        if x < self.t2:
-            return 1.0 - self.p
-        return 0.0
-
     def support_min(self):
         return self.t1
 
     def mean(self):
         return self.p * self.t1 + (1.0 - self.p) * self.t2
-
-    def truncated_first_moment(self, theta):
-        if theta < self.t1:
-            return 0.0
-        if theta < self.t2:
-            return self.p * self.t1
-        return self.mean()
 
     def _reaches_support(self, x):
         return x >= self.t1
@@ -480,44 +409,17 @@ class HyperExponential(ServiceDistribution):
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return sum(w * -math.expm1(-r * x) for w, r in zip(self.weights, self.rates))
-
-    def sf(self, x):
-        if x <= 0:
-            return 1.0
-        return sum(w * math.exp(-r * x) for w, r in zip(self.weights, self.rates))
-
     def support_min(self):
         return 0.0
 
     def mean(self):
         return sum(w / r for w, r in zip(self.weights, self.rates))
 
-    def truncated_first_moment(self, theta):
-        if theta <= 0:
-            return 0.0
-        return sum(
-            w * float(_exp_truncated_moment(r, theta)) for w, r in zip(self.weights, self.rates)
-        )
-
-    def conditional_residual(self, theta):
-        if theta <= 0:
-            return self.mean()
-        # posterior phase weights given survival past theta
-        tails = [w * math.exp(-r * theta) for w, r in zip(self.weights, self.rates)]
-        z = sum(tails)
-        if z <= 0.0:
-            raise DegenerateCondition(f"P(X > {theta}) underflowed to 0")
-        return sum(t / r for t, r in zip(tails, self.rates)) / z
-
     def _reaches_support(self, x):
         return x > 0
 
     def _primitives(self, x):
-        # each column sums its phases in the scalar ``sum``'s order
+        # each column sums its phases in ``sum``'s order, on a float or an array
         phases = list(zip(self.weights, self.rates))
         return (sum(w * -_each(math.expm1, -r * x) for w, r in phases),
                 sum(w * _each(math.exp, -r * x) for w, r in phases),
@@ -526,6 +428,7 @@ class HyperExponential(ServiceDistribution):
     def _residuals(self, x):
         out = np.full(x.shape, self.mean())
         on = np.flatnonzero(x > 0)
+        # posterior phase weights given survival past theta
         tails = [w * _each(math.exp, -r * x[on]) for w, r in zip(self.weights, self.rates)]
         z = sum(tails)
         live = z > 0.0  # the posterior weights exist; nan where z underflowed
@@ -597,25 +500,11 @@ class LogNormal(ServiceDistribution):
         if not (-math.inf < self.mu < math.inf and 0 < self.sigma < math.inf):
             raise ValueError("mu must be finite and sigma positive and finite")
 
-    def _z(self, x):
-        return (math.log(x) - self.mu) / self.sigma
-
-    def cdf(self, x):
-        return float(ndtr(self._z(x))) if x > 0 else 0.0
-
-    def sf(self, x):
-        return float(ndtr(-self._z(x))) if x > 0 else 1.0
-
     def support_min(self):
         return 0.0
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
-
-    def truncated_first_moment(self, theta):
-        if theta <= 0:
-            return 0.0
-        return self.mean() * float(ndtr(self._z(theta) - self.sigma))
 
     def _reaches_support(self, x):
         return x > 0
@@ -640,20 +529,11 @@ class Deterministic(ServiceDistribution):
         if not 0 < self.value < math.inf:
             raise ValueError("value must be positive and finite")
 
-    def cdf(self, x):
-        return 1.0 if x >= self.value else 0.0
-
-    def sf(self, x):
-        return 0.0 if x >= self.value else 1.0
-
     def support_min(self):
         return self.value
 
     def mean(self):
         return self.value
-
-    def truncated_first_moment(self, theta):
-        return self.value if theta >= self.value else 0.0
 
     def _reaches_support(self, x):
         return x >= self.value

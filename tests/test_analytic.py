@@ -160,6 +160,17 @@ class TestThresholdGrid:
         assert grid.zeta[1] == paoi_zero_wait(d)
         assert grid.zeta[0] == paoi_fixed_threshold(d, d.support_min() + 1.0).zeta
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_nan_threshold_never_delivers(self, name):
+        # nan is outside every support: (F, sf, M) = (0, 1, 0) and zeta = inf,
+        # alone as on a grid
+        d = CATALOG[name]
+        grid = paoi_thresholds(d, [math.nan])
+        v = paoi_fixed_threshold(d, math.nan)
+        assert (grid.zeta[0], grid.received_service[0], grid.interreception[0]) == (
+            v.zeta, v.received_service, v.interreception) == (math.inf,) * 3
+        assert (grid.cdf[0], grid.sf[0], grid.m[0]) == d.primitives(math.nan) == (0.0, 1.0, 0.0)
+
 
 class TestSimplePolicies:
     def test_zero_wait(self):

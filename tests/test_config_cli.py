@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import math
@@ -31,7 +32,7 @@ from paoi_lab import (
     XMinThreshold,
     ZeroWait,
 )
-from paoi_lab.cli import _fmt, _write_csv, cmd_optimize, main
+from paoi_lab.cli import _fmt, _write_csv, build_parser, cmd_optimize, main
 from paoi_lab.config import (
     ExperimentConfig,
     OptimizerSpec,
@@ -258,11 +259,19 @@ class TestCli:
 
     def test_optimize_reads_each_grid_point_once(self, tmp_path, capsys):
         # the search, the golden refinement and the cross-check share one
-        # evaluation per point; cdf is read twice more at the support
-        # minimum, for the xmin candidate and the no-atom note
+        # evaluation per point; the primitives are read twice more at the
+        # support minimum, for the xmin candidate and the no-atom note
         calls = Counter()
 
         class Counting(Erlang):
+            def primitives(self, theta):
+                calls["primitives"] += 1
+                return super().primitives(theta)
+
+            def grid_primitives(self, thetas):
+                calls["grid points"] += len(thetas)
+                return super().grid_primitives(thetas)
+
             def cdf(self, x):
                 calls["cdf"] += 1
                 return super().cdf(x)
@@ -280,6 +289,7 @@ class TestCli:
         assert evaluations == 2000 + 29  # the grid plus the golden steps
         assert calls["cdf"] <= evaluations + 2
         assert calls["sf"] <= evaluations and calls["m"] <= evaluations
+        assert calls["primitives"] + calls["grid points"] == evaluations + 2, calls
 
     @pytest.mark.parametrize(
         "argv", [["optimize", "--seed", "5"], ["reproduce", "--figure", "fig4", "--config", "x"]]
@@ -355,6 +365,28 @@ class TestCli:
         main(["simulate", "--config", str(tp_config), "--out", str(tmp_path), "--seed", "99"])
         rows = read_csv(tmp_path / "tp_simulate_zero-wait.csv")
         assert rows[0]["seed"] == "99"
+
+    def test_parser_is_built_once_and_keeps_no_arguments(self, tp_config, tmp_path, capsys):
+        # one parser serves every call; a flag given to one call is absent
+        # from the next, and a bad argument still exits 2
+        assert build_parser() is build_parser()
+        out = tmp_path / "out"
+        argv = ["--config", str(tp_config), "--out", str(out)]
+        assert main(["simulate", *argv, "--seed", "5"]) == 0
+        assert build_parser().parse_args(["eval", "--config", "c.yaml"]) == argparse.Namespace(
+            command="eval", config="c.yaml", out=".")
+        assert main(["eval", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
+        assert not out.joinpath("tp_eval.csv").exists()
+        assert read_csv(tmp_path / "tp_eval.csv")[0]["zeta"] == "3"
+        assert main(["simulate", *argv]) == 0
+        assert read_csv(out / "tp_simulate_zero-wait.csv")[0]["seed"] == "7"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *argv, "--seed", "x"])
+        assert exc.value.code == 2
+        assert "--seed: invalid int value" in capsys.readouterr().err
+        assert main(["simulate", *argv]) == 0
+        assert read_csv(out / "tp_simulate_zero-wait.csv")[0]["seed"] == "7"
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -250,8 +250,8 @@ def scalar_columns(d, thetas):
         except DegenerateCondition:
             return math.nan
 
-    prims = (d.cdf, d.sf, d.truncated_first_moment, residual)
-    return [np.array([prim(t) for t in thetas], dtype=float) for prim in prims]
+    rows = [(*d.primitives(t), residual(t)) for t in thetas]
+    return list(np.array(rows, dtype=float).reshape(len(thetas), 4).T)
 
 
 def assert_same_bits(name, thetas, got, want):
@@ -267,13 +267,14 @@ def array_columns(d, thetas):
 
 
 class TestArrayForms:
-    """``grid_primitives`` and ``grid_residuals`` against the scalar methods,
-    bit for bit.
+    """``grid_primitives`` and ``grid_residuals`` against ``primitives`` and
+    ``conditional_residual`` at each point alone, bit for bit.
 
-    The array forms may use numpy only for ``+ - * /``: swapping in
-    ``np.power`` for Pareto's ``(xm / x) ** alpha``, ``np.log`` for the
-    log-normal's ``math.log`` or ``np.expm1`` for the exponential laws'
-    ``math.expm1`` moves last bits and fails both tests below.
+    Each law writes its formula once, for a float and an array, so these
+    tests check the dispatch; the pinned digests check the arithmetic.
+    Swapping in ``np.power`` for Pareto's ``(xm / x) ** alpha``, ``np.log``
+    for the log-normal's ``math.log`` or ``np.expm1`` for the exponential
+    laws' ``math.expm1`` moves last bits and fails the pin.
     """
 
     @staticmethod
@@ -290,7 +291,7 @@ class TestArrayForms:
     @pytest.mark.parametrize("name", sorted(ARRAY_LAWS))
     def test_dense_grid_matches_scalar_bits(self, name):
         d = ARRAY_LAWS[name]
-        thetas = self.dense_grid(d)
+        thetas = [*self.dense_grid(d), math.nan]
         assert len(thetas) > 20_000
         assert_same_bits(name, thetas, array_columns(d, thetas), scalar_columns(d, thetas))
 
@@ -307,11 +308,18 @@ class TestArrayForms:
     @settings(max_examples=200, deadline=None)
     @given(
         name=st.sampled_from(sorted(ARRAY_LAWS)),
-        thetas=st.lists(st.floats(min_value=-1.0, allow_nan=False), max_size=40),
+        thetas=st.lists(st.floats(min_value=-1.0) | st.just(math.nan), max_size=40),
     )
     def test_any_grid_matches_scalar_bits(self, name, thetas):
         d = ARRAY_LAWS[name]
         assert_same_bits(name, thetas, array_columns(d, thetas), scalar_columns(d, thetas))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_one_formula_per_law(self, name):
+        # the base class derives these from the law's one ``_primitives``;
+        # a law that defines its own would be a second formula to keep in step
+        own = vars(type(CATALOG[name]))
+        assert not {"cdf", "sf", "truncated_first_moment", "conditional_residual"} & own.keys()
 
 
 class TestQuantile:
@@ -450,7 +458,7 @@ class TestSampling:
 
     def test_kolmogorov_smirnov(self, member):
         draws = member.sample_batch(np.random.default_rng(123), 100_000)
-        assert ks_statistic(draws, member.cdf) < 0.01
+        assert ks_statistic(draws, lambda xs: member.grid_primitives(xs)[0]) < 0.01
 
 
 class TestValidation:
