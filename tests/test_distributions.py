@@ -297,9 +297,9 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("name", sorted(ARRAY_LAWS))
     def test_dense_grid_bits_are_pinned(self, name):
-        # The scalar and array forms are checked against each other above;
-        # this pins what both read, so a change to a law's arithmetic shows
-        # even where it moves the two forms together.
+        # A single threshold and a grid run the same formula, so the test
+        # above checks only the dispatch; this pins the bits the formula
+        # reads, so a change to a law's arithmetic shows.
         d = ARRAY_LAWS[name]
         columns = array_columns(d, self.dense_grid(d))
         data = b"".join(np.asarray(c, dtype="<f8").view("<i8").tobytes() for c in columns)
