@@ -373,6 +373,7 @@ class TestCli:
         out = tmp_path / "out"
         argv = ["--config", str(tp_config), "--out", str(out)]
         assert main(["simulate", *argv, "--seed", "5"]) == 0
+        assert read_csv(out / "tp_simulate_zero-wait.csv")[0]["seed"] == "5"
         assert build_parser().parse_args(["eval", "--config", "c.yaml"]) == argparse.Namespace(
             command="eval", config="c.yaml", out=".")
         assert main(["eval", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
@@ -385,8 +386,6 @@ class TestCli:
             main(["simulate", *argv, "--seed", "x"])
         assert exc.value.code == 2
         assert "--seed: invalid int value" in capsys.readouterr().err
-        assert main(["simulate", *argv]) == 0
-        assert read_csv(out / "tp_simulate_zero-wait.csv")[0]["seed"] == "7"
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
