@@ -103,9 +103,9 @@ def _workers() -> int:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"PAOI_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(n, 1)
+    if n < 0:
+        raise ConfigError(f"PAOI_THREADS must be nonnegative, got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -66,7 +66,16 @@ __all__ = [
     "HyperExponential",
     "LogNormal",
     "Deterministic",
+    "weighted_pick",
 ]
+
+
+def weighted_pick(weights, u) -> np.ndarray:
+    """For each ``u`` in [0, 1), the first index whose running sum of the
+    nonnegative ``weights`` reaches it, capped at the last index (the sum
+    may round below 1)."""
+    pick = np.searchsorted(np.cumsum(weights), u, side="left")
+    return np.minimum(pick, len(weights) - 1)
 
 
 def _exp_truncated_moment(rate: float, tau):
@@ -145,8 +154,8 @@ class ServiceDistribution(ABC):
 
         Returns ``inf`` when the mean diverges.  Raises
         :class:`DegenerateCondition` where :meth:`grid_residuals` reads
-        ``nan``: when P(X > theta) = 0, or a mixture's posterior phase
-        weights underflow.
+        ``nan``: when P(X > theta) = 0, a mixture's posterior phase
+        weights underflow, or ``theta`` is ``nan``.
         """
         residual = float(self.grid_residuals([theta])[0])
         if math.isnan(residual):
@@ -171,9 +180,10 @@ class ServiceDistribution(ABC):
     def grid_residuals(self, thetas) -> np.ndarray:
         """:meth:`conditional_residual` at every threshold of ``thetas`` in
         one call, bit for bit, and ``nan`` where it raises
-        :class:`DegenerateCondition`."""
+        :class:`DegenerateCondition`, as at a ``nan`` threshold."""
+        x = np.asarray(thetas, dtype=float)
         with np.errstate(over="ignore"):
-            return self._residuals(np.asarray(thetas, dtype=float))
+            return np.where(np.isnan(x), math.nan, self._residuals(x))
 
     # Each catalog law defines the two hooks below, one formula each that
     # takes a float or an array; they are not abstract so that a law
@@ -476,10 +486,7 @@ class HyperExponential(ServiceDistribution):
                 hi = mid
 
     def sample_batch(self, rng, n):
-        cum = np.cumsum(self.weights)
-        phase = np.searchsorted(cum, rng.random(n), side="left")
-        phase = np.minimum(phase, len(self.rates) - 1)
-        rates = np.asarray(self.rates)[phase]
+        rates = np.asarray(self.rates)[weighted_pick(self.weights, rng.random(n))]
         return -np.log1p(-rng.random(n)) / rates
 
 

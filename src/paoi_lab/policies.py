@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import ServiceDistribution
+from .distributions import ServiceDistribution, weighted_pick
 
 __all__ = [
     "FixedThreshold",
@@ -163,17 +162,15 @@ class ChoiceSampler(ThresholdSampler):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.values) != len(self.weights) or not self.values:
             raise ValueError("values and weights must be nonempty and equal length")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"weights must be nonnegative and finite, got {self.weights!r}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if not all(v >= 0 for v in self.values):
             raise ValueError(f"thresholds must be nonnegative, got {self.values!r}")
 
     def draw_batch(self, rng, n):
-        # value i is the first whose running weight sum reaches u; the
-        # running maximum keeps that rule when a weight is negative
-        acc = np.maximum.accumulate(list(accumulate(self.weights)))
-        pick = np.searchsorted(acc, rng.random(n), side="left")
-        return np.asarray(self.values)[np.minimum(pick, len(self.values) - 1)]
+        return np.asarray(self.values)[weighted_pick(self.weights, rng.random(n))]
 
     def supremum(self):
         return max(self.values)

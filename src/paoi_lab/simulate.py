@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -203,6 +204,8 @@ def _blocks(
 ) -> Iterator[PeakColumns]:
     """The endless peak series: per block of service draws, the columns of
     the peaks whose reception falls in it (none if no peak ends there)."""
+    if stall_limit < 1:  # the count is checked after a drop
+        raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
     # Two child streams so that policies which do not randomize consume
     # the exact same service draws as a fixed-threshold run with the
     # same seed.
@@ -231,7 +234,6 @@ def _blocks(
                 f"can deliver under {d!r}: P(X <= {tail:g}) = 0"
             )
         table = np.array(thresholds, dtype=float)
-    limit = max(stall_limit, 1)  # the count is checked after a drop
 
     draws = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
     x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
@@ -253,7 +255,7 @@ def _blocks(
         drops[0] += drops_open
         y_open, drops_open = y[-1], int(drops[-1])
         y = y[:-1] + x[ends]
-        stalled = np.flatnonzero(drops >= limit)
+        stalled = np.flatnonzero(drops >= stall_limit)
         k = int(stalled[0]) if stalled.size else len(ends)
         if k:
             received = np.concatenate(([x_prev], x[ends[: k - 1]]))
@@ -262,7 +264,7 @@ def _blocks(
             x_prev, now = x[ends[k - 1]], times[-1]
         if stalled.size:
             raise SimulationStall(
-                f"{limit} consecutive preemptions without a reception "
+                f"{stall_limit} consecutive preemptions without a reception "
                 f"under {policy!r}; is the threshold below the support?"
             )
         x = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
@@ -352,38 +354,28 @@ def aoi_trajectory(
     return [AoiBreakpoint(*point) for point in zip(*(c.tolist() for c in columns))]
 
 
-def _batch_means(
-    values: np.ndarray, seed: Optional[int] = None, batches: int = _BATCH_COUNT
-) -> PaoiEstimate:
+def _with_ci95(mean: float, se: float, peak_count: int, seed: Optional[int]) -> PaoiEstimate:
+    return PaoiEstimate(mean, se, mean - _Z95 * se, mean + _Z95 * se, peak_count, seed)
+
+
+def _batch_means(values: np.ndarray, seed: Optional[int] = None) -> PaoiEstimate:
     k = len(values)
     if k < 2:
         raise ValueError("need at least two peaks to estimate")
-    nb = min(batches, k)
+    nb = min(_BATCH_COUNT, k)
     m = k // nb
     batch_means = values[: nb * m].reshape(nb, m).mean(axis=1)
-    mean = float(values.mean())
     se = float(batch_means.std(ddof=1) / math.sqrt(nb))
-    return PaoiEstimate(
-        mean=mean,
-        std_error=se,
-        ci_low=mean - _Z95 * se,
-        ci_high=mean + _Z95 * se,
-        peak_count=k,
-        seed=seed,
-    )
+    return _with_ci95(float(values.mean()), se, k, seed)
 
 
-def estimate_paoi(
-    peaks: Sequence[PeakRecord],
-    seed: Optional[int] = None,
-    batches: int = _BATCH_COUNT,
-) -> PaoiEstimate:
+def estimate_paoi(peaks: Sequence[PeakRecord], seed: Optional[int] = None) -> PaoiEstimate:
     """Batch-means estimate of the average PAoI from a peak series."""
-    return _batch_means(np.array([r.peak for r in peaks]), seed, batches)
+    return _batch_means(np.array([r.peak for r in peaks]), seed)
 
 
-def _replicate(args) -> PaoiEstimate:
-    d, policy, peaks, seed, stall_limit, warmup = args
+def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
+    """The estimate of one replication, from its seed."""
     cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
     return _batch_means(cols.peak, seed)
 
@@ -397,8 +389,7 @@ def simulate_randomized(
     warmup: int = 0,
 ) -> PaoiEstimate:
     """Estimate PAoI under i.i.d. per-request threshold randomization."""
-    policy = RandomizedThreshold(sampler)
-    return _replicate((d, policy, peaks, seed, stall_limit, warmup))
+    return _estimate(d, RandomizedThreshold(sampler), peaks, stall_limit, warmup, seed)
 
 
 def run_replications(
@@ -419,14 +410,12 @@ def run_replications(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    jobs = [
-        (d, policy, peaks, base_seed + i, stall_limit, warmup)
-        for i in range(replications)
-    ]
+    job = partial(_estimate, d, policy, peaks, stall_limit, warmup)
+    seeds = range(base_seed, base_seed + replications)
     if workers <= 1 or replications == 1:
-        return [_replicate(job) for job in jobs]
+        return list(map(job, seeds))
     with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
-        return list(pool.map(_replicate, jobs))
+        return list(pool.map(job, seeds))
 
 
 def pooled_estimate(
@@ -436,14 +425,6 @@ def pooled_estimate(
     in quadrature."""
     if not estimates:
         raise ValueError("nothing to pool")
-    n = len(estimates)
     mean = float(np.mean([e.mean for e in estimates]))
-    se = float(math.sqrt(sum(e.std_error**2 for e in estimates)) / n)
-    return PaoiEstimate(
-        mean=mean,
-        std_error=se,
-        ci_low=mean - _Z95 * se,
-        ci_high=mean + _Z95 * se,
-        peak_count=sum(e.peak_count for e in estimates),
-        seed=seed,
-    )
+    se = float(math.sqrt(sum(e.std_error**2 for e in estimates)) / len(estimates))
+    return _with_ci95(mean, se, sum(e.peak_count for e in estimates), seed)

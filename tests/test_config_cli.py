@@ -471,6 +471,21 @@ class TestCliExtras:
         ]
         assert len(rows) == 50
 
+    @pytest.mark.parametrize("raw", ["x", "-1"])
+    def test_bad_paoi_threads_exits_2(self, tp_config, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PAOI_THREADS", raw)
+        assert main(["simulate", "--config", str(tp_config), "--out", str(tmp_path)]) == 2
+        assert "PAOI_THREADS" in capsys.readouterr().err
+
+    def test_paoi_threads_do_not_change_simulate_bytes(self, tp_config, tmp_path, monkeypatch):
+        outputs = {}
+        for raw in ("1", "0", "2"):
+            monkeypatch.setenv("PAOI_THREADS", raw)
+            out = tmp_path / raw
+            assert main(["simulate", "--config", str(tp_config), "--out", str(out)]) == 0
+            outputs[raw] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outputs["1"] and outputs["0"] == outputs["1"] == outputs["2"]
+
     def test_import_loads_only_scipy_special(self):
         # scipy.integrate and scipy.optimize add about 0.4 s to every
         # command's start-up on a 2-vCPU machine
@@ -594,6 +609,8 @@ class TestDegenerateInputs:
             "{kind: randomized, sampler: {kind: point, value: -1.0}}",
             "{kind: randomized, sampler: {kind: choice, values: [1.0, -1.0], "
             "weights: [0.5, 0.5]}}",
+            "{kind: randomized, sampler: {kind: choice, values: [1.0, 3.0], "
+            "weights: [1.5, -0.5]}}",
         ],
     )
     def test_invalid_threshold_exit_2(self, tmp_path, capsys, policy):
@@ -704,6 +721,12 @@ class TestDegenerateInputs:
         cfg.write_text(ERLANG + section)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
+
+    def test_stall_limit_below_one_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(ERLANG + "simulation: {stall_limit: 0}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "stall_limit >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "window", ["{theta_min: -.inf}", "{theta_max: .inf}", "{theta_min: -1.0}"]

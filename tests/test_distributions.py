@@ -189,6 +189,12 @@ class TestConditionalResidual:
         with pytest.raises(DegenerateCondition):
             Deterministic(1.0).conditional_residual(1.0)
 
+    def test_nan_threshold_raises(self, member):
+        # every law reads (F, sf, M) = (0, 1, 0) at nan, so no event is conditioned on
+        assert math.isnan(member.grid_residuals([math.nan])[0])
+        with pytest.raises(DegenerateCondition):
+            member.conditional_residual(math.nan)
+
     def test_infinite_mean_propagates(self):
         assert math.isinf(Pareto(1.0, 0.5).conditional_residual(2.0))
 

@@ -1,0 +1,45 @@
+"""The names the benchmark's traced run wraps or calls must stay.
+
+``perfbench/tracing.py`` patches public functions of ``paoi_lab`` by name
+and times a few methods directly; a name it expects that is gone fails the
+traced run, not this suite, unless this test checks it.  The test reads the
+tracer as it is and changes nothing in it.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_the_cli():
+    import paoi_lab.cli
+    from paoi_lab import config, simulate
+
+    originals = (simulate.run_replications, paoi_lab.cli.load_config)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert simulate.run_replications is not originals[0]
+        assert paoi_lab.cli.load_config is not originals[1]
+    finally:
+        tracer.uninstall()
+    assert (simulate.run_replications, paoi_lab.cli.load_config) == originals
+    assert config.load_config is originals[1]
+
+
+def test_names_the_benchmark_calls_directly_exist():
+    from paoi_lab.policies import RepetitiveSequence, ThresholdSampler
+    from paoi_lab.simulate import run_replications
+
+    assert "workers" in inspect.signature(run_replications).parameters
+    assert callable(RepetitiveSequence.threshold_for_attempt)
+    assert callable(ThresholdSampler.draw)

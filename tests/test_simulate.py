@@ -41,7 +41,7 @@ from paoi_lab import (
     simulate_randomized,
 )
 from paoi_lab.policies import resolve
-from paoi_lab.simulate import trajectory_columns
+from paoi_lab.simulate import peak_columns, trajectory_columns
 
 
 @dataclass
@@ -167,6 +167,15 @@ class TestEventLoop:
         with pytest.raises(SimulationStall, match="repeating last threshold"):
             simulate_peaks(Undrawn(1.0), seq, peaks=1, seed=1)
 
+    @pytest.mark.parametrize("run", [peak_columns, trajectory_columns])
+    def test_stall_limit_below_one_raises_before_any_draw(self, run):
+        class Undrawn(Exponential):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        with pytest.raises(ValueError, match="stall_limit"):
+            run(Undrawn(1.0), FixedThreshold(2.0), 10, 1, stall_limit=0)
+
     def test_unreached_tail_does_not_stall(self):
         # the first attempt at theta = 3 always delivers, so the tail
         # threshold below the support is never used
@@ -236,6 +245,12 @@ class TestEstimator:
         records = simulate_peaks(Exponential(1.0), ZeroWait(), peaks=5000, seed=2)
         est = estimate_paoi(records)
         assert est.ci_high - est.ci_low == pytest.approx(2 * 1.96 * est.std_error)
+
+    def test_pooled_interval_is_mean_plus_minus_z_se(self):
+        ests = run_replications(Erlang(3, 1.0), FixedThreshold(2.0), 3000, 3, base_seed=8)
+        pooled = pooled_estimate(ests)
+        assert pooled.ci_low == pooled.mean - 1.96 * pooled.std_error
+        assert pooled.ci_high == pooled.mean + 1.96 * pooled.std_error
 
     def test_pooling(self):
         ests = run_replications(
@@ -334,6 +349,16 @@ class TestRandomized:
         for sampler in samplers:
             est = simulate_randomized(dist, sampler, peaks=20_000, seed=71)
             assert est.mean >= zeta_opt - 3 * est.std_error
+
+    def test_simulate_randomized_is_one_replication(self):
+        d, sampler = Erlang(3, 1.0), UniformSampler(0.5, 3.5)
+        est = simulate_randomized(d, sampler, 5000, 23)
+        assert est == run_replications(d, RandomizedThreshold(sampler), 5000, 1, 23)[0]
+
+    @pytest.mark.parametrize("weights", [(1.5, -0.5), (math.nan, 0.5), (math.inf, 0.5)])
+    def test_choice_sampler_rejects_negative_or_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            ChoiceSampler((1.0, 3.0), weights)
 
     def test_sequence_policy_runs(self):
         d = TwoPoint(1.0, 3.0, 0.5)
