@@ -81,8 +81,12 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             formats.append("%s")
             cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
     template = ",".join(formats)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
         fh.write(",".join(map(_quote, header)) + "\n")
         for i in range(0, max(map(len, cells)), _CSV_CHUNK):
             rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)

@@ -277,7 +277,21 @@ def parse_config(raw: Any) -> ExperimentConfig:
 
 class _Loader(yaml.SafeLoader):
     """Safe loading that also reads YAML 1.2 floats such as ``1e-6`` and ``1E3``
-    (YAML 1.1 wants a dot and a signed exponent)."""
+    (YAML 1.1 wants a dot and a signed exponent) and rejects a key given
+    twice in one mapping, which would otherwise keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(

@@ -2,17 +2,18 @@
 
 The peak-age formulas read a law only through ``F``, ``P(X > theta)`` and
 the truncated first moment ``M(theta) = E[X 1{X <= theta}]``.  Each law
-writes those three once, in ``_primitives(x)``, beside
-``_reaches_support(x)``, the mask of thresholds inside its support, plus a
-generalized-inverse quantile and seeded sampling, all in closed form.  The
-same expressions take a float or an array:
+writes those three once, in ``_primitives(x)``, plus a generalized-inverse
+quantile and seeded sampling, all in closed form; it says where its support
+starts only through ``support_min()``, and a law with an atom there
+(``TwoPoint``, ``Deterministic``) overrides ``_reaches_support`` to include
+it.  The same expressions take a float or an array:
 :meth:`ServiceDistribution.primitives` reads one threshold and
 :meth:`ServiceDistribution.grid_primitives` a whole grid, so a single value
 and a grid agree bit for bit.  ``cdf``, ``sf``, ``truncated_first_moment``,
 the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by parts)
 and the conditional residual ``E[X - theta | X > theta]`` derive from
 them in the base class; four laws give the residual in closed form
-(``_residuals``).
+(``_residuals``), and below the support every law reads ``E[X] - theta``.
 
 One formula serves both because the array form changes only how the
 arithmetic is dispatched:
@@ -157,6 +158,8 @@ class ServiceDistribution(ABC):
         ``nan``: when P(X > theta) = 0, a mixture's posterior phase
         weights underflow, or ``theta`` is ``nan``.
         """
+        if math.isnan(theta):
+            raise DegenerateCondition("the threshold is nan, which conditions on no event")
         residual = float(self.grid_residuals([theta])[0])
         if math.isnan(residual):
             raise DegenerateCondition(
@@ -180,19 +183,24 @@ class ServiceDistribution(ABC):
     def grid_residuals(self, thetas) -> np.ndarray:
         """:meth:`conditional_residual` at every threshold of ``thetas`` in
         one call, bit for bit, and ``nan`` where it raises
-        :class:`DegenerateCondition`, as at a ``nan`` threshold."""
+        :class:`DegenerateCondition`, as at a ``nan`` threshold.  Below
+        the support X > theta surely, so it reads ``E[X] - theta`` there."""
         x = np.asarray(thetas, dtype=float)
         with np.errstate(over="ignore"):
-            return np.where(np.isnan(x), math.nan, self._residuals(x))
+            out = self._residuals(x)
+        below = x < self.support_min()
+        out[below] = self.mean() - x[below]
+        out[np.isnan(x)] = math.nan
+        return out
 
-    # Each catalog law defines the two hooks below, one formula each that
-    # takes a float or an array; they are not abstract so that a law
-    # written only for the simulator still builds.
     def _reaches_support(self, x):
         """Where ``x`` reaches the support and ``(F, sf, M)`` come from
         :meth:`_primitives`; elsewhere they are ``(0, 1, 0)``."""
-        raise NotImplementedError(f"{type(self).__name__} has no primitives")
+        return x > self.support_min()
 
+    # Each catalog law defines this hook, one formula that takes a float or
+    # an array; it is not abstract so that a law written only for the
+    # simulator still builds.
     def _primitives(self, x):
         """``(F, sf, M)`` on thresholds that reach the support."""
         raise NotImplementedError(f"{type(self).__name__} has no primitives")
@@ -221,9 +229,6 @@ class Exponential(ServiceDistribution):
 
     def mean(self):
         return 1.0 / self.rate
-
-    def _reaches_support(self, x):
-        return x > 0
 
     def _primitives(self, x):
         u = -self.rate * x
@@ -258,9 +263,6 @@ class Erlang(ServiceDistribution):
 
     def mean(self):
         return self.shape / self.rate
-
-    def _reaches_support(self, x):
-        return x > 0
 
     def _primitives(self, x):
         # x f_k(x) = (k/rate) f_{k+1}(x), so the truncated moment is a
@@ -303,9 +305,6 @@ class Pareto(ServiceDistribution):
             return math.inf
         return self.alpha * self.xm / (self.alpha - 1.0)
 
-    def _reaches_support(self, x):
-        return x >= self.xm
-
     def _primitives(self, x):
         a, xm = self.alpha, self.xm
         log_ratio = _each(math.log1p, (x - xm) / xm)
@@ -318,7 +317,7 @@ class Pareto(ServiceDistribution):
     def _residuals(self, x):
         if self.alpha <= 1.0:
             return np.full(x.shape, math.inf)
-        return np.where(x < self.xm, self.mean() - x, x / (self.alpha - 1.0))
+        return x / (self.alpha - 1.0)
 
     def quantile(self, q):
         return self.xm * math.exp(-math.log1p(-q) / self.alpha)
@@ -346,9 +345,6 @@ class ShiftedExponential(ServiceDistribution):
     def mean(self):
         return self.shift + 1.0 / self.rate
 
-    def _reaches_support(self, x):
-        return x > self.shift
-
     def _primitives(self, x):
         tau = x - self.shift
         u = -self.rate * tau
@@ -356,7 +352,7 @@ class ShiftedExponential(ServiceDistribution):
         return f, _each(math.exp, u), _exp_truncated_moment(self.rate, tau) + self.shift * f
 
     def _residuals(self, x):
-        return np.where(x < self.shift, self.shift - x + 1.0 / self.rate, 1.0 / self.rate)
+        return np.full(x.shape, 1.0 / self.rate)
 
     def quantile(self, q):
         return self.shift - math.log1p(-q) / self.rate
@@ -387,8 +383,8 @@ class TwoPoint(ServiceDistribution):
     def mean(self):
         return self.p * self.t1 + (1.0 - self.p) * self.t2
 
-    def _reaches_support(self, x):
-        return x >= self.t1
+    def _reaches_support(self, x):  # the atom at t1 reaches the support
+        return x >= self.support_min()
 
     def _primitives(self, x):
         below = x < self.t2
@@ -424,9 +420,6 @@ class HyperExponential(ServiceDistribution):
 
     def mean(self):
         return sum(w / r for w, r in zip(self.weights, self.rates))
-
-    def _reaches_support(self, x):
-        return x > 0
 
     def _primitives(self, x):
         # each column sums its phases in ``sum``'s order, on a float or an array
@@ -513,9 +506,6 @@ class LogNormal(ServiceDistribution):
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
-    def _reaches_support(self, x):
-        return x > 0
-
     def _primitives(self, x):
         z = (_each(math.log, x) - self.mu) / self.sigma
         return ndtr(z), ndtr(-z), self.mean() * ndtr(z - self.sigma)
@@ -542,8 +532,8 @@ class Deterministic(ServiceDistribution):
     def mean(self):
         return self.value
 
-    def _reaches_support(self, x):
-        return x >= self.value
+    def _reaches_support(self, x):  # the atom at value reaches the support
+        return x >= self.support_min()
 
     def _primitives(self, x):
         return 1.0, 0.0, self.value

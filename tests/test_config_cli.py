@@ -394,6 +394,34 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert main(["eval", "--config", str(tmp_path / "missing.yaml")]) == 2
 
+    @pytest.mark.parametrize("mapping, key", [
+        ("distribution: {kind: exponential, params: {rate: 1.0}}\n", "distribution"),
+        ("simulation: {seed: 1, peaks: 10, seed: 2}\n", "seed"),
+    ], ids=["top-level", "nested"])
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, mapping, key):
+        # a repeated key would silently keep its last value; the repeat is on line 3
+        cfg = tmp_path / "dup.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n" + mapping)
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot parse config file {cfg}" in err
+        assert f"duplicate key {key!r}\n  in \"{cfg}\", line 3," in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("blocker", ["file", "directory"])
+    def test_unwritable_output_exit_2(self, tp_config, tmp_path, capsys, blocker):
+        # a file where the output directory goes fails mkdir; a directory
+        # where the CSV goes fails open
+        out = tmp_path / "out"
+        if blocker == "file":
+            out.write_text("")
+        else:
+            (out / "tp_eval.csv").mkdir(parents=True)
+        assert main(["eval", "--config", str(tp_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'tp_eval.csv'}: ")
+        assert err.count("\n") == 1
+
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(

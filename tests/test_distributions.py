@@ -192,8 +192,16 @@ class TestConditionalResidual:
     def test_nan_threshold_raises(self, member):
         # every law reads (F, sf, M) = (0, 1, 0) at nan, so no event is conditioned on
         assert math.isnan(member.grid_residuals([math.nan])[0])
-        with pytest.raises(DegenerateCondition):
+        with pytest.raises(DegenerateCondition, match="^the threshold is nan"):
             member.conditional_residual(math.nan)
+
+    def test_below_support_is_mean_minus_theta(self, member):
+        # X > theta surely below the support, so E[X - theta | X > theta] = E[X] - theta
+        xmin = member.support_min()
+        thetas = [-1.0, math.nextafter(xmin, 0.0), *([0.5 * xmin] if xmin > 0 else [])]
+        want = [(member.mean() - t).hex() for t in thetas]
+        assert [member.conditional_residual(t).hex() for t in thetas] == want
+        assert [r.hex() for r in member.grid_residuals(thetas).tolist()] == want
 
     def test_infinite_mean_propagates(self):
         assert math.isinf(Pareto(1.0, 0.5).conditional_residual(2.0))
@@ -232,9 +240,9 @@ ARRAY_LAWS = {
 PINNED_GRID_BITS = {
     "deterministic": "213430740983485354123751bb8e352da52e648544330aaaff5289d2009764a2",
     "erlang": "959d6498b92c8feb0a935165d8f86679af1ccefa137a3d62dc5c14c0e96799e8",
-    "exponential": "aa8b329f948c680792abcf1fffcd54a20bc89add047e3216e4c4bc2e485bccb1",
-    "hyper-exponential": "864fd35492ed4d8174159cb2fee1ac3c5f3949be70d99a9036b3b4cc8614b59b",
-    "hyper-exponential-3": "53a228d89534870b094ff53b6f13a86400b734416fe34cbebe5c49cf25da6ba6",
+    "exponential": "0023def897da2056f7c9808d8c844b4dfb2a0f08fe54140d60cff22e2fcfe720",
+    "hyper-exponential": "d6964c568496eaa2e0b4ad31bd7c5d241ca1e7e462c7e73f323bc4549b2d8893",
+    "hyper-exponential-3": "69bd531ce6abae3b0665bd70decdbbea754350a56a1c1cd5ad63ff18f036c16c",
     "log-normal": "2fd3d376724e6509473e8503b24153477973c909ae13e641bf92c6b255f7cdc4",
     "log-normal-s2.5": "2072e96ebb362c4910eb247f55d2e3404e059f0d504b7367fbcd58b631849a30",
     "pareto": "9311a4db3a75f70ee6f806988124e7a44a48f37a1d17c10588e0debbd6f99d9d",
@@ -242,7 +250,7 @@ PINNED_GRID_BITS = {
     "pareto-a1": "070c548697fa559d26ec002328241cbf40831088dac90641a3b144a0a2dadf73",
     "pareto-a1.5": "c9fd7f102fc291d4d3b6c6a2853fc64d53291b5936ff3a1659981b71d26c9bfd",
     "pareto-a3": "5160290b3843d778cd27f4159920bbcaf813a1a440c8ea3a39b2ac54fd70b54b",
-    "shifted-exponential": "0c8186935b4dac7fd059816c266fab77d1598218bc21fd6b4866d438a1261eb1",
+    "shifted-exponential": "361e03c319322c92c1b72f85bc5fd447848e54ef36214b3cf7f244e9820c3f52",
     "two-point": "feab1134b3d1043a9387dddcfb25c61626ab3e4d6c9973ba3e019baa4fc806cc",
 }
 
@@ -326,6 +334,16 @@ class TestArrayForms:
         # a law that defines its own would be a second formula to keep in step
         own = vars(type(CATALOG[name]))
         assert not {"cdf", "sf", "truncated_first_moment", "conditional_residual"} & own.keys()
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_support_edge_is_support_min(self, name):
+        # the base class reads where the support starts from ``support_min``;
+        # only a law with an atom there restates the edge, to include the atom
+        d = CATALOG[name]
+        atom = name in ("two-point", "deterministic")
+        assert ("_reaches_support" in vars(type(d))) == atom
+        f, sf, m = d.primitives(d.support_min())
+        assert f > 0 if atom else (f, sf, m) == (0.0, 1.0, 0.0)
 
 
 class TestQuantile:
