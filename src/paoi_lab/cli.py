@@ -82,7 +82,6 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
     template = ",".join(formats)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -95,6 +94,13 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]+", "_", label).strip("_")
+
+
+def _csv_name(cfg: ExperimentConfig, kind: str, policy=None) -> str:
+    """``{prefix}_{kind}.csv``, or ``{prefix}_{kind}_{slug}.csv`` for a file
+    written per policy."""
+    suffix = "" if policy is None else "_" + _slug(policy.label())
+    return f"{cfg.prefix}_{kind}{suffix}.csv"
 
 
 def _dist_label(d) -> str:
@@ -128,7 +134,7 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
         labels.append(policy.label())
         values.append((value.zeta, value.received_service, value.interreception))
     _write_csv(
-        out_dir / f"{cfg.prefix}_eval.csv",
+        out_dir / _csv_name(cfg, "eval"),
         ["policy", "zeta", "e_x_check", "e_y"],
         [labels, *np.array(values, dtype=float).T],
     )
@@ -152,7 +158,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     i_min = int(np.argmin(grid.zeta))
     is_minimum = np.zeros(len(thetas), dtype=int)
     is_minimum[i_min] = 1
-    path = out_dir / f"{cfg.prefix}_sweep.csv"
+    path = out_dir / _csv_name(cfg, "sweep")
     _write_csv(  # zeta, E[Xr], E[Y]
         path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], [thetas, *grid[:3], is_minimum]
     )
@@ -195,7 +201,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         bellman_delta,
     ]
     _write_csv(
-        out_dir / f"{cfg.prefix}_optimize.csv",
+        out_dir / _csv_name(cfg, "optimize"),
         [
             "distribution", "theta_opt", "zeta_opt", "zeta_zero_wait", "zeta_xmin",
             "zeta_min", "winner", "beneficial", "margin", "bellman_delta",
@@ -215,6 +221,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             raise ConfigError(f"--seed: {exc}") from exc
     seed = sim.seed
     workers = _workers()
+    seen = {}  # file slug -> index of the policy that writes it
+    for i, policy in enumerate(cfg.policies):
+        name = _slug(policy.label())
+        if name in seen:
+            raise ConfigError(
+                f"policies[{seen[name]}] and policies[{i}] would both write the files of {name!r}"
+            )
+        seen[name] = i
     for policy in cfg.policies:
         estimates = simulate.run_replications(
             d,
@@ -232,7 +246,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
               f"({sim.replications} x {sim.peaks} peaks)")
         fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
         _write_csv(
-            out_dir / f"{cfg.prefix}_simulate_{_slug(policy.label())}.csv",
+            out_dir / _csv_name(cfg, "simulate", policy),
             ["replication", "seed", "peaks", "mean", "stderr", "ci_low", "ci_high"],
             [
                 [*map(str, range(len(estimates))), "pooled"],
@@ -241,7 +255,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         )
         if sim.trajectory_horizon is not None:
             _write_csv(
-                out_dir / f"{cfg.prefix}_trajectory_{_slug(policy.label())}.csv",
+                out_dir / _csv_name(cfg, "trajectory", policy),
                 ["time", "peak", "reset_to"],
                 simulate.trajectory_columns(
                     d, policy, horizon=sim.trajectory_horizon, seed=seed,
@@ -255,7 +269,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             )
             index = np.arange(sim.warmup + 1, sim.warmup + sim.peaks + 1)
             _write_csv(
-                out_dir / f"{cfg.prefix}_peaks_{_slug(policy.label())}.csv",
+                out_dir / _csv_name(cfg, "peaks", policy),
                 ["k", "peak", "received_service", "interreception", "preemptions",
                  "receive_time"],
                 [index, *cols],
@@ -338,13 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(out_dir: Path, first: str) -> None:
+    """Create ``out_dir`` before the command runs, so that an ``--out`` that
+    cannot be created fails at once, naming ``first``, the command's first
+    output file."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir / first}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
         if args.command == "reproduce":
+            if args.figure in _FIGURES:
+                _make_out_dir(out_dir, f"{args.figure}.csv")
             return cmd_reproduce(args.figure, out_dir)
         cfg = load_config(args.config)
+        if args.command != "check":  # check writes no file
+            policy = cfg.policies[0] if args.command == "simulate" else None
+            _make_out_dir(out_dir, _csv_name(cfg, args.command, policy))
         if args.command == "eval":
             return cmd_eval(cfg, out_dir)
         if args.command == "sweep":

@@ -73,10 +73,11 @@ __all__ = [
 
 def weighted_pick(weights, u) -> np.ndarray:
     """For each ``u`` in [0, 1), the first index whose running sum of the
-    nonnegative ``weights`` reaches it, capped at the last index (the sum
-    may round below 1)."""
-    pick = np.searchsorted(np.cumsum(weights), u, side="left")
-    return np.minimum(pick, len(weights) - 1)
+    nonnegative ``weights`` exceeds it, capped at the last positive weight
+    (the sum may round below 1): a zero weight is never picked."""
+    weights = np.asarray(weights, dtype=float)
+    pick = np.searchsorted(np.cumsum(weights), u, side="right")
+    return np.minimum(pick, np.flatnonzero(weights)[-1])
 
 
 def _exp_truncated_moment(rate: float, tau):

@@ -6,20 +6,14 @@ here: the PAoI curve is monotone for memoryless service times and only
 becomes convex for more regular shapes, so unimodality can never be
 assumed.
 
-The optimality cross-check solves the one-stage Bellman equation
+The optimality cross-check is the fixed point of the one-stage Bellman
+equation
 
     U = min_theta { c(theta) + U * P(X > theta) },
     c(theta) = 2 * int_0^theta x dF(x) + theta * P(X > theta),
 
-on the search's grid, from the ``F``, ``P(X > theta)`` and ``M`` arrays
-the search read, by policy iteration (Howard's method, here the same as
-Dinkelbach's fractional-programming step): from ``U = c/F`` at the last
-grid point, pick ``theta_n = argmin c - U_n F`` and set
-``U_{n+1} = c(theta_n) / F(theta_n)``.  ``U`` strictly decreases through
-the finitely many grid values ``c/F``, so the loop stops exactly, with no
-tolerance, when ``U`` stops decreasing: at the grid minimum, after at
-most one step per grid point.  It needs only ``F > 0`` somewhere on the
-grid, not a contraction modulus.  Because ``zeta(s_theta)`` is ``c/F`` by
+on the search's grid, which is the grid's smallest ``c / F`` (``inf`` if
+``F`` is 0 on the whole grid).  Because ``zeta(s_theta)`` is ``c/F`` by
 construction, the cross-check confirms the grid-and-golden search, not
 the peak-age formula.
 """
@@ -83,7 +77,7 @@ class OptimizationResult:
     window: tuple[float, float]
     evaluations: int
     refine_iters: int
-    bellman_value: float  # the policy-iteration solution on the search's grid
+    bellman_value: float  # the Bellman fixed point on the search's grid
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
     cut = best_val + 1e-12 * (1.0 + abs(best_val))  # inf when every candidate is inf
     ties = [t for v, t in candidates if v <= cut]
     evals = len(thetas) + len(refined)
-    return min(ties), best_val, evals, len(refined), (cost, grid.cdf)
+    return min(ties), best_val, evals, len(refined), _bellman_value(cost, grid.cdf)
 
 
 def optimal_threshold(
@@ -239,7 +233,7 @@ def min_achievable_paoi(
     infinite service mean the zero-wait candidate simply never wins.
     """
     theta_min, theta_max = window_or_default(d, theta_min, theta_max)
-    theta_opt, zeta_opt, evals, iters, tables = _search_optimal(
+    theta_opt, zeta_opt, evals, iters, bellman = _search_optimal(
         d, theta_min, theta_max, tol, grid_points
     )
     zeta_zw = paoi_zero_wait(d)
@@ -270,7 +264,7 @@ def min_achievable_paoi(
         window=(theta_min, theta_max),
         evaluations=evals,
         refine_iters=iters,
-        bellman_value=_policy_iteration(*tables),
+        bellman_value=bellman,
     )
 
 
@@ -296,32 +290,16 @@ def bellman_fixed_point(
     theta_max: float,
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> float:
-    """Solve ``U = min_theta {c(theta) + U * P(X > theta)}`` by policy iteration
-    alone; :func:`min_achievable_paoi` reports it as ``bellman_value``."""
+    """Fixed point of ``U = min_theta {c(theta) + U * P(X > theta)}`` on the
+    grid: its smallest ``c / F``, as :func:`min_achievable_paoi` reports in
+    ``bellman_value``."""
     _, grid, cost = _grid(d, theta_min, theta_max, grid_points)
-    return _policy_iteration(cost, grid.cdf)
+    return _bellman_value(cost, grid.cdf)
 
 
-def _policy_iteration(cost: np.ndarray, f: np.ndarray) -> float:
-    """The Bellman fixed point from a grid's per-attempt cost and ``F``.
-
-    Each step minimizes ``c - U F``, which has the same argmin as
-    ``c + U * P(X > theta)`` but keeps the tiny differences of the lower
-    tail that adding ``U`` would round away.  Grid points with ``F = 0``
-    never improve ``U``; if ``F`` is 0 on the whole grid the result is
-    ``inf``.
-    """
-    delivers = f > 0.0
-    if not delivers.any():
-        return math.inf
-    cost, f = cost[delivers], f[delivers]
-    u = cost[-1] / f[-1]
-    while True:
-        i = int(np.argmin(cost - u * f))
-        u_next = cost[i] / f[i]
-        if not u_next < u:
-            return float(u)
-        u = u_next
+def _bellman_value(cost: np.ndarray, f: np.ndarray) -> float:
+    """The smallest ``cost / F`` over the grid points with ``F > 0``."""
+    return float(np.min(cost[f > 0] / f[f > 0], initial=math.inf))
 
 
 def preemption_beneficial(

@@ -173,7 +173,7 @@ class ChoiceSampler(ThresholdSampler):
         return np.asarray(self.values)[weighted_pick(self.weights, rng.random(n))]
 
     def supremum(self):
-        return max(self.values)
+        return max(v for v, w in zip(self.values, self.weights) if w > 0)
 
     def label(self):
         return "choice[" + ",".join(f"{v:g}" for v in self.values) + "]"

@@ -678,10 +678,12 @@ class TestDegenerateInputs:
             "{kind: uniform, low: 0.1, high: 0.9}",
             "{kind: choice, values: [0.5, 0.9], weights: [0.5, 0.5]}",
             "{kind: point, value: 0.9}",
+            "{kind: choice, values: [0.5, 5.0], weights: [1.0, 0.0]}",
         ],
     )
     def test_sampler_that_never_delivers_exits_3_at_once(self, tmp_path, capsys, sampler):
-        # every threshold these draw lies below Pareto(1, 2)'s support
+        # every threshold these draw lies below Pareto(1, 2)'s support; a
+        # value of weight 0 is never drawn
         cfg = tmp_path / "s.yaml"
         cfg.write_text(
             "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
@@ -691,6 +693,36 @@ class TestDegenerateInputs:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert time.perf_counter() - start < 5.0
         assert "can deliver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, policies, simulation", [
+        ("eval", "[xmin, zero-wait]", ""),
+        ("simulate", "[{kind: fixed, theta: 2.0}]",
+         "simulation: {peaks: 200000, replications: 4, seed: 1}\n"),
+    ])
+    def test_out_is_checked_before_the_work(self, tmp_path, capsys, verb, policies, simulation):
+        cfg = tmp_path / "o.yaml"
+        cfg.write_text(ERLANG + f"policies: {policies}\n" + simulation)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+
+    def test_policies_sharing_file_names_exit_2(self, tmp_path, capsys):
+        # both labels read fixed(2), so the second CSV would overwrite the first
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            ERLANG + "policies: [zero-wait, {kind: fixed, theta: 2.0000001}, "
+            "{kind: fixed, theta: 2.0000002}]\n"
+            "simulation: {peaks: 100, replications: 1}\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "policies[1] and policies[2]" in captured.err
+        assert "'fixed_2'" in captured.err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_sampler_that_reaches_the_support_simulates(self, tmp_path):
         cfg = tmp_path / "s.yaml"

@@ -16,6 +16,7 @@ from paoi_lab import (
     Pareto,
     TwoPoint,
 )
+from paoi_lab.distributions import weighted_pick
 
 from conftest import (
     CATALOG,
@@ -483,6 +484,14 @@ class TestSampling:
     def test_kolmogorov_smirnov(self, member):
         draws = member.sample_batch(np.random.default_rng(123), 100_000)
         assert ks_statistic(draws, lambda xs: member.grid_primitives(xs)[0]) < 0.01
+
+    def test_weighted_pick_never_picks_a_zero_weight(self):
+        # u = 0.0 is a draw of rng.random(); a zero first weight must not take it
+        assert weighted_pick([0.0, 1.0], [0.0]).tolist() == [1]
+        u = [0.0, 0.25, 0.5, 0.75, 1.0 - 2**-53]
+        assert weighted_pick([0.5, 0.0, 0.5, 0.0], u).tolist() == [0, 0, 2, 2, 2]
+        # the running sum rounds to 1 - 2**-53, so u = 1 - 2**-53 passes it
+        assert weighted_pick([0.1] * 10 + [0.0], [1 - 2**-53]).tolist() == [9]
 
 
 class TestValidation:

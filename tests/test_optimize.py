@@ -25,7 +25,8 @@ from paoi_lab import (
     theta_grid,
     twopoint_benefit_threshold,
 )
-from paoi_lab.optimize import bellman_apply, bellman_tables, benefit_verdict
+from paoi_lab.analytic import paoi_thresholds
+from paoi_lab.optimize import _bellman_value, bellman_apply, bellman_tables, benefit_verdict
 
 from conftest import CATALOG
 
@@ -194,6 +195,116 @@ class TestBellman:
                 grid = theta_grid(lo, hi, 400)
                 grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in grid)
                 assert fp == pytest.approx(grid_min, rel=1e-8), (name, lo, hi)
+
+
+def policy_iteration(cost, f):
+    """Reference for the Bellman fixed point: Howard's policy iteration.
+
+    From ``U = c/F`` at the last grid point with ``F > 0``, step to
+    ``c(theta)/F(theta)`` at the argmin of ``c - U F`` until ``U`` stops
+    decreasing; ``inf`` if ``F`` is 0 on the whole grid.
+    """
+    delivers = f > 0.0
+    if not delivers.any():
+        return math.inf
+    cost, f = cost[delivers], f[delivers]
+    u = cost[-1] / f[-1]
+    while True:
+        i = int(np.argmin(cost - u * f))
+        u_next = cost[i] / f[i]
+        if not u_next < u:
+            return float(u)
+        u = u_next
+
+
+def reference_fixed_point(d, lo, hi, grid_points=2000):
+    thetas, cost, _ = bellman_tables(d, lo, hi, grid_points)
+    return policy_iteration(cost, paoi_thresholds(d, thetas).cdf)
+
+
+class TestBellmanClosedForm:
+    """The fixed point read as the grid's smallest ``c/F`` equals the
+    policy-iteration loop bit for bit, except on windows that start far
+    down the lower tail, where the loop can stop above the minimum."""
+
+    def assert_matches_loop(self, d, lo, hi, grid_points=2000):
+        want = reference_fixed_point(d, lo, hi, grid_points)
+        assert bellman_fixed_point(d, lo, hi, grid_points) == want, (d, lo, hi)
+        result = min_achievable_paoi(d, lo, hi, grid_points=grid_points)
+        assert result.bellman_value == want, (d, lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_default_windows(self, name):
+        d = CATALOG[name]
+        lo, hi = (1.5, 3.0) if name == "deterministic" else default_window(d)
+        self.assert_matches_loop(d, lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(TestBellman.WINDOWS))
+    def test_bellman_windows(self, name):
+        self.assert_matches_loop(CATALOG[name], *TestBellman.WINDOWS[name])
+
+    @staticmethod
+    def window(name, start, width):
+        d = CATALOG[name]
+        base = d.support_min()
+        span = max(d.quantile(0.999) - base, 1.0)
+        lo = base + start * span
+        return d, lo, lo + width * span
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG)),
+        start=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+        width=st.floats(1e-3, 1.0),
+        grid_points=st.integers(2, 3000),
+    )
+    def test_random_windows(self, name, start, width, grid_points):
+        self.assert_matches_loop(*self.window(name, start, width), grid_points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG)),
+        start=st.floats(0.0, 1.0),
+        width=st.floats(1e-3, 1.0),
+        grid_points=st.integers(2, 3000),
+    )
+    def test_never_above_the_loop(self, name, start, width, grid_points):
+        # a window starting far down the lower tail can stop the loop above
+        # the smallest c/F (see below); the closed form reads that minimum
+        d, lo, hi = self.window(name, start, width)
+        thetas, cost, _ = bellman_tables(d, lo, hi, grid_points)
+        f = paoi_thresholds(d, thetas).cdf
+        got = bellman_fixed_point(d, lo, hi, grid_points)
+        ratios = [c / x for c, x in zip(cost.tolist(), f.tolist()) if x > 0.0]
+        assert got == min(ratios, default=math.inf)
+        assert got <= policy_iteration(cost, f)
+
+    def test_loop_stops_short_in_the_far_lower_tail(self):
+        # at theta = 1e-300 the first grid point's gain F * (U - c/F) is far
+        # below the rounding of c - U F at the other points, so the loop
+        # stops a step early; zeta(s_theta) there is 1 + O(theta)
+        d = Exponential(1.0)
+        thetas, cost, _ = bellman_tables(d, 1e-300, 0.0135, 45)
+        f = paoi_thresholds(d, thetas).cdf
+        assert cost[0] / f[0] == 1.0
+        assert bellman_fixed_point(d, 1e-300, 0.0135, 45) == 1.0
+        assert policy_iteration(cost, f) > 1.0
+
+    def test_no_delivering_grid_point_is_inf(self):
+        cost, f = np.array([1.0, 2.0]), np.zeros(2)
+        assert _bellman_value(cost, f) == policy_iteration(cost, f) == math.inf
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_is_a_fixed_point_of_the_operator(self, name):
+        d = CATALOG[name]
+        if name == "deterministic":
+            windows = [(1.5, 3.0), (d.value, 5 * d.value)]
+        else:
+            windows = [default_window(d), (d.quantile(0.05), d.quantile(0.9))]
+        for lo, hi in windows:
+            u = bellman_fixed_point(d, lo, hi)
+            _, cost, surv = bellman_tables(d, lo, hi)
+            assert abs(bellman_apply(cost, surv, u) - u) <= 4 * math.ulp(u), (lo, hi)
 
 
 class TestPreemptionVerdicts:

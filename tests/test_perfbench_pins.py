@@ -43,3 +43,18 @@ def test_names_the_benchmark_calls_directly_exist():
     assert "workers" in inspect.signature(run_replications).parameters
     assert callable(RepetitiveSequence.threshold_for_attempt)
     assert callable(ThresholdSampler.draw)
+
+
+def test_search_spans_bind_the_window_arguments():
+    # the tracer's _search_extra binds each call of a name in SEARCHES to
+    # its signature and reads d, theta_min, theta_max and grid_points
+    from paoi_lab import optimize
+
+    tracing = load_tracing()
+    assert tracing.SEARCHES
+    for name in tracing.SEARCHES:
+        bound = inspect.signature(getattr(optimize, name)).bind("d", "lo", "hi")
+        bound.apply_defaults()
+        a = bound.arguments
+        assert (a["d"], a["theta_min"], a["theta_max"]) == ("d", "lo", "hi"), name
+        assert isinstance(a["grid_points"], int), name

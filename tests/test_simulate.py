@@ -360,6 +360,11 @@ class TestRandomized:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             ChoiceSampler((1.0, 3.0), weights)
 
+    def test_choice_supremum_skips_zero_weights(self):
+        assert ChoiceSampler((0.5, 5.0), (1.0, 0.0)).supremum() == 0.5
+        assert ChoiceSampler((5.0, 0.5), (0.0, 1.0)).supremum() == 0.5
+        assert ChoiceSampler((0.5, 5.0), (0.5, 0.5)).supremum() == 5.0
+
     def test_sequence_policy_runs(self):
         d = TwoPoint(1.0, 3.0, 0.5)
         records = simulate_peaks(
