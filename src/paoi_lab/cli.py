@@ -4,7 +4,9 @@ Commands
 --------
 eval       closed-form PAoI per (distribution, policy) pair
 sweep      PAoI vs threshold curve as CSV, minimum row flagged
-optimize   optimal threshold, minimum achievable PAoI, verdicts, policy-iteration cross-check
+optimize   optimal threshold, minimum achievable PAoI, verdicts, the Bellman value on
+           the search grid (its gap printed, for byte-identical output, as the
+           "policy-iteration cross-check delta")
 simulate   Monte-Carlo replications with pooled batch-means CI
 check      preemption-benefit verdicts (exact and residual-based)
 reproduce  the four figure-data bundles (Erlang/Pareto studies)
@@ -118,7 +120,18 @@ def _workers() -> int:
     return n or os.cpu_count() or 1
 
 
+def _reject_clashes(policies, key, clash: str) -> None:
+    """Raise :class:`ConfigError` when two policies share ``key(policy)``."""
+    seen = {}  # key -> index of the first policy with it
+    for i, policy in enumerate(policies):
+        k = key(policy)
+        if k in seen:
+            raise ConfigError(f"policies[{seen[k]}] and policies[{i}] would both {clash} {k!r}")
+        seen[k] = i
+
+
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _reject_clashes(cfg.policies, lambda p: p.label(), "be labelled")
     labels, values = [], []
     print(f"distribution: {_dist_label(cfg.distribution)}")
     print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
@@ -221,14 +234,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             raise ConfigError(f"--seed: {exc}") from exc
     seed = sim.seed
     workers = _workers()
-    seen = {}  # file slug -> index of the policy that writes it
-    for i, policy in enumerate(cfg.policies):
-        name = _slug(policy.label())
-        if name in seen:
-            raise ConfigError(
-                f"policies[{seen[name]}] and policies[{i}] would both write the files of {name!r}"
-            )
-        seen[name] = i
+    _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
     for policy in cfg.policies:
         estimates = simulate.run_replications(
             d,

@@ -3,10 +3,10 @@
 The peak-age formulas read a law only through ``F``, ``P(X > theta)`` and
 the truncated first moment ``M(theta) = E[X 1{X <= theta}]``.  Each law
 writes those three once, in ``_primitives(x)``, plus a generalized-inverse
-quantile and seeded sampling, all in closed form; it says where its support
-starts only through ``support_min()``, and a law with an atom there
-(``TwoPoint``, ``Deterministic``) overrides ``_reaches_support`` to include
-it.  The same expressions take a float or an array:
+quantile and seeded sampling, all in closed form, and says where its
+support starts only through ``support_min()``.  An atom law (``TwoPoint``,
+``Deterministic``) gives only ``atoms()``, and the base class derives all of
+these from one table of them.  The same expressions take a float or an array:
 :meth:`ServiceDistribution.primitives` reads one threshold and
 :meth:`ServiceDistribution.grid_primitives` a whole grid, so a single value
 and a grid agree bit for bit.  ``cdf``, ``sf``, ``truncated_first_moment``,
@@ -47,8 +47,8 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -99,24 +99,45 @@ def _each(fn, xs, *constants):
     return np.fromiter(map(fn, xs.tolist(), *map(repeat, constants)), float, xs.size)
 
 
-class ServiceDistribution(ABC):
+class ServiceDistribution:
     """A nonnegative service-time law with the primitives PAoI formulas need."""
 
-    @abstractmethod
-    def support_min(self) -> float:
-        """Infimum of the support (smallest atom for discrete kinds)."""
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """``(value, weight)`` pairs in increasing order, positive weights
+        summing to 1; ``()`` for a law that writes its own primitives."""
+        return ()
 
-    @abstractmethod
+    @functools.cached_property
+    def _atom_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, F, sf, M)`` at each atom, built once per instance: ``F``
+        reads exactly 1 at the last atom, ``sf`` adds the weights after
+        each atom from the right, and ``M`` is the running sum of ``w v``."""
+        atoms = self.atoms()
+        if not atoms:
+            raise NotImplementedError(f"{type(self).__name__} gives neither atoms nor this method")
+        values, weights = np.array(atoms, dtype=float).T.copy()  # contiguous rows
+        f = np.cumsum(weights)
+        f[-1] = 1.0
+        sf = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)
+        return values, f, sf, np.cumsum(weights * values)
+
+    def support_min(self) -> float:
+        """Infimum of the support (the smallest atom of an atom law)."""
+        return float(self._atom_table[0][0])
+
     def mean(self) -> float:
         """E[X]; ``inf`` when the integral diverges."""
+        return float(self._atom_table[3][-1])
 
-    @abstractmethod
     def quantile(self, q: float) -> float:
         """Generalized inverse inf{x : F(x) >= q} for 0 < q < 1."""
+        values, f, _, _ = self._atom_table
+        return float(values[f.searchsorted(q, "left")])
 
-    @abstractmethod
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. service times."""
+        values, f, _, _ = self._atom_table
+        return values[f.searchsorted(rng.random(n), "left")]
 
     def primitives(self, theta: float) -> tuple[float, float, float]:
         """``(F(theta), P(X > theta), M(theta))`` with ``M(theta) =
@@ -196,15 +217,18 @@ class ServiceDistribution(ABC):
 
     def _reaches_support(self, x):
         """Where ``x`` reaches the support and ``(F, sf, M)`` come from
-        :meth:`_primitives`; elsewhere they are ``(0, 1, 0)``."""
-        return x > self.support_min()
+        :meth:`_primitives`; elsewhere they are ``(0, 1, 0)``.  An atom at
+        ``support_min`` reaches it there."""
+        edge = self.support_min()
+        return x >= edge if self.atoms() else x > edge
 
-    # Each catalog law defines this hook, one formula that takes a float or
-    # an array; it is not abstract so that a law written only for the
-    # simulator still builds.
     def _primitives(self, x):
-        """``(F, sf, M)`` on thresholds that reach the support."""
-        raise NotImplementedError(f"{type(self).__name__} has no primitives")
+        """``(F, sf, M)`` on thresholds that reach the support, one formula
+        for a float or an array; an atom law reads its table at the last
+        atom at or below ``x``."""
+        values, f, sf, m = self._atom_table
+        i = values.searchsorted(x, "right") - 1
+        return f[i], sf[i], m[i]
 
     def _residuals(self, x: np.ndarray) -> np.ndarray:
         """The base form ``(E[X] - M) / sf - theta`` where ``sf > 0``."""
@@ -378,25 +402,8 @@ class TwoPoint(ServiceDistribution):
         if not 0.0 < self.p < 1.0:
             raise ValueError("need 0 < p < 1")
 
-    def support_min(self):
-        return self.t1
-
-    def mean(self):
-        return self.p * self.t1 + (1.0 - self.p) * self.t2
-
-    def _reaches_support(self, x):  # the atom at t1 reaches the support
-        return x >= self.support_min()
-
-    def _primitives(self, x):
-        below = x < self.t2
-        return (np.where(below, self.p, 1.0), np.where(below, 1.0 - self.p, 0.0),
-                np.where(below, self.p * self.t1, self.mean()))
-
-    def quantile(self, q):
-        return self.t1 if q <= self.p else self.t2
-
-    def sample_batch(self, rng, n):
-        return np.where(rng.random(n) <= self.p, self.t1, self.t2)
+    def atoms(self):
+        return ((self.t1, self.p), (self.t2, 1.0 - self.p))
 
 
 @dataclass(frozen=True)
@@ -527,20 +534,5 @@ class Deterministic(ServiceDistribution):
         if not 0 < self.value < math.inf:
             raise ValueError("value must be positive and finite")
 
-    def support_min(self):
-        return self.value
-
-    def mean(self):
-        return self.value
-
-    def _reaches_support(self, x):  # the atom at value reaches the support
-        return x >= self.support_min()
-
-    def _primitives(self, x):
-        return 1.0, 0.0, self.value
-
-    def quantile(self, q):
-        return self.value
-
-    def sample_batch(self, rng, n):
-        return np.full(n, self.value)
+    def atoms(self):
+        return ((self.value, 1.0),)

@@ -709,19 +709,22 @@ class TestDegenerateInputs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}")
 
-    def test_policies_sharing_file_names_exit_2(self, tmp_path, capsys):
-        # both labels read fixed(2), so the second CSV would overwrite the first
+    @pytest.mark.parametrize("verb, simulation, clash", [
+        # eval's two rows would read fixed(2) with different zeta
+        ("eval", "", "be labelled 'fixed(2)'"),
+        # simulate's second CSV would overwrite the first
+        ("simulate", "simulation: {peaks: 100, replications: 1}\n", "write the files of 'fixed_2'"),
+    ], ids=["eval", "simulate"])
+    def test_policies_sharing_a_label_exit_2(self, tmp_path, capsys, verb, simulation, clash):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(
             ERLANG + "policies: [zero-wait, {kind: fixed, theta: 2.0000001}, "
-            "{kind: fixed, theta: 2.0000002}]\n"
-            "simulation: {peaks: 100, replications: 1}\n"
+            "{kind: fixed, theta: 2.0000002}]\n" + simulation
         )
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "policies[1] and policies[2]" in captured.err
-        assert "'fixed_2'" in captured.err
+        assert f"policies[1] and policies[2] would both {clash}" in captured.err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_sampler_that_reaches_the_support_simulates(self, tmp_path):

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import pickle
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from paoi_lab import (
     Pareto,
     TwoPoint,
 )
-from paoi_lab.distributions import weighted_pick
+from paoi_lab.analytic import paoi_fixed_threshold
+from paoi_lab.distributions import ServiceDistribution, weighted_pick
 
 from conftest import (
     CATALOG,
@@ -295,7 +299,7 @@ class TestArrayForms:
     @staticmethod
     def dense_grid(d):
         xmin = d.support_min()
-        atoms = [getattr(d, a) for a in ("t1", "t2", "value") if hasattr(d, a)]
+        atoms = [value for value, _ in d.atoms()]
         edges = [0.0, -0.0, -1.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
                  0.5 * xmin, math.nextafter(xmin, 0.0), xmin, math.nextafter(xmin, math.inf),
                  *atoms, *(math.nextafter(a, s) for a in atoms for s in (0.0, math.inf)),
@@ -338,13 +342,104 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_support_edge_is_support_min(self, name):
-        # the base class reads where the support starts from ``support_min``;
-        # only a law with an atom there restates the edge, to include the atom
+        # the base class reads where the support starts from ``support_min``
+        # and whether an atom sits there from ``atoms``; no law restates it
         d = CATALOG[name]
-        atom = name in ("two-point", "deterministic")
-        assert ("_reaches_support" in vars(type(d))) == atom
+        assert "_reaches_support" not in vars(type(d))
         f, sf, m = d.primitives(d.support_min())
-        assert f > 0 if atom else (f, sf, m) == (0.0, 1.0, 0.0)
+        if name in CONTINUOUS:
+            assert d.atoms() == () and (f, sf, m) == (0.0, 1.0, 0.0)
+        else:
+            assert d.atoms()[0][0] == d.support_min() and f > 0
+
+
+@dataclass(frozen=True)
+class AtomsOnly(ServiceDistribution):
+    """A law that gives only its atoms; the base class derives the rest."""
+
+    pairs: tuple
+
+    def atoms(self):
+        return self.pairs
+
+
+class ScriptedRng:
+    """Hands out a fixed list of uniforms, as ``rng.random(n)`` would."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, n):
+        out, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return np.array(out)
+
+
+class TestAtomTable:
+    LAW = AtomsOnly(((0.5, 0.25), (2.0, 0.625), (3.25, 0.125)))  # exact in binary
+
+    def exact(self, theta):
+        """``(F, sf, M)`` at ``theta`` as exact sums over the atoms."""
+        atoms = [(Fraction(v), Fraction(w)) for v, w in self.LAW.atoms()]
+        f = sum(w for v, w in atoms if v <= theta)
+        sf = sum(w for v, w in atoms if v > theta)
+        return f, sf, sum(w * v for v, w in atoms if v <= theta)
+
+    # below, at, between and past the atoms
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0, 3.0, 3.25, 10.0, math.inf])
+    def test_primitives_are_exact_sums(self, theta):
+        d = self.LAW
+        f, sf, m = self.exact(theta)
+        assert d.primitives(theta) == (f, sf, m)
+        assert [c.tolist() for c in d.grid_primitives([theta])] == [[f], [sf], [m]]
+        zeta = paoi_fixed_threshold(d, theta).zeta
+        if f == 0:
+            assert zeta == math.inf
+        elif theta == math.inf:
+            assert zeta == 2 * m
+        else:
+            assert zeta == pytest.approx(float((2 * m + Fraction(theta) * sf) / f), rel=1e-15)
+
+    def test_derived_members(self):
+        d = self.LAW
+        mean = self.exact(math.inf)[2]
+        assert (d.support_min(), d.mean()) == (0.5, mean)
+        assert d.conditional_residual(1.0) == pytest.approx(
+            float((mean - self.exact(1.0)[2]) / self.exact(1.0)[1] - 1), rel=1e-15)
+        qs = [0.25, math.nextafter(0.25, 1.0), 0.875, math.nextafter(0.875, 1.0), 1.0]
+        assert [d.quantile(q) for q in qs] == [0.5, 2.0, 2.0, 3.25, 3.25]
+        assert d.sample_batch(ScriptedRng([0.0, *qs[:4]]), 5).tolist() == [0.5, 0.5, 2.0, 2.0, 3.25]
+
+    def test_table_keeps_its_rounding_order(self):
+        # F runs left to right and ends at exactly 1; sf adds the weights
+        # after each atom from the right, not 1 - F; M runs left to right
+        d = AtomsOnly(((1.0, 0.7), (2.0, 0.2), (3.0, 0.1)))
+        got = [d.primitives(v) for v in (1.0, 2.0, 3.0)]
+        assert got == [(0.7, 0.1 + 0.2, 0.7), (0.7 + 0.2, 0.1, 0.7 + 0.2 * 2.0),
+                       (1.0, 0.0, 0.7 + 0.2 * 2.0 + 0.1 * 3.0)]
+        # the sums this pins apart from the other orders
+        assert 0.7 + 0.2 + 0.1 != 1.0 and 1.0 - (0.7 + 0.2) != 0.1
+        assert d.mean() == got[2][2]
+
+    def test_table_survives_pickling(self):
+        # the simulator's pool pickles laws, cached table and all
+        d = TwoPoint(1.0, 3.0, 0.5)
+        d.primitives(2.0)
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d and copy.primitives(2.0) == d.primitives(2.0)
+
+    def test_two_point_inverts_f_at_p(self):
+        # u == p still draws t1, as quantile(p) reads t1; the next float draws t2
+        d = TwoPoint(1.0, 3.0, 0.3)
+        uniforms = [d.p, math.nextafter(d.p, 1.0), 0.0]
+        assert d.sample_batch(ScriptedRng(uniforms), 3).tolist() == [1.0, 3.0, 1.0]
+        assert [d.quantile(q) for q in uniforms[:2]] == [1.0, 3.0]
+
+    def test_law_without_atoms_or_primitives_says_so(self):
+        class Bare(ServiceDistribution):
+            pass
+
+        with pytest.raises(NotImplementedError, match="Bare gives neither atoms"):
+            Bare().cdf(1.0)
 
 
 class TestQuantile:

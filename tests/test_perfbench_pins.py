@@ -58,3 +58,17 @@ def test_search_spans_bind_the_window_arguments():
         a = bound.arguments
         assert (a["d"], a["theta_min"], a["theta_max"]) == ("d", "lo", "hi"), name
         assert isinstance(a["grid_points"], int), name
+
+
+def test_counted_primitives_resolve_where_the_tracer_patches():
+    # the tracer wraps each name in PRIMITIVES only where it sits in vars()
+    # of ServiceDistribution or of a catalog class, so a law that inherits
+    # one from any other class would run it uncounted
+    from paoi_lab import distributions
+
+    tracing = load_tracing()
+    for name in tracing.LAWS:
+        cls = getattr(distributions, name)
+        for method in tracing.PRIMITIVES:
+            owner = next(c for c in cls.__mro__ if method in vars(c))
+            assert owner in (distributions.ServiceDistribution, cls), (name, method, owner)
