@@ -131,7 +131,8 @@ def paoi_zero_wait(d: ServiceDistribution) -> float:
 
 
 def has_atom_at_support_min(d: ServiceDistribution) -> bool:
-    return d.cdf(d.support_min()) > 0.0
+    """Whether ``d`` has mass at ``support_min``: an atom law starts at its first atom."""
+    return bool(d.atoms())
 
 
 def paoi_xmin(d: ServiceDistribution) -> float:

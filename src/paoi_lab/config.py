@@ -170,14 +170,17 @@ def _check_keys(node: dict, allowed, where: str) -> None:
 def _number(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an int literal past the largest float
+        raise ConfigError(f"{where}: expected a number, got an int too large for a float") from None
 
 
 def _integer(v: Any, where: str) -> int:
     x = _number(v, where)
     if not x.is_integer():  # nor is nan or inf
         raise ConfigError(f"{where}: expected an integer, got {x!r}")
-    return int(x)
+    return v if isinstance(v, int) else int(x)  # an int stays exact, even past 2**53
 
 
 def _numbers(v: Any, where: str) -> tuple[float, ...]:
@@ -307,6 +310,6 @@ def load_config(path: str) -> ExperimentConfig:
             raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return parse_config(raw)

@@ -3,10 +3,13 @@
 The peak-age formulas read a law only through ``F``, ``P(X > theta)`` and
 the truncated first moment ``M(theta) = E[X 1{X <= theta}]``.  Each law
 writes those three once, in ``_primitives(x)``, plus a generalized-inverse
-quantile and seeded sampling, all in closed form, and says where its
-support starts only through ``support_min()``.  An atom law (``TwoPoint``,
-``Deterministic``) gives only ``atoms()``, and the base class derives all of
-these from one table of them.  The same expressions take a float or an array:
+quantile and seeded sampling, and says where its support starts, if not
+at 0, only through ``support_min()``.  All are closed forms but the
+``HyperExponential`` quantile: the smallest float ``x`` with ``F(x) >= q``
+(``sf(x) <= 1 - q`` above the median), one bisection over the ordered bit
+patterns of the nonnegative floats.  An atom law (``TwoPoint``,
+``Deterministic``) gives only ``atoms()``, and the base class derives all
+of these from one table of them.  The same expressions take a float or an array:
 :meth:`ServiceDistribution.primitives` reads one threshold and
 :meth:`ServiceDistribution.grid_primitives` a whole grid, so a single value
 and a grid agree bit for bit.  ``cdf``, ``sf``, ``truncated_first_moment``,
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -99,6 +103,11 @@ def _each(fn, xs, *constants):
     return np.fromiter(map(fn, xs.tolist(), *map(repeat, constants)), float, xs.size)
 
 
+def _float(bits: int) -> float:
+    """The float whose IEEE 754 binary64 bit pattern is the integer ``bits``."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 class ServiceDistribution:
     """A nonnegative service-time law with the primitives PAoI formulas need."""
 
@@ -122,8 +131,9 @@ class ServiceDistribution:
         return values, f, sf, np.cumsum(weights * values)
 
     def support_min(self) -> float:
-        """Infimum of the support (the smallest atom of an atom law)."""
-        return float(self._atom_table[0][0])
+        """Infimum of the support: the smallest atom of an atom law, else 0."""
+        atoms = self.atoms()
+        return float(atoms[0][0]) if atoms else 0.0
 
     def mean(self) -> float:
         """E[X]; ``inf`` when the integral diverges."""
@@ -249,9 +259,6 @@ class Exponential(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def support_min(self):
-        return 0.0
-
     def mean(self):
         return 1.0 / self.rate
 
@@ -282,9 +289,6 @@ class Erlang(ServiceDistribution):
         object.__setattr__(self, "rate", float(self.rate))
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
-
-    def support_min(self):
-        return 0.0
 
     def mean(self):
         return self.shape / self.rate
@@ -423,9 +427,6 @@ class HyperExponential(ServiceDistribution):
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
-    def support_min(self):
-        return 0.0
-
     def mean(self):
         return sum(w / r for w, r in zip(self.weights, self.rates))
 
@@ -448,43 +449,21 @@ class HyperExponential(ServiceDistribution):
         return out
 
     def quantile(self, q):
-        # Bisection down to adjacent floats, so the result is the exact
-        # generalized inverse of this class's own F.  Above the median the
-        # gap reads sf, the accurate side there.
+        # The smallest float x with gap(x) <= 0, i.e. the exact generalized
+        # inverse of this class's own F: one bisection over the bit patterns
+        # of the nonnegative floats, which order as the floats do, in at
+        # most 64 reads.  Above the median, gap reads sf, the accurate side.
         if q == 1.0:
             return math.inf  # F reaches 1 only in the limit
 
-        def gap(x):  # positive exactly below the answer; convex, decreasing
+        def gap(x):  # positive exactly below the answer
             return q - self.cdf(x) if q <= 0.5 else self.sf(x) - (1.0 - q)
 
-        # Newton on the convex gap climbs from below and, but for rounding,
-        # never passes the answer.  It starts where the slowest phase's tail
-        # alone, w e^{-r x}, falls to 1 - q; the mixture's sf is above that.
-        rate, weight = min(zip(self.rates, self.weights))
-        x = max((math.log(weight) - math.log1p(-q)) / rate, 0.0)
-        for _ in range(32):  # a bound only: a handful of steps converge
-            g = gap(x)
-            if not g > 0.0:
-                break
-            step = g / sum(w * r * math.exp(-r * x) for w, r in zip(self.weights, self.rates))
-            if not x < x + step < math.inf:
-                break
-            x += step
-        # gallop out from x in doubling steps to a bracket, then bisect it
-        lo = hi = x
-        d = math.ulp(x)
-        while gap(hi) > 0.0:
-            lo, hi, d = hi, hi + d, 2.0 * d
-        while lo > 0.0 and not gap(lo) > 0.0:
-            lo, hi, d = max(lo - d, 0.0), lo, 2.0 * d
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return hi
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = -1, 0x7FF0_0000_0000_0000  # "below 0.0" and the bits of inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gap(_float(mid)) > 0.0 else (lo, mid)
+        return _float(hi)
 
     def sample_batch(self, rng, n):
         rates = np.asarray(self.rates)[weighted_pick(self.weights, rng.random(n))]
@@ -507,9 +486,6 @@ class LogNormal(ServiceDistribution):
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (-math.inf < self.mu < math.inf and 0 < self.sigma < math.inf):
             raise ValueError("mu must be finite and sigma positive and finite")
-
-    def support_min(self):
-        return 0.0
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)

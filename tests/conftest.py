@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from paoi_lab import (
@@ -38,6 +39,15 @@ CONTINUOUS = [
 ]
 
 FINITE_MEAN = [k for k in CATALOG if not math.isinf(CATALOG[k].mean())]
+
+
+@st.composite
+def hyper_exponentials(draw):
+    """A mixture of 1 to 4 exponential phases with rates in [1e-3, 1e3]."""
+    rates = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=4))
+    raw = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                        min_size=len(rates), max_size=len(rates)))
+    return HyperExponential(tuple(rates), tuple(w / sum(raw) for w in raw))
 
 
 def catalog_ids():

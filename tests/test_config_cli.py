@@ -178,6 +178,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="expected a number, got '1e0'"):
             load_config(str(path))
 
+    def test_integers_stay_exact(self, tmp_path):
+        # 2**53 + 1 has no float of its own: read through float() it was 2**53
+        big = 2**53 + 1
+        path = tmp_path / "i.yaml"
+        path.write_text(f"distribution: {{kind: erlang, params: {{shape: {big}, rate: 1.0}}}}\n"
+                        f"simulation: {{seed: {big}, peaks: 3.0}}\n")
+        cfg = load_config(str(path))
+        assert cfg.simulation.seed == big and cfg.distribution.shape == big
+        assert cfg.simulation.peaks == 3 and type(cfg.simulation.peaks) is int
+        path.write_text(ERLANG + "simulation: {seed: true}\n")
+        with pytest.raises(ConfigError, match="expected a number, got True"):
+            load_config(str(path))
+
     def test_readme_block_documents_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -259,8 +272,9 @@ class TestCli:
 
     def test_optimize_reads_each_grid_point_once(self, tmp_path, capsys):
         # the search, the golden refinement and the cross-check share one
-        # evaluation per point; the primitives are read twice more at the
-        # support minimum, for the xmin candidate and the no-atom note
+        # evaluation per point; the primitives are read once more at the
+        # support minimum, for the xmin candidate (the no-atom note reads
+        # atoms())
         calls = Counter()
 
         class Counting(Erlang):
@@ -287,9 +301,9 @@ class TestCli:
         assert cmd_optimize(ExperimentConfig(distribution=Counting(3, 1.0)), tmp_path) == 0
         evaluations = int(re.search(r"grid evaluations: (\d+)", capsys.readouterr().out)[1])
         assert evaluations == 2000 + 29  # the grid plus the golden steps
-        assert calls["cdf"] <= evaluations + 2
+        assert calls["cdf"] <= evaluations + 1
         assert calls["sf"] <= evaluations and calls["m"] <= evaluations
-        assert calls["primitives"] + calls["grid points"] == evaluations + 2, calls
+        assert calls["primitives"] + calls["grid points"] == evaluations + 1, calls
 
     @pytest.mark.parametrize(
         "argv", [["optimize", "--seed", "5"], ["reproduce", "--figure", "fig4", "--config", "x"]]
@@ -629,6 +643,30 @@ class TestDegenerateInputs:
         cfg.write_text(ERLANG + section + "\n")
         assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, section, digits, where",
+        [
+            ("optimize", "distribution: {kind: exponential, params: {rate: 1%s}}", 400,
+             "distribution.params.rate"),
+            ("optimize", "distribution: {kind: erlang, params: {shape: 1%s, rate: 1.0}}", 400,
+             "distribution.params.shape"),
+            ("simulate", ERLANG + "simulation: {seed: 1%s}", 400, "simulation.seed"),
+            ("simulate", ERLANG + "policies: [{kind: fixed, theta: 1%s}]", 400,
+             "policies[0].theta"),
+            # past Python's limit on the digits of an int read from text
+            ("optimize", "distribution: {kind: exponential, params: {rate: 1%s}}", 5000,
+             "cannot parse config file"),
+        ],
+        ids=["rate", "shape", "seed", "theta", "past-the-parser-limit"],
+    )
+    def test_integer_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, section,
+                                                   digits, where):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(section % ("0" * digits) + "\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and where in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "policy",

@@ -32,7 +32,7 @@ from paoi_lab import (
     paoi_repetitive,
 )
 
-from conftest import CATALOG, catalog_ids
+from conftest import CATALOG, catalog_ids, hyper_exponentials
 
 QUANTILES = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
 # Measured over 13000 random draws per law of the kinds drawn below: the
@@ -181,14 +181,6 @@ _times = st.floats(min_value=1e-3, max_value=1e3)
 
 
 @st.composite
-def _hyper_exponential(draw):
-    rates = draw(st.lists(_rates, min_size=1, max_size=4))
-    raw = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
-                        min_size=len(rates), max_size=len(rates)))
-    return HyperExponential(tuple(rates), tuple(w / sum(raw) for w in raw))
-
-
-@st.composite
 def _two_point(draw):
     t1 = draw(_times)
     return TwoPoint(t1, t1 * draw(st.floats(min_value=1.01, max_value=100.0)),
@@ -202,7 +194,7 @@ LAWS = st.one_of(
     st.builds(Pareto, _times, st.floats(min_value=1 - 1e-6, max_value=1 + 1e-6)),
     st.builds(ShiftedExponential, _times, _rates),
     _two_point(),
-    _hyper_exponential(),
+    hyper_exponentials(),
     st.builds(LogNormal, st.floats(min_value=-5.0, max_value=5.0),
               st.floats(min_value=0.05, max_value=3.0)),
     st.builds(Deterministic, _times),
