@@ -119,7 +119,8 @@ def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
     values = np.full((3, thetas.size), math.inf)
     never = thetas == math.inf
     delivers = (f > 0.0) & ~never
-    values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
+    with np.errstate(over="ignore"):  # a subnormal F overflows the quotients to inf
+        values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
     mean = d.mean()  # as paoi_fixed_threshold(d, inf)
     values[0, never], values[1:, never] = 2.0 * mean, mean
     return PaoiGrid(*values, f, sf, m)

@@ -10,6 +10,11 @@ becomes a :class:`ConfigError` naming the key path.  A ``kind`` key picks
 a law, sampler or policy class.  Only the distribution is required.
 Numbers follow YAML 1.2, so ``1e-6`` is a float.  Key names are
 documented in the README.
+
+PyYAML's pure-Python loader defines how a file reads: its data, or its
+error message.  Where PyYAML has libyaml, libyaml parses the files it
+reads the same way, about four times faster, and the pure-Python loader
+reads the rest.
 """
 
 from __future__ import annotations
@@ -278,10 +283,22 @@ def parse_config(raw: Any) -> ExperimentConfig:
     return _construct(ExperimentConfig, raw, "config", output=_Output)
 
 
-class _Loader(yaml.SafeLoader):
+class _Rules:
     """Safe loading that also reads YAML 1.2 floats such as ``1e-6`` and ``1E3``
     (YAML 1.1 wants a dot and a signed exponent) and rejects a key given
-    twice in one mapping, which would otherwise keep the last value."""
+    twice in one mapping, which would otherwise keep the last value.
+
+    A mixin, so that the pure-Python and the libyaml loader share one copy:
+    a method borrowed from one loader class keeps ``super()`` bound to it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.add_implicit_resolver(
+            "tag:yaml.org,2002:float",
+            re.compile(r"^[-+]?(?:\.[0-9]+|[0-9][0-9_]*(?:\.[0-9_]*)?)[eE][-+]?[0-9]+$"),
+            list("-+.0123456789"),
+        )
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -297,17 +314,55 @@ class _Loader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9][0-9_]*(?:\.[0-9_]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+class _Loader(_Rules, yaml.SafeLoader):
+    """The reference: whatever it returns or raises is what a config reads as."""
+
+
+if yaml.__with_libyaml__ and hasattr(yaml, "CSafeLoader"):
+    class _CLoader(_Rules, yaml.CSafeLoader):
+        """The same rules on libyaml's parser, which reads a config about four times faster."""
+else:
+    _CLoader = None
+
+# libyaml reads some texts otherwise than _Loader: it accepts ``a:\t1``,
+# ``{k?ind: x}`` and ``a: |#``, which _Loader rejects, reads ``a: !`` as ''
+# where _Loader reads None, drops a U+FEFF that starts a line, which _Loader
+# keeps as text, and rejects ``"\ud800"``.  A text with a tab, a U+FEFF, a
+# line break other than ``\n`` or one of ``? ! | >``, none of which a config
+# needs, goes to _Loader alone.  A file opened in text mode has no ``\r``
+# left: ``\r\n`` and ``\r`` read as ``\n``.
+_PURE_ONLY = re.compile("[\t\ufeff\x85\u2028\u2029?!|>]")
+# Each level of nesting opens with one of ``[{-:``, so a text with at most
+# this many of them nests no deeper.  _Loader exceeds the recursion limit
+# at a few hundred levels, where libyaml, whose composer recurses in C,
+# reads on until it overflows the stack and kills the process (1e5 levels).
+_MAX_OPENERS = 200
+
+
+def _load(fh):
+    """The document in the text file ``fh``, as :class:`_Loader` reads it.
+
+    A text that libyaml reads as _Loader does (see ``_PURE_ONLY``) goes to
+    libyaml.  _Loader reads any other text, a text libyaml rejects or that
+    cannot be decoded, and a file that cannot be read twice, such as a pipe,
+    from the file itself: its data or its error is the result, so that the
+    error's marks name the file and a bad byte's position reads as before.
+    """
+    if _CLoader is not None and fh.seekable():
+        try:
+            text = fh.read()
+            if not _PURE_ONLY.search(text) and sum(map(text.count, "[{-:")) <= _MAX_OPENERS:
+                return yaml.load(text, Loader=_CLoader)
+        except (yaml.YAMLError, ValueError):  # ValueError: a bad byte, an int past 4300 digits
+            pass
+        fh.seek(0)
+    return yaml.load(fh, Loader=_Loader)
 
 
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_Loader)
+            raw = _load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits

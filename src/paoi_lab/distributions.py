@@ -486,6 +486,13 @@ class LogNormal(ServiceDistribution):
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (-math.inf < self.mu < math.inf and 0 < self.sigma < math.inf):
             raise ValueError("mu must be finite and sigma positive and finite")
+        try:
+            self.mean()
+        except OverflowError:
+            exponent = self.mu + 0.5 * self.sigma**2
+            raise ValueError(
+                f"the mean exp(mu + sigma^2/2) = exp({exponent:g}) overflows a float"
+            ) from None
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)

@@ -104,7 +104,13 @@ def default_window(d: ServiceDistribution) -> tuple[float, float]:
     the 1 - 1e-6 quantile."""
     xmin = d.support_min()
     lo = xmin * (1.0 + 1e-6) + 1e-9
-    hi = d.quantile(1.0 - 1e-6)
+    try:
+        hi = d.quantile(1.0 - 1e-6)
+    except OverflowError:
+        raise InvalidWindow(
+            f"default window: the 1 - 1e-6 quantile of {d} overflows a float; "
+            "pass an explicit window"
+        ) from None
     if not hi > lo:
         raise InvalidWindow(
             f"default window collapsed (support [{xmin}, ...] too narrow); "
@@ -299,7 +305,8 @@ def bellman_fixed_point(
 
 def _bellman_value(cost: np.ndarray, f: np.ndarray) -> float:
     """The smallest ``cost / F`` over the grid points with ``F > 0``."""
-    return float(np.min(cost[f > 0] / f[f > 0], initial=math.inf))
+    with np.errstate(over="ignore"):  # a subnormal F overflows its quotient to inf
+        return float(np.min(cost[f > 0] / f[f > 0], initial=math.inf))
 
 
 def preemption_beneficial(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -14,6 +15,7 @@ from paoi_lab import (
     Pareto,
     ShiftedExponential,
     TwoPoint,
+    config,
 )
 
 # One representative per catalog kind; parameters chosen so every kind has
@@ -126,3 +128,35 @@ def ks_statistic(samples, grid_cdf):
     f_right = grid_cdf(values)
     f_left = grid_cdf(values - 1e-9 * np.maximum(1.0, np.abs(values)))
     return max(np.max(np.abs(cum / n - f_right)), np.max(np.abs((cum - counts) / n - f_left)))
+
+
+def pure_yaml(fh):
+    """The document in ``fh`` as the pure-Python loader alone reads it."""
+    return yaml.load(fh, Loader=config._Loader)
+
+
+def read_yaml(load, fh):
+    """``load(fh)`` as ``("data", repr)``, or as the type and text of its error."""
+    try:
+        return "data", repr(load(fh))
+    except (yaml.YAMLError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(autouse=True)
+def yaml_loaders_agree(monkeypatch):
+    """Every config a test loads must read as the pure-Python loader reads
+    it: the same data, or the same error with the same text.  Returns the
+    loader it checks, for a test that calls it directly."""
+    load = config._load
+
+    def checked(fh):
+        if fh.seekable():
+            want = read_yaml(pure_yaml, fh)
+            fh.seek(0)
+            assert read_yaml(load, fh) == want
+            fh.seek(0)
+        return load(fh)
+
+    monkeypatch.setattr(config, "_load", checked)
+    return load

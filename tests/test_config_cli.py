@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import math
 import os
 import re
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CATALOG
+import yaml
+from conftest import CATALOG, pure_yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paoi_lab import (
     ChoiceSampler,
@@ -31,6 +35,7 @@ from paoi_lab import (
     UniformSampler,
     XMinThreshold,
     ZeroWait,
+    config,
 )
 from paoi_lab.cli import _fmt, _write_csv, build_parser, cmd_optimize, main
 from paoi_lab.config import (
@@ -630,6 +635,29 @@ ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
 
 
 class TestDegenerateInputs:
+    @pytest.mark.parametrize("verb", ["eval", "sweep", "optimize", "check", "simulate"])
+    def test_log_normal_mean_past_the_largest_float_exit_2(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "ln.yaml"
+        cfg.write_text("distribution: {kind: log-normal, params: {mu: 0.0, sigma: 40.0}}\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: distribution.params: the mean exp(mu + sigma^2/2) = exp(800) "
+            "overflows a float\n")
+
+    @pytest.mark.parametrize("verb", ["sweep", "optimize", "check"])
+    @pytest.mark.parametrize("law, name", [
+        ("{kind: log-normal, params: {mu: 709.0, sigma: 1.0}}", "LogNormal(mu=709.0, sigma=1.0)"),
+        ("{kind: pareto, params: {xm: 1.0, alpha: 0.01}}", "Pareto(xm=1.0, alpha=0.01)"),
+    ], ids=["log-normal", "pareto"])
+    def test_default_window_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, law,
+                                                          name):
+        cfg = tmp_path / "w.yaml"
+        cfg.write_text(f"distribution: {law}\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: default window: the 1 - 1e-6 quantile of {name} overflows a float; "
+            "pass an explicit window\n"))
+
     @pytest.mark.parametrize(
         "verb, section",
         [
@@ -1057,3 +1085,180 @@ def test_cli_law_outputs_match_pinned_bytes(tmp_path, capsys):
     for p in out.glob("*.csv"):
         digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
     assert digests == PINNED_LAW_SHA256
+
+
+def pure_load_config(path):
+    """:func:`load_config` on the pure-Python loader alone, as it read every
+    config before libyaml was used."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = pure_yaml(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    return parse_config(raw)
+
+
+def read_config(load, path):
+    """``load(path)`` as its repr, which also tells ``nan`` apart, or as its error text."""
+    try:
+        return repr(load(str(path)))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def workload_configs():
+    """Configs in the benchmark's own shapes, written as it writes them
+    (block style, sorted keys), then the README block, the two-point config
+    of the CLI tests and one flow-style file."""
+    law = {"kind": "erlang", "params": {"shape": 3, "rate": 1.25}}
+    shapes = [
+        {"distribution": {"kind": "log-normal", "params": {"mu": -0.22314355131420976,
+                                                           "sigma": 1.0}}},
+        {"distribution": {"kind": "deterministic", "params": {"value": 1.2}},
+         "optimizer": {"theta_min": 1.2, "theta_max": 2.4000000000000004}},
+        {"distribution": {"kind": "pareto", "params": {"xm": 0.8, "alpha": 1.5}},
+         "sweep": {"count": 2000, "spacing": "log"}},
+        {"distribution": {"kind": "two-point", "params": {"t1": 0.8, "t2": 2.4, "p": 0.5}},
+         "policies": ["zero-wait", "xmin", "median", {"kind": "fixed", "theta": 1.6},
+                      {"kind": "repetitive", "thresholds": [0.8, 1.6, 2.0]}]},
+        {"distribution": law, "policies": ["zero-wait", {"kind": "fixed", "theta": 1.6}, "median"],
+         "simulation": {"peaks": 20_000, "replications": 8, "seed": 1819850096}},
+        {"distribution": {"kind": "hyper-exponential",
+                          "params": {"rates": [12.5, 1.25], "weights": [10 / 11, 1 / 11]}},
+         "policies": [{"kind": "fixed", "theta": 0.04},
+                      {"kind": "randomized",
+                       "sampler": {"kind": "uniform", "low": 0.04, "high": 0.4}}],
+         "simulation": {"peaks": 20_000, "replications": 4, "seed": 7, "dump_peaks": True,
+                        "trajectory_horizon": 1600.0},
+         "output": {"prefix": "hyper-exponential"}},
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [yaml.safe_dump(cfg, sort_keys=True) for cfg in shapes] + [
+        readme.split("```yaml\n", 1)[1].split("```", 1)[0],
+        TP_YAML,
+        ERLANG + "policies: [{kind: repetitive, thresholds: [2e0, 1e-6]}, {kind: fixed, "
+        "theta: .inf}, {kind: randomized, sampler: {kind: choice, values: [1, 2], "
+        "weights: [0.5, 0.5]}}]\noptimizer: {theta_min: .5e-3, tol: .nan}\n",
+    ]
+
+
+WORKLOAD_CONFIGS = workload_configs()
+# YAML indicators, white space, and characters the two parsers read apart
+EDIT_CHARS = "\t\n\r :-,[]{}#&*!|>'\"%@`?\\.0e+_x\ufeff\x85\u2028\u2029\x00\xe9"
+
+
+class TestYamlLoaders:
+    """libyaml parses a config only where the result is the pure-Python loader's."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(WORKLOAD_CONFIGS),
+           edits=st.lists(st.tuples(st.integers(0, 2000), st.sampled_from("+-="),
+                                    st.sampled_from(EDIT_CHARS)), min_size=1, max_size=3))
+    def test_mutated_configs_read_as_the_pure_loader_reads_them(self, tmp_path, base, edits):
+        text = base
+        for at, op, char in edits:  # insert, delete or replace one character
+            at %= len(text) + 1
+            text = text[:at] + (char if op != "-" else "") + text[at + (op != "+"):]
+        path = tmp_path / "m.yaml"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_config(load_config, path) == read_config(pure_load_config, path)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+    @pytest.mark.parametrize("text", WORKLOAD_CONFIGS[:6], ids=[
+        "optimize", "optimize-window", "sweep", "eval", "simulate", "simulate-dump"])
+    def test_workload_configs_are_parsed_by_libyaml(self, tmp_path, monkeypatch,
+                                                    yaml_loaders_agree, text):
+        path = tmp_path / "w.yaml"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            want = pure_yaml(fh)
+        loaders, load = [], yaml.load
+        monkeypatch.setattr(yaml, "load",
+                            lambda s, Loader: loaders.append(Loader) or load(s, Loader))
+        with open(path, encoding="utf-8") as fh:
+            assert yaml_loaders_agree(fh) == want
+        assert loaders == [config._CLoader]
+
+    @pytest.mark.parametrize("text", [
+        "a:\t1\n",  # libyaml takes the tab for white space
+        "a:\n\ufeff  b: 1\n",  # libyaml drops a U+FEFF that starts a line: {a: {b: 1}}
+        "{k?ind: x}\n",  # libyaml reads the key k?ind
+        "a: !\n",  # libyaml reads the empty tagged value as ''
+        "a: |#\n  x\n",  # libyaml accepts a comment in the block scalar header
+        'a: "\\ud800"\n',  # libyaml rejects the lone surrogate escape
+        "a: 1\r\nb: [2,\r\n 3]\r\n",  # text mode reads CRLF as LF before either parser
+    ], ids=["tab", "bom", "question-mark", "bare-tag", "block-header", "surrogate", "crlf"])
+    def test_inputs_the_parsers_read_differently(self, tmp_path, text):
+        path = tmp_path / "d.yaml"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_config(load_config, path) == read_config(pure_load_config, path)
+
+    @pytest.mark.parametrize("text", [
+        "distribution: {kind: exponential, params: {rate: 1.0}}\nsweep: {}\nsweep: {}\n",
+        ERLANG + "simulation: {seed: 1, peaks: 10, seed: 2}\n",
+        ERLANG + "policies: [zero-wait, xmin\n",
+        ERLANG + "output: {prefix: 'paoi}\n",
+        "distribution:\n  kind: erlang\n params: {shape: 3, rate: 1.0}\n",
+        "distribution:\n  kind: erlang\n  - zero-wait\n",
+    ], ids=["duplicate-key", "nested-duplicate-key", "unclosed-flow-sequence",
+            "unterminated-quote", "dedented-key", "sequence-in-mapping"])
+    def test_malformed_configs_keep_their_message(self, tmp_path, text):
+        # libyaml names the same line and column, but in its own words, and
+        # its marks would name the text it was given, not the file
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        got = read_config(load_config, path)
+        assert got == read_config(pure_load_config, path)
+        assert got.startswith(f"ConfigError: cannot parse config file {path}: ")
+        assert f'in "{path}", line ' in got
+
+    @pytest.mark.parametrize("pad", [10, 10_000])
+    def test_undecodable_byte_keeps_its_message(self, tmp_path, pad):
+        # the pure-Python loader reads 4096 characters at a time, so its
+        # message counts the position from the start of the decoded chunk
+        path = tmp_path / "b.yaml"
+        path.write_bytes(b"#" * (pad - 1) + b"\n" + b"a: \xff\n")
+        got = read_config(load_config, path)
+        assert got == read_config(pure_load_config, path)
+        assert "'utf-8' codec can't decode byte 0xff in position" in got
+        assert (f"position {pad + 3}:" in got) == (pad < 8192)
+
+    def test_deep_nesting_never_reaches_libyaml(self, tmp_path):
+        # libyaml's composer recurses in C and kills the process at 1e5
+        # levels; the pure-Python loader stops at its recursion limit
+        path = tmp_path / "deep.yaml"
+        path.write_text("a: " + "[" * 100_000 + "]" * 100_000 + "\n")
+        import paoi_lab
+
+        env = {**os.environ, "PYTHONPATH": str(Path(paoi_lab.__file__).resolve().parents[1])}
+        probe = ("import sys\nfrom paoi_lab.config import load_config\n"
+                 "try:\n    load_config(sys.argv[1])\n"
+                 "except RecursionError:\n    print('RecursionError')\n")
+        out = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout) == (0, "RecursionError\n")
+
+    @pytest.mark.parametrize("absent", ["flag", "class"])
+    def test_loads_without_libyaml(self, tmp_path, monkeypatch, absent):
+        if absent == "flag":
+            monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        else:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        name = "paoi_lab._config_without_libyaml"
+        spec = importlib.util.spec_from_file_location(name, config.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        assert module._CLoader is None
+        paths = [tmp_path / "good.yaml", tmp_path / "bad.yaml"]
+        paths[0].write_text(TP_YAML)
+        paths[1].write_text(ERLANG + "policies: [zero-wait, xmin\n")
+        want = [read_config(pure_load_config, path) for path in paths]
+        loaders, load = [], yaml.load
+        monkeypatch.setattr(yaml, "load",
+                            lambda s, Loader: loaders.append(Loader) or load(s, Loader))
+        assert [read_config(module.load_config, path) for path in paths] == want
+        assert loaders == [module._Loader] * 2

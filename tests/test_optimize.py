@@ -110,6 +110,13 @@ class TestMinAchievable:
         assert res.zeta_opt == res.zeta_zero_wait == res.zeta_xmin == 2.0
         assert res.winner == "fixed-threshold"  # tie priority
 
+    def test_subnormal_cdf_warns_nothing(self):
+        # F is subnormal at the default window's low end, so the quotients
+        # there are inf; the suite makes every RuntimeWarning an error
+        res = min_achievable_paoi(Erlang(400, 1.0))
+        assert res.zeta_min == res.zeta_zero_wait == 800.0
+        assert res.winner == "zero-wait"
+
     def test_zeta_min_bounds(self):
         for name, d in CATALOG.items():
             if name == "deterministic":
