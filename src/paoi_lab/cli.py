@@ -34,6 +34,7 @@ from . import analytic, optimize, simulate
 from .config import ExperimentConfig, load_config
 from .distributions import Erlang, Pareto, TwoPoint
 from .errors import ConfigError, InvalidWindow, NoAnalyticForm, SimulationStall
+from .policies import resolve
 
 # figure -> (law of one parameter, parameter values, curve label, thresholds):
 # one zeta curve over the thresholds per parameter value
@@ -130,8 +131,23 @@ def _reject_clashes(policies, key, clash: str) -> None:
         seen[k] = i
 
 
+def _reject_overflowing_thresholds(cfg: ExperimentConfig) -> None:
+    """Raise :class:`ConfigError` before any output when a policy's
+    threshold under the law lies past the largest float, as the median of
+    ``Pareto(1, 1e-4)`` does."""
+    for policy in cfg.policies:
+        try:
+            resolve(policy, cfg.distribution)
+        except OverflowError:
+            raise ConfigError(
+                f"policy {policy.label()}: its threshold under {cfg.distribution} "
+                "overflows a float"
+            ) from None
+
+
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
     _reject_clashes(cfg.policies, lambda p: p.label(), "be labelled")
+    _reject_overflowing_thresholds(cfg)
     labels, values = [], []
     print(f"distribution: {_dist_label(cfg.distribution)}")
     print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
@@ -235,6 +251,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     seed = sim.seed
     workers = _workers()
     _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
+    _reject_overflowing_thresholds(cfg)
     for policy in cfg.policies:
         estimates = simulate.run_replications(
             d,

@@ -39,7 +39,7 @@ from .distributions import (
     TwoPoint,
 )
 from .errors import ConfigError
-from .optimize import _DEFAULT_GRID_POINTS
+from .optimize import _DEFAULT_GRID_POINTS, _MAX_GRID_POINTS
 from .policies import (
     ChoiceSampler,
     FixedThreshold,
@@ -79,6 +79,10 @@ class SweepSpec:
             raise ValueError("theta_min and theta_max must be finite and nonnegative")
         if self.count < 2:
             raise ValueError("count must be at least 2")
+        if self.count > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"count must be at most {_MAX_GRID_POINTS}, the most floats numpy can index"
+            )
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
 
@@ -108,6 +112,12 @@ class OptimizerSpec:  # the keyword arguments of optimize.min_achievable_paoi
     theta_max: Optional[float] = None
     tol: Optional[float] = None
     grid_points: int = _DEFAULT_GRID_POINTS
+
+    def __post_init__(self):  # optimize.theta_grid checks the lower bound
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be at most {_MAX_GRID_POINTS}, the most floats numpy can index"
+            )
 
 
 @dataclass(frozen=True)
@@ -365,6 +375,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = _load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4300 digits
+    # ValueError: an int past 4300 digits; RecursionError: nesting a few hundred levels deep
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return parse_config(raw)

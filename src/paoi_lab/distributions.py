@@ -9,13 +9,14 @@ at 0, only through ``support_min()``.  All are closed forms but the
 (``sf(x) <= 1 - q`` above the median), one bisection over the ordered bit
 patterns of the nonnegative floats.  An atom law (``TwoPoint``,
 ``Deterministic``) gives only ``atoms()``, and the base class derives all
-of these from one table of them.  The same expressions take a float or an array:
-:meth:`ServiceDistribution.primitives` reads one threshold and
+of these from one table of them.  The same expressions take a float or an
+array: :meth:`ServiceDistribution.primitives` reads one threshold and
 :meth:`ServiceDistribution.grid_primitives` a whole grid, so a single value
 and a grid agree bit for bit.  ``cdf``, ``sf``, ``truncated_first_moment``,
-the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by parts)
-and the conditional residual ``E[X - theta | X > theta]`` derive from
-them in the base class; four laws give the residual in closed form
+the integrated CDF ``int_0^theta F = theta F(theta) - M(theta)`` (by parts),
+the mean ``E[X] = M(inf)`` (but the mixture's own ``sum(w / r)``, which
+rounds otherwise) and the conditional residual ``E[X - theta | X > theta]``
+derive from them in the base class; four laws give the residual in closed form
 (``_residuals``), and below the support every law reads ``E[X] - theta``.
 
 One formula serves both because the array form changes only how the
@@ -136,8 +137,8 @@ class ServiceDistribution:
         return float(atoms[0][0]) if atoms else 0.0
 
     def mean(self) -> float:
-        """E[X]; ``inf`` when the integral diverges."""
-        return float(self._atom_table[3][-1])
+        """E[X] = M(inf); ``inf`` when the integral diverges."""
+        return float(self._primitives(math.inf)[2])
 
     def quantile(self, q: float) -> float:
         """Generalized inverse inf{x : F(x) >= q} for 0 < q < 1."""
@@ -259,9 +260,6 @@ class Exponential(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def mean(self):
-        return 1.0 / self.rate
-
     def _primitives(self, x):
         u = -self.rate * x
         return -_each(math.expm1, u), _each(math.exp, u), _exp_truncated_moment(self.rate, x)
@@ -290,15 +288,12 @@ class Erlang(ServiceDistribution):
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
 
-    def mean(self):
-        return self.shape / self.rate
-
     def _primitives(self, x):
         # x f_k(x) = (k/rate) f_{k+1}(x), so the truncated moment is a
         # higher-shape CDF evaluation.
         u = self.rate * x
         return (gammainc(self.shape, u), gammaincc(self.shape, u),
-                self.mean() * gammainc(self.shape + 1, u))
+                self.shape / self.rate * gammainc(self.shape + 1, u))
 
     def quantile(self, q):
         return float(gammaincinv(self.shape, q)) / self.rate
@@ -328,11 +323,6 @@ class Pareto(ServiceDistribution):
 
     def support_min(self):
         return self.xm
-
-    def mean(self):
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.alpha * self.xm / (self.alpha - 1.0)
 
     def _primitives(self, x):
         a, xm = self.alpha, self.xm
@@ -370,9 +360,6 @@ class ShiftedExponential(ServiceDistribution):
 
     def support_min(self):
         return self.shift
-
-    def mean(self):
-        return self.shift + 1.0 / self.rate
 
     def _primitives(self, x):
         tau = x - self.shift
@@ -428,6 +415,7 @@ class HyperExponential(ServiceDistribution):
             raise ValueError("weights must sum to 1")
 
     def mean(self):
+        # M(inf) = sum(w * (1 / r)) rounds otherwise on about 18 % of random mixtures
         return sum(w / r for w, r in zip(self.weights, self.rates))
 
     def _primitives(self, x):
@@ -494,12 +482,9 @@ class LogNormal(ServiceDistribution):
                 f"the mean exp(mu + sigma^2/2) = exp({exponent:g}) overflows a float"
             ) from None
 
-    def mean(self):
-        return math.exp(self.mu + 0.5 * self.sigma**2)
-
     def _primitives(self, x):
         z = (_each(math.log, x) - self.mu) / self.sigma
-        return ndtr(z), ndtr(-z), self.mean() * ndtr(z - self.sigma)
+        return ndtr(z), ndtr(-z), math.exp(self.mu + 0.5 * self.sigma**2) * ndtr(z - self.sigma)
 
     def quantile(self, q):
         return math.exp(self.mu + self.sigma * float(ndtri(q)))

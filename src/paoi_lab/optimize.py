@@ -59,6 +59,9 @@ _WINNER_PRIORITY = (WINNER_FIXED, WINNER_XMIN, WINNER_ZERO_WAIT)
 _TIE_REL_TOL = 1e-9
 
 _DEFAULT_GRID_POINTS = 2000
+# The most floats one numpy array can index: numpy fails on a larger grid
+# whatever memory the host has.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _LOG_SPACING_RATIO = 100.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -107,10 +110,12 @@ def default_window(d: ServiceDistribution) -> tuple[float, float]:
     try:
         hi = d.quantile(1.0 - 1e-6)
     except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
         raise InvalidWindow(
             f"default window: the 1 - 1e-6 quantile of {d} overflows a float; "
             "pass an explicit window"
-        ) from None
+        )
     if not hi > lo:
         raise InvalidWindow(
             f"default window collapsed (support [{xmin}, ...] too narrow); "

@@ -270,6 +270,13 @@ def _blocks(
         x = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
 
 
+# A draw, a sum or an estimate past the largest float reads inf silently,
+# as Python's float arithmetic does; the state covers the whole loop over
+# _blocks, not a block held open across its yield.
+_silent_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_silent_overflow
 def peak_columns(
     d: ServiceDistribution,
     policy: Policy,
@@ -314,6 +321,7 @@ def simulate_peaks(
     return [PeakRecord(k, *row) for k, row in enumerate(rows, warmup + 1)]
 
 
+@_silent_overflow
 def trajectory_columns(
     d: ServiceDistribution,
     policy: Policy,
@@ -358,6 +366,7 @@ def _with_ci95(mean: float, se: float, peak_count: int, seed: Optional[int]) -> 
     return PaoiEstimate(mean, se, mean - _Z95 * se, mean + _Z95 * se, peak_count, seed)
 
 
+@_silent_overflow
 def _batch_means(values: np.ndarray, seed: Optional[int] = None) -> PaoiEstimate:
     k = len(values)
     if k < 2:
@@ -418,6 +427,7 @@ def run_replications(
         return list(pool.map(job, seeds))
 
 
+@_silent_overflow
 def pooled_estimate(
     estimates: Sequence[PaoiEstimate], seed: Optional[int] = None
 ) -> PaoiEstimate:

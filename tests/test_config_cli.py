@@ -648,7 +648,9 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("law, name", [
         ("{kind: log-normal, params: {mu: 709.0, sigma: 1.0}}", "LogNormal(mu=709.0, sigma=1.0)"),
         ("{kind: pareto, params: {xm: 1.0, alpha: 0.01}}", "Pareto(xm=1.0, alpha=0.01)"),
-    ], ids=["log-normal", "pareto"])
+        # the quantile reads inf here, where the two above raise OverflowError
+        ("{kind: exponential, params: {rate: 1.0e-308}}", "Exponential(rate=1e-308)"),
+    ], ids=["log-normal", "pareto", "exponential"])
     def test_default_window_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, law,
                                                           name):
         cfg = tmp_path / "w.yaml"
@@ -894,6 +896,51 @@ class TestDegenerateInputs:
                 "simulation": {"trajectory_horizon": math.inf}}
         with pytest.raises(ConfigError, match="trajectory_horizon"):
             parse_config(node)
+
+    # numpy raises ValueError for 10**30 points and IndexError for 2**63 - 1
+    @pytest.mark.parametrize("points", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])
+    @pytest.mark.parametrize("verb, section, key", [
+        ("sweep", "sweep", "count"),
+        ("optimize", "optimizer", "grid_points"),
+        ("check", "optimizer", "grid_points"),
+    ], ids=["sweep", "optimize", "check"])
+    def test_grid_past_what_numpy_can_index_exit_2(self, tmp_path, capsys, verb, section, key,
+                                                  points):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(ERLANG + f"{section}: {{{key}: {points}}}\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {section}: {key} must be at most ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb, simulation", [
+        ("eval", ""), ("simulate", "simulation: {peaks: 100, replications: 1}\n"),
+    ], ids=["eval", "simulate"])
+    def test_threshold_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, simulation):
+        # the median of Pareto(1, 1e-4) is 2^10000
+        cfg = tmp_path / "m.yaml"
+        cfg.write_text("distribution: {kind: pareto, params: {xm: 1.0, alpha: 1.0e-4}}\n"
+                       "policies: [zero-wait, median]\n" + simulation)
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: policy median-threshold: its threshold under "
+            "Pareto(xm=1.0, alpha=0.0001) overflows a float\n"))
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("law", [
+        "{kind: log-normal, params: {mu: 709.0, sigma: 1.0}}",
+        "{kind: pareto, params: {xm: 1.0, alpha: 0.01}}",
+    ], ids=["log-normal", "pareto"])
+    def test_draws_past_the_largest_float_read_inf_silently(self, tmp_path, capsys, law):
+        # the suite turns every RuntimeWarning into an error
+        cfg = tmp_path / "d.yaml"
+        cfg.write_text(f"distribution: {law}\npolicies: [zero-wait]\n"
+                       "simulation: {peaks: 1000, replications: 2, dump_peaks: true, "
+                       "trajectory_horizon: 1.0e300}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (
+            "policy zero-wait: pooled mean inf ci95 [nan, nan] (2 x 1000 peaks)\n", "")
 
     def test_infinite_fixed_threshold_evals_as_zero_wait(self, tmp_path, capsys):
         cfg = tmp_path / "z.yaml"
@@ -1228,18 +1275,32 @@ class TestYamlLoaders:
 
     def test_deep_nesting_never_reaches_libyaml(self, tmp_path):
         # libyaml's composer recurses in C and kills the process at 1e5
-        # levels; the pure-Python loader stops at its recursion limit
+        # levels; the pure-Python loader stops at its recursion limit, which
+        # load_config reports as a file it cannot parse
         path = tmp_path / "deep.yaml"
         path.write_text("a: " + "[" * 100_000 + "]" * 100_000 + "\n")
         import paoi_lab
 
         env = {**os.environ, "PYTHONPATH": str(Path(paoi_lab.__file__).resolve().parents[1])}
         probe = ("import sys\nfrom paoi_lab.config import load_config\n"
+                 "from paoi_lab.errors import ConfigError\n"
                  "try:\n    load_config(sys.argv[1])\n"
-                 "except RecursionError:\n    print('RecursionError')\n")
+                 "except ConfigError as exc:\n    print(f'ConfigError: {exc}')\n")
         out = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
                              capture_output=True, text=True, timeout=120)
-        assert (out.returncode, out.stdout) == (0, "RecursionError\n")
+        assert out.returncode == 0
+        assert out.stdout.startswith(
+            f"ConfigError: cannot parse config file {path}: maximum recursion depth exceeded")
+
+    def test_nesting_past_the_recursion_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.yaml"
+        path.write_text("a: " + "[" * 600 + "]" * 600 + "\n")
+        assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"error: cannot parse config file {path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("absent", ["flag", "class"])
     def test_loads_without_libyaml(self, tmp_path, monkeypatch, absent):

@@ -17,6 +17,7 @@ from paoi_lab import (
     HyperExponential,
     LogNormal,
     Pareto,
+    ShiftedExponential,
     TwoPoint,
 )
 from paoi_lab.analytic import has_atom_at_support_min, paoi_fixed_threshold
@@ -78,7 +79,62 @@ class TestSupportMin:
         assert CATALOG[name].support_min() == expected
 
 
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+def atom_sum(d):
+    values, weights = np.array(d.atoms()).T
+    return float(np.cumsum(weights * values)[-1])
+
+
+# Each law's E[X] as the law wrote it before the base class read it as
+# M(inf), with a strategy that draws the law.
+WRITTEN_MEANS = {
+    "exponential": (st.builds(Exponential, POSITIVE), lambda d: 1.0 / d.rate),
+    "erlang": (st.builds(Erlang, st.integers(1, 200), POSITIVE), lambda d: d.shape / d.rate),
+    "pareto": (
+        st.builds(Pareto, POSITIVE, st.one_of(
+            st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-12]), st.floats(1e-3, 1e3))),
+        lambda d: math.inf if d.alpha <= 1.0 else d.alpha * d.xm / (d.alpha - 1.0),
+    ),
+    "shifted-exponential": (
+        st.builds(ShiftedExponential, st.just(0.0) | POSITIVE, POSITIVE),
+        lambda d: d.shift + 1.0 / d.rate,
+    ),
+    "log-normal": (
+        # mu + sigma^2/2 stays below 709.78, where exp overflows
+        st.builds(LogNormal, st.floats(-700.0, 650.0), st.floats(1e-3, 10.0)),
+        lambda d: math.exp(d.mu + 0.5 * d.sigma**2),
+    ),
+    "two-point": (
+        st.builds(lambda ts, p: TwoPoint(*sorted(ts), p),
+                  st.lists(POSITIVE, min_size=2, max_size=2, unique=True), UNIT),
+        atom_sum,
+    ),
+    "deterministic": (st.builds(Deterministic, POSITIVE), atom_sum),
+}
+
+
 class TestMean:
+    @pytest.mark.parametrize("name", sorted(WRITTEN_MEANS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mean_is_the_written_closed_form(self, name, data):
+        d = data.draw(WRITTEN_MEANS[name][0])
+        assert d.mean().hex() == WRITTEN_MEANS[name][1](d).hex(), d
+
+    def test_only_hyper_exponential_writes_its_mean(self):
+        # sum(w / r) rounds otherwise than M(inf) = sum(w * (1 / r))
+        assert [name for name, d in CATALOG.items() if "mean" in vars(type(d))] == [
+            "hyper-exponential"]
+        assert set(WRITTEN_MEANS) == set(CATALOG) - {"hyper-exponential"}
+
+    def test_primitives_never_read_the_mean(self, member, monkeypatch):
+        monkeypatch.setattr(type(member), "mean", lambda self: pytest.fail("read the mean"))
+        member.grid_primitives(theta_probe_grid(member))
+        member.primitives(member.quantile(0.5))
+
     def test_two_point(self):
         assert CATALOG["two-point"].mean() == 2.0
 

@@ -6,8 +6,8 @@ float parameters and thresholds, which it takes as exact.  It checks
 ``F``, ``P(X > theta)``, ``M(theta) = E[X 1{X <= theta}]``, ``zeta``,
 ``E[Xr]`` and ``E[Y]`` at thresholds from the 1e-9 to the 1 - 1e-9
 quantile, including the lower tail where the exponential-family optima
-sit and heavy tails with ``alpha`` near 1.  It also checks the three
-components of threshold sequences whose last entry repeats.
+sit and heavy tails with ``alpha`` near 1.  It also checks ``E[X]`` and
+the three components of threshold sequences whose last entry repeats.
 """
 
 import math
@@ -153,6 +153,33 @@ def assert_quantile_sweep(d):
 @pytest.mark.parametrize("name", catalog_ids())
 def test_catalog_against_oracle(name):
     assert_quantile_sweep(CATALOG[name])
+
+
+def oracle_mean(d):
+    """E[X] of ``d`` in 50-digit arithmetic, from its textbook closed form."""
+    with mp.workdps(50):
+        if isinstance(d, (Exponential, ShiftedExponential)):
+            return mp.mpf(getattr(d, "shift", 0)) + 1 / mp.mpf(d.rate)
+        if isinstance(d, Erlang):
+            return d.shape / mp.mpf(d.rate)
+        if isinstance(d, Pareto):
+            xm, a = mp.mpf(d.xm), mp.mpf(d.alpha)
+            return a * xm / (a - 1) if a > 1 else mp.inf
+        if isinstance(d, HyperExponential):
+            return mp.fsum(mp.mpf(w) / mp.mpf(r) for w, r in zip(d.weights, d.rates))
+        if isinstance(d, LogNormal):
+            return mp.exp(mp.mpf(d.mu) + mp.mpf(d.sigma) ** 2 / 2)
+        return mp.fsum(mp.mpf(v) * mp.mpf(w) for v, w in d.atoms())
+
+
+@pytest.mark.parametrize("d", [
+    *(CATALOG[name] for name in catalog_ids()),
+    Pareto(xm=1.0, alpha=0.5), Pareto(xm=1.0, alpha=1.0), Pareto(xm=1.0, alpha=1 + 1e-9),
+], ids=[*catalog_ids(), "pareto-0.5", "pareto-1", "pareto-1+1e-9"])
+def test_mean_against_oracle(d):
+    # E[X] = M(inf) is one closed form: a few roundings
+    err, _ = largest_error({"mean": oracle_mean(d)}, {"mean": d.mean()})
+    assert err <= 1e-15, (d, err)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1 - 1e-9, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 2.0])
