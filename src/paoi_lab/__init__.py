@@ -10,8 +10,6 @@ against a discrete-event simulation.
 
 from .analytic import (
     PaoiValue,
-    expected_interreception,
-    expected_received_service,
     has_atom_at_support_min,
     paoi_fixed_threshold,
     paoi_policy,
@@ -73,7 +71,6 @@ from .simulate import (
     pooled_estimate,
     run_replications,
     simulate_peaks,
-    simulate_randomized,
 )
 
 __version__ = "0.1.0"

@@ -51,8 +51,6 @@ from .policies import Policy, RepetitiveSequence, resolve
 __all__ = [
     "PaoiValue",
     "PaoiGrid",
-    "expected_received_service",
-    "expected_interreception",
     "paoi_fixed_threshold",
     "paoi_thresholds",
     "paoi_zero_wait",
@@ -73,16 +71,6 @@ class PaoiValue:
     zeta: float
     received_service: float
     interreception: float
-
-
-def expected_received_service(d: ServiceDistribution, theta: float) -> float:
-    """Mean service time of the update that finally gets through."""
-    return paoi_fixed_threshold(d, theta).received_service
-
-
-def expected_interreception(d: ServiceDistribution, theta: float) -> float:
-    """Mean time between consecutive receptions, preempted attempts included."""
-    return paoi_fixed_threshold(d, theta).interreception
 
 
 # Arrays over a threshold grid: the three values, each ``inf`` where ``cdf``

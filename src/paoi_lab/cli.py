@@ -34,7 +34,7 @@ from . import analytic, optimize, simulate
 from .config import ExperimentConfig, load_config
 from .distributions import Erlang, Pareto, TwoPoint
 from .errors import ConfigError, InvalidWindow, NoAnalyticForm, SimulationStall
-from .policies import resolve
+from .policies import MedianThreshold, resolve
 
 # figure -> (law of one parameter, parameter values, curve label, thresholds):
 # one zeta curve over the thresholds per parameter value
@@ -149,19 +149,17 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
     _reject_clashes(cfg.policies, lambda p: p.label(), "be labelled")
     _reject_overflowing_thresholds(cfg)
     labels, values = [], []
-    print(f"distribution: {_dist_label(cfg.distribution)}")
-    print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
-    for policy in cfg.policies:
+    for policy in cfg.policies:  # every value before any output
         try:
             value = analytic.paoi_policy(cfg.distribution, policy)
         except NoAnalyticForm as exc:
             raise ConfigError(f"policy {policy.label()}: {exc}") from exc
-        print(
-            f"{policy.label():<28} {_fmt(value.zeta):>14} "
-            f"{_fmt(value.received_service):>14} {_fmt(value.interreception):>14}"
-        )
         labels.append(policy.label())
         values.append((value.zeta, value.received_service, value.interreception))
+    print(f"distribution: {_dist_label(cfg.distribution)}")
+    print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
+    for label, (zeta, e_x, e_y) in zip(labels, values):
+        print(f"{label:<28} {_fmt(zeta):>14} {_fmt(e_x):>14} {_fmt(e_y):>14}")
     _write_csv(
         out_dir / _csv_name(cfg, "eval"),
         ["policy", "zeta", "e_x_check", "e_y"],
@@ -176,12 +174,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     lo, hi = optimize.window_or_default(d, spec.theta_min, spec.theta_max)
     if not lo < hi:
         raise InvalidWindow(f"sweep window [{lo}, {hi}] is empty")
-    if spec.spacing == "log":
-        if lo <= 0:
-            raise InvalidWindow("log spacing needs theta_min > 0")
-        thetas = np.geomspace(lo, hi, spec.count)
-    else:
-        thetas = np.linspace(lo, hi, spec.count)
+    if spec.spacing == "log" and lo <= 0:
+        raise InvalidWindow("log spacing needs theta_min > 0")
+    spacing = np.geomspace if spec.spacing == "log" else np.linspace
+    thetas = optimize._spaced_grid(spacing, lo, hi, spec.count)
 
     grid = analytic.paoi_thresholds(d, thetas)
     i_min = int(np.argmin(grid.zeta))
@@ -334,7 +330,7 @@ def _reproduce_columns(figure: str) -> list:
     for param in params:
         d = law(param)
         _, zeta_opt = optimize.optimal_threshold(d, *optimize.default_window(d))
-        median = analytic.paoi_fixed_threshold(d, d.quantile(0.5)).zeta
+        median = analytic.paoi_policy(d, MedianThreshold()).zeta
         zetas += [analytic.paoi_zero_wait(d), zeta_opt, median]
     return [
         [param for param in params for _ in range(3)],

@@ -44,7 +44,7 @@ Conventions
   right-continuous CDF.
 * An infinite mean is the float ``inf`` (IEEE infinity, not a sentinel);
   arithmetic on it stays total.
-* ``sample`` uses the inverse-CDF transform wherever the catalog member
+* ``sample_batch`` uses the inverse-CDF transform wherever the catalog member
   has a usable inverse and standard transforms otherwise; a fixed seed
   reproduces the draw sequence bit for bit.
 """
@@ -199,9 +199,6 @@ class ServiceDistribution:
                 f"P(X > {theta}) = 0; the residual conditioning event is null"
             )
         return residual
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_batch(rng, 1)[0])
 
     def grid_primitives(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`primitives` at every threshold of ``thetas`` in one call,

@@ -143,9 +143,17 @@ def theta_grid(theta_min: float, theta_max: float, n: int = _DEFAULT_GRID_POINTS
     """Evaluation grid; log-spaced when the window spans over two decades."""
     if n < 2:
         raise InvalidWindow("grid needs at least 2 points")
-    if theta_min > 0 and theta_max / theta_min > _LOG_SPACING_RATIO:
-        return np.geomspace(theta_min, theta_max, n)
-    return np.linspace(theta_min, theta_max, n)
+    log = theta_min > 0 and theta_max / theta_min > _LOG_SPACING_RATIO
+    return _spaced_grid(np.geomspace if log else np.linspace, theta_min, theta_max, n)
+
+
+def _spaced_grid(spacing, theta_min: float, theta_max: float, n: int) -> np.ndarray:
+    """``spacing(theta_min, theta_max, n)``, raising :class:`InvalidWindow`
+    where numpy cannot allocate the ``n`` floats."""
+    try:
+        return spacing(theta_min, theta_max, n)
+    except MemoryError:
+        raise InvalidWindow(f"a grid of {n} points does not fit in memory") from None
 
 
 def _validate_window(d: ServiceDistribution, theta_min: float, theta_max: float) -> None:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .distributions import ServiceDistribution
 from .errors import SimulationStall
-from .policies import Policy, RandomizedThreshold, ThresholdSampler, resolve
+from .policies import Policy, resolve
 
 __all__ = [
     "PeakRecord",
@@ -55,7 +55,6 @@ __all__ = [
     "estimate_paoi",
     "aoi_trajectory",
     "trajectory_columns",
-    "simulate_randomized",
     "run_replications",
     "pooled_estimate",
 ]
@@ -99,7 +98,7 @@ class PaoiEstimate:
 
     Consecutive peaks share a service term and are not independent, so
     the standard error comes from batch means rather than the i.i.d.
-    formula.  ``ci95`` is ``mean +- 1.96 * std_error``.
+    formula.  ``ci_low`` and ``ci_high`` are ``mean -+ 1.96 * std_error``.
     """
 
     mean: float
@@ -108,10 +107,6 @@ class PaoiEstimate:
     ci_high: float
     peak_count: int
     seed: Optional[int] = None
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return (self.ci_low, self.ci_high)
 
 
 class PeakColumns(NamedTuple):
@@ -213,27 +208,19 @@ def _blocks(
     rng_service = np.random.default_rng(ss_service)
     rng_threshold = np.random.default_rng(ss_threshold)
     thresholds = resolve(policy, d)
-    # the loop itself needs only sample_batch and support_min from a law,
-    # so cdf and sf are read only for a threshold at or below its minimum
+    # never delivers: every threshold of head passes attempts on and tail
+    # (a sampler's largest draw, a sequence's last entry) has F = 0.  The
+    # loop itself needs only sample_batch and support_min from a law, so
+    # cdf and sf are read only for a tail at or below its minimum
     if thresholds is None:
-        top = policy.sampler.supremum()
-        if top <= d.support_min() and d.cdf(top) == 0.0:
-            raise SimulationStall(
-                f"no threshold that {policy!r} draws can deliver under {d!r}: "
-                f"P(X <= {top:g}) = 0"
-            )
+        head, tail = (), policy.sampler.supremum()
+        what = f"no threshold that {policy!r} draws"
     else:
-        tail = thresholds[-1]
-        if (
-            tail <= d.support_min()
-            and d.cdf(tail) == 0.0
-            and all(d.sf(s) > 0.0 for s in thresholds[:-1])
-        ):
-            raise SimulationStall(
-                f"no attempt at the repeating last threshold of {policy!r} "
-                f"can deliver under {d!r}: P(X <= {tail:g}) = 0"
-            )
+        head, tail = thresholds[:-1], thresholds[-1]
+        what = f"no attempt at the repeating last threshold of {policy!r}"
         table = np.array(thresholds, dtype=float)
+    if tail <= d.support_min() and d.cdf(tail) == 0.0 and all(d.sf(s) > 0.0 for s in head):
+        raise SimulationStall(f"{what} can deliver under {d!r}: P(X <= {tail:g}) = 0")
 
     draws = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
     x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
@@ -387,18 +374,6 @@ def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
     """The estimate of one replication, from its seed."""
     cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
     return _batch_means(cols.peak, seed)
-
-
-def simulate_randomized(
-    d: ServiceDistribution,
-    sampler: ThresholdSampler,
-    peaks: int,
-    seed: int,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
-    warmup: int = 0,
-) -> PaoiEstimate:
-    """Estimate PAoI under i.i.d. per-request threshold randomization."""
-    return _estimate(d, RandomizedThreshold(sampler), peaks, stall_limit, warmup, seed)
 
 
 def run_replications(

@@ -61,7 +61,7 @@ def test_c03_exponential_memorylessness():
     for rate in (0.5, 1.0, 2.0):
         d = pl.Exponential(rate)
         for theta in np.linspace(0.05, 12.0, 20):
-            got = pl.expected_interreception(d, float(theta))
+            got = pl.paoi_fixed_threshold(d, float(theta)).interreception
             assert abs(got - 1.0 / rate) <= 1e-9 / rate
     # consequence: the PAoI curve increases in theta, so the optimum is the
     # left window endpoint
@@ -110,7 +110,8 @@ def test_c06_interreception_identity():
             f = d.cdf(theta)
             if f <= 0.0:
                 continue
-            lhs = pl.expected_interreception(d, theta) - pl.expected_received_service(d, theta)
+            v = pl.paoi_fixed_threshold(d, theta)
+            lhs = v.interreception - v.received_service
             rhs = theta * d.sf(theta) / f
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12), (name, theta)
     report(6, "interreception identity")
@@ -217,7 +218,8 @@ def test_c10_randomized_never_beats_fixed_optimum():
             pl.TriangularSampler(0.7 * theta, theta, 2.0 * theta),
         ]
         for sampler in samplers:
-            est = pl.simulate_randomized(d, sampler, peaks=20_000, seed=SEED)
+            policy = pl.RandomizedThreshold(sampler)
+            est = pl.run_replications(d, policy, peaks=20_000, replications=1, base_seed=SEED)[0]
             assert est.mean >= zeta_opt - 3 * est.std_error, sampler.label()
     report(10, "randomized-threshold dominance")
 

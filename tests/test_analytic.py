@@ -15,8 +15,6 @@ from paoi_lab import (
     TwoPoint,
     XMinThreshold,
     ZeroWait,
-    expected_interreception,
-    expected_received_service,
     has_atom_at_support_min,
     paoi_fixed_threshold,
     paoi_policy,
@@ -36,22 +34,23 @@ EXP = CATALOG["exponential"]
 
 class TestReceivedService:
     def test_two_point_case(self):
-        assert expected_received_service(TP, 2.0) == 1.0
+        assert paoi_fixed_threshold(TP, 2.0).received_service == 1.0
 
     def test_deterministic_above_atom(self):
-        assert expected_received_service(Deterministic(1.0), 1.5) == 1.0
+        assert paoi_fixed_threshold(Deterministic(1.0), 1.5).received_service == 1.0
 
     def test_exponential_ratio(self):
         expected = (1 - 2 * math.exp(-1)) / (1 - math.exp(-1))
-        assert expected_received_service(EXP, 1.0) == pytest.approx(expected, rel=1e-12)
+        value = paoi_fixed_threshold(EXP, 1.0).received_service
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_infinite_when_threshold_below_support(self):
-        assert math.isinf(expected_received_service(TP, 0.5))
-        assert math.isinf(expected_received_service(EXP, 0.0))
+        assert math.isinf(paoi_fixed_threshold(TP, 0.5).received_service)
+        assert math.isinf(paoi_fixed_threshold(EXP, 0.0).received_service)
 
     def test_nondecreasing_in_theta(self, member):
         grid = theta_probe_grid(member, n=15)
-        values = [expected_received_service(member, float(t)) for t in grid]
+        values = [paoi_fixed_threshold(member, float(t)).received_service for t in grid]
         finite = [v for v in values if math.isfinite(v)]
         assert all(b >= a - 1e-10 for a, b in zip(finite, finite[1:]))
 
@@ -63,15 +62,15 @@ class TestInterreception:
         for rate in (0.5, 1.0, 2.0):
             d = Exponential(rate)
             for theta in np.linspace(0.05, 8.0, 20):
-                assert expected_interreception(d, float(theta)) == pytest.approx(
+                assert paoi_fixed_threshold(d, float(theta)).interreception == pytest.approx(
                     1.0 / rate, rel=1e-12
                 )
 
     def test_deterministic(self):
-        assert expected_interreception(Deterministic(2.0), 2.0) == 2.0
+        assert paoi_fixed_threshold(Deterministic(2.0), 2.0).interreception == 2.0
 
     def test_two_point_case(self):
-        assert expected_interreception(TP, 2.0) == 3.0
+        assert paoi_fixed_threshold(TP, 2.0).interreception == 3.0
 
     def test_identity_vs_received_service(self, member):
         # E[Y] - E[Xr] = theta * P(X > theta) / F(theta)
@@ -80,9 +79,8 @@ class TestInterreception:
             f = member.cdf(theta)
             if f <= 0:
                 continue
-            gap = expected_interreception(member, theta) - expected_received_service(
-                member, theta
-            )
+            v = paoi_fixed_threshold(member, theta)
+            gap = v.interreception - v.received_service
             assert gap == pytest.approx(theta * member.sf(theta) / f, rel=1e-8, abs=1e-12)
 
 

@@ -490,6 +490,20 @@ class TestCliExtras:
         )
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_eval_without_closed_form_prints_nothing(self, tmp_path, capsys):
+        # the zero-wait row before the randomized policy is not printed either
+        cfg = tmp_path / "r.yaml"
+        cfg.write_text(
+            "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+            "policies: [zero-wait, {kind: randomized, sampler: {kind: uniform, low: 0.5, "
+            "high: 1.5}}]\n"
+        )
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: policy randomized[uniform(0.5,1.5)]: randomized-threshold policies "
+            "have no closed form; simulate instead\n"))
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_trajectory_export(self, tmp_path):
         cfg = tmp_path / "t.yaml"
         cfg.write_text(
@@ -740,6 +754,26 @@ class TestDegenerateInputs:
         assert time.perf_counter() - start < 5.0
         assert "repeating last threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law, policy, err", [
+        ("{kind: exponential, params: {rate: 1.0}}", "xmin",
+         "no attempt at the repeating last threshold of XMinThreshold() "
+         "can deliver under Exponential(rate=1.0): P(X <= 0) = 0"),
+        ("{kind: exponential, params: {rate: 1.0}}",
+         "{kind: repetitive, thresholds: [2.0, 0.0]}",
+         "no attempt at the repeating last threshold of "
+         "RepetitiveSequence(thresholds=(2.0, 0.0)) "
+         "can deliver under Exponential(rate=1.0): P(X <= 0) = 0"),
+        ("{kind: pareto, params: {xm: 1.0, alpha: 2.0}}",
+         "{kind: randomized, sampler: {kind: uniform, low: 0.1, high: 0.9}}",
+         "no threshold that RandomizedThreshold(sampler=UniformSampler(low=0.1, high=0.9)) "
+         "draws can deliver under Pareto(xm=1.0, alpha=2.0): P(X <= 0.9) = 0"),
+    ], ids=["xmin", "repetitive", "randomized"])
+    def test_never_deliver_message(self, tmp_path, capsys, law, policy, err):
+        cfg = tmp_path / "n.yaml"
+        cfg.write_text(f"distribution: {law}\npolicies: [{policy}]\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", f"simulation stalled: {err}\n")
+
     @pytest.mark.parametrize(
         "sampler",
         [
@@ -913,6 +947,20 @@ class TestDegenerateInputs:
         assert out == ""
         assert err.startswith(f"error: {section}: {key} must be at most ")
         assert err.count("\n") == 1
+
+    # 2^57 floats are 1 EiB, more than a 64-bit address space maps
+    @pytest.mark.parametrize("verb, section, key", [
+        ("sweep", "sweep", "count"),
+        ("optimize", "optimizer", "grid_points"),
+        ("check", "optimizer", "grid_points"),
+    ], ids=["sweep", "optimize", "check"])
+    def test_grid_numpy_cannot_allocate_exit_2(self, tmp_path, capsys, verb, section, key):
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(ERLANG + f"{section}: {{{key}: {2**57}}}\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a grid of {2**57} points does not fit in memory\n")
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("verb, simulation", [
         ("eval", ""), ("simulate", "simulation: {peaks: 100, replications: 1}\n"),

@@ -621,7 +621,7 @@ class TestSampling:
     def test_deterministic_constant(self):
         rng = np.random.default_rng(0)
         d = Deterministic(2.0)
-        assert all(d.sample(rng) == 2.0 for _ in range(10))
+        assert all(float(d.sample_batch(rng, 1)[0]) == 2.0 for _ in range(10))
 
     def test_seed_reproducibility(self, member):
         a = member.sample_batch(np.random.default_rng(42), 100)

@@ -30,18 +30,16 @@ from paoi_lab import (
     ZeroWait,
     aoi_trajectory,
     estimate_paoi,
-    expected_interreception,
-    expected_received_service,
     optimal_threshold,
+    paoi_fixed_threshold,
     paoi_repetitive,
     paoi_xmin,
     pooled_estimate,
     run_replications,
     simulate_peaks,
-    simulate_randomized,
 )
 from paoi_lab.policies import resolve
-from paoi_lab.simulate import peak_columns, trajectory_columns
+from paoi_lab.simulate import DEFAULT_STALL_LIMIT, _estimate, peak_columns, trajectory_columns
 
 
 @dataclass
@@ -210,8 +208,8 @@ class TestEventLoop:
         records = simulate_peaks(d, FixedThreshold(theta), peaks=100_000, seed=17)
         xr = np.array([r.received_service for r in records[1:]])  # skip initial draw
         y = np.array([r.interreception for r in records])
-        ex = expected_received_service(d, theta)
-        ey = expected_interreception(d, theta)
+        value = paoi_fixed_threshold(d, theta)
+        ex, ey = value.received_service, value.interreception
         assert abs(xr.mean() - ex) < 3 * xr.std(ddof=1) / math.sqrt(len(xr))
         assert abs(y.mean() - ey) < 3 * y.std(ddof=1) / math.sqrt(len(y))
 
@@ -221,7 +219,7 @@ class TestEstimator:
         records = simulate_peaks(Deterministic(1.0), ZeroWait(), peaks=3, seed=0)
         est = estimate_paoi(records)
         assert est.mean == 2.0 and est.std_error == 0.0
-        assert est.ci95 == (2.0, 2.0)
+        assert (est.ci_low, est.ci_high) == (2.0, 2.0)
         assert est.peak_count == 3
 
     def test_needs_two_peaks(self):
@@ -347,13 +345,14 @@ class TestRandomized:
             ChoiceSampler((0.8 * theta_opt, 1.6 * theta_opt), (0.5, 0.5)),
         ]
         for sampler in samplers:
-            est = simulate_randomized(dist, sampler, peaks=20_000, seed=71)
+            policy = RandomizedThreshold(sampler)
+            est = run_replications(dist, policy, peaks=20_000, replications=1, base_seed=71)[0]
             assert est.mean >= zeta_opt - 3 * est.std_error
 
-    def test_simulate_randomized_is_one_replication(self):
-        d, sampler = Erlang(3, 1.0), UniformSampler(0.5, 3.5)
-        est = simulate_randomized(d, sampler, 5000, 23)
-        assert est == run_replications(d, RandomizedThreshold(sampler), 5000, 1, 23)[0]
+    def test_one_replication_is_the_estimate_of_its_seed(self):
+        d, policy = Erlang(3, 1.0), RandomizedThreshold(UniformSampler(0.5, 3.5))
+        est = _estimate(d, policy, 5000, DEFAULT_STALL_LIMIT, 0, 23)
+        assert est == run_replications(d, policy, 5000, 1, 23)[0]
 
     @pytest.mark.parametrize("weights", [(1.5, -0.5), (math.nan, 0.5), (math.inf, 0.5)])
     def test_choice_sampler_rejects_negative_or_non_finite_weights(self, weights):
