@@ -34,8 +34,8 @@ arithmetic is dispatched:
   phases in ``sum``'s order);
 * thresholds below the support never reach a ``math`` function (``log1p``
   raises below Pareto's ``xm``) and read ``(0, 1, 0)`` instead, and
-  numpy's overflow warning is silenced on a grid, since Python's float
-  arithmetic overflows to ``inf`` silently.
+  numpy's overflow warning is silenced on a grid and in ``mean``, since
+  Python's float arithmetic overflows to ``inf`` silently.
 
 Conventions
 -----------
@@ -52,15 +52,40 @@ Conventions
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import DegenerateCondition
+
+
+def _special_ufuncs(*names):
+    """The ``scipy.special`` ufuncs ``names``, the very objects it exports.
+    A bare package stub stands in while ``_ufuncs`` loads, skipping the
+    array-API shim ``_support_alternative_backends`` (it imports
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``); on any failure the
+    package is imported as usual."""
+    if "scipy.special" not in sys.modules:
+        try:
+            spec = importlib.util.find_spec("scipy.special")
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            ufuncs = importlib.import_module("scipy.special._ufuncs")
+            return [getattr(ufuncs, name) for name in names]
+        except Exception:  # the plain import below is the fallback
+            pass
+        finally:
+            sys.modules.pop("scipy.special", None)
+    import scipy.special
+    return [getattr(scipy.special, name) for name in names]
+
+
+gammainc, gammaincc, gammaincinv, ndtr, ndtri = _special_ufuncs(
+    "gammainc", "gammaincc", "gammaincinv", "ndtr", "ndtri")
 
 __all__ = [
     "ServiceDistribution",
@@ -138,7 +163,8 @@ class ServiceDistribution:
 
     def mean(self) -> float:
         """E[X] = M(inf); ``inf`` when the integral diverges."""
-        return float(self._primitives(math.inf)[2])
+        with np.errstate(over="ignore"):  # past the largest float: inf, as a float reads it
+            return float(self._primitives(math.inf)[2])
 
     def quantile(self, q: float) -> float:
         """Generalized inverse inf{x : F(x) >= q} for 0 < q < 1."""
@@ -287,10 +313,14 @@ class Erlang(ServiceDistribution):
 
     def _primitives(self, x):
         # x f_k(x) = (k/rate) f_{k+1}(x), so the truncated moment is a
-        # higher-shape CDF evaluation.
+        # higher-shape CDF evaluation.  Where k/rate overflows, the CDF
+        # is divided by the rate first, so M reads 0 where it underflows
+        # and not inf * 0 = nan.
         u = self.rate * x
-        return (gammainc(self.shape, u), gammaincc(self.shape, u),
-                self.shape / self.rate * gammainc(self.shape + 1, u))
+        upper = gammainc(self.shape + 1, u)
+        scale = self.shape / self.rate
+        m = scale * upper if scale < math.inf else self.shape * (upper / self.rate)
+        return gammainc(self.shape, u), gammaincc(self.shape, u), m
 
     def quantile(self, q):
         return float(gammaincinv(self.shape, q)) / self.rate
@@ -474,7 +504,7 @@ class LogNormal(ServiceDistribution):
         try:
             self.mean()
         except OverflowError:
-            exponent = self.mu + 0.5 * self.sigma**2
+            exponent = self.mu + 0.5 * self.sigma * self.sigma  # inf where sigma**2 raises
             raise ValueError(
                 f"the mean exp(mu + sigma^2/2) = exp({exponent:g}) overflows a float"
             ) from None

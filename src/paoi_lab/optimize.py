@@ -151,7 +151,9 @@ def _spaced_grid(spacing, theta_min: float, theta_max: float, n: int) -> np.ndar
     """``spacing(theta_min, theta_max, n)``, raising :class:`InvalidWindow`
     where numpy cannot allocate the ``n`` floats."""
     try:
-        return spacing(theta_min, theta_max, n)
+        # geomspace's last power can overflow before it is set to theta_max
+        with np.errstate(over="ignore"):
+            return spacing(theta_min, theta_max, n)
     except MemoryError:
         raise InvalidWindow(f"a grid of {n} points does not fit in memory") from None
 
@@ -199,7 +201,8 @@ def _grid(d, theta_min, theta_max, grid_points):
     _validate_window(d, theta_min, theta_max)
     thetas = theta_grid(theta_min, theta_max, grid_points)
     grid = paoi_thresholds(d, thetas)
-    return thetas, grid, 2.0 * grid.m + thetas * grid.sf
+    with np.errstate(over="ignore"):  # the cost may pass the largest float near its end
+        return thetas, grid, 2.0 * grid.m + thetas * grid.sf
 
 
 def _search_optimal(d, theta_min, theta_max, tol, grid_points):
@@ -376,7 +379,8 @@ def mean_residual_witness(d: ServiceDistribution, thetas) -> PreemptionVerdict:
     if math.isinf(mean):
         return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
     thetas = np.asarray(thetas, dtype=float)
-    margins = d.grid_residuals(thetas) - mean
+    with np.errstate(over="ignore"):  # near the largest float, -inf
+        margins = d.grid_residuals(thetas) - mean
     best_margin = float(np.max(margins[~np.isnan(margins)], initial=-math.inf))
     above = np.flatnonzero(margins > 0.0)
     witness = float(thetas[above[0]]) if above.size else None

@@ -34,7 +34,6 @@ preemptions raises it, once a caller asks for that peak.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -398,6 +397,10 @@ def run_replications(
     seeds = range(base_seed, base_seed + replications)
     if workers <= 1 or replications == 1:
         return list(map(job, seeds))
+    # imported here: the pool's modules (multiprocessing, queue) cost every
+    # command's start-up about 14 ms, and only a fanned-out run needs them
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
         return list(pool.map(job, seeds))
 

@@ -549,20 +549,60 @@ class TestCliExtras:
 
     def test_import_loads_only_scipy_special(self):
         # scipy.integrate and scipy.optimize add about 0.4 s to every
-        # command's start-up on a 2-vCPU machine
-        import paoi_lab
+        # command's start-up on a 2-vCPU machine, scipy.special's array-API
+        # shim (which imports numpy.f2py) about 0.2 s, and the process
+        # pool's modules about 14 ms; no scipy.special stub is left behind
+        unwanted = ("scipy.integrate", "scipy.optimize", "scipy.special",
+                    "scipy.special._support_alternative_backends", "numpy.f2py",
+                    "concurrent.futures.process")
+        probe = (f"import sys, paoi_lab.cli; "
+                 f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
+        assert run_fresh(probe) == "[]"
 
-        src = str(Path(paoi_lab.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    def test_loaded_ufuncs_are_scipy_special_s_own(self):
         probe = (
-            "import sys, paoi_lab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+            "import paoi_lab.distributions as pd, scipy.special, scipy.stats; "
+            f"assert all(getattr(pd, n) is getattr(scipy.special, n) for n in {UFUNCS!r}); "
+            "print(scipy.stats.norm.cdf(0.0))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        assert run_fresh(probe) == "0.5"
+
+    def test_failed_stub_import_falls_back_to_scipy_special(self):
+        # the first import of scipy.special._ufuncs, under the stub, raises
+        probe = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    armed = True\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special._ufuncs' and self.armed:\n"
+            "            self.armed = False\n"
+            "            raise RuntimeError('refused')\n"
+            "refuse = Refuse()\n"
+            "sys.meta_path.insert(0, refuse)\n"
+            "import paoi_lab.distributions as pd\n"
+            "special = sys.modules['scipy.special']\n"
+            "assert not refuse.armed and hasattr(special, 'logsumexp')\n"
+            f"assert all(getattr(pd, n) is getattr(special, n) for n in {UFUNCS!r})\n"
+            "print(pd.LogNormal(0.0, 1.0).cdf(1.0))\n"
         )
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(probe) == "0.5"
+
+
+UFUNCS = ("gammainc", "gammaincc", "gammaincinv", "ndtr", "ndtri")
+
+
+def run_fresh(probe):
+    """The stdout of ``probe`` run in a fresh interpreter that imports this
+    ``paoi_lab``: the suite's own process has imported scipy.special."""
+    import paoi_lab
+
+    src = str(Path(paoi_lab.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
 
 
 def reference_csv(path, header, rows):
@@ -651,12 +691,16 @@ ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
 class TestDegenerateInputs:
     @pytest.mark.parametrize("verb", ["eval", "sweep", "optimize", "check", "simulate"])
     def test_log_normal_mean_past_the_largest_float_exit_2(self, tmp_path, capsys, verb):
-        cfg = tmp_path / "ln.yaml"
-        cfg.write_text("distribution: {kind: log-normal, params: {mu: 0.0, sigma: 40.0}}\n")
-        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: distribution.params: the mean exp(mu + sigma^2/2) = exp(800) "
-            "overflows a float\n")
+        # past sigma ~ 1.34e154, sigma**2 itself overflows
+        for sigma, exponent in (("40.0", "800"), ("1.0e+200", "inf")):
+            cfg = tmp_path / "ln.yaml"
+            cfg.write_text(
+                f"distribution: {{kind: log-normal, params: {{mu: 0.0, sigma: {sigma}}}}}\n")
+            assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: distribution.params: the mean exp(mu + sigma^2/2) = exp({exponent}) "
+                "overflows a float\n"))
+            assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("verb", ["sweep", "optimize", "check"])
     @pytest.mark.parametrize("law, name", [
@@ -989,6 +1033,51 @@ class TestDegenerateInputs:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr() == (
             "policy zero-wait: pooled mean inf ci95 [nan, nan] (2 x 1000 peaks)\n", "")
+
+    def test_erlang_moment_past_k_over_rate_reads_inf_not_nan(self, tmp_path, capsys):
+        # k / rate overflows, and the moment's incomplete gamma underflows to 0
+        cfg = tmp_path / "e.yaml"
+        cfg.write_text("distribution: {kind: erlang, params: {shape: 3, rate: 5.0e-324}}\n"
+                       "policies: [{kind: repetitive, thresholds: [0.6, 5.0e-324, 2.1]}]\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (
+            "distribution: Erlang(3, 5e-324)\n"
+            "policy                                 zeta      e_x_check            e_y\n"
+            "repetitive[0.6,4.94066e-324,2.1]            inf            inf            inf\n", "")
+
+    @pytest.mark.parametrize("verb, config, out", [
+        ("eval", "distribution: {kind: shifted-exponential, params: {shift: 1.0, "
+         "rate: 5.0e-324}}\npolicies: [median]\n",
+         "distribution: ShiftedExponential(1.0, 5e-324)\n"
+         "policy                                 zeta      e_x_check            e_y\n"
+         "median-threshold                        inf            inf            inf\n"),
+        ("check", "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+         "optimizer: {theta_min: 1.0, theta_max: 1.7976931348623157e+308}\n",
+         "distribution: Pareto(1.0, 2.0)\n"
+         "necessary-sufficient: beneficial=True margin=0.67005734001 "
+         "witness_theta=2.0342715249\n"
+         "sufficient-residual:  witness=2.0342715249 max_margin=1.79769313486e+308\n"),
+        ("optimize", "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+         "optimizer: {theta_min: 1.0, theta_max: 1.7976931348623157e+308}\n",
+         "distribution: Pareto(1.0, 2.0)\n"
+         "window:       [1, 1.79769313486e+308]\n"
+         "theta_opt:    2.0342715249\n"
+         "zeta(fixed):  3.32994265999\n"
+         "zeta(zero-wait): 4\n"
+         "zeta(xmin):   inf\n"
+         "              (no atom at the support minimum: the xmin policy never delivers)\n"
+         "zeta_min:     3.32994265999   winner: fixed-threshold\n"
+         "preemptions beneficial: True   margin vs 2E[X]: 0.67005734001\n"
+         "policy-iteration cross-check delta: 0\n"
+         "grid evaluations: 2000, refinement iterations: 0\n"),
+    ], ids=["mean-past-the-largest-float", "window-to-the-largest-float-check",
+            "window-to-the-largest-float-optimize"])
+    def test_overflow_to_inf_is_silent(self, tmp_path, capsys, verb, config, out):
+        # the suite turns every RuntimeWarning into an error
+        cfg = tmp_path / "o.yaml"
+        cfg.write_text(config)
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_infinite_fixed_threshold_evals_as_zero_wait(self, tmp_path, capsys):
         cfg = tmp_path / "z.yaml"

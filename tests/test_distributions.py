@@ -185,6 +185,24 @@ class TestTruncatedFirstMoment:
                 quad_truncated_moment(name, theta), abs=1e-9, rel=1e-9
             )
 
+    @pytest.mark.parametrize("rate", [5e-324, 1e-308])
+    def test_erlang_where_k_over_rate_overflows(self, rate):
+        # M = (k / rate) P(k + 1, rate x) would read inf * 0 = nan where the
+        # incomplete gamma underflows, and inf where M is finite elsewhere
+        import mpmath
+
+        d = Erlang(3, rate)
+        thetas = np.array([0.6, 2.1, 1e300, np.finfo(float).max])
+        m = d.grid_primitives(thetas)[2]
+        assert [d.truncated_first_moment(t) for t in thetas.tolist()] == m.tolist()
+        with mpmath.workdps(40):
+            exact = [3 / mpmath.mpf(rate) * mpmath.gammainc(4, 0, rate * mpmath.mpf(t),
+                                                            regularized=True)
+                     for t in thetas.tolist()]
+        assert m[:2].tolist() == [0.0, 0.0] == [float(x) for x in exact[:2]]
+        assert m[2:].tolist() == pytest.approx([float(x) for x in exact[2:]], rel=1e-14)
+        assert math.isinf(d.mean())
+
 
 class TestIntegratedCdf:
     def test_two_point_plateau(self):
