@@ -10,7 +10,6 @@ against a discrete-event simulation.
 
 from .analytic import (
     PaoiValue,
-    has_atom_at_support_min,
     paoi_fixed_threshold,
     paoi_policy,
     paoi_repetitive,
@@ -63,9 +62,7 @@ from .policies import (
     ZeroWait,
 )
 from .simulate import (
-    AoiBreakpoint,
     PaoiEstimate,
-    PeakRecord,
     aoi_trajectory,
     estimate_paoi,
     pooled_estimate,

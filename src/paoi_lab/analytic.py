@@ -55,7 +55,6 @@ __all__ = [
     "paoi_thresholds",
     "paoi_zero_wait",
     "paoi_xmin",
-    "has_atom_at_support_min",
     "paoi_repetitive",
     "paoi_policy",
 ]
@@ -117,11 +116,6 @@ def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
 def paoi_zero_wait(d: ServiceDistribution) -> float:
     """Average PAoI of the never-preempting policy: ``2 E[X]``."""
     return paoi_fixed_threshold(d, math.inf).zeta
-
-
-def has_atom_at_support_min(d: ServiceDistribution) -> bool:
-    """Whether ``d`` has mass at ``support_min``: an atom law starts at its first atom."""
-    return bool(d.atoms())
 
 
 def paoi_xmin(d: ServiceDistribution) -> float:

@@ -95,6 +95,12 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             fh.write("\n".join([template % row for row in rows]) + "\n")
 
 
+def _write_records(path: Path, records: np.recarray) -> None:
+    """Write a record array, one row per record under its field names."""
+    names = list(records.dtype.names)
+    _write_csv(path, names, [records[name] for name in names])
+
+
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]+", "_", label).strip("_")
 
@@ -204,7 +210,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"zeta(fixed):  {_fmt(result.zeta_opt)}")
     print(f"zeta(zero-wait): {_fmt(result.zeta_zero_wait)}")
     print(f"zeta(xmin):   {_fmt(result.zeta_xmin)}")
-    if not analytic.has_atom_at_support_min(d):
+    if not d.atoms():
         print("              (no atom at the support minimum: the xmin policy never delivers)")
     print(f"zeta_min:     {_fmt(result.zeta_min)}   winner: {result.winner}")
     print(
@@ -273,25 +279,20 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             ],
         )
         if sim.trajectory_horizon is not None:
-            _write_csv(
+            _write_records(
                 out_dir / _csv_name(cfg, "trajectory", policy),
-                ["time", "peak", "reset_to"],
-                simulate.trajectory_columns(
+                simulate.aoi_trajectory(
                     d, policy, horizon=sim.trajectory_horizon, seed=seed,
                     stall_limit=sim.stall_limit,
                 ),
             )
         if sim.dump_peaks:
-            cols = simulate.peak_columns(
-                d, policy, peaks=sim.peaks, seed=seed,
-                stall_limit=sim.stall_limit, warmup=sim.warmup,
-            )
-            index = np.arange(sim.warmup + 1, sim.warmup + sim.peaks + 1)
-            _write_csv(
+            _write_records(
                 out_dir / _csv_name(cfg, "peaks", policy),
-                ["k", "peak", "received_service", "interreception", "preemptions",
-                 "receive_time"],
-                [index, *cols],
+                simulate.simulate_peaks(
+                    d, policy, peaks=sim.peaks, seed=seed,
+                    stall_limit=sim.stall_limit, warmup=sim.warmup,
+                ),
             )
     return 0
 

@@ -175,7 +175,9 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
     dist = hi - lo
     if dist <= tol:
         return evaluated
-    n = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
+    ratio = tol / dist  # 0 when a tiny tol over a wide bracket underflows
+    shrink = math.log(ratio) if ratio > 0 else math.log(tol) - math.log(dist)
+    n = int(math.ceil(shrink / math.log(_INV_PHI)))
     c = lo + _INV_PHI_SQ * dist
     e = lo + _INV_PHI * dist
     yc, ye = fn(c), fn(e)

@@ -13,9 +13,11 @@ one ``draw`` per attempt).  Per block it finds the receptions with one
 array comparison (a threshold sequence with a head chases one pointer per
 peak through a table of where each start position leads), sums each peak's
 dropped thresholds in the order one attempt at a time would add them, and
-emits the block's peaks as columns (:class:`PeakColumns`).  A peak still
-open at the block end carries its partial sum and drop count into the next
-block.  The result equals the one-attempt-at-a-time loop bit for bit.
+emits the block's peaks as columns.  A peak still open at the block end
+carries its partial sum and drop count into the next block.  The result
+equals the one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks`
+and :func:`aoi_trajectory` return the series as NumPy record arrays, whose
+field names are the CSV headers of the peak dump and the trajectory.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,15 +47,10 @@ from .errors import SimulationStall
 from .policies import Policy, resolve
 
 __all__ = [
-    "PeakRecord",
-    "AoiBreakpoint",
     "PaoiEstimate",
-    "PeakColumns",
-    "peak_columns",
     "simulate_peaks",
     "estimate_paoi",
     "aoi_trajectory",
-    "trajectory_columns",
     "run_replications",
     "pooled_estimate",
 ]
@@ -62,33 +59,6 @@ DEFAULT_STALL_LIMIT = 10**9
 _BATCH_COUNT = 30
 _Z95 = 1.96
 _DRAW_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class PeakRecord:
-    """One AoI peak: ``peak = received_service + interreception`` exactly.
-
-    ``received_service`` is the service time of the update that ended the
-    *previous* peak (the initial draw for the first record);
-    ``preemptions`` counts the attempts dropped before this reception.
-    """
-
-    index: int
-    peak: float
-    received_service: float
-    interreception: float
-    preemptions: int
-    receive_time: float
-
-
-@dataclass(frozen=True)
-class AoiBreakpoint:
-    """Sawtooth breakpoint: AoI hits ``peak`` just before ``time`` and
-    drops to ``reset_to`` (the just-received update's service time)."""
-
-    time: float
-    peak: float
-    reset_to: float
 
 
 @dataclass(frozen=True)
@@ -106,17 +76,6 @@ class PaoiEstimate:
     ci_high: float
     peak_count: int
     seed: Optional[int] = None
-
-
-class PeakColumns(NamedTuple):
-    """A peak series as arrays, one entry per peak, holding
-    :class:`PeakRecord`'s fields after ``index`` in the same order."""
-
-    peak: np.ndarray
-    received_service: np.ndarray
-    interreception: np.ndarray
-    preemptions: np.ndarray
-    receive_time: np.ndarray
 
 
 def _sequence_ends(x, table, rank0):
@@ -195,9 +154,10 @@ def _blocks(
     policy: Policy,
     seed: int,
     stall_limit: int,
-) -> Iterator[PeakColumns]:
-    """The endless peak series: per block of service draws, the columns of
-    the peaks whose reception falls in it (none if no peak ends there)."""
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The endless peak series: per block of service draws, the columns
+    ``peak, received_service, interreception, preemptions, receive_time``
+    of the peaks whose reception falls in it (none if no peak ends there)."""
     if stall_limit < 1:  # the count is checked after a drop
         raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
     # Two child streams so that policies which do not randomize consume
@@ -246,7 +206,7 @@ def _blocks(
         if k:
             received = np.concatenate(([x_prev], x[ends[: k - 1]]))
             times = np.cumsum(np.concatenate(([now], y[:k])))[1:]
-            yield PeakColumns(received + y[:k], received, y[:k], drops[:k], times)
+            yield received + y[:k], received, y[:k], drops[:k], times
             x_prev, now = x[ends[k - 1]], times[-1]
         if stalled.size:
             raise SimulationStall(
@@ -263,26 +223,27 @@ _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_silent_overflow
-def peak_columns(
-    d: ServiceDistribution,
-    policy: Policy,
-    peaks: int,
-    seed: int,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
-    warmup: int = 0,
-) -> PeakColumns:
-    """:func:`simulate_peaks` as arrays, one entry per peak."""
+def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
+    """The columns of :func:`_blocks`, each joined into one array, up to the
+    block that holds the ``peaks``-th peak or the first reception past
+    ``horizon``; no block past it is drawn."""
+    parts, have = [], 0
+    for cols in _blocks(d, policy, seed, stall_limit):
+        parts.append(cols)
+        have += len(cols[0])
+        if have >= peaks or cols[-1][-1] > horizon:
+            break
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def _peak_range(d, policy, peaks, seed, stall_limit, warmup):
+    """The columns of peaks ``warmup + 1`` to ``warmup + peaks``."""
     if peaks < 1:
         raise ValueError("need at least one peak")
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
-    parts, have = [], 0
-    for cols in _blocks(d, policy, seed, stall_limit):
-        parts.append(cols)
-        have += len(cols.peak)
-        if have >= warmup + peaks:  # ask for no block past the last peak
-            break
-    return PeakColumns(*(np.concatenate(c)[warmup : warmup + peaks] for c in zip(*parts)))
+    cols = _columns(d, policy, seed, stall_limit, peaks=warmup + peaks)
+    return [c[warmup : warmup + peaks] for c in cols]
 
 
 def simulate_peaks(
@@ -292,42 +253,28 @@ def simulate_peaks(
     seed: int,
     stall_limit: int = DEFAULT_STALL_LIMIT,
     warmup: int = 0,
-) -> list[PeakRecord]:
+) -> np.recarray:
     """Simulate exactly ``peaks`` AoI peaks after ``warmup`` discarded ones.
 
-    Identical arguments reproduce the identical record list.  The process
+    Returns a record array, one record per peak, with the fields ``k``
+    (the peak's number, from ``warmup + 1``), ``peak``,
+    ``received_service``, ``interreception``, ``preemptions`` and
+    ``receive_time``.  ``peak = received_service + interreception``
+    exactly; ``received_service`` is the service time of the update that
+    ended the previous peak (the initial draw for the first peak), and
+    ``preemptions`` counts the attempts dropped before this reception.
+
+    Identical arguments reproduce the identical records.  The process
     regenerates at every reception, and no policy carries history across
     one, so every peak but the first has the same law.  The first differs:
     its carried service is the unconditioned initial draw, where every
     later peak carries a service time that completed within its threshold
     (``X | X <= theta``).  Any ``warmup >= 1`` drops it.
     """
-    cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
-    rows = zip(*(c.tolist() for c in cols))
-    return [PeakRecord(k, *row) for k, row in enumerate(rows, warmup + 1)]
-
-
-@_silent_overflow
-def trajectory_columns(
-    d: ServiceDistribution,
-    policy: Policy,
-    horizon: float,
-    seed: int,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`aoi_trajectory` as arrays ``(time, peak, reset_to)``, one
-    entry per breakpoint."""
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    parts = []
-    for cols in _blocks(d, policy, seed, stall_limit):
-        parts.append(cols)
-        if cols.receive_time[-1] > horizon:
-            break
-    cols = PeakColumns(*(np.concatenate(c) for c in zip(*parts)))
-    n = int(np.searchsorted(cols.receive_time, horizon, side="right"))
-    # a reception's drop-to value is the next peak's carried service time
-    return cols.receive_time[:n], cols.peak[:n], cols.received_service[1 : n + 1]
+    cols = _peak_range(d, policy, peaks, seed, stall_limit, warmup)
+    k = np.arange(warmup + 1, warmup + peaks + 1)
+    fields = "k,peak,received_service,interreception,preemptions,receive_time"
+    return np.rec.fromarrays([k, *cols], names=fields)
 
 
 def aoi_trajectory(
@@ -336,16 +283,23 @@ def aoi_trajectory(
     horizon: float,
     seed: int,
     stall_limit: int = DEFAULT_STALL_LIMIT,
-) -> list[AoiBreakpoint]:
+) -> np.recarray:
     """Sawtooth breakpoints of the AoI path for receptions up to ``horizon``.
 
-    Shares the event loop with :func:`simulate_peaks`, so the peaks read
-    off the trajectory coincide with the simulated peak series for the
-    same seed.  The loop runs up to the first reception past ``horizon``,
-    whose carried service time is the last drop-to value.
+    Returns a record array, one record per reception, with the fields
+    ``time``, ``peak`` and ``reset_to``: AoI hits ``peak`` just before
+    ``time`` and drops to ``reset_to``, the just-received update's service
+    time.  Shares the event loop with :func:`simulate_peaks`, so the peaks
+    read off the trajectory coincide with the simulated peak series for
+    the same seed.  The loop runs up to the first reception past
+    ``horizon``, whose carried service time is the last drop-to value.
     """
-    columns = trajectory_columns(d, policy, horizon, seed, stall_limit)
-    return [AoiBreakpoint(*point) for point in zip(*(c.tolist() for c in columns))]
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    peak, received, _, _, times = _columns(d, policy, seed, stall_limit, horizon=horizon)
+    n = int(np.searchsorted(times, horizon, side="right"))
+    # a reception's drop-to value is the next peak's carried service time
+    return np.rec.fromarrays([times[:n], peak[:n], received[1 : n + 1]], names="time,peak,reset_to")
 
 
 def _with_ci95(mean: float, se: float, peak_count: int, seed: Optional[int]) -> PaoiEstimate:
@@ -364,15 +318,16 @@ def _batch_means(values: np.ndarray, seed: Optional[int] = None) -> PaoiEstimate
     return _with_ci95(float(values.mean()), se, k, seed)
 
 
-def estimate_paoi(peaks: Sequence[PeakRecord], seed: Optional[int] = None) -> PaoiEstimate:
-    """Batch-means estimate of the average PAoI from a peak series."""
-    return _batch_means(np.array([r.peak for r in peaks]), seed)
+def estimate_paoi(peaks: np.recarray, seed: Optional[int] = None) -> PaoiEstimate:
+    """Batch-means estimate of the average PAoI from the ``peak`` field of
+    a peak series, as :func:`simulate_peaks` returns it."""
+    # a contiguous copy, summed as a replication's own peak column is
+    return _batch_means(np.array(peaks.peak, dtype=float), seed)
 
 
 def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
     """The estimate of one replication, from its seed."""
-    cols = peak_columns(d, policy, peaks, seed, stall_limit, warmup)
-    return _batch_means(cols.peak, seed)
+    return _batch_means(_peak_range(d, policy, peaks, seed, stall_limit, warmup)[0], seed)
 
 
 def run_replications(

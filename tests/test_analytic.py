@@ -15,7 +15,6 @@ from paoi_lab import (
     TwoPoint,
     XMinThreshold,
     ZeroWait,
-    has_atom_at_support_min,
     paoi_fixed_threshold,
     paoi_policy,
     paoi_repetitive,
@@ -183,7 +182,7 @@ class TestSimplePolicies:
         assert paoi_xmin(Deterministic(1.0)) == 2.0
 
     def test_xmin_without_atom_is_infinite(self):
-        assert not has_atom_at_support_min(EXP)
+        assert not EXP.atoms()
         assert math.isinf(paoi_xmin(EXP))
         assert math.isinf(paoi_xmin(CATALOG["pareto"]))
 

@@ -1,16 +1,21 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1460,3 +1465,86 @@ class TestYamlLoaders:
                             lambda s, Loader: loaders.append(Loader) or load(s, Loader))
         assert [read_config(module.load_config, path) for path in paths] == want
         assert loaders == [module._Loader] * 2
+
+
+# Edge values for every number the fuzzed configs carry.  Plain values make
+# up two thirds of the draws, and a weight list often sums to 1, so that
+# many configs get past validation and run their command.
+EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e-9, 1e300, sys.float_info.max,
+         math.inf, -math.inf, math.nan, -1.0)
+_edge = st.sampled_from((0.5, 1.0, 2.0, 3.0) * 6 + EDGES)
+_edges = st.lists(_edge, min_size=1, max_size=3)
+_weights = st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75]]) | _edges
+_maybe = st.none() | _edge  # null: the default window end or tolerance
+
+_LAW_PARAMS = {
+    "exponential": ("rate",),
+    "erlang": ("shape", "rate"),
+    "pareto": ("xm", "alpha"),
+    "shifted-exponential": ("shift", "rate"),
+    "two-point": ("t1", "t2", "p"),
+    "log-normal": ("mu", "sigma"),
+    "deterministic": ("value",),
+}
+_SAMPLER_PARAMS = {
+    "point": {"value": _edge},
+    "uniform": {"low": _edge, "high": _edge},
+    "triangular": {"low": _edge, "mode": _edge, "high": _edge},
+    "choice": {"values": _edges, "weights": _weights},
+}
+
+
+def _kind(kind, **params):
+    return st.fixed_dictionaries({"kind": st.just(kind), **params})
+
+
+_laws = st.one_of(
+    *(_kind(kind, params=st.fixed_dictionaries({name: _edge for name in names}))
+      for kind, names in _LAW_PARAMS.items()),
+    _kind("hyper-exponential",
+          params=st.fixed_dictionaries({"rates": _edges, "weights": _weights})),
+)
+_policies = st.one_of(
+    st.sampled_from(["zero-wait", "xmin", "median"]),
+    _kind("fixed", theta=_edge),
+    _kind("repetitive", thresholds=_edges),
+    *(_kind("randomized", sampler=_kind(kind, **params))
+      for kind, params in _SAMPLER_PARAMS.items()),
+)
+# every work size valid and capped, and no trajectory: its horizon bounds
+# no work
+_configs = st.fixed_dictionaries({
+    "distribution": _laws,
+    "policies": st.lists(_policies, min_size=1, max_size=2),
+    "sweep": st.fixed_dictionaries({
+        "theta_min": _maybe, "theta_max": _maybe, "count": st.integers(2, 20),
+        "spacing": st.sampled_from(["linear", "log"])}),
+    "simulation": st.fixed_dictionaries({
+        "peaks": st.integers(2, 50), "replications": st.integers(1, 2),
+        "seed": st.integers(0, 9), "warmup": st.integers(0, 50),
+        "stall_limit": st.sampled_from([100_000, 100, 1]),
+        "dump_peaks": st.booleans()}),
+    "optimizer": st.fixed_dictionaries({
+        "theta_min": _maybe, "theta_max": _maybe, "tol": _maybe,
+        "grid_points": st.integers(2, 50)}),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=_configs,
+       command=st.sampled_from(["eval", "sweep", "optimize", "simulate", "check"]))
+def test_any_config_exits_cleanly(cfg, command):
+    # every command on any config exits 0, 2 or 3 without an exception or
+    # a RuntimeWarning, and an exit 2 prints nothing and writes no file
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.dict(os.environ, {"PAOI_THREADS": "1"}):
+        warnings.simplefilter("error", RuntimeWarning)
+        path, out = Path(tmp) / "fuzz.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(cfg))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert stdout.getvalue() == ""
+            assert not out.exists() or not any(out.iterdir())

@@ -20,7 +20,7 @@ from paoi_lab import (
     ShiftedExponential,
     TwoPoint,
 )
-from paoi_lab.analytic import has_atom_at_support_min, paoi_fixed_threshold
+from paoi_lab.analytic import paoi_fixed_threshold
 from paoi_lab.distributions import ServiceDistribution, weighted_pick
 
 from conftest import (
@@ -522,7 +522,7 @@ class TestAtomTable:
                          ids=[*CATALOG, "atoms-only"])
 def test_atom_at_support_min_is_read_from_atoms(d):
     # the law states it through atoms(); F read at support_min agrees
-    assert has_atom_at_support_min(d) == (d.cdf(d.support_min()) > 0.0)
+    assert bool(d.atoms()) == (d.cdf(d.support_min()) > 0.0)
 
 class TestQuantile:
     def test_exponential_median(self):

@@ -76,6 +76,13 @@ class TestOptimalThreshold:
             with pytest.raises(InvalidWindow):
                 optimal_threshold(d, 0.1, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_tiny_tolerance_over_a_wide_bracket(self, tol):
+        # tol / (hi - lo) underflows to 0, whose log raised ValueError
+        theta, zeta = optimal_threshold(Exponential(1.0), 0.5, 1e300, tol=tol, grid_points=2)
+        assert theta == 0.5
+        assert zeta == paoi_fixed_threshold(Exponential(1.0), 0.5).zeta
+
     def test_default_window_collapses_for_deterministic(self):
         with pytest.raises(InvalidWindow):
             default_window(Deterministic(1.0))

@@ -6,8 +6,10 @@ float parameters and thresholds, which it takes as exact.  It checks
 ``F``, ``P(X > theta)``, ``M(theta) = E[X 1{X <= theta}]``, ``zeta``,
 ``E[Xr]`` and ``E[Y]`` at thresholds from the 1e-9 to the 1 - 1e-9
 quantile, including the lower tail where the exponential-family optima
-sit and heavy tails with ``alpha`` near 1.  It also checks ``E[X]`` and
-the three components of threshold sequences whose last entry repeats.
+sit and heavy tails with ``alpha`` near 1.  It also checks ``E[X]``, the
+three components of threshold sequences whose last entry repeats, and the
+mean residual ``E[X - theta | X > theta]`` that ``check`` reads off the
+optimizer grid.
 """
 
 import math
@@ -30,7 +32,9 @@ from paoi_lab import (
     TwoPoint,
     paoi_fixed_threshold,
     paoi_repetitive,
+    theta_grid,
 )
+from paoi_lab.optimize import default_window
 
 from conftest import CATALOG, catalog_ids, hyper_exponentials
 
@@ -311,3 +315,51 @@ def test_drawn_sequences_against_oracle(d, picks):
     seq = tuple(entries[i] for i in picks)
     err, key = sequence_error(d, seq)
     assert err <= RTOL, (d, seq, key, err)
+
+
+def oracle_residual(d, theta):
+    """``E[X - theta | X > theta] = (E[X] - M(theta)) / P(X > theta) - theta``
+    to 50 digits, or ``None`` where ``P(X > theta) = 0``.  The working
+    precision grows by the digits that ``E[X] - M`` cancels."""
+    with mp.workdps(50):
+        sf = _law_parts(d, mp.mpf(theta))[1]
+    if sf == 0:
+        return None
+    with mp.workdps(50 + max(0, int(-mp.log10(sf)))):
+        t = mp.mpf(theta)
+        _, sf, m = _law_parts(d, t)
+        return (oracle_mean(d) - m) / sf - t
+
+
+def assert_residuals(d, thetas, rtol):
+    for theta, got in zip(thetas, d.grid_residuals(thetas).tolist()):
+        want = oracle_residual(d, theta)
+        if want is None:
+            assert math.isnan(got), (d, theta, got)
+        else:
+            assert abs(got - want) <= rtol * abs(want), (d, theta, got, mp.nstr(want, 12))
+
+
+# Measured on these grids: 2.0e-10 on Erlang(3, 1) at theta = 19.13 and
+# 3.4e-12 on LogNormal(0, 1) at theta = 111.6, from the cancellation in
+# E[X] - M; every other law stays under 3.3e-16.
+@pytest.mark.parametrize("name", catalog_ids())
+def test_grid_residuals_against_oracle(name):
+    d = CATALOG[name]
+    # a point mass has no default window; its grid starts below the support
+    window = (0.5, 3.0) if isinstance(d, Deterministic) else default_window(d)
+    assert_residuals(d, theta_grid(*window, 2000).tolist(), 1e-9)
+
+
+# Known far-tail failures of the residual, kept visible: E[X] - M cancels
+# to nothing while P(X > theta) is still a normal float.  LogNormal(0, 1)
+# reads 413.0 for 413.2 at theta = 3000 and 3660 for 1186 at 1e4;
+# Erlang(3, 1) is off by 3.1e-2 at theta = 40, reads -100 at 100 and nan
+# at 3000.
+@pytest.mark.xfail(strict=True, reason="E[X] - M cancels in the far tail")
+@pytest.mark.parametrize("name, theta", [
+    ("log-normal", 3000.0), ("log-normal", 1e4),
+    ("erlang", 40.0), ("erlang", 100.0), ("erlang", 3000.0),
+])
+def test_far_tail_residuals_against_oracle(name, theta):
+    assert_residuals(CATALOG[name], [theta], 1e-9)

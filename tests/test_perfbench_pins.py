@@ -72,3 +72,27 @@ def test_counted_primitives_resolve_where_the_tracer_patches():
         for method in tracing.PRIMITIVES:
             owner = next(c for c in cls.__mro__ if method in vars(c))
             assert owner in (distributions.ServiceDistribution, cls), (name, method, owner)
+
+
+def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
+    # the traced run reads simulate.trajectory_ms and the peak-dump time
+    # from spans named after these two functions, so the CLI must call them
+    import paoi_lab.cli
+
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        "distribution: {kind: exponential, params: {rate: 1.0}}\n"
+        "policies: [zero-wait]\n"
+        "simulation: {peaks: 20, replications: 1, seed: 3, dump_peaks: true, "
+        "trajectory_horizon: 5.0}\n"
+    )
+    monkeypatch.setenv("PAOI_THREADS", "1")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = paoi_lab.cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"simulate.simulate_peaks", "simulate.aoi_trajectory"} <= names
