@@ -29,7 +29,6 @@ from .distributions import (
 )
 from .errors import (
     ConfigError,
-    DegenerateCondition,
     InvalidWindow,
     NoAnalyticForm,
     PaoiLabError,

@@ -140,7 +140,7 @@ def _reject_clashes(policies, key, clash: str) -> None:
 def _reject_overflowing_thresholds(cfg: ExperimentConfig) -> None:
     """Raise :class:`ConfigError` before any output when a policy's
     threshold under the law lies past the largest float, as the median of
-    ``Pareto(1, 1e-4)`` does."""
+    ``Pareto(1, 1e-4)`` or of ``Exponential(5e-324)`` does."""
     for policy in cfg.policies:
         try:
             resolve(policy, cfg.distribution)
@@ -254,7 +254,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     workers = _workers()
     _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
     _reject_overflowing_thresholds(cfg)
-    for policy in cfg.policies:
+    trajectories = [None] * len(cfg.policies)
+    if sim.trajectory_horizon is not None:  # every one before any output
+        try:
+            trajectories = [
+                simulate.aoi_trajectory(d, policy, horizon=sim.trajectory_horizon, seed=seed,
+                                        stall_limit=sim.stall_limit)
+                for policy in cfg.policies
+            ]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    for policy, trajectory in zip(cfg.policies, trajectories):
         estimates = simulate.run_replications(
             d,
             policy,
@@ -278,14 +288,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                 *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
             ],
         )
-        if sim.trajectory_horizon is not None:
-            _write_records(
-                out_dir / _csv_name(cfg, "trajectory", policy),
-                simulate.aoi_trajectory(
-                    d, policy, horizon=sim.trajectory_horizon, seed=seed,
-                    stall_limit=sim.stall_limit,
-                ),
-            )
+        if trajectory is not None:
+            _write_records(out_dir / _csv_name(cfg, "trajectory", policy), trajectory)
         if sim.dump_peaks:
             _write_records(
                 out_dir / _csv_name(cfg, "peaks", policy),

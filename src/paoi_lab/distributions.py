@@ -61,8 +61,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateCondition
-
 
 def _special_ufuncs(*names):
     """The ``scipy.special`` ufuncs ``names``, the very objects it exports.
@@ -210,21 +208,11 @@ class ServiceDistribution:
         return theta * f - m
 
     def conditional_residual(self, theta: float) -> float:
-        """E[X - theta | X > theta].
-
-        Returns ``inf`` when the mean diverges.  Raises
-        :class:`DegenerateCondition` where :meth:`grid_residuals` reads
-        ``nan``: when P(X > theta) = 0, a mixture's posterior phase
-        weights underflow, or ``theta`` is ``nan``.
-        """
-        if math.isnan(theta):
-            raise DegenerateCondition("the threshold is nan, which conditions on no event")
-        residual = float(self.grid_residuals([theta])[0])
-        if math.isnan(residual):
-            raise DegenerateCondition(
-                f"P(X > {theta}) = 0; the residual conditioning event is null"
-            )
-        return residual
+        """E[X - theta | X > theta]: ``inf`` when the mean diverges, and
+        ``nan`` where no event is conditioned on (P(X > theta) = 0, a
+        mixture's posterior phase weights underflow, or ``theta`` is
+        ``nan``), as :meth:`grid_residuals` reads it."""
+        return float(self.grid_residuals([theta])[0])
 
     def grid_primitives(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`primitives` at every threshold of ``thetas`` in one call,
@@ -238,9 +226,8 @@ class ServiceDistribution:
 
     def grid_residuals(self, thetas) -> np.ndarray:
         """:meth:`conditional_residual` at every threshold of ``thetas`` in
-        one call, bit for bit, and ``nan`` where it raises
-        :class:`DegenerateCondition`, as at a ``nan`` threshold.  Below
-        the support X > theta surely, so it reads ``E[X] - theta`` there."""
+        one call.  Below the support X > theta surely, so it reads
+        ``E[X] - theta`` there."""
         x = np.asarray(thetas, dtype=float)
         with np.errstate(over="ignore"):
             out = self._residuals(x)
@@ -269,8 +256,7 @@ class ServiceDistribution:
         _, tail, m = self.grid_primitives(x)
         out = np.full(x.shape, math.nan)
         live = tail > 0.0
-        mean = self.mean()
-        out[live] = math.inf if math.isinf(mean) else (mean - m[live]) / tail[live] - x[live]
+        out[live] = (self.mean() - m[live]) / tail[live] - x[live]
         return out
 
 

@@ -5,10 +5,6 @@ class PaoiLabError(Exception):
     """Base class for all errors raised by paoi_lab."""
 
 
-class DegenerateCondition(PaoiLabError):
-    """Conditioning event has probability zero (e.g. residual beyond the support)."""
-
-
 class NoAnalyticForm(PaoiLabError):
     """The requested policy has no closed-form PAoI; simulate instead."""
 

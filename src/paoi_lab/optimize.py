@@ -269,14 +269,8 @@ def min_achievable_paoi(
         WINNER_ZERO_WAIT: zeta_zw,
     }
     zeta_min = min(by_tag.values())
-    winner = WINNER_FIXED
-    for tag in _WINNER_PRIORITY:
-        v = by_tag[tag]
-        if v <= zeta_min or (
-            math.isfinite(zeta_min) and v <= zeta_min * (1.0 + _TIE_REL_TOL)
-        ):
-            winner = tag
-            break
+    winner = next((tag for tag in _WINNER_PRIORITY
+                   if by_tag[tag] <= zeta_min * (1.0 + _TIE_REL_TOL)), WINNER_FIXED)
 
     return OptimizationResult(
         theta_opt=theta_opt,

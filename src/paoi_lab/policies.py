@@ -222,7 +222,8 @@ Policy = Union[
 def resolve(policy: Policy, d: ServiceDistribution) -> Optional[tuple[float, ...]]:
     """The thresholds ``policy`` uses under ``d``, one per request since the
     last reception, the last repeating forever; ``None`` for a randomized
-    policy, whose thresholds are drawn per request."""
+    policy, whose thresholds are drawn per request.  Raises
+    :class:`OverflowError` where the median lies past the largest float."""
     if isinstance(policy, FixedThreshold):
         return (policy.theta,)
     if isinstance(policy, ZeroWait):
@@ -230,7 +231,10 @@ def resolve(policy: Policy, d: ServiceDistribution) -> Optional[tuple[float, ...
     if isinstance(policy, XMinThreshold):
         return (d.support_min(),)
     if isinstance(policy, MedianThreshold):
-        return (d.quantile(0.5),)
+        median = d.quantile(0.5)
+        if median == math.inf:
+            raise OverflowError(f"the median of {d!r} overflows a float")
+        return (median,)
     if isinstance(policy, RepetitiveSequence):
         return policy.thresholds
     if isinstance(policy, RandomizedThreshold):

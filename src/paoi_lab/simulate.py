@@ -59,6 +59,9 @@ DEFAULT_STALL_LIMIT = 10**9
 _BATCH_COUNT = 30
 _Z95 = 1.96
 _DRAW_BLOCK = 4096
+# receptions one trajectory may hold: building one takes about 80 bytes a
+# reception (4.1M receptions peaked at 0.36 GB resident)
+_MAX_TRAJECTORY = 2**22
 
 
 @dataclass(frozen=True)
@@ -226,13 +229,21 @@ _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
     """The columns of :func:`_blocks`, each joined into one array, up to the
     block that holds the ``peaks``-th peak or the first reception past
-    ``horizon``; no block past it is drawn."""
+    ``horizon``; no block past it is drawn.  Up to a finite ``horizon``,
+    raises :class:`ValueError` as soon as the receptions so far, at their
+    pace, project past ``_MAX_TRAJECTORY`` by the horizon."""
     parts, have = [], 0
     for cols in _blocks(d, policy, seed, stall_limit):
         parts.append(cols)
         have += len(cols[0])
-        if have >= peaks or cols[-1][-1] > horizon:
+        t_last = cols[-1][-1]
+        if have >= peaks or t_last > horizon:
             break
+        if horizon < math.inf and have > _MAX_TRAJECTORY * (t_last / horizon):
+            raise ValueError(
+                f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
+                f"receptions under {policy!r}: the first {have} end by time {t_last:g}"
+            )
     return [np.concatenate(c) for c in zip(*parts)]
 
 
@@ -293,6 +304,8 @@ def aoi_trajectory(
     read off the trajectory coincide with the simulated peak series for
     the same seed.  The loop runs up to the first reception past
     ``horizon``, whose carried service time is the last drop-to value.
+    Raises :class:`ValueError` as soon as the receptions so far, at their
+    pace, project past 2**22 by the horizon.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")

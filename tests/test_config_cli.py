@@ -1014,15 +1014,39 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("verb, simulation", [
         ("eval", ""), ("simulate", "simulation: {peaks: 100, replications: 1}\n"),
     ], ids=["eval", "simulate"])
-    def test_threshold_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, simulation):
-        # the median of Pareto(1, 1e-4) is 2^10000
+    @pytest.mark.parametrize("law, name", [
+        # the median of Pareto(1, 1e-4) is 2^10000, where math.exp raises
+        ("{kind: pareto, params: {xm: 1.0, alpha: 1.0e-4}}", "Pareto(xm=1.0, alpha=0.0001)"),
+        # these three read the median as inf
+        ("{kind: exponential, params: {rate: 5.0e-324}}", "Exponential(rate=5e-324)"),
+        ("{kind: shifted-exponential, params: {shift: 0.0, rate: 5.0e-324}}",
+         "ShiftedExponential(shift=0.0, rate=5e-324)"),
+        ("{kind: hyper-exponential, params: {rates: [5.0e-324], weights: [1.0]}}",
+         "HyperExponential(rates=(5e-324,), weights=(1.0,))"),
+    ], ids=["pareto", "exponential", "shifted-exponential", "hyper-exponential"])
+    def test_threshold_past_the_largest_float_exit_2(
+            self, tmp_path, capsys, verb, simulation, law, name):
         cfg = tmp_path / "m.yaml"
-        cfg.write_text("distribution: {kind: pareto, params: {xm: 1.0, alpha: 1.0e-4}}\n"
-                       "policies: [zero-wait, median]\n" + simulation)
+        cfg.write_text(f"distribution: {law}\npolicies: [zero-wait, median]\n" + simulation)
         assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr() == ("", (
-            "error: policy median-threshold: its threshold under "
-            "Pareto(xm=1.0, alpha=0.0001) overflows a float\n"))
+            f"error: policy median-threshold: its threshold under {name} overflows a float\n"))
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("law, horizon", [
+        ("{kind: deterministic, params: {value: 5.0e-324}}", "1.0e-9"),
+        ("{kind: erlang, params: {shape: 3, rate: 1.0e300}}", "1.0"),
+    ], ids=["deterministic", "erlang"])
+    def test_trajectory_past_its_cap_exit_2(self, tmp_path, capsys, law, horizon):
+        # both need an astronomical number of receptions to reach the horizon
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(f"distribution: {law}\npolicies: [zero-wait]\nsimulation: "
+                       f"{{peaks: 100, replications: 1, trajectory_horizon: {horizon}}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: a trajectory to time {float(horizon):g} needs more than "
+                              "4194304 receptions under ZeroWait(): the first 4095 end by time ")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("law", [
@@ -1052,10 +1076,10 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("verb, config, out", [
         ("eval", "distribution: {kind: shifted-exponential, params: {shift: 1.0, "
-         "rate: 5.0e-324}}\npolicies: [median]\n",
+         "rate: 5.0e-324}}\npolicies: [zero-wait]\n",
          "distribution: ShiftedExponential(1.0, 5e-324)\n"
          "policy                                 zeta      e_x_check            e_y\n"
-         "median-threshold                        inf            inf            inf\n"),
+         "zero-wait                               inf            inf            inf\n"),
         ("check", "distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
          "optimizer: {theta_min: 1.0, theta_max: 1.7976931348623157e+308}\n",
          "distribution: Pareto(1.0, 2.0)\n"
@@ -1511,8 +1535,8 @@ _policies = st.one_of(
     *(_kind("randomized", sampler=_kind(kind, **params))
       for kind, params in _SAMPLER_PARAMS.items()),
 )
-# every work size valid and capped, and no trajectory: its horizon bounds
-# no work
+# every work size valid and capped; a trajectory's horizon is capped by the
+# simulator itself, which exits 2 past its reception cap
 _configs = st.fixed_dictionaries({
     "distribution": _laws,
     "policies": st.lists(_policies, min_size=1, max_size=2),
@@ -1523,7 +1547,7 @@ _configs = st.fixed_dictionaries({
         "peaks": st.integers(2, 50), "replications": st.integers(1, 2),
         "seed": st.integers(0, 9), "warmup": st.integers(0, 50),
         "stall_limit": st.sampled_from([100_000, 100, 1]),
-        "dump_peaks": st.booleans()}),
+        "dump_peaks": st.booleans(), "trajectory_horizon": _maybe}),
     "optimizer": st.fixed_dictionaries({
         "theta_min": _maybe, "theta_max": _maybe, "tol": _maybe,
         "grid_points": st.integers(2, 50)}),

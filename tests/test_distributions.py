@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paoi_lab import (
-    DegenerateCondition,
     Deterministic,
     Erlang,
     Exponential,
@@ -263,17 +262,14 @@ class TestConditionalResidual:
     def test_two_point_upper_atom(self):
         assert CATALOG["two-point"].conditional_residual(1.0) == 2.0
 
-    def test_null_event_raises(self):
-        with pytest.raises(DegenerateCondition):
-            CATALOG["two-point"].conditional_residual(3.0)
-        with pytest.raises(DegenerateCondition):
-            Deterministic(1.0).conditional_residual(1.0)
+    def test_null_event_reads_nan(self):
+        assert math.isnan(CATALOG["two-point"].conditional_residual(3.0))
+        assert math.isnan(Deterministic(1.0).conditional_residual(1.0))
 
-    def test_nan_threshold_raises(self, member):
+    def test_nan_threshold_reads_nan(self, member):
         # every law reads (F, sf, M) = (0, 1, 0) at nan, so no event is conditioned on
         assert math.isnan(member.grid_residuals([math.nan])[0])
-        with pytest.raises(DegenerateCondition, match="^the threshold is nan"):
-            member.conditional_residual(math.nan)
+        assert math.isnan(member.conditional_residual(math.nan))
 
     def test_below_support_is_mean_minus_theta(self, member):
         # X > theta surely below the support, so E[X - theta | X > theta] = E[X] - theta
@@ -336,15 +332,8 @@ PINNED_GRID_BITS = {
 
 
 def scalar_columns(d, thetas):
-    """F, sf, M and the residual (``nan`` where it raises), point by point."""
-
-    def residual(t):
-        try:
-            return d.conditional_residual(t)
-        except DegenerateCondition:
-            return math.nan
-
-    rows = [(*d.primitives(t), residual(t)) for t in thetas]
+    """F, sf, M and the residual, point by point."""
+    rows = [(*d.primitives(t), d.conditional_residual(t)) for t in thetas]
     return list(np.array(rows, dtype=float).reshape(len(thetas), 4).T)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from paoi_lab import (
-    DegenerateCondition,
     Deterministic,
     Erlang,
     Exponential,
@@ -123,6 +122,16 @@ class TestMinAchievable:
         res = min_achievable_paoi(Erlang(400, 1.0))
         assert res.zeta_min == res.zeta_zero_wait == 800.0
         assert res.winner == "zero-wait"
+
+    # Kept visible: the default tol, 1e-8 times the window's width, exceeds
+    # the golden bracket on a wide window, so refinement runs 0 iterations
+    # and the grid point is reported (3.3229095 here, 3.3228757 with 17
+    # iterations on the default window).
+    @pytest.mark.xfail(strict=True, reason="an absolute tol skips refinement on a wide window")
+    def test_wide_window_refines(self):
+        d = Pareto(1.0, 2.0)
+        want = min_achievable_paoi(d).zeta_opt
+        assert min_achievable_paoi(d, 1.0, 1e12).zeta_opt == pytest.approx(want, rel=1e-7)
 
     def test_zeta_min_bounds(self):
         for name, d in CATALOG.items():
@@ -425,16 +434,15 @@ class TestResidualCondition:
 
 def loop_witness(d, thetas):
     """The reference for :func:`mean_residual_witness`: ``conditional_residual``
-    one threshold at a time, skipping those where it raises."""
+    one threshold at a time, skipping those where it reads ``nan``."""
     mean = d.mean()
     if math.isinf(mean):
         return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
     best_margin = -math.inf
     witness = None
     for theta in np.asarray(thetas, dtype=float).tolist():
-        try:
-            residual = d.conditional_residual(theta)
-        except DegenerateCondition:
+        residual = d.conditional_residual(theta)
+        if math.isnan(residual):
             continue
         margin = residual - mean
         best_margin = max(best_margin, margin)
