@@ -27,13 +27,7 @@ from .distributions import (
     ShiftedExponential,
     TwoPoint,
 )
-from .errors import (
-    ConfigError,
-    InvalidWindow,
-    NoAnalyticForm,
-    PaoiLabError,
-    SimulationStall,
-)
+from .errors import ConfigError, PaoiLabError, SimulationStall
 from .optimize import (
     OptimizationResult,
     PreemptionVerdict,

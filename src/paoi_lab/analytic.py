@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ServiceDistribution
-from .errors import NoAnalyticForm
+from .errors import ConfigError
 from .policies import Policy, RepetitiveSequence, resolve
 
 __all__ = [
@@ -160,10 +160,10 @@ def _paoi_sequence(d: ServiceDistribution, thresholds: tuple[float, ...]) -> Pao
 
 def paoi_policy(d: ServiceDistribution, policy: Policy) -> PaoiValue:
     """Closed-form PAoI of every deterministic policy, read as the threshold
-    sequence it resolves to under ``d``."""
+    sequence it resolves to under ``d``; a randomized policy, which has
+    none, raises :class:`ConfigError`."""
     thresholds = resolve(policy, d)
     if thresholds is None:
-        raise NoAnalyticForm(
-            "randomized-threshold policies have no closed form; simulate instead"
-        )
+        raise ConfigError(f"policy {policy.label()}: randomized-threshold policies have "
+                          "no closed form; simulate instead")
     return _paoi_sequence(d, thresholds)

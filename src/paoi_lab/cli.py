@@ -11,7 +11,8 @@ simulate   Monte-Carlo replications with pooled batch-means CI
 check      preemption-benefit verdicts (exact and residual-based)
 reproduce  the four figure-data bundles (Erlang/Pareto studies)
 
-Exit codes: 0 success, 2 configuration problem, 3 simulation stall.
+Exit codes: 0 success, 2 configuration problem (a ``ConfigError``), 3 simulation
+stall (a ``SimulationStall``).
 Numeric CSV cells use ``.`` decimals and 12 significant digits, and the
 literal tokens ``inf``, ``-inf`` and ``nan`` for non-finite values; text
 cells are quoted only when they hold a comma, a double quote or a newline.
@@ -33,8 +34,8 @@ import numpy as np
 from . import analytic, optimize, simulate
 from .config import ExperimentConfig, load_config
 from .distributions import Erlang, Pareto, TwoPoint
-from .errors import ConfigError, InvalidWindow, NoAnalyticForm, SimulationStall
-from .policies import MedianThreshold, resolve
+from .errors import ConfigError, SimulationStall
+from .policies import MedianThreshold
 
 # figure -> (law of one parameter, parameter values, curve label, thresholds):
 # one zeta curve over the thresholds per parameter value
@@ -137,29 +138,11 @@ def _reject_clashes(policies, key, clash: str) -> None:
         seen[k] = i
 
 
-def _reject_overflowing_thresholds(cfg: ExperimentConfig) -> None:
-    """Raise :class:`ConfigError` before any output when a policy's
-    threshold under the law lies past the largest float, as the median of
-    ``Pareto(1, 1e-4)`` or of ``Exponential(5e-324)`` does."""
-    for policy in cfg.policies:
-        try:
-            resolve(policy, cfg.distribution)
-        except OverflowError:
-            raise ConfigError(
-                f"policy {policy.label()}: its threshold under {cfg.distribution} "
-                "overflows a float"
-            ) from None
-
-
 def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
     _reject_clashes(cfg.policies, lambda p: p.label(), "be labelled")
-    _reject_overflowing_thresholds(cfg)
     labels, values = [], []
     for policy in cfg.policies:  # every value before any output
-        try:
-            value = analytic.paoi_policy(cfg.distribution, policy)
-        except NoAnalyticForm as exc:
-            raise ConfigError(f"policy {policy.label()}: {exc}") from exc
+        value = analytic.paoi_policy(cfg.distribution, policy)
         labels.append(policy.label())
         values.append((value.zeta, value.received_service, value.interreception))
     print(f"distribution: {_dist_label(cfg.distribution)}")
@@ -179,9 +162,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec = cfg.sweep
     lo, hi = optimize.window_or_default(d, spec.theta_min, spec.theta_max)
     if not lo < hi:
-        raise InvalidWindow(f"sweep window [{lo}, {hi}] is empty")
+        raise ConfigError(f"sweep window [{lo}, {hi}] is empty")
     if spec.spacing == "log" and lo <= 0:
-        raise InvalidWindow("log spacing needs theta_min > 0")
+        raise ConfigError("log spacing needs theta_min > 0")
     spacing = np.geomspace if spec.spacing == "log" else np.linspace
     thetas = optimize._spaced_grid(spacing, lo, hi, spec.count)
 
@@ -253,17 +236,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     seed = sim.seed
     workers = _workers()
     _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
-    _reject_overflowing_thresholds(cfg)
+    for policy in cfg.policies:  # one that overflows or never delivers fails before any output
+        simulate._deliverable(d, policy)
     trajectories = [None] * len(cfg.policies)
     if sim.trajectory_horizon is not None:  # every one before any output
-        try:
-            trajectories = [
-                simulate.aoi_trajectory(d, policy, horizon=sim.trajectory_horizon, seed=seed,
-                                        stall_limit=sim.stall_limit)
-                for policy in cfg.policies
-            ]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        trajectories = [
+            simulate.aoi_trajectory(d, policy, horizon=sim.trajectory_horizon, seed=seed,
+                                    stall_limit=sim.stall_limit)
+            for policy in cfg.policies
+        ]
     for policy, trajectory in zip(cfg.policies, trajectories):
         estimates = simulate.run_replications(
             d,
@@ -407,7 +388,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, out_dir)
         return cmd_simulate(cfg, out_dir, args.seed)
-    except (ConfigError, InvalidWindow) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationStall as exc:

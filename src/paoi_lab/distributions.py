@@ -43,7 +43,8 @@ Conventions
   sitting exactly at ``theta`` contributes fully, matching the
   right-continuous CDF.
 * An infinite mean is the float ``inf`` (IEEE infinity, not a sentinel);
-  arithmetic on it stays total.
+  arithmetic on it stays total.  So is a quantile past the largest float,
+  on every law.
 * ``sample_batch`` uses the inverse-CDF transform wherever the catalog member
   has a usable inverse and standard transforms otherwise; a fixed seed
   reproduces the draw sequence bit for bit.
@@ -125,6 +126,14 @@ def _each(fn, xs, *constants):
     if not isinstance(xs, np.ndarray):
         return fn(xs, *constants)
     return np.fromiter(map(fn, xs.tolist(), *map(repeat, constants)), float, xs.size)
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, or ``inf`` past the largest float, where it raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _float(bits: int) -> float:
@@ -352,7 +361,7 @@ class Pareto(ServiceDistribution):
         return x / (self.alpha - 1.0)
 
     def quantile(self, q):
-        return self.xm * math.exp(-math.log1p(-q) / self.alpha)
+        return self.xm * _exp(-math.log1p(-q) / self.alpha)
 
     def sample_batch(self, rng, n):
         return self.xm * np.exp(-np.log1p(-rng.random(n)) / self.alpha)
@@ -500,7 +509,7 @@ class LogNormal(ServiceDistribution):
         return ndtr(z), ndtr(-z), math.exp(self.mu + 0.5 * self.sigma**2) * ndtr(z - self.sigma)
 
     def quantile(self, q):
-        return math.exp(self.mu + self.sigma * float(ndtri(q)))
+        return _exp(self.mu + self.sigma * float(ndtri(q)))
 
     def sample_batch(self, rng, n):
         return np.exp(self.mu + self.sigma * ndtri(rng.random(n)))

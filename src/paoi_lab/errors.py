@@ -5,17 +5,11 @@ class PaoiLabError(Exception):
     """Base class for all errors raised by paoi_lab."""
 
 
-class NoAnalyticForm(PaoiLabError):
-    """The requested policy has no closed-form PAoI; simulate instead."""
-
-
-class InvalidWindow(PaoiLabError):
-    """Threshold search window violates its preconditions."""
-
-
 class SimulationStall(PaoiLabError):
     """The event loop preempted too many times without a reception."""
 
 
 class ConfigError(PaoiLabError):
-    """Experiment configuration file is malformed."""
+    """An experiment or a call that cannot run as given: a malformed
+    configuration, an invalid window, a policy with no closed form, or a
+    threshold or trajectory past what a float or memory holds."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytic import paoi_fixed_threshold, paoi_thresholds, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
-from .errors import InvalidWindow
+from .errors import ConfigError
 
 __all__ = [
     "OptimizationResult",
@@ -87,18 +87,16 @@ class OptimizationResult:
 class PreemptionVerdict:
     """Whether preemptions strictly beat the never-preempt baseline.
 
-    ``condition`` is either ``"necessary-sufficient"`` (threshold-policy
-    optimum vs ``2 E[X]``; ``margin`` is ``2 E[X]`` minus the best
-    preemptive value, positive when beneficial) or
-    ``"sufficient-residual"`` (a grid search for a threshold whose mean
-    residual service exceeds the mean; ``margin`` is the largest residual
-    excess found, ``nan`` when the mean diverges and the test is
-    uninformative).
+    From :func:`benefit_verdict` (threshold-policy optimum vs ``2 E[X]``),
+    ``margin`` is ``2 E[X]`` minus the best preemptive value, positive when
+    beneficial; from :func:`mean_residual_witness` (a grid search for a
+    threshold whose mean residual service exceeds the mean), it is the
+    largest residual excess found, ``nan`` when the mean diverges and the
+    test is uninformative.
     """
 
     beneficial: bool
     witness_theta: Optional[float]
-    condition: str
     margin: float
 
 
@@ -107,17 +105,14 @@ def default_window(d: ServiceDistribution) -> tuple[float, float]:
     the 1 - 1e-6 quantile."""
     xmin = d.support_min()
     lo = xmin * (1.0 + 1e-6) + 1e-9
-    try:
-        hi = d.quantile(1.0 - 1e-6)
-    except OverflowError:
-        hi = math.inf
+    hi = d.quantile(1.0 - 1e-6)
     if hi == math.inf:
-        raise InvalidWindow(
+        raise ConfigError(
             f"default window: the 1 - 1e-6 quantile of {d} overflows a float; "
             "pass an explicit window"
         )
     if not hi > lo:
-        raise InvalidWindow(
+        raise ConfigError(
             f"default window collapsed (support [{xmin}, ...] too narrow); "
             "pass an explicit window"
         )
@@ -142,29 +137,29 @@ def window_or_default(
 def theta_grid(theta_min: float, theta_max: float, n: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
     """Evaluation grid; log-spaced when the window spans over two decades."""
     if n < 2:
-        raise InvalidWindow("grid needs at least 2 points")
+        raise ConfigError("grid needs at least 2 points")
     log = theta_min > 0 and theta_max / theta_min > _LOG_SPACING_RATIO
     return _spaced_grid(np.geomspace if log else np.linspace, theta_min, theta_max, n)
 
 
 def _spaced_grid(spacing, theta_min: float, theta_max: float, n: int) -> np.ndarray:
-    """``spacing(theta_min, theta_max, n)``, raising :class:`InvalidWindow`
+    """``spacing(theta_min, theta_max, n)``, raising :class:`ConfigError`
     where numpy cannot allocate the ``n`` floats."""
     try:
         # geomspace's last power can overflow before it is set to theta_max
         with np.errstate(over="ignore"):
             return spacing(theta_min, theta_max, n)
     except MemoryError:
-        raise InvalidWindow(f"a grid of {n} points does not fit in memory") from None
+        raise ConfigError(f"a grid of {n} points does not fit in memory") from None
 
 
 def _validate_window(d: ServiceDistribution, theta_min: float, theta_max: float) -> None:
     if not (math.isfinite(theta_min) and math.isfinite(theta_max)):
-        raise InvalidWindow("window endpoints must be finite")
+        raise ConfigError("window endpoints must be finite")
     if theta_min < 0 or theta_min >= theta_max:
-        raise InvalidWindow(f"need 0 <= theta_min < theta_max, got [{theta_min}, {theta_max}]")
+        raise ConfigError(f"need 0 <= theta_min < theta_max, got [{theta_min}, {theta_max}]")
     if theta_min < d.support_min():
-        raise InvalidWindow(
+        raise ConfigError(
             f"theta_min={theta_min} lies below the support minimum {d.support_min()}"
         )
 
@@ -212,7 +207,7 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
     if tol is None:
         tol = 1e-8 * (theta_max - theta_min)
     if not tol > 0:
-        raise InvalidWindow("tol must be positive")
+        raise ConfigError("tol must be positive")
 
     i = int(np.argmin(grid.zeta))  # first minimum: smallest theta wins ties
 
@@ -344,14 +339,14 @@ def benefit_verdict(d: ServiceDistribution, result: OptimizationResult) -> Preem
     """
     baseline = result.zeta_zero_wait
     if math.isinf(baseline):
-        return PreemptionVerdict(True, result.theta_opt, "necessary-sufficient", math.inf)
+        return PreemptionVerdict(True, result.theta_opt, math.inf)
 
     best = min(result.zeta_opt, result.zeta_xmin)
     beneficial = best < baseline * (1.0 - _TIE_REL_TOL)
     witness = None
     if beneficial:
         witness = result.theta_opt if result.zeta_opt <= result.zeta_xmin else d.support_min()
-    return PreemptionVerdict(beneficial, witness, "necessary-sufficient", baseline - best)
+    return PreemptionVerdict(beneficial, witness, baseline - best)
 
 
 def mean_residual_witness(d: ServiceDistribution, thetas) -> PreemptionVerdict:
@@ -373,14 +368,14 @@ def mean_residual_witness(d: ServiceDistribution, thetas) -> PreemptionVerdict:
     """
     mean = d.mean()
     if math.isinf(mean):
-        return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
+        return PreemptionVerdict(False, None, math.nan)
     thetas = np.asarray(thetas, dtype=float)
     with np.errstate(over="ignore"):  # near the largest float, -inf
         margins = d.grid_residuals(thetas) - mean
     best_margin = float(np.max(margins[~np.isnan(margins)], initial=-math.inf))
     above = np.flatnonzero(margins > 0.0)
     witness = float(thetas[above[0]]) if above.size else None
-    return PreemptionVerdict(witness is not None, witness, "sufficient-residual", best_margin)
+    return PreemptionVerdict(witness is not None, witness, best_margin)
 
 
 def twopoint_benefit_threshold(p: float, t1: float) -> float:

@@ -22,6 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .distributions import ServiceDistribution, weighted_pick
+from .errors import ConfigError
 
 __all__ = [
     "FixedThreshold",
@@ -223,7 +224,7 @@ def resolve(policy: Policy, d: ServiceDistribution) -> Optional[tuple[float, ...
     """The thresholds ``policy`` uses under ``d``, one per request since the
     last reception, the last repeating forever; ``None`` for a randomized
     policy, whose thresholds are drawn per request.  Raises
-    :class:`OverflowError` where the median lies past the largest float."""
+    :class:`ConfigError` where the median lies past the largest float."""
     if isinstance(policy, FixedThreshold):
         return (policy.theta,)
     if isinstance(policy, ZeroWait):
@@ -233,7 +234,7 @@ def resolve(policy: Policy, d: ServiceDistribution) -> Optional[tuple[float, ...
     if isinstance(policy, MedianThreshold):
         median = d.quantile(0.5)
         if median == math.inf:
-            raise OverflowError(f"the median of {d!r} overflows a float")
+            raise ConfigError(f"policy {policy.label()}: its threshold under {d} overflows a float")
         return (median,)
     if isinstance(policy, RepetitiveSequence):
         return policy.thresholds

@@ -43,7 +43,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .distributions import ServiceDistribution
-from .errors import SimulationStall
+from .errors import ConfigError, SimulationStall
 from .policies import Policy, resolve
 
 __all__ = [
@@ -152,6 +152,25 @@ def _sampled_sums(thetas, y_open, ends, drops):
     return y
 
 
+def _deliverable(d: ServiceDistribution, policy: Policy) -> Optional[tuple[float, ...]]:
+    """``resolve(policy, d)``, raising :class:`SimulationStall` where the
+    policy never delivers: every threshold of its head passes attempts on
+    and its tail (a sampler's largest draw, a sequence's last entry) has
+    ``F = 0``.  The loop itself needs only ``sample_batch`` and
+    ``support_min`` from a law, so ``cdf`` and ``sf`` are read only for a
+    tail at or below its minimum."""
+    thresholds = resolve(policy, d)
+    if thresholds is None:
+        head, tail = (), policy.sampler.supremum()
+        what = f"no threshold that {policy!r} draws"
+    else:
+        head, tail = thresholds[:-1], thresholds[-1]
+        what = f"no attempt at the repeating last threshold of {policy!r}"
+    if tail <= d.support_min() and d.cdf(tail) == 0.0 and all(d.sf(s) > 0.0 for s in head):
+        raise SimulationStall(f"{what} can deliver under {d!r}: P(X <= {tail:g}) = 0")
+    return thresholds
+
+
 def _blocks(
     d: ServiceDistribution,
     policy: Policy,
@@ -169,20 +188,8 @@ def _blocks(
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
     rng_service = np.random.default_rng(ss_service)
     rng_threshold = np.random.default_rng(ss_threshold)
-    thresholds = resolve(policy, d)
-    # never delivers: every threshold of head passes attempts on and tail
-    # (a sampler's largest draw, a sequence's last entry) has F = 0.  The
-    # loop itself needs only sample_batch and support_min from a law, so
-    # cdf and sf are read only for a tail at or below its minimum
-    if thresholds is None:
-        head, tail = (), policy.sampler.supremum()
-        what = f"no threshold that {policy!r} draws"
-    else:
-        head, tail = thresholds[:-1], thresholds[-1]
-        what = f"no attempt at the repeating last threshold of {policy!r}"
-        table = np.array(thresholds, dtype=float)
-    if tail <= d.support_min() and d.cdf(tail) == 0.0 and all(d.sf(s) > 0.0 for s in head):
-        raise SimulationStall(f"{what} can deliver under {d!r}: P(X <= {tail:g}) = 0")
+    thresholds = _deliverable(d, policy)
+    table = None if thresholds is None else np.array(thresholds, dtype=float)
 
     draws = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
     x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
@@ -230,7 +237,7 @@ def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
     """The columns of :func:`_blocks`, each joined into one array, up to the
     block that holds the ``peaks``-th peak or the first reception past
     ``horizon``; no block past it is drawn.  Up to a finite ``horizon``,
-    raises :class:`ValueError` as soon as the receptions so far, at their
+    raises :class:`ConfigError` as soon as the receptions so far, at their
     pace, project past ``_MAX_TRAJECTORY`` by the horizon."""
     parts, have = [], 0
     for cols in _blocks(d, policy, seed, stall_limit):
@@ -240,7 +247,7 @@ def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
         if have >= peaks or t_last > horizon:
             break
         if horizon < math.inf and have > _MAX_TRAJECTORY * (t_last / horizon):
-            raise ValueError(
+            raise ConfigError(
                 f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
                 f"receptions under {policy!r}: the first {have} end by time {t_last:g}"
             )
@@ -304,7 +311,7 @@ def aoi_trajectory(
     read off the trajectory coincide with the simulated peak series for
     the same seed.  The loop runs up to the first reception past
     ``horizon``, whose carried service time is the last drop-to value.
-    Raises :class:`ValueError` as soon as the receptions so far, at their
+    Raises :class:`ConfigError` as soon as the receptions so far, at their
     pace, project past 2**22 by the horizon.
     """
     if not 0 < horizon < math.inf:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from paoi_lab import (
+    ConfigError,
     Deterministic,
     Exponential,
-    NoAnalyticForm,
     PaoiValue,
     Pareto,
     PointSampler,
@@ -269,7 +269,7 @@ class TestPolicyDispatch:
         assert v.zeta == paoi_fixed_threshold(TP, TP.quantile(0.5)).zeta == 3.0
 
     def test_randomized_has_no_closed_form(self):
-        with pytest.raises(NoAnalyticForm):
+        with pytest.raises(ConfigError):
             paoi_policy(EXP, RandomizedThreshold(PointSampler(1.0)))
 
 

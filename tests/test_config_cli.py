@@ -711,7 +711,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("law, name", [
         ("{kind: log-normal, params: {mu: 709.0, sigma: 1.0}}", "LogNormal(mu=709.0, sigma=1.0)"),
         ("{kind: pareto, params: {xm: 1.0, alpha: 0.01}}", "Pareto(xm=1.0, alpha=0.01)"),
-        # the quantile reads inf here, where the two above raise OverflowError
+        # the quantile reads inf here as above, where it needs no math.exp
         ("{kind: exponential, params: {rate: 1.0e-308}}", "Exponential(rate=1e-308)"),
     ], ids=["log-normal", "pareto", "exponential"])
     def test_default_window_past_the_largest_float_exit_2(self, tmp_path, capsys, verb, law,
@@ -822,6 +822,20 @@ class TestDegenerateInputs:
         cfg.write_text(f"distribution: {law}\npolicies: [{policy}]\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr() == ("", f"simulation stalled: {err}\n")
+
+    @pytest.mark.parametrize("trajectory", ["", ", trajectory_horizon: 10.0"])
+    def test_later_policy_that_never_delivers_exits_3_before_any_output(
+            self, tmp_path, capsys, trajectory):
+        cfg = tmp_path / "n.yaml"
+        cfg.write_text("distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+                       "policies: [zero-wait, {kind: fixed, theta: 0.5}]\n"
+                       f"simulation: {{peaks: 100, replications: 2{trajectory}}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", (
+            "simulation stalled: no attempt at the repeating last threshold of "
+            "FixedThreshold(theta=0.5) can deliver under Pareto(xm=1.0, alpha=2.0): "
+            "P(X <= 0.5) = 0\n"))
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "sampler",
@@ -1015,9 +1029,9 @@ class TestDegenerateInputs:
         ("eval", ""), ("simulate", "simulation: {peaks: 100, replications: 1}\n"),
     ], ids=["eval", "simulate"])
     @pytest.mark.parametrize("law, name", [
-        # the median of Pareto(1, 1e-4) is 2^10000, where math.exp raises
+        # the median of Pareto(1, 1e-4) is 2^10000, where math.exp overflows
         ("{kind: pareto, params: {xm: 1.0, alpha: 1.0e-4}}", "Pareto(xm=1.0, alpha=0.0001)"),
-        # these three read the median as inf
+        # these three read the median as inf without math.exp
         ("{kind: exponential, params: {rate: 5.0e-324}}", "Exponential(rate=5e-324)"),
         ("{kind: shifted-exponential, params: {shift: 0.0, rate: 5.0e-324}}",
          "ShiftedExponential(shift=0.0, rate=5e-324)"),

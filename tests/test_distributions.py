@@ -10,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paoi_lab import (
+    ConfigError,
     Deterministic,
     Erlang,
     Exponential,
     HyperExponential,
     LogNormal,
+    MedianThreshold,
     Pareto,
     ShiftedExponential,
     TwoPoint,
 )
 from paoi_lab.analytic import paoi_fixed_threshold
 from paoi_lab.distributions import ServiceDistribution, weighted_pick
+from paoi_lab.policies import resolve
 
 from conftest import (
     CATALOG,
@@ -541,6 +544,21 @@ class TestQuantile:
         d = CATALOG["hyper-exponential"]
         for q in (0.1, 0.5, 0.9, 0.999):
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-10)
+
+    def test_reads_inf_past_the_largest_float(self):
+        # the first two overflow math.exp, the rest a quotient or the bisection
+        for d, q in [
+            (Pareto(1.0, 1e-4), 0.5),
+            (LogNormal(706.0, 1.0), 1 - 1e-6),
+            (Exponential(5e-324), 0.5),
+            (ShiftedExponential(0.0, 5e-324), 0.5),
+            (HyperExponential((5e-324,), (1.0,)), 0.5),
+            (Erlang(3, 1e-308), 1 - 1e-6),
+        ]:
+            assert d.quantile(q) == math.inf, d
+        with pytest.raises(ConfigError, match="^policy median-threshold: its threshold under "
+                                              r"Pareto\(xm=1.0, alpha=0.0001\) overflows"):
+            resolve(MedianThreshold(), Pareto(1.0, 1e-4))
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from paoi_lab import (
+    ConfigError,
     Deterministic,
     Erlang,
     Exponential,
-    InvalidWindow,
     Pareto,
     PreemptionVerdict,
     TwoPoint,
@@ -65,14 +65,14 @@ class TestOptimalThreshold:
 
     def test_invalid_windows(self):
         d = Exponential(1.0)
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(ConfigError):
             optimal_threshold(d, 2.0, 1.0)
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(ConfigError):
             optimal_threshold(d, 0.1, math.inf)
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(ConfigError):
             optimal_threshold(Pareto(1.0, 2.0), 0.2, 0.8)
         for tol in (-1.0, math.nan):
-            with pytest.raises(InvalidWindow):
+            with pytest.raises(ConfigError):
                 optimal_threshold(d, 0.1, 1.0, tol=tol)
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
@@ -83,7 +83,7 @@ class TestOptimalThreshold:
         assert zeta == paoi_fixed_threshold(Exponential(1.0), 0.5).zeta
 
     def test_default_window_collapses_for_deterministic(self):
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(ConfigError):
             default_window(Deterministic(1.0))
 
     def test_log_grid_kicks_in_for_wide_windows(self):
@@ -333,7 +333,7 @@ class TestBellmanClosedForm:
 class TestPreemptionVerdicts:
     def test_two_point_beneficial(self):
         v = preemption_beneficial(TP)
-        assert v.beneficial and v.condition == "necessary-sufficient"
+        assert v.beneficial
         assert v.margin == pytest.approx(1.0)
         assert v.witness_theta == 1.0  # the xmin policy wins
 
@@ -437,7 +437,7 @@ def loop_witness(d, thetas):
     one threshold at a time, skipping those where it reads ``nan``."""
     mean = d.mean()
     if math.isinf(mean):
-        return PreemptionVerdict(False, None, "sufficient-residual", math.nan)
+        return PreemptionVerdict(False, None, math.nan)
     best_margin = -math.inf
     witness = None
     for theta in np.asarray(thetas, dtype=float).tolist():
@@ -448,12 +448,11 @@ def loop_witness(d, thetas):
         best_margin = max(best_margin, margin)
         if witness is None and margin > 0.0:
             witness = theta
-    return PreemptionVerdict(witness is not None, witness, "sufficient-residual", best_margin)
+    return PreemptionVerdict(witness is not None, witness, best_margin)
 
 
 def assert_same_verdict(got, want):
-    assert (got.beneficial, got.witness_theta, got.condition) == (
-        want.beneficial, want.witness_theta, want.condition)
+    assert (got.beneficial, got.witness_theta) == (want.beneficial, want.witness_theta)
     assert got.margin == want.margin or (math.isnan(got.margin) and math.isnan(want.margin))
 
 

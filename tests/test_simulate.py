@@ -10,6 +10,7 @@ from scipy import stats
 
 from paoi_lab import (
     ChoiceSampler,
+    ConfigError,
     Deterministic,
     Erlang,
     Exponential,
@@ -290,6 +291,11 @@ class TestTrajectory:
     def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             aoi_trajectory(Exponential(1.0), ZeroWait(), horizon=horizon, seed=0)
+
+    def test_past_its_cap_raises_config_error(self):
+        # the first block's receptions end near 2e-320: 2**22 of them reach 2e-314
+        with pytest.raises(ConfigError, match="needs more than 4194304 receptions"):
+            aoi_trajectory(Deterministic(5e-324), ZeroWait(), horizon=1e-9, seed=0)
 
     def test_agrees_with_peak_simulation(self):
         d = Exponential(1.0)
