@@ -238,24 +238,27 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
     for policy in cfg.policies:  # one that overflows or never delivers fails before any output
         simulate._deliverable(d, policy)
-    trajectories = [None] * len(cfg.policies)
-    if sim.trajectory_horizon is not None:  # every one before any output
+    # every trajectory, peak dump and replication before any output
+    trajectories = dumps = [None] * len(cfg.policies)
+    if sim.trajectory_horizon is not None:
         trajectories = [
             simulate.aoi_trajectory(d, policy, horizon=sim.trajectory_horizon, seed=seed,
                                     stall_limit=sim.stall_limit)
             for policy in cfg.policies
         ]
-    for policy, trajectory in zip(cfg.policies, trajectories):
-        estimates = simulate.run_replications(
-            d,
-            policy,
-            peaks=sim.peaks,
-            replications=sim.replications,
-            base_seed=seed,
-            stall_limit=sim.stall_limit,
-            warmup=sim.warmup,
-            workers=workers,
-        )
+    base_seed, replications = seed, sim.replications
+    if sim.dump_peaks:  # the dumped peaks are replication 0
+        dumps = [
+            simulate.simulate_peaks(d, policy, peaks=sim.peaks, seed=seed,
+                                    stall_limit=sim.stall_limit, warmup=sim.warmup)
+            for policy in cfg.policies
+        ]
+        base_seed, replications = seed + 1, replications - 1
+    replicated = simulate._replications(d, cfg.policies, sim.peaks, replications, base_seed,
+                                        sim.stall_limit, sim.warmup, workers)
+    for policy, trajectory, dump, estimates in zip(cfg.policies, trajectories, dumps, replicated):
+        if dump is not None:
+            estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
         pooled = simulate.pooled_estimate(estimates, seed=seed)
         print(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
               f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
@@ -271,14 +274,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         )
         if trajectory is not None:
             _write_records(out_dir / _csv_name(cfg, "trajectory", policy), trajectory)
-        if sim.dump_peaks:
-            _write_records(
-                out_dir / _csv_name(cfg, "peaks", policy),
-                simulate.simulate_peaks(
-                    d, policy, peaks=sim.peaks, seed=seed,
-                    stall_limit=sim.stall_limit, warmup=sim.warmup,
-                ),
-            )
+        if dump is not None:
+            _write_records(out_dir / _csv_name(cfg, "peaks", policy), dump)
     return 0
 
 

@@ -6,18 +6,27 @@ threshold or is preempted at the threshold, and time advances by
 ``min(threshold, service)`` per attempt.  No event queue is needed for a
 single source and server.
 
-The engine works on blocks of 4096 service draws from one generator.
-Attempt ``i`` reads service draw ``i + 1`` and, under a randomized policy,
-threshold draw ``i`` from a second generator (``draw_batch``, bit-equal to
-one ``draw`` per attempt).  Per block it finds the receptions with one
-array comparison (a threshold sequence with a head chases one pointer per
-peak through a table of where each start position leads), sums each peak's
-dropped thresholds in the order one attempt at a time would add them, and
-emits the block's peaks as columns.  A peak still open at the block end
-carries its partial sum and drop count into the next block.  The result
-equals the one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks`
-and :func:`aoi_trajectory` return the series as NumPy record arrays, whose
+The engine reads blocks of 4096 service draws from an iterator over one
+seed's service stream.  Attempt ``i`` reads service draw ``i + 1`` and,
+under a randomized policy, threshold draw ``i`` from the seed's second
+stream (``draw_batch``, bit-equal to one ``draw`` per attempt).  Per block
+it finds the receptions with one array comparison (a threshold sequence
+with a head chases one pointer per peak through a table of where each
+start position leads), sums each peak's dropped thresholds in the order one
+attempt at a time would add them (a sequence's prefix sums are built once
+per engine), and yields the block's peaks as columns, empty when no
+reception falls in the block.  A peak still open at the block end carries
+its partial sum and drop count into the next block.  The result equals the
+one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks` and
+:func:`aoi_trajectory` return the series as NumPy record arrays, whose
 field names are the CSV headers of the peak dump and the trajectory.
+
+Every policy of a seed reads the same service draws, so replications draw
+each seed's stream once: the policies' engines read one ``itertools.tee``
+of it in lockstep, one block a step, and each is dropped with its copy once
+it has its peaks, so memory stays at one block per policy plus the at most
+57 blocks that the tee buffers in chunks.  Each policy's estimate equals
+the one it gets alone.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -35,6 +44,7 @@ preemptions raises it, once a caller asks for that peak.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -87,7 +97,7 @@ def _sequence_ends(x, table, rank0):
     start has made ``rank0`` attempts."""
     size, m = len(x), len(table) - 1
     if not m:
-        return np.flatnonzero(x <= table[0])  # reception wins the tie
+        return (x <= table[0]).nonzero()[0]  # reception wins the tie
     pos = np.arange(size + 1)
     # nxt[q]: the first reception at the repeating threshold at or after q
     nxt = np.minimum.accumulate(np.where(x <= table[m], pos[:-1], size)[::-1])[::-1]
@@ -111,18 +121,32 @@ def _sequence_ends(x, table, rank0):
     return np.array(ends, dtype=np.intp)
 
 
-def _sequence_sums(table, y_open, rank0, drops):
+def _prefix_sums(prefix, table, n):
+    """``prefix`` extended to at least ``n + 1`` entries: ``prefix[r]`` is
+    the first ``r`` thresholds of the sequence ``table`` (its last entry
+    repeating) added left to right, so an extension has the bits of a sum
+    built from scratch.  Grows at least twofold, so that a run extends it
+    a few times."""
+    size = len(prefix)
+    if n < size:
+        return prefix
+    ranks = np.arange(size - 1, max(n + 1, 2 * size) - 1)
+    tail = np.cumsum(np.concatenate((prefix[-1:], table[np.minimum(ranks, len(table) - 1)])))
+    return np.concatenate((prefix, tail[1:]))
+
+
+def _sequence_sums(table, prefix, y_open, rank0, drops):
     """Per peak, the thresholds of its dropped attempts under the sequence
     ``table``, added left to right as the attempt loop adds them.  The first
     peak goes on from ``y_open`` at rank ``rank0``; every later one starts
-    from 0.0 at rank 0, so its sum is a prefix sum of the sequence."""
-    m = len(table) - 1
-    ranks = np.arange(drops[1:].max(initial=0))
-    prefix = np.cumsum(np.concatenate(([0.0], table[np.minimum(ranks, m)])))
-    y = np.empty(len(drops))
-    y[1:] = prefix[drops[1:]]
-    ranks = np.arange(rank0, rank0 + drops[0])
-    y[0] = np.cumsum(np.concatenate(([y_open], table[np.minimum(ranks, m)])))[-1]
+    from 0.0 at rank 0, so its sum is an entry of ``prefix`` (see
+    :func:`_prefix_sums`), which must cover every entry of ``drops``."""
+    y = prefix[drops]
+    y[0] = y_open
+    if drops[0]:
+        ranks = np.arange(rank0, rank0 + drops[0])
+        tail = table[np.minimum(ranks, len(table) - 1)]
+        y[0] = np.cumsum(np.concatenate((y[:1], tail)))[-1]
     return y
 
 
@@ -171,76 +195,111 @@ def _deliverable(d: ServiceDistribution, policy: Policy) -> Optional[tuple[float
     return thresholds
 
 
-def _blocks(
+def _service_blocks(d: ServiceDistribution, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The endless service draws of one seed, in blocks of ``_DRAW_BLOCK``."""
+    while True:
+        yield np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
+
+
+def _streams(d: ServiceDistribution, seed: int):
+    """The service blocks of ``seed`` and the seed of its threshold draws.
+    Two child streams, so that policies which do not randomize consume the
+    exact same service draws as a fixed-threshold run with the same seed."""
+    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
+    return _service_blocks(d, np.random.default_rng(ss_service)), ss_threshold
+
+
+def _engine(
     d: ServiceDistribution,
     policy: Policy,
-    seed: int,
+    blocks: Iterator[np.ndarray],
+    ss_threshold: np.random.SeedSequence,
     stall_limit: int,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """The endless peak series: per block of service draws, the columns
-    ``peak, received_service, interreception, preemptions, receive_time``
-    of the peaks whose reception falls in it (none if no peak ends there)."""
+    """The endless peak series of ``policy`` on the service ``blocks``: per
+    block, the columns ``peak, received_service, interreception,
+    preemptions, receive_time`` of the peaks whose reception falls in it
+    (empty columns if none).  Checks its arguments at once; no block is
+    read before the first step, and each step reads exactly one."""
     if stall_limit < 1:  # the count is checked after a drop
         raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
-    # Two child streams so that policies which do not randomize consume
-    # the exact same service draws as a fixed-threshold run with the
-    # same seed.
-    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
-    rng_service = np.random.default_rng(ss_service)
-    rng_threshold = np.random.default_rng(ss_threshold)
     thresholds = _deliverable(d, policy)
     table = None if thresholds is None else np.array(thresholds, dtype=float)
+    return _peak_blocks(policy, blocks, table, np.random.default_rng(ss_threshold), stall_limit)
 
-    draws = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
+
+_NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit):
+    """:func:`_engine`'s series under the threshold sequence ``table``, or
+    under thresholds drawn from ``rng_threshold`` where ``table`` is None:
+    a generator, so that its caller can check the arguments at once."""
+    prefix = np.zeros(1)  # of the sequence, see _prefix_sums
+    draws = next(blocks)
     x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
     now = 0.0
     y_open, drops_open = 0.0, 0  # the peak waiting for its reception
     while True:
         size = len(x)
-        # drops[i]: the attempts peak i drops in this block; the last peak
-        # is still open at the block end
-        if thresholds is None:
+        if table is None:
             thetas = policy.sampler.draw_batch(rng_threshold, size)
-            ends = np.flatnonzero(x <= thetas)  # reception wins the tie
-            drops = np.diff(ends, prepend=-1, append=size) - 1
-            y = _sampled_sums(thetas, y_open, ends, drops)
+            ends = (x <= thetas).nonzero()[0]  # reception wins the tie
         else:
             ends = _sequence_ends(x, table, drops_open)
-            drops = np.diff(ends, prepend=-1, append=size) - 1
-            y = _sequence_sums(table, y_open, drops_open, drops)
+        # drops[i]: the attempts peak i drops in this block; the last peak
+        # is still open at the block end
+        drops = np.concatenate((ends, (size,)))
+        drops[1:] -= ends + 1
+        if table is None:
+            y = _sampled_sums(thetas, y_open, ends, drops)
+        else:
+            prefix = _prefix_sums(prefix, table, drops.max())
+            y = _sequence_sums(table, prefix, y_open, drops_open, drops)
         drops[0] += drops_open
         y_open, drops_open = y[-1], int(drops[-1])
-        y = y[:-1] + x[ends]
-        stalled = np.flatnonzero(drops >= stall_limit)
-        k = int(stalled[0]) if stalled.size else len(ends)
+        received_next = x[ends]  # the service each reception carries into the next peak
+        y = y[:-1] + received_next
+        stalled = drops.max() >= stall_limit
+        k = int(np.argmax(drops >= stall_limit)) if stalled else len(ends)
         if k:
-            received = np.concatenate(([x_prev], x[ends[: k - 1]]))
-            times = np.cumsum(np.concatenate(([now], y[:k])))[1:]
+            received = np.empty(k)
+            received[0] = x_prev
+            received[1:] = received_next[: k - 1]
+            times = np.empty(k + 1)
+            times[0] = now
+            times[1:] = y[:k]
+            times = np.cumsum(times)[1:]
             yield received + y[:k], received, y[:k], drops[:k], times
-            x_prev, now = x[ends[k - 1]], times[-1]
-        if stalled.size:
+            x_prev, now = received_next[k - 1], times[-1]
+        else:
+            yield _NO_PEAKS
+        if stalled:
             raise SimulationStall(
                 f"{stall_limit} consecutive preemptions without a reception "
                 f"under {policy!r}; is the threshold below the support?"
             )
-        x = np.asarray(d.sample_batch(rng_service, _DRAW_BLOCK), dtype=float)
+        x = next(blocks)
 
 
 # A draw, a sum or an estimate past the largest float reads inf silently,
-# as Python's float arithmetic does; the state covers the whole loop over
-# _blocks, not a block held open across its yield.
+# as Python's float arithmetic does; the state covers the whole loop over an
+# engine, not a block held open across its yield.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_silent_overflow
 def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
-    """The columns of :func:`_blocks`, each joined into one array, up to the
-    block that holds the ``peaks``-th peak or the first reception past
-    ``horizon``; no block past it is drawn.  Up to a finite ``horizon``,
-    raises :class:`ConfigError` as soon as the receptions so far, at their
-    pace, project past ``_MAX_TRAJECTORY`` by the horizon."""
+    """The columns of :func:`_engine` on the stream of ``seed``, each joined
+    into one array, up to the block that holds the ``peaks``-th peak or the
+    first reception past ``horizon``; no block past it is drawn.  Up to a
+    finite ``horizon``, raises :class:`ConfigError` as soon as the
+    receptions so far, at their pace, project past ``_MAX_TRAJECTORY`` by
+    the horizon."""
     parts, have = [], 0
-    for cols in _blocks(d, policy, seed, stall_limit):
+    for cols in _engine(d, policy, *_streams(d, seed), stall_limit):
+        if not len(cols[0]):
+            continue
         parts.append(cols)
         have += len(cols[0])
         t_last = cols[-1][-1]
@@ -254,12 +313,17 @@ def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
     return [np.concatenate(c) for c in zip(*parts)]
 
 
-def _peak_range(d, policy, peaks, seed, stall_limit, warmup):
-    """The columns of peaks ``warmup + 1`` to ``warmup + peaks``."""
+def _check_range(peaks, warmup):
+    """Reject a peak range that holds no peak."""
     if peaks < 1:
         raise ValueError("need at least one peak")
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
+
+
+def _peak_range(d, policy, peaks, seed, stall_limit, warmup):
+    """The columns of peaks ``warmup + 1`` to ``warmup + peaks``."""
+    _check_range(peaks, warmup)
     cols = _columns(d, policy, seed, stall_limit, peaks=warmup + peaks)
     return [c[warmup : warmup + peaks] for c in cols]
 
@@ -346,8 +410,64 @@ def estimate_paoi(peaks: np.recarray, seed: Optional[int] = None) -> PaoiEstimat
 
 
 def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
-    """The estimate of one replication, from its seed."""
+    """The estimate of one replication, from its seed, on a stream of its own."""
     return _batch_means(_peak_range(d, policy, peaks, seed, stall_limit, warmup)[0], seed)
+
+
+@_silent_overflow
+def _seed_estimates(d, policies, peaks, stall_limit, warmup, seed) -> list[PaoiEstimate]:
+    """The estimate of every policy at ``seed``, in ``policies`` order.
+
+    The policies read one service stream in lockstep: each step advances
+    every engine by one block of its ``itertools.tee`` copy, so the copies
+    stay within one block of each other.  A policy that has its peaks is
+    dropped with its copy, which would otherwise hold every block the
+    others draw after it.  The first stall the steps meet raises, whichever
+    policy it is in."""
+    blocks, ss_threshold = _streams(d, seed)
+    engines = [  # every policy checked before the first draw
+        _engine(d, policy, copy, ss_threshold, stall_limit)
+        for policy, copy in zip(policies, itertools.tee(blocks, len(policies)))
+    ]
+    need = warmup + peaks
+    parts = [[] for _ in policies]
+    have = [0] * len(policies)
+    running = list(range(len(policies)))
+    while running:
+        for i in running:
+            peak = next(engines[i])[0]
+            parts[i].append(peak)
+            have[i] += len(peak)
+            if have[i] >= need:
+                engines[i] = None
+        running = [i for i in running if engines[i] is not None]
+    return [_batch_means(np.concatenate(p)[warmup:need], seed) for p in parts]
+
+
+def _replications(
+    d, policies, peaks, replications, base_seed, stall_limit, warmup, workers
+) -> list[list[PaoiEstimate]]:
+    """Per policy, the estimates of seeds ``base_seed + i`` for ``i`` below
+    ``replications``, in seed order; none for no replication.
+
+    One job is one seed for every policy (see :func:`_seed_estimates`).
+    ``workers > 1`` fans the seeds out to processes; results are reduced
+    by seed, so the output never depends on the completion order.
+    """
+    _check_range(peaks, warmup)
+    job = partial(_seed_estimates, d, tuple(policies), peaks, stall_limit, warmup)
+    seeds = range(base_seed, base_seed + replications)
+    if workers <= 1 or replications <= 1:
+        rows = list(map(job, seeds))
+    else:
+        # imported here: the pool's modules (multiprocessing, queue) cost
+        # every command's start-up about 14 ms, and only a fanned-out run
+        # needs them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
+            rows = list(pool.map(job, seeds))
+    return [[row[i] for row in rows] for i in range(len(policies))]
 
 
 def run_replications(
@@ -364,20 +484,16 @@ def run_replications(
 
     ``workers > 1`` fans replications out to processes; results are
     reduced by replication index, so the output never depends on the
-    completion order.
+    completion order.  Each replication equals the one that
+    ``simulate`` runs for ``policy`` among other policies: a seed's
+    policies share its service draws, and each reads them as if alone.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    job = partial(_estimate, d, policy, peaks, stall_limit, warmup)
-    seeds = range(base_seed, base_seed + replications)
-    if workers <= 1 or replications == 1:
-        return list(map(job, seeds))
-    # imported here: the pool's modules (multiprocessing, queue) cost every
-    # command's start-up about 14 ms, and only a fanned-out run needs them
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
-        return list(pool.map(job, seeds))
+    (estimates,) = _replications(
+        d, (policy,), peaks, replications, base_seed, stall_limit, warmup, workers
+    )
+    return estimates
 
 
 @_silent_overflow

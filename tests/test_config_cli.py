@@ -837,6 +837,23 @@ class TestDegenerateInputs:
             "P(X <= 0.5) = 0\n"))
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("dump", ["", ", dump_peaks: true"], ids=["replicated", "dumped"])
+    def test_later_policy_that_stalls_exits_3_before_any_output(self, tmp_path, capsys, dump):
+        # fixed(0.01) drops 200 attempts in a row with probability about
+        # 0.13 a peak; zero-wait never stalls, and every policy's
+        # replications run before the first row
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("distribution: {kind: exponential, params: {rate: 1.0}}\n"
+                       "policies: [zero-wait, {kind: fixed, theta: 0.01}]\n"
+                       f"simulation: {{peaks: 2000, replications: 2, seed: 1, "
+                       f"stall_limit: 200{dump}}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("simulation stalled: 200 consecutive preemptions")
+        assert "FixedThreshold(theta=0.01)" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize(
         "sampler",
         [

@@ -39,7 +39,13 @@ from paoi_lab import (
     simulate_peaks,
 )
 from paoi_lab.policies import resolve
-from paoi_lab.simulate import DEFAULT_STALL_LIMIT, _estimate
+from paoi_lab.simulate import (
+    DEFAULT_STALL_LIMIT,
+    _engine,
+    _estimate,
+    _replications,
+    _service_blocks,
+)
 
 
 @dataclass
@@ -388,6 +394,91 @@ class TestRandomized:
         assert a.tolist() == b.tolist()
 
 
+# on Exponential(1): fixed(0.01) takes about 100 attempts a peak, so its
+# peaks straddle blocks while zero-wait's take one attempt each
+MIX = (
+    ZeroWait(),
+    FixedThreshold(0.01),
+    RepetitiveSequence((0.5, 0.05, 0.2)),
+    RandomizedThreshold(UniformSampler(0.05, 2.0)),
+    RandomizedThreshold(ChoiceSampler((0.1, 1.0), (0.5, 0.5))),
+)
+
+
+class TestLockstep:
+    """A seed's policies read one service stream; each gets the estimate it
+    gets alone."""
+
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_each_policy_equals_its_run_alone(self, warmup):
+        d = Exponential(1.0)
+        got = _replications(d, MIX, 300, 3, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        for policy, estimates in zip(MIX, got):
+            alone = run_replications(d, policy, 300, 3, base_seed=40, warmup=warmup)
+            assert estimates == alone, policy
+            # and each equals the estimate of its seed on a stream of its own
+            assert estimates == [
+                _estimate(d, policy, 300, DEFAULT_STALL_LIMIT, warmup, seed)
+                for seed in (40, 41, 42)
+            ], policy
+
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_estimate_of_the_peak_dump_is_the_estimate_of_its_seed(self, warmup):
+        # simulate writes the dump's estimate as replication 0
+        d = Exponential(1.0)
+        for policy in MIX:
+            dump = simulate_peaks(d, policy, peaks=300, seed=40, warmup=warmup)
+            want = _estimate(d, policy, 300, DEFAULT_STALL_LIMIT, warmup, 40)
+            assert estimate_paoi(dump, seed=40) == want, policy
+
+    def test_no_replication_gives_no_estimates(self):
+        assert _replications(Exponential(1.0), MIX[:2], 10, 0, 1, 100, 0, 2) == [[], []]
+
+    def test_each_step_reads_one_block(self):
+        # fixed(1e-4) takes about 1e4 attempts a peak, so most blocks hold
+        # no reception and yield empty columns
+        read = []
+
+        def blocks():
+            for block in _service_blocks(Exponential(1.0), np.random.default_rng(1)):
+                read.append(len(block))
+                yield block
+
+        engine = _engine(Exponential(1.0), FixedThreshold(1e-4), blocks(),
+                         np.random.SeedSequence(1), DEFAULT_STALL_LIMIT)
+        assert read == []
+        steps = [next(engine) for _ in range(12)]
+        assert read == [4096] * 12
+        empty = [cols for cols in steps if not len(cols[0])]
+        assert 0 < len(empty) < len(steps)
+        assert all(len(cols) == 5 and not any(map(len, cols)) for cols in empty)
+
+    def test_a_stall_in_one_policy_raises(self):
+        d = Exponential(1.0)
+        with pytest.raises(SimulationStall, match="FixedThreshold"):
+            _replications(d, MIX[:2], 2000, 1, 1, 200, 0, 1)
+
+    def test_memory_stays_at_one_stream_for_all_policies(self):
+        # zero-wait has its 16k peaks after 4 blocks and fixed(0.01) after
+        # about 400: zero-wait's copy of the stream must go when it is done,
+        # or it holds every block fixed(0.01) draws after that
+        d = Exponential(1.0)
+
+        def traced_peak(policies, peaks):
+            tracemalloc.start()
+            try:
+                _replications(d, policies, peaks, 1, 3, DEFAULT_STALL_LIMIT, 0, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(MIX[:2], 100)  # one-time allocations out of the way
+        alone = traced_peak(MIX[1:2], 16_000)
+        lockstep = {n: traced_peak(MIX[:2], n) for n in (4000, 16_000)}
+        assert lockstep[16_000] < 1.25 * alone
+        assert lockstep[16_000] < 1.25 * lockstep[4000]
+
+
 class TestParallelReplications:
     def test_worker_pool_matches_sequential(self):
         d = Exponential(1.0)
@@ -396,6 +487,14 @@ class TestParallelReplications:
             d, ZeroWait(), peaks=2000, replications=4, base_seed=55, workers=2
         )
         assert seq == par
+
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_worker_pool_matches_sequential_in_lockstep(self, warmup):
+        d = Exponential(1.0)
+        seq = _replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 1)
+        par = _replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 2)
+        assert seq == par
+        assert [e.seed for e in par[0]] == [55, 56, 57, 58]
 
 
 def _scalar_draw(sampler, rng):
