@@ -22,6 +22,7 @@ Re-running a command overwrites its outputs byte-identically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -67,6 +68,18 @@ def _quote(cell: str) -> str:
     return cell
 
 
+def _open_csv(path: Path):
+    """``path`` opened for writing a CSV."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _header(names) -> str:
+    return ",".join(map(_quote, names)) + "\n"
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write one row per entry of the equally long ``columns`` under ``header``.
 
@@ -85,21 +98,99 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             formats.append("%s")
             cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
     template = ",".join(formats)
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        fh.write(",".join(map(_quote, header)) + "\n")
+    with _open_csv(path) as fh:
+        fh.write(_header(header))
         for i in range(0, max(map(len, cells)), _CSV_CHUNK):
             rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)
             fh.write("\n".join([template % row for row in rows]) + "\n")
 
 
 def _write_records(path: Path, records: np.recarray) -> None:
-    """Write a record array, one row per record under its field names."""
+    """Write a record array, one row per record under its field names: the
+    bytes :func:`_write_engine_rows` writes for it."""
     names = list(records.dtype.names)
     _write_csv(path, names, [records[name] for name in names])
+
+
+# field of a peak dump or a trajectory -> (engine column, offset): the field
+# of the record at engine row r holds the column's value at row r + offset; a
+# reception's drop-to value is the service the next peak carries
+_ENGINE_FIELDS = {
+    "k": ("k", 0),
+    "peak": ("peak", 0),
+    "received_service": ("received", 0),
+    "interreception": ("interreception", 0),
+    "preemptions": ("preemptions", 0),
+    "receive_time": ("time", 0),
+    "time": ("time", 0),
+    "reset_to": ("received", 1),
+}
+
+
+def _chunks(spans):
+    """``(a, b)`` row ranges of at most ``_CSV_CHUNK`` rows that cover the
+    union of the half-open row ``spans`` once, each inside one span."""
+    done = 0
+    for lo, hi in sorted(spans):
+        for a in range(max(lo, done), hi, _CSV_CHUNK):
+            yield a, min(a + _CSV_CHUNK, hi)
+        done = max(done, hi)
+
+
+def _engine_cells(sources, lo: int, hi: int) -> list[str]:
+    """The cells of engine rows ``lo`` to ``hi - 1`` of one column, rendered
+    as :func:`_write_csv` renders a column of their kind; ``sources`` holds
+    ``(values, engine row of values[0])`` pairs that cover those rows."""
+    values = np.empty(hi - lo, dtype=sources[0][0].dtype)
+    for column, first in sources:
+        start, stop = max(lo, first), min(hi, first + len(column))
+        if start < stop:
+            values[start - lo : stop - lo] = column[start - first : stop - first]
+    fmt = "%.12g\n" if values.dtype.kind == "f" else "%d\n"
+    return ((fmt * len(values)) % tuple(values.tolist())).split()
+
+
+def _write_engine_rows(outputs: list[tuple[Path, np.recarray, int]]) -> None:
+    """Write record arrays read off the engine rows of one seed, each to its
+    own path, in one pass that renders every cell they share once.
+
+    ``outputs`` holds ``(path, records, first)`` triples: record ``i`` is
+    engine row ``first + i`` (a trajectory starts at row 0, a peak dump at
+    its warm-up), and each field maps to an engine column by
+    ``_ENGINE_FIELDS``, so a dump and a trajectory of one seed share their
+    ``peak`` and time cells and the carried service of every row past the
+    first.  The pass renders ``_CSV_CHUNK`` engine rows at a time and writes
+    each file's records among them before it renders the next, so each
+    file gets the bytes :func:`_write_records` writes for it alone.
+    """
+    plans = []  # per output: its engine rows and its fields' (engine column, offset)
+    sources = {}  # engine column -> [(values, engine row of values[0])]
+    for _, records, first in outputs:
+        fields = [_ENGINE_FIELDS[name] for name in records.dtype.names]
+        for name, (column, offset) in zip(records.dtype.names, fields):
+            sources.setdefault(column, []).append((records[name], first + offset))
+        plans.append((first, first + len(records), fields))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_open_csv(path)) for path, _, _ in outputs]
+        for fh, (_, records, _) in zip(files, outputs):
+            fh.write(_header(records.dtype.names))
+        for a, b in _chunks([plan[:2] for plan in plans]):
+            # per file holding records here: the records' engine rows and fields
+            rows = [(fh, max(a, lo), min(b, hi), fields)
+                    for fh, (lo, hi, fields) in zip(files, plans) if lo < b and a < hi]
+            wanted = {}  # engine column -> the span of its rows some file writes here
+            for _, lo, hi, fields in rows:
+                for column, offset in fields:
+                    w_lo, w_hi = wanted.get(column, (lo + offset, hi + offset))
+                    wanted[column] = min(w_lo, lo + offset), max(w_hi, hi + offset)
+            cells = {column: (w_lo, _engine_cells(sources[column], w_lo, w_hi))
+                     for column, (w_lo, w_hi) in wanted.items()}
+            for fh, lo, hi, fields in rows:
+                columns = []
+                for column, offset in fields:
+                    w_lo, rendered = cells[column]
+                    columns.append(rendered[lo + offset - w_lo : hi + offset - w_lo])
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _slug(label: str) -> str:
@@ -272,10 +363,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                 *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
             ],
         )
+        outputs = []  # seed 0's records: a trajectory from its first row, a dump after warmup
         if trajectory is not None:
-            _write_records(out_dir / _csv_name(cfg, "trajectory", policy), trajectory)
+            outputs.append((out_dir / _csv_name(cfg, "trajectory", policy), trajectory, 0))
         if dump is not None:
-            _write_records(out_dir / _csv_name(cfg, "peaks", policy), dump)
+            outputs.append((out_dir / _csv_name(cfg, "peaks", policy), dump, sim.warmup))
+        _write_engine_rows(outputs)
     return 0
 
 

@@ -22,11 +22,10 @@ one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks` and
 field names are the CSV headers of the peak dump and the trajectory.
 
 Every policy of a seed reads the same service draws, so replications draw
-each seed's stream once: the policies' engines read one ``itertools.tee``
-of it in lockstep, one block a step, and each is dropped with its copy once
-it has its peaks, so memory stays at one block per policy plus the at most
-57 blocks that the tee buffers in chunks.  Each policy's estimate equals
-the one it gets alone.
+each seed's stream once: each lockstep step draws one block and hands that
+same array to every policy's engine, and an engine is dropped once it has
+its peaks, so memory stays at the step's block plus each running policy's
+peaks.  Each policy's estimate equals the one it gets alone.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -44,7 +43,6 @@ preemptions raises it, once a caller asks for that peak.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -418,22 +416,27 @@ def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
 def _seed_estimates(d, policies, peaks, stall_limit, warmup, seed) -> list[PaoiEstimate]:
     """The estimate of every policy at ``seed``, in ``policies`` order.
 
-    The policies read one service stream in lockstep: each step advances
-    every engine by one block of its ``itertools.tee`` copy, so the copies
-    stay within one block of each other.  A policy that has its peaks is
-    dropped with its copy, which would otherwise hold every block the
-    others draw after it.  The first stall the steps meet raises, whichever
-    policy it is in."""
+    The policies read one service stream in lockstep: each step draws one
+    block and advances every running engine by one step, which reads that
+    block (see :func:`_engine`).  A policy that has its peaks is dropped.
+    The first stall the steps meet raises, whichever policy it is in."""
     blocks, ss_threshold = _streams(d, seed)
+    block = None
+
+    def step_blocks():  # what an engine reads: the block of the current step
+        while True:
+            yield block
+
     engines = [  # every policy checked before the first draw
-        _engine(d, policy, copy, ss_threshold, stall_limit)
-        for policy, copy in zip(policies, itertools.tee(blocks, len(policies)))
+        _engine(d, policy, step_blocks(), ss_threshold, stall_limit)
+        for policy in policies
     ]
     need = warmup + peaks
     parts = [[] for _ in policies]
     have = [0] * len(policies)
     running = list(range(len(policies)))
     while running:
+        block = next(blocks)
         for i in running:
             peak = next(engines[i])[0]
             parts[i].append(peak)

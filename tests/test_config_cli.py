@@ -31,6 +31,7 @@ from paoi_lab import (
     Exponential,
     FixedThreshold,
     HyperExponential,
+    LogNormal,
     MedianThreshold,
     Pareto,
     PointSampler,
@@ -40,9 +41,19 @@ from paoi_lab import (
     UniformSampler,
     XMinThreshold,
     ZeroWait,
+    cli,
     config,
+    simulate,
 )
-from paoi_lab.cli import _fmt, _write_csv, build_parser, cmd_optimize, main
+from paoi_lab.cli import (
+    _fmt,
+    _write_csv,
+    _write_engine_rows,
+    _write_records,
+    build_parser,
+    cmd_optimize,
+    main,
+)
 from paoi_lab.config import (
     ExperimentConfig,
     OptimizerSpec,
@@ -446,6 +457,19 @@ class TestCli:
         assert err.startswith(f"error: cannot write {out / 'tp_eval.csv'}: ")
         assert err.count("\n") == 1
 
+    def test_directory_where_the_peak_dump_goes_exit_2(self, tmp_path, capsys):
+        # the trajectory and the peak dump are opened together
+        cfg = tmp_path / "d.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+                       "simulation: {peaks: 100, replications: 1, seed: 1, dump_peaks: true, "
+                       "trajectory_horizon: 10.0}\n")
+        peaks = tmp_path / "out" / "paoi_peaks_zero-wait.csv"
+        peaks.mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {peaks}: ")
+        assert err.count("\n") == 1
+
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(
@@ -690,6 +714,63 @@ class TestCsvWriter:
             _write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
+class TestEngineRowWriter:
+    """A peak dump and a trajectory of one seed, written in one pass, have
+    the bytes each has when written on its own."""
+
+    # name -> (law, policy, peaks, warmup, horizon, trajectory rows against
+    # the dump's engine rows [warmup, warmup + peaks)); seed 4 throughout
+    CASES = {
+        "warmup 0, trajectory past the dump": (
+            Exponential(1.0), ZeroWait(), 2500, 0, 4000.0, "past"),
+        "warmup 0, trajectory ending inside the dump": (
+            Exponential(1.0), ZeroWait(), 3000, 0, 1500.0, "inside"),
+        "trajectory shorter than the warmup": (
+            Exponential(1.0), ZeroWait(), 2500, 2500, 1500.0, "before"),
+        "trajectory ending inside the dump": (
+            Exponential(1.0), FixedThreshold(0.5), 3000, 1000, 2500.0, "inside"),
+        "trajectory past the dump": (
+            Exponential(1.0), FixedThreshold(0.5), 2000, 7, 5000.0, "past"),
+        "empty trajectory": (Exponential(1.0), ZeroWait(), 100, 5, 1e-6, "before"),
+        # about a fifth of the draws overflow to inf
+        "non-finite cells": (LogNormal(709.0, 1.0), ZeroWait(), 50, 0, 1.7e308, "inside"),
+    }
+
+    @staticmethod
+    def records(case):
+        law, policy, peaks, warmup, horizon, where = TestEngineRowWriter.CASES[case]
+        trajectory = simulate.aoi_trajectory(law, policy, horizon=horizon, seed=4)
+        dump = simulate.simulate_peaks(law, policy, peaks=peaks, seed=4, warmup=warmup)
+        n = len(trajectory)
+        assert where == ("before" if n < warmup else "inside" if n < warmup + peaks else "past")
+        return trajectory, dump, warmup
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_files_written_one_at_a_time(self, case, tmp_path):
+        trajectory, dump, warmup = self.records(case)
+        both = [(tmp_path / "trajectory.csv", trajectory, 0),
+                (tmp_path / "peaks.csv", dump, warmup)]
+        for outputs in (both, both[::-1], both[:1], both[1:]):
+            _write_engine_rows(outputs)
+            for path, records, _ in outputs:
+                _write_records(tmp_path / "alone.csv", records)
+                assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), path.name
+        if case == "non-finite cells":
+            assert b",inf," in (tmp_path / "peaks.csv").read_bytes()
+
+    def test_renders_each_shared_cell_once(self, tmp_path):
+        trajectory, dump, warmup = self.records("warmup 0, trajectory past the dump")
+        with mock.patch("paoi_lab.cli._engine_cells", wraps=cli._engine_cells) as render:
+            _write_engine_rows([(tmp_path / "t.csv", trajectory, 0),
+                                (tmp_path / "p.csv", dump, warmup)])
+        rendered = sum(hi - lo for (_, lo, hi), _ in render.call_args_list)
+        # the time, peak and carried service of engine rows [0, n], and the
+        # dump's other three columns; a chunk may render one carried service
+        # that the next chunk renders too.  Written apart: 3 * n + 6 * p.
+        n, p = len(trajectory), len(dump)
+        assert 3 * n + 1 + 3 * p <= rendered < 3 * n + 1 + 3 * p + n / 1024
+
+
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
 
 
@@ -837,7 +918,9 @@ class TestDegenerateInputs:
             "P(X <= 0.5) = 0\n"))
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("dump", ["", ", dump_peaks: true"], ids=["replicated", "dumped"])
+    @pytest.mark.parametrize("dump", ["", ", dump_peaks: true",
+                                      ", dump_peaks: true, trajectory_horizon: 50.0"],
+                             ids=["replicated", "dumped", "dumped with trajectory"])
     def test_later_policy_that_stalls_exits_3_before_any_output(self, tmp_path, capsys, dump):
         # fixed(0.01) drops 200 attempts in a row with probability about
         # 0.13 a peak; zero-wait never stalls, and every policy's

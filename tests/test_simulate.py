@@ -460,8 +460,10 @@ class TestLockstep:
 
     def test_memory_stays_at_one_stream_for_all_policies(self):
         # zero-wait has its 16k peaks after 4 blocks and fixed(0.01) after
-        # about 400: zero-wait's copy of the stream must go when it is done,
-        # or it holds every block fixed(0.01) draws after that
+        # about 400: zero-wait's engine must stop when it is done, or it
+        # holds the peaks of every block fixed(0.01) draws after that.  The
+        # reference, two fixed(0.01) engines, holds the same two peak columns
+        # and finishes both on the same step.
         d = Exponential(1.0)
 
         def traced_peak(policies, peaks):
@@ -473,10 +475,9 @@ class TestLockstep:
                 tracemalloc.stop()
 
         traced_peak(MIX[:2], 100)  # one-time allocations out of the way
-        alone = traced_peak(MIX[1:2], 16_000)
-        lockstep = {n: traced_peak(MIX[:2], n) for n in (4000, 16_000)}
-        assert lockstep[16_000] < 1.25 * alone
-        assert lockstep[16_000] < 1.25 * lockstep[4000]
+        for peaks in (4000, 16_000):
+            reference = traced_peak((MIX[1], MIX[1]), peaks)
+            assert traced_peak(MIX[:2], peaks) < 1.25 * reference, peaks
 
 
 class TestParallelReplications:
