@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -80,8 +81,9 @@ def _header(names) -> str:
     return ",".join(map(_quote, names)) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write one row per entry of the equally long ``columns`` under ``header``.
+def _write_table(fh: TextIO, header: list[str], columns: list) -> None:
+    """Write one row per entry of the equally long ``columns`` under ``header``
+    to the open file ``fh``.
 
     A float column writes its cells as ``_fmt`` does (``%.12g``), an integer
     column as ``%d``, and any other column its cells' ``str``, quoted where
@@ -98,18 +100,16 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             formats.append("%s")
             cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
     template = ",".join(formats)
+    fh.write(_header(header))
+    for i in range(0, max(map(len, cells)), _CSV_CHUNK):
+        rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)
+        fh.write("\n".join([template % row for row in rows]) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """:func:`_write_table` to ``path``."""
     with _open_csv(path) as fh:
-        fh.write(_header(header))
-        for i in range(0, max(map(len, cells)), _CSV_CHUNK):
-            rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)
-            fh.write("\n".join([template % row for row in rows]) + "\n")
-
-
-def _write_records(path: Path, records: np.recarray) -> None:
-    """Write a record array, one row per record under its field names: the
-    bytes :func:`_write_engine_rows` writes for it."""
-    names = list(records.dtype.names)
-    _write_csv(path, names, [records[name] for name in names])
+        _write_table(fh, header, columns)
 
 
 # field of a peak dump or a trajectory -> (engine column, offset): the field
@@ -150,47 +150,45 @@ def _engine_cells(sources, lo: int, hi: int) -> list[str]:
     return ((fmt * len(values)) % tuple(values.tolist())).split()
 
 
-def _write_engine_rows(outputs: list[tuple[Path, np.recarray, int]]) -> None:
+def _write_engine_rows(outputs: list[tuple[TextIO, np.recarray, int]]) -> None:
     """Write record arrays read off the engine rows of one seed, each to its
-    own path, in one pass that renders every cell they share once.
+    own open file, in one pass that renders every cell they share once.
 
-    ``outputs`` holds ``(path, records, first)`` triples: record ``i`` is
+    ``outputs`` holds ``(file, records, first)`` triples: record ``i`` is
     engine row ``first + i`` (a trajectory starts at row 0, a peak dump at
     its warm-up), and each field maps to an engine column by
     ``_ENGINE_FIELDS``, so a dump and a trajectory of one seed share their
     ``peak`` and time cells and the carried service of every row past the
     first.  The pass renders ``_CSV_CHUNK`` engine rows at a time and writes
     each file's records among them before it renders the next, so each
-    file gets the bytes :func:`_write_records` writes for it alone.
+    file gets the bytes :func:`_write_table` writes for its records' fields
+    alone.
     """
-    plans = []  # per output: its engine rows and its fields' (engine column, offset)
+    plans = []  # per output: its file, engine rows and fields' (engine column, offset)
     sources = {}  # engine column -> [(values, engine row of values[0])]
-    for _, records, first in outputs:
+    for fh, records, first in outputs:
+        fh.write(_header(records.dtype.names))
         fields = [_ENGINE_FIELDS[name] for name in records.dtype.names]
         for name, (column, offset) in zip(records.dtype.names, fields):
             sources.setdefault(column, []).append((records[name], first + offset))
-        plans.append((first, first + len(records), fields))
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(_open_csv(path)) for path, _, _ in outputs]
-        for fh, (_, records, _) in zip(files, outputs):
-            fh.write(_header(records.dtype.names))
-        for a, b in _chunks([plan[:2] for plan in plans]):
-            # per file holding records here: the records' engine rows and fields
-            rows = [(fh, max(a, lo), min(b, hi), fields)
-                    for fh, (lo, hi, fields) in zip(files, plans) if lo < b and a < hi]
-            wanted = {}  # engine column -> the span of its rows some file writes here
-            for _, lo, hi, fields in rows:
-                for column, offset in fields:
-                    w_lo, w_hi = wanted.get(column, (lo + offset, hi + offset))
-                    wanted[column] = min(w_lo, lo + offset), max(w_hi, hi + offset)
-            cells = {column: (w_lo, _engine_cells(sources[column], w_lo, w_hi))
-                     for column, (w_lo, w_hi) in wanted.items()}
-            for fh, lo, hi, fields in rows:
-                columns = []
-                for column, offset in fields:
-                    w_lo, rendered = cells[column]
-                    columns.append(rendered[lo + offset - w_lo : hi + offset - w_lo])
-                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        plans.append((fh, first, first + len(records), fields))
+    for a, b in _chunks([plan[1:3] for plan in plans]):
+        # per file holding records here: the records' engine rows and fields
+        rows = [(fh, max(a, lo), min(b, hi), fields)
+                for fh, lo, hi, fields in plans if lo < b and a < hi]
+        wanted = {}  # engine column -> the span of its rows some file writes here
+        for _, lo, hi, fields in rows:
+            for column, offset in fields:
+                w_lo, w_hi = wanted.get(column, (lo + offset, hi + offset))
+                wanted[column] = min(w_lo, lo + offset), max(w_hi, hi + offset)
+        cells = {column: (w_lo, _engine_cells(sources[column], w_lo, w_hi))
+                 for column, (w_lo, w_hi) in wanted.items()}
+        for fh, lo, hi, fields in rows:
+            columns = []
+            for column, offset in fields:
+                w_lo, rendered = cells[column]
+                columns.append(rendered[lo + offset - w_lo : hi + offset - w_lo])
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _slug(label: str) -> str:
@@ -347,28 +345,38 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         base_seed, replications = seed + 1, replications - 1
     replicated = simulate._replications(d, cfg.policies, sim.peaks, replications, base_seed,
                                         sim.stall_limit, sim.warmup, workers)
-    for policy, trajectory, dump, estimates in zip(cfg.policies, trajectories, dumps, replicated):
-        if dump is not None:
-            estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
-        pooled = simulate.pooled_estimate(estimates, seed=seed)
-        print(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
-              f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
-              f"({sim.replications} x {sim.peaks} peaks)")
-        fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
-        _write_csv(
-            out_dir / _csv_name(cfg, "simulate", policy),
-            ["replication", "seed", "peaks", "mean", "stderr", "ci_low", "ci_high"],
-            [
-                [*map(str, range(len(estimates))), "pooled"],
-                *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
-            ],
-        )
-        outputs = []  # seed 0's records: a trajectory from its first row, a dump after warmup
-        if trajectory is not None:
-            outputs.append((out_dir / _csv_name(cfg, "trajectory", policy), trajectory, 0))
-        if dump is not None:
-            outputs.append((out_dir / _csv_name(cfg, "peaks", policy), dump, sim.warmup))
-        _write_engine_rows(outputs)
+    with contextlib.ExitStack() as stack:
+        def open_csv(kind, policy):
+            return stack.enter_context(_open_csv(out_dir / _csv_name(cfg, kind, policy)))
+
+        # every file of every policy opened before any output, so that a path
+        # that cannot be opened leaves no output but empty files
+        files = []  # per policy: its summary and seed 0's (file, records, first engine row)
+        for policy, trajectory, dump in zip(cfg.policies, trajectories, dumps):
+            summary, rows = open_csv("simulate", policy), []
+            if trajectory is not None:  # from its first row
+                rows.append((open_csv("trajectory", policy), trajectory, 0))
+            if dump is not None:  # after warmup
+                rows.append((open_csv("peaks", policy), dump, sim.warmup))
+            files.append((summary, rows))
+        for policy, (summary, rows), dump, estimates in zip(cfg.policies, files, dumps,
+                                                            replicated):
+            if dump is not None:
+                estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
+            pooled = simulate.pooled_estimate(estimates, seed=seed)
+            print(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
+                  f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
+                  f"({sim.replications} x {sim.peaks} peaks)")
+            fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
+            _write_table(
+                summary,
+                ["replication", "seed", "peaks", "mean", "stderr", "ci_low", "ci_high"],
+                [
+                    [*map(str, range(len(estimates))), "pooled"],
+                    *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
+                ],
+            )
+            _write_engine_rows(rows)
     return 0
 
 

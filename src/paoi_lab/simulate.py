@@ -21,11 +21,13 @@ one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks` and
 :func:`aoi_trajectory` return the series as NumPy record arrays, whose
 field names are the CSV headers of the peak dump and the trajectory.
 
-Every policy of a seed reads the same service draws, so replications draw
-each seed's stream once: each lockstep step draws one block and hands that
-same array to every policy's engine, and an engine is dropped once it has
-its peaks, so memory stays at the step's block plus each running policy's
-peaks.  Each policy's estimate equals the one it gets alone.
+Every run, of one policy or of several, goes through one lockstep loop:
+every policy of a seed reads the same service draws, so each step draws
+one block of the seed's stream and hands that same array to every
+policy's engine, and an engine is dropped once it has its peaks or its
+horizon, so memory stays at the step's block plus each running policy's
+columns.  A single-policy run is a lockstep of one, and each policy's
+records and estimate equal the ones it gets alone.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -199,14 +201,6 @@ def _service_blocks(d: ServiceDistribution, rng: np.random.Generator) -> Iterato
         yield np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
 
 
-def _streams(d: ServiceDistribution, seed: int):
-    """The service blocks of ``seed`` and the seed of its threshold draws.
-    Two child streams, so that policies which do not randomize consume the
-    exact same service draws as a fixed-threshold run with the same seed."""
-    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
-    return _service_blocks(d, np.random.default_rng(ss_service)), ss_threshold
-
-
 def _engine(
     d: ServiceDistribution,
     policy: Policy,
@@ -287,28 +281,55 @@ _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_silent_overflow
-def _columns(d, policy, seed, stall_limit, peaks=math.inf, horizon=math.inf):
-    """The columns of :func:`_engine` on the stream of ``seed``, each joined
-    into one array, up to the block that holds the ``peaks``-th peak or the
-    first reception past ``horizon``; no block past it is drawn.  Up to a
-    finite ``horizon``, raises :class:`ConfigError` as soon as the
+def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, keep=None):
+    """Per policy, in ``policies`` order, the columns of :func:`_engine` on
+    the stream of ``seed`` (the first ``keep`` of them, or all), each joined
+    into one array, up to the block that holds the policy's ``peaks``-th
+    peak or its first reception past ``horizon``.
+
+    The policies read one service stream in lockstep: each step draws one
+    block and advances every running engine by one step, which reads that
+    block, so each policy reads the draws it reads alone.  A policy that is
+    done is dropped, and no block past the last one's is drawn.  The first
+    stall the steps meet raises, whichever policy it is in.  Up to a finite
+    ``horizon``, raises :class:`ConfigError` as soon as a policy's
     receptions so far, at their pace, project past ``_MAX_TRAJECTORY`` by
     the horizon."""
-    parts, have = [], 0
-    for cols in _engine(d, policy, *_streams(d, seed), stall_limit):
-        if not len(cols[0]):
-            continue
-        parts.append(cols)
-        have += len(cols[0])
-        t_last = cols[-1][-1]
-        if have >= peaks or t_last > horizon:
-            break
-        if horizon < math.inf and have > _MAX_TRAJECTORY * (t_last / horizon):
-            raise ConfigError(
-                f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
-                f"receptions under {policy!r}: the first {have} end by time {t_last:g}"
-            )
-    return [np.concatenate(c) for c in zip(*parts)]
+    # two child streams, so that policies which do not randomize consume the
+    # exact same service draws as a fixed-threshold run with the same seed
+    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
+    blocks = _service_blocks(d, np.random.default_rng(ss_service))
+    block = None
+
+    def step_blocks():  # what an engine reads: the block of the current step
+        while True:
+            yield block
+
+    engines = [  # every policy checked before the first draw
+        _engine(d, policy, step_blocks(), ss_threshold, stall_limit) for policy in policies
+    ]
+    parts = [[] for _ in policies]
+    have = [0] * len(policies)
+    running = list(range(len(policies)))
+    while running:
+        block = next(blocks)
+        for i in running:
+            cols = next(engines[i])
+            if not len(cols[0]):
+                continue
+            parts[i].append(cols[:keep])
+            have[i] += len(cols[0])
+            t_last = cols[-1][-1]
+            if have[i] >= peaks or t_last > horizon:
+                engines[i] = None
+            elif horizon < math.inf and have[i] > _MAX_TRAJECTORY * (t_last / horizon):
+                raise ConfigError(
+                    f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
+                    f"receptions under {policies[i]!r}: the first {have[i]} end by time "
+                    f"{t_last:g}"
+                )
+        running = [i for i in running if engines[i] is not None]
+    return [[np.concatenate(c) for c in zip(*p)] for p in parts]
 
 
 def _check_range(peaks, warmup):
@@ -317,13 +338,6 @@ def _check_range(peaks, warmup):
         raise ValueError("need at least one peak")
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
-
-
-def _peak_range(d, policy, peaks, seed, stall_limit, warmup):
-    """The columns of peaks ``warmup + 1`` to ``warmup + peaks``."""
-    _check_range(peaks, warmup)
-    cols = _columns(d, policy, seed, stall_limit, peaks=warmup + peaks)
-    return [c[warmup : warmup + peaks] for c in cols]
 
 
 def simulate_peaks(
@@ -351,10 +365,11 @@ def simulate_peaks(
     later peak carries a service time that completed within its threshold
     (``X | X <= theta``).  Any ``warmup >= 1`` drops it.
     """
-    cols = _peak_range(d, policy, peaks, seed, stall_limit, warmup)
+    _check_range(peaks, warmup)
+    (cols,) = _lockstep(d, (policy,), seed, stall_limit, peaks=warmup + peaks)
     k = np.arange(warmup + 1, warmup + peaks + 1)
     fields = "k,peak,received_service,interreception,preemptions,receive_time"
-    return np.rec.fromarrays([k, *cols], names=fields)
+    return np.rec.fromarrays([k, *(c[warmup : warmup + peaks] for c in cols)], names=fields)
 
 
 def aoi_trajectory(
@@ -378,7 +393,7 @@ def aoi_trajectory(
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    peak, received, _, _, times = _columns(d, policy, seed, stall_limit, horizon=horizon)
+    ((peak, received, _, _, times),) = _lockstep(d, (policy,), seed, stall_limit, horizon=horizon)
     n = int(np.searchsorted(times, horizon, side="right"))
     # a reception's drop-to value is the next peak's carried service time
     return np.rec.fromarrays([times[:n], peak[:n], received[1 : n + 1]], names="time,peak,reset_to")
@@ -407,44 +422,13 @@ def estimate_paoi(peaks: np.recarray, seed: Optional[int] = None) -> PaoiEstimat
     return _batch_means(np.array(peaks.peak, dtype=float), seed)
 
 
-def _estimate(d, policy, peaks, stall_limit, warmup, seed) -> PaoiEstimate:
-    """The estimate of one replication, from its seed, on a stream of its own."""
-    return _batch_means(_peak_range(d, policy, peaks, seed, stall_limit, warmup)[0], seed)
-
-
-@_silent_overflow
 def _seed_estimates(d, policies, peaks, stall_limit, warmup, seed) -> list[PaoiEstimate]:
-    """The estimate of every policy at ``seed``, in ``policies`` order.
-
-    The policies read one service stream in lockstep: each step draws one
-    block and advances every running engine by one step, which reads that
-    block (see :func:`_engine`).  A policy that has its peaks is dropped.
-    The first stall the steps meet raises, whichever policy it is in."""
-    blocks, ss_threshold = _streams(d, seed)
-    block = None
-
-    def step_blocks():  # what an engine reads: the block of the current step
-        while True:
-            yield block
-
-    engines = [  # every policy checked before the first draw
-        _engine(d, policy, step_blocks(), ss_threshold, stall_limit)
-        for policy in policies
-    ]
+    """The estimate of every policy at ``seed``, in ``policies`` order: the
+    batch means of its peaks after ``warmup``, from a lockstep run (see
+    :func:`_lockstep`) that keeps only the peak column."""
     need = warmup + peaks
-    parts = [[] for _ in policies]
-    have = [0] * len(policies)
-    running = list(range(len(policies)))
-    while running:
-        block = next(blocks)
-        for i in running:
-            peak = next(engines[i])[0]
-            parts[i].append(peak)
-            have[i] += len(peak)
-            if have[i] >= need:
-                engines[i] = None
-        running = [i for i in running if engines[i] is not None]
-    return [_batch_means(np.concatenate(p)[warmup:need], seed) for p in parts]
+    runs = _lockstep(d, policies, seed, stall_limit, peaks=need, keep=1)
+    return [_batch_means(peak[warmup:need], seed) for (peak,) in runs]
 
 
 def _replications(

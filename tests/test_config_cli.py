@@ -49,7 +49,6 @@ from paoi_lab.cli import (
     _fmt,
     _write_csv,
     _write_engine_rows,
-    _write_records,
     build_parser,
     cmd_optimize,
     main,
@@ -457,18 +456,33 @@ class TestCli:
         assert err.startswith(f"error: cannot write {out / 'tp_eval.csv'}: ")
         assert err.count("\n") == 1
 
-    def test_directory_where_the_peak_dump_goes_exit_2(self, tmp_path, capsys):
-        # the trajectory and the peak dump are opened together
+    @staticmethod
+    def simulate_with_a_directory_at(tmp_path, capsys, policies, blocked):
+        """Run ``simulate`` with a peak dump and a trajectory per policy and a
+        directory where the dump of ``blocked`` goes; expect exit 2, no
+        stdout and no CSV that holds a byte."""
         cfg = tmp_path / "d.yaml"
-        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+        cfg.write_text(ERLANG + f"policies: {policies}\n"
                        "simulation: {peaks: 100, replications: 1, seed: 1, dump_peaks: true, "
                        "trajectory_horizon: 10.0}\n")
-        peaks = tmp_path / "out" / "paoi_peaks_zero-wait.csv"
+        out = tmp_path / "out"
+        peaks = out / f"paoi_peaks_{blocked}.csv"
         peaks.mkdir(parents=True)
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
         assert err.startswith(f"error: cannot write {peaks}: ")
         assert err.count("\n") == 1
+        assert not any(p.stat().st_size for p in out.rglob("*.csv") if p.is_file())
+
+    def test_directory_where_the_peak_dump_goes_exit_2(self, tmp_path, capsys):
+        # the trajectory and the peak dump are opened together
+        self.simulate_with_a_directory_at(tmp_path, capsys, "[zero-wait]", "zero-wait")
+
+    def test_directory_where_the_second_policys_dump_goes_exit_2(self, tmp_path, capsys):
+        # every file of every policy is opened before the first policy's output
+        self.simulate_with_a_directory_at(tmp_path, capsys, "[zero-wait, median]",
+                                          "median-threshold")
 
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
@@ -486,6 +500,7 @@ class TestCli:
             "simulation: {peaks: 10, replications: 1, seed: 1, stall_limit: 200}\n"
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_reproduce_unknown_figure_exit_2(self, tmp_path):
         assert main(["reproduce", "--figure", "fig9", "--out", str(tmp_path)]) == 2
@@ -714,6 +729,20 @@ class TestCsvWriter:
             _write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
+def write_records(path, records):
+    """Write a record array, one row per record under its field names: the
+    bytes each file of the one-pass writer must have."""
+    names = list(records.dtype.names)
+    _write_csv(path, names, [records[name] for name in names])
+
+
+def write_engine_rows(outputs):
+    """:func:`cli._write_engine_rows` on ``(path, records, first)`` triples."""
+    with contextlib.ExitStack() as stack:
+        _write_engine_rows([(stack.enter_context(cli._open_csv(path)), records, first)
+                            for path, records, first in outputs])
+
+
 class TestEngineRowWriter:
     """A peak dump and a trajectory of one seed, written in one pass, have
     the bytes each has when written on its own."""
@@ -751,9 +780,9 @@ class TestEngineRowWriter:
         both = [(tmp_path / "trajectory.csv", trajectory, 0),
                 (tmp_path / "peaks.csv", dump, warmup)]
         for outputs in (both, both[::-1], both[:1], both[1:]):
-            _write_engine_rows(outputs)
+            write_engine_rows(outputs)
             for path, records, _ in outputs:
-                _write_records(tmp_path / "alone.csv", records)
+                write_records(tmp_path / "alone.csv", records)
                 assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), path.name
         if case == "non-finite cells":
             assert b",inf," in (tmp_path / "peaks.csv").read_bytes()
@@ -761,8 +790,8 @@ class TestEngineRowWriter:
     def test_renders_each_shared_cell_once(self, tmp_path):
         trajectory, dump, warmup = self.records("warmup 0, trajectory past the dump")
         with mock.patch("paoi_lab.cli._engine_cells", wraps=cli._engine_cells) as render:
-            _write_engine_rows([(tmp_path / "t.csv", trajectory, 0),
-                                (tmp_path / "p.csv", dump, warmup)])
+            write_engine_rows([(tmp_path / "t.csv", trajectory, 0),
+                               (tmp_path / "p.csv", dump, warmup)])
         rendered = sum(hi - lo for (_, lo, hi), _ in render.call_args_list)
         # the time, peak and carried service of engine rows [0, n], and the
         # dump's other three columns; a chunk may render one carried service

@@ -41,8 +41,8 @@ from paoi_lab import (
 from paoi_lab.policies import resolve
 from paoi_lab.simulate import (
     DEFAULT_STALL_LIMIT,
+    _batch_means,
     _engine,
-    _estimate,
     _replications,
     _service_blocks,
 )
@@ -405,6 +405,11 @@ MIX = (
 )
 
 
+def _estimate(d, policy, peaks, stall_limit, warmup, seed):
+    """The estimate of one replication, from its seed: that of its peak dump."""
+    return estimate_paoi(simulate_peaks(d, policy, peaks, seed, stall_limit, warmup), seed)
+
+
 class TestLockstep:
     """A seed's policies read one service stream; each gets the estimate it
     gets alone."""
@@ -416,19 +421,26 @@ class TestLockstep:
         for policy, estimates in zip(MIX, got):
             alone = run_replications(d, policy, 300, 3, base_seed=40, warmup=warmup)
             assert estimates == alone, policy
-            # and each equals the estimate of its seed on a stream of its own
+            # and each equals the estimate of its seed's peak dump
             assert estimates == [
                 _estimate(d, policy, 300, DEFAULT_STALL_LIMIT, warmup, seed)
+                for seed in (40, 41, 42)
+            ], policy
+            # and the batch means of the attempt-at-a-time loop's peaks
+            assert estimates == [
+                _batch_means(np.array([r[1] for r in _reference(d, policy, 300, seed, warmup)]),
+                             seed)
                 for seed in (40, 41, 42)
             ], policy
 
     @pytest.mark.parametrize("warmup", [0, 5])
     def test_estimate_of_the_peak_dump_is_the_estimate_of_its_seed(self, warmup):
-        # simulate writes the dump's estimate as replication 0
+        # simulate writes the dump's estimate as replication 0, in place of
+        # the lockstep replication of that seed
         d = Exponential(1.0)
-        for policy in MIX:
+        lockstep = _replications(d, MIX, 300, 1, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        for policy, (want,) in zip(MIX, lockstep):
             dump = simulate_peaks(d, policy, peaks=300, seed=40, warmup=warmup)
-            want = _estimate(d, policy, 300, DEFAULT_STALL_LIMIT, warmup, 40)
             assert estimate_paoi(dump, seed=40) == want, policy
 
     def test_no_replication_gives_no_estimates(self):
