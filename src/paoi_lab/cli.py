@@ -11,12 +11,13 @@ simulate   Monte-Carlo replications with pooled batch-means CI
 check      preemption-benefit verdicts (exact and residual-based)
 reproduce  the four figure-data bundles (Erlang/Pareto studies)
 
-Exit codes: 0 success, 2 configuration problem (a ``ConfigError``), 3 simulation
-stall (a ``SimulationStall``).
+Exit codes: 0 success, 2 configuration problem (a ``ConfigError``, as is an
+output that cannot be written), 3 simulation stall (a ``SimulationStall``).
 Numeric CSV cells use ``.`` decimals and 12 significant digits, and the
 literal tokens ``inf``, ``-inf`` and ``nan`` for non-finite values; text
 cells are quoted only when they hold a comma, a double quote or a newline.
-Re-running a command overwrites its outputs byte-identically.
+Peak dumps and trajectories are spelled from digit tables, other CSVs by one
+``%`` template per row, to the same bytes; re-runs overwrite them byte-identically.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import os
 import re
 import sys
@@ -56,6 +58,7 @@ _COMPARISON_FIGURES = {
 }
 _FIGURES = tuple(sorted(_CURVE_FIGURES.keys() | _COMPARISON_FIGURES.keys()))
 _CSV_CHUNK = 1024  # rows joined per write
+_KERNEL_CELLS = 1 << 13  # cells per chunk of _write_records: 256 KB of words, kept in cache
 
 
 def _fmt(x: float) -> str:
@@ -75,6 +78,16 @@ def _open_csv(path: Path):
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _writing(fh: TextIO):
+    """Close ``fh`` on exit; an ``OSError`` writing or closing it is a ConfigError."""
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {fh.name}: {exc}") from exc
 
 
 def _header(names) -> str:
@@ -108,87 +121,89 @@ def _write_table(fh: TextIO, header: list[str], columns: list) -> None:
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """:func:`_write_table` to ``path``."""
-    with _open_csv(path) as fh:
+    with _writing(_open_csv(path)) as fh:
         _write_table(fh, header, columns)
 
 
-# field of a peak dump or a trajectory -> (engine column, offset): the field
-# of the record at engine row r holds the column's value at row r + offset; a
-# reception's drop-to value is the service the next peak carries
-_ENGINE_FIELDS = {
-    "k": ("k", 0),
-    "peak": ("peak", 0),
-    "received_service": ("received", 0),
-    "interreception": ("interreception", 0),
-    "preemptions": ("preemptions", 0),
-    "receive_time": ("time", 0),
-    "time": ("time", 0),
-    "reset_to": ("received", 1),
-}
+@functools.cache
+def _digit_tables():
+    """``groups[g]`` spells the digits of ``g`` < 10**4 at a word's even
+    bytes, trailing zeros blank (zero bytes); ``groups[10**4 + g]`` keeps
+    them.  ``marks[(16 * negative + 4 + e) * 2 + fraction]``, for exponent e
+    in [-4, 11], holds the ``-`` and ``0.0…`` of word 0 and the ``0`` of
+    each integer digit and ``.`` after them in words 1 to 3; then 10.0**k, k < 16."""
+    g, place = np.arange(10_000, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], "u2")
+    groups = np.zeros((2, 10_000, 8), dtype=np.uint8)  # small types: built mid-run
+    groups[:, :, ::2] = 48 + g // place % 10
+    groups[0, :, ::2][g % (10 * place) == 0] = 0
+    marks = ""
+    for negative, e, fraction in itertools.product((0, 1), range(-4, 12), (0, 1)):
+        head = "-" * negative + ("0." + "0" * (-e - 1) if e < 0 else "")
+        body = ("0\0" * (e + 1))[:-1] + "\0."[fraction] if e >= 0 else ""
+        marks += head.ljust(8, "\0") + body.ljust(24, "\0")
+    return (groups.view("<u8").ravel(), np.frombuffer(marks.encode(), "<u8").reshape(-1, 4),
+            np.array([float(10**k) for k in range(16)]))
 
 
-def _chunks(spans):
-    """``(a, b)`` row ranges of at most ``_CSV_CHUNK`` rows that cover the
-    union of the half-open row ``spans`` once, each inside one span."""
-    done = 0
-    for lo, hi in sorted(spans):
-        for a in range(max(lo, done), hi, _CSV_CHUNK):
-            yield a, min(a + _CSV_CHUNK, hi)
-        done = max(done, hi)
+def _spell(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Spell each float of ``x`` as ``%.12g`` does into its row of the
+    ``(len(x), 4)`` words ``cells``; return where the tables cannot.
+
+    With e = floor(log10|x|) in [-4, 11], ``%.12g`` writes N = |x| *
+    10**(11 - e) rounded.  The power is exact, so y, that product as a
+    float (< 2**40), is off by at most 2**-14: rint(y) is N unless y lies
+    within 1e-4 of a half.  An e one too low, or an x that rounds up to a
+    power of ten, gives N >= 1e12; one too high, N < 1e11 or the power x
+    rounds to.  Float division splits N exactly, and faster than integer
+    division.  Integers below 1e12 in size read the same through ``%d``."""
+    groups, marks, scales = _digit_tables()
+    with np.errstate(all="ignore"):  # log10(0), and inf or nan on the cells left out
+        ax = np.abs(x)
+        e = np.floor(np.log10(ax))
+        ok = (e >= -4) & (e < 12)
+        e[~ok] = 0
+        scale = scales.take((11 - e).astype(np.intp))
+        y = ax * scale
+        n = np.rint(y)
+        ok &= (np.abs(y - n) < 0.4999) & (n >= 1e11) & (n < 1e12)
+        ok |= ax == 0  # e = N = 0: a "0", after its sign
+    n[~ok] = 1e11
+    head = np.floor(n / 1e4)  # N's first eight digits, then its groups of four
+    hi, lo = np.floor(head / 1e4), n - head * 1e4
+    mid = head - hi * 1e4
+    fraction = (q := n / scale) != np.floor(q)  # a digit past the point
+    cells[:] = marks.take(((np.signbit(x) * 16 + e + 4) * 2 + fraction).astype(np.intp), axis=0)
+    cells[:, 1] |= groups.take((hi + 1e4 * (n != hi * 1e8)).astype(np.intp))
+    cells[:, 2] |= groups.take((mid + 1e4 * (lo != 0)).astype(np.intp))
+    cells[:, 3] |= groups.take(lo.astype(np.intp))
+    return ~ok
 
 
-def _engine_cells(sources, lo: int, hi: int) -> list[str]:
-    """The cells of engine rows ``lo`` to ``hi - 1`` of one column, rendered
-    as :func:`_write_csv` renders a column of their kind; ``sources`` holds
-    ``(values, engine row of values[0])`` pairs that cover those rows."""
-    values = np.empty(hi - lo, dtype=sources[0][0].dtype)
-    for column, first in sources:
-        start, stop = max(lo, first), min(hi, first + len(column))
-        if start < stop:
-            values[start - lo : stop - lo] = column[start - first : stop - first]
-    fmt = "%.12g\n" if values.dtype.kind == "f" else "%d\n"
-    return ((fmt * len(values)) % tuple(values.tolist())).split()
+def _write_records(fh: TextIO, records: np.recarray) -> None:
+    """Write a record array of numeric fields to the open file ``fh`` with
+    the bytes :func:`_write_table` writes for its fields.
 
-
-def _write_engine_rows(outputs: list[tuple[TextIO, np.recarray, int]]) -> None:
-    """Write record arrays read off the engine rows of one seed, each to its
-    own open file, in one pass that renders every cell they share once.
-
-    ``outputs`` holds ``(file, records, first)`` triples: record ``i`` is
-    engine row ``first + i`` (a trajectory starts at row 0, a peak dump at
-    its warm-up), and each field maps to an engine column by
-    ``_ENGINE_FIELDS``, so a dump and a trajectory of one seed share their
-    ``peak`` and time cells and the carried service of every row past the
-    first.  The pass renders ``_CSV_CHUNK`` engine rows at a time and writes
-    each file's records among them before it renders the next, so each
-    file gets the bytes :func:`_write_table` writes for its records' fields
-    alone.
-    """
-    plans = []  # per output: its file, engine rows and fields' (engine column, offset)
-    sources = {}  # engine column -> [(values, engine row of values[0])]
-    for fh, records, first in outputs:
-        fh.write(_header(records.dtype.names))
-        fields = [_ENGINE_FIELDS[name] for name in records.dtype.names]
-        for name, (column, offset) in zip(records.dtype.names, fields):
-            sources.setdefault(column, []).append((records[name], first + offset))
-        plans.append((fh, first, first + len(records), fields))
-    for a, b in _chunks([plan[1:3] for plan in plans]):
-        # per file holding records here: the records' engine rows and fields
-        rows = [(fh, max(a, lo), min(b, hi), fields)
-                for fh, lo, hi, fields in plans if lo < b and a < hi]
-        wanted = {}  # engine column -> the span of its rows some file writes here
-        for _, lo, hi, fields in rows:
-            for column, offset in fields:
-                w_lo, w_hi = wanted.get(column, (lo + offset, hi + offset))
-                wanted[column] = min(w_lo, lo + offset), max(w_hi, hi + offset)
-        cells = {column: (w_lo, _engine_cells(sources[column], w_lo, w_hi))
-                 for column, (w_lo, w_hi) in wanted.items()}
-        for fh, lo, hi, fields in rows:
-            columns = []
-            for column, offset in fields:
-                w_lo, rendered = cells[column]
-                columns.append(rendered[lo + offset - w_lo : hi + offset - w_lo])
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    Each cell is four words spelled by :func:`_spell`, blank bytes zero,
+    last byte the ``,`` or line end after it; a chunk of rows is its words'
+    bytes less the zeros.  Cells it cannot spell take one ``%`` per column,
+    padded to 31 bytes with spaces, which go too."""
+    names, records = records.dtype.names, np.asarray(records)  # fields without recarray's layer
+    fh.write(_header(names))
+    ends = np.array([ord(",")] * (len(names) - 1) + [ord("\n")], dtype=np.uint64) << 56
+    step = _KERNEL_CELLS // len(names)
+    for i in range(0, len(records), step):
+        chunk = records[i : i + step]
+        values = np.column_stack([chunk[name] for name in names]).astype(float, copy=False)
+        words = np.empty((*values.shape, 4), dtype="<u8")
+        left = _spell(values.ravel(), words.reshape(-1, 4)).reshape(values.shape)
+        for j, name in enumerate(names):
+            rows = np.flatnonzero(left[:, j])
+            if len(rows):
+                fmt = "%31.12g" if chunk[name].dtype.kind == "f" else "%31d"
+                text = (fmt * len(rows) % tuple(chunk[name][rows].tolist())).encode("ascii")
+                words.view(np.uint8)[rows, j, :31] = np.frombuffer(text, np.uint8).reshape(-1, 31)
+        words[:, :, 3] |= ends
+        fh.write(words.tobytes().translate(None, b"\0 ").decode("ascii"))
 
 
 def _slug(label: str) -> str:
@@ -214,6 +229,8 @@ def _workers() -> int:
         raise ConfigError(f"PAOI_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise ConfigError(f"PAOI_THREADS must be nonnegative, got {raw!r}")
+    if n == 0 and hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return n or os.cpu_count() or 1
 
 
@@ -351,14 +368,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
 
         # every file of every policy opened before any output, so that a path
         # that cannot be opened leaves no output but empty files
-        files = []  # per policy: its summary and seed 0's (file, records, first engine row)
+        files = []  # per policy: its summary and seed 0's (file, records) pairs
         for policy, trajectory, dump in zip(cfg.policies, trajectories, dumps):
-            summary, rows = open_csv("simulate", policy), []
-            if trajectory is not None:  # from its first row
-                rows.append((open_csv("trajectory", policy), trajectory, 0))
-            if dump is not None:  # after warmup
-                rows.append((open_csv("peaks", policy), dump, sim.warmup))
-            files.append((summary, rows))
+            files.append((open_csv("simulate", policy), [
+                (open_csv(kind, policy), records) for kind, records
+                in (("trajectory", trajectory), ("peaks", dump)) if records is not None]))
         for policy, (summary, rows), dump, estimates in zip(cfg.policies, files, dumps,
                                                             replicated):
             if dump is not None:
@@ -368,15 +382,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                   f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
                   f"({sim.replications} x {sim.peaks} peaks)")
             fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
-            _write_table(
-                summary,
-                ["replication", "seed", "peaks", "mean", "stderr", "ci_low", "ci_high"],
-                [
+            with _writing(summary):
+                _write_table(summary, ["replication", "seed", "peaks", "mean", "stderr",
+                                       "ci_low", "ci_high"], [
                     [*map(str, range(len(estimates))), "pooled"],
                     *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
-                ],
-            )
-            _write_engine_rows(rows)
+                ])
+            for fh, records in rows:
+                with _writing(fh):
+                    _write_records(fh, records)
     return 0
 
 

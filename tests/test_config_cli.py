@@ -48,7 +48,7 @@ from paoi_lab import (
 from paoi_lab.cli import (
     _fmt,
     _write_csv,
-    _write_engine_rows,
+    _write_records,
     build_parser,
     cmd_optimize,
     main,
@@ -484,6 +484,24 @@ class TestCli:
         self.simulate_with_a_directory_at(tmp_path, capsys, "[zero-wait, median]",
                                           "median-threshold")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("verb, name", [
+        ("eval", "paoi_eval.csv"),  # a few bytes: the write fails as the file closes
+        ("sweep", "paoi_sweep.csv"),
+        ("simulate", "paoi_simulate_zero-wait.csv"),
+        ("simulate", "paoi_peaks_zero-wait.csv"),  # past the buffer: a write fails
+    ])
+    def test_write_to_a_full_device_exit_2(self, tmp_path, capsys, verb, name):
+        cfg = tmp_path / "f.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+                       "simulation: {peaks: 2000, replications: 1, dump_peaks: true}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(
@@ -581,6 +599,14 @@ class TestCliExtras:
         monkeypatch.setenv("PAOI_THREADS", raw)
         assert main(["simulate", "--config", str(tp_config), "--out", str(tmp_path)]) == 2
         assert "PAOI_THREADS" in capsys.readouterr().err
+
+    def test_paoi_threads_0_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setenv("PAOI_THREADS", "0")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._workers() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._workers() == 3
 
     def test_paoi_threads_do_not_change_simulate_bytes(self, tp_config, tmp_path, monkeypatch):
         outputs = {}
@@ -730,22 +756,23 @@ class TestCsvWriter:
 
 
 def write_records(path, records):
-    """Write a record array, one row per record under its field names: the
-    bytes each file of the one-pass writer must have."""
+    """Write a record array, one row per record under its field names,
+    through :func:`_write_table`: the bytes :func:`_write_records` must
+    write."""
     names = list(records.dtype.names)
     _write_csv(path, names, [records[name] for name in names])
 
 
-def write_engine_rows(outputs):
-    """:func:`cli._write_engine_rows` on ``(path, records, first)`` triples."""
-    with contextlib.ExitStack() as stack:
-        _write_engine_rows([(stack.enter_context(cli._open_csv(path)), records, first)
-                            for path, records, first in outputs])
+def kernel_text(records):
+    """What :func:`_write_records` writes for ``records``."""
+    fh = io.StringIO()
+    _write_records(fh, records)
+    return fh.getvalue()
 
 
 class TestEngineRowWriter:
-    """A peak dump and a trajectory of one seed, written in one pass, have
-    the bytes each has when written on its own."""
+    """A peak dump and a trajectory have the bytes the template fill writes
+    for their fields, within one chunk and across many."""
 
     # name -> (law, policy, peaks, warmup, horizon, trajectory rows against
     # the dump's engine rows [warmup, warmup + peaks)); seed 4 throughout
@@ -772,32 +799,97 @@ class TestEngineRowWriter:
         dump = simulate.simulate_peaks(law, policy, peaks=peaks, seed=4, warmup=warmup)
         n = len(trajectory)
         assert where == ("before" if n < warmup else "inside" if n < warmup + peaks else "past")
-        return trajectory, dump, warmup
+        return trajectory, dump
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_the_files_written_one_at_a_time(self, case, tmp_path):
-        trajectory, dump, warmup = self.records(case)
-        both = [(tmp_path / "trajectory.csv", trajectory, 0),
-                (tmp_path / "peaks.csv", dump, warmup)]
-        for outputs in (both, both[::-1], both[:1], both[1:]):
-            write_engine_rows(outputs)
-            for path, records, _ in outputs:
-                write_records(tmp_path / "alone.csv", records)
-                assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), path.name
+        for records in self.records(case):
+            write_records(tmp_path / "reference.csv", records)
+            assert kernel_text(records) == (tmp_path / "reference.csv").read_text()
         if case == "non-finite cells":
-            assert b",inf," in (tmp_path / "peaks.csv").read_bytes()
+            assert ",inf," in kernel_text(records)
 
-    def test_renders_each_shared_cell_once(self, tmp_path):
-        trajectory, dump, warmup = self.records("warmup 0, trajectory past the dump")
-        with mock.patch("paoi_lab.cli._engine_cells", wraps=cli._engine_cells) as render:
-            write_engine_rows([(tmp_path / "t.csv", trajectory, 0),
-                               (tmp_path / "p.csv", dump, warmup)])
-        rendered = sum(hi - lo for (_, lo, hi), _ in render.call_args_list)
-        # the time, peak and carried service of engine rows [0, n], and the
-        # dump's other three columns; a chunk may render one carried service
-        # that the next chunk renders too.  Written apart: 3 * n + 6 * p.
-        n, p = len(trajectory), len(dump)
-        assert 3 * n + 1 + 3 * p <= rendered < 3 * n + 1 + 3 * p + n / 1024
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_across_chunks(self, case, tmp_path):
+        # 15 dump rows or 30 trajectory rows per chunk
+        for records in self.records(case):
+            write_records(tmp_path / "reference.csv", records)
+            with mock.patch.object(cli, "_KERNEL_CELLS", 90):
+                assert kernel_text(records) == (tmp_path / "reference.csv").read_text()
+
+
+def float_text(values):
+    return "x\n" + "".join("%.12g\n" % v for v in values.tolist())
+
+
+def int_text(values):
+    return "x\n" + "".join("%d\n" % v for v in values.tolist())
+
+
+def one_field(values):
+    return np.rec.fromarrays([values], names="x")
+
+
+class TestCellKernel:
+    """Every float cell reads as ``'%.12g' % v`` and every integer cell as
+    ``'%d' % v``, whether the tables spell it or the fallback does."""
+
+    def test_random_bit_patterns(self):
+        # subnormals, both zeros, infinities and nans among them
+        bits = np.random.default_rng(12).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
+                                                          math.nan, 5e-324, -5e-324]])
+        assert kernel_text(one_field(values)) == float_text(values)
+
+    def test_next_to_every_power_of_ten(self):
+        # log10 may miss the exponent by one here, and 12 digits round up
+        # to the power itself just below it
+        powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        below = np.nextafter(powers, 0)
+        values = np.concatenate([np.nextafter(below, 0), below, powers,
+                                 np.nextafter(powers, math.inf)])
+        values = np.concatenate([values, -values])
+        assert kernel_text(one_field(values)) == float_text(values)
+
+    def test_thirteen_digit_halves(self):
+        # each rounds to 12 digits by the last bits of its double
+        rng = np.random.default_rng(13)
+        digits = rng.integers(10**11, 10**12, 200_000) * 10 + 5
+        values = np.array([float(f"{m}e{k}") for m, k in
+                           zip(digits.tolist(), rng.integers(-17, 1, 200_000).tolist())])
+        assert kernel_text(one_field(values)) == float_text(values)
+
+    def test_dyadic_rationals_and_short_decimals(self):
+        rng = np.random.default_rng(14)
+        dyadic = rng.integers(-2**40, 2**40, 200_000) / 2.0 ** rng.integers(0, 50, 200_000)
+        short = np.array([float(f"{m}e{k}") for m, k in
+                          zip(rng.integers(0, 10**6, 200_000).tolist(),
+                              rng.integers(-12, 12, 200_000).tolist())])
+        for values in (dyadic, short, -short):
+            assert kernel_text(one_field(values)) == float_text(values)
+
+    def test_integers(self):
+        values = np.array([0, 1, 9, 10, 9999, 10**4, 10**4 + 1, 10**8, 10**8 - 1, 10**11,
+                           10**12 - 1, 10**12, 10**12 + 1, -1, -9999, -(10**12),
+                           2**63 - 1, -(2**63)])
+        rng = np.random.default_rng(15)
+        values = np.concatenate([values, rng.integers(0, 10**12, 100_000)
+                                 // 10 ** rng.integers(0, 12, 100_000)])
+        assert kernel_text(one_field(values)) == int_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                                   st.floats() | st.floats(-1e13, 1e13)), max_size=40))
+    def test_any_row(self, rows):
+        k = np.array([row[0] for row in rows], dtype=np.int64)
+        x = np.array([row[1] for row in rows], dtype=float)
+        want = "k,x\n" + "".join("%d,%.12g\n" % row for row in rows)
+        assert kernel_text(np.rec.fromarrays([k, x], names="k,x")) == want
+
+    def test_import_builds_no_table(self):
+        out = run_fresh("import paoi_lab.cli as cli\n"
+                        "print(cli._digit_tables.cache_info().currsize)")
+        assert out == "0"
 
 
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
@@ -1715,3 +1807,11 @@ def test_any_config_exits_cleanly(cfg, command):
         if code == 2:
             assert stdout.getvalue() == ""
             assert not out.exists() or not any(out.iterdir())
+        # every cell of a peak dump or a trajectory, whichever way it was
+        # spelled, is the canonical %.12g or %d of the value it reads as
+        for path in (*out.glob("*_peaks_*.csv"), *out.glob("*_trajectory_*.csv")):
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for name, cell in row.items():
+                        integer = name in ("k", "preemptions")
+                        assert (str(int(cell)) if integer else "%.12g" % float(cell)) == cell
