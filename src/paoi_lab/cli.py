@@ -16,8 +16,13 @@ output that cannot be written), 3 simulation stall (a ``SimulationStall``).
 Numeric CSV cells use ``.`` decimals and 12 significant digits, and the
 literal tokens ``inf``, ``-inf`` and ``nan`` for non-finite values; text
 cells are quoted only when they hold a comma, a double quote or a newline.
-Peak dumps and trajectories are spelled from digit tables, other CSVs by one
-``%`` template per row, to the same bytes; re-runs overwrite them byte-identically.
+One writer, :func:`_write_table`, spells a table of ``_KERNEL_MIN_CELLS``
+cells or more (sweeps, fig4 and fig6, peak dumps, trajectories) from digit
+tables (:mod:`paoi_lab.digits`) and a smaller one (optimize's row, eval,
+simulate summaries, fig5 and fig7) by one ``%`` template per row, to the
+same bytes; re-runs overwrite them byte-identically.  Commands print their
+stdout only after their last file is closed, so a failed write prints
+nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import os
 import re
 import sys
@@ -58,7 +62,7 @@ _COMPARISON_FIGURES = {
 }
 _FIGURES = tuple(sorted(_CURVE_FIGURES.keys() | _COMPARISON_FIGURES.keys()))
 _CSV_CHUNK = 1024  # rows joined per write
-_KERNEL_CELLS = 1 << 13  # cells per chunk of _write_records: 256 KB of words, kept in cache
+_KERNEL_MIN_CELLS = 512  # a smaller table takes the template: the kernel's fixed cost outweighs it
 
 
 def _fmt(x: float) -> str:
@@ -94,29 +98,54 @@ def _header(names) -> str:
     return ",".join(map(_quote, names)) + "\n"
 
 
+def _table(columns: list) -> tuple[list, int]:
+    """The cells of the equally long ``columns`` as the fills take them, and
+    their row count.  A column of floats or integers stays an array; any
+    other column becomes its distinct cells' ``str``, quoted where needed,
+    and each row's index into them."""
+    cells = []
+    for column in columns:
+        # numpy reads a column whose first cell is a str as text: skip its string array
+        text = len(column) > 0 and isinstance(column[0], str)
+        if not text and (array := np.asarray(column)).dtype.kind in "fiu":
+            cells.append(array)
+        else:
+            index = {}  # cell -> its place among the distinct cells
+            rows = [index.setdefault(cell, len(index)) for cell in map(str, column)]
+            cells.append(([_quote(cell) for cell in index], np.array(rows, dtype=np.intp)))
+    lengths = {len(c) if isinstance(c, np.ndarray) else len(c[1]) for c in cells}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    return cells, lengths.pop() if lengths else 0
+
+
+def _slotted(text: list[str]) -> bool:
+    """Whether each cell of ``text`` fits a 4-word slot: 31 bytes, the last
+    byte being the separator's, and no NUL, as NULs are what the kernel
+    deletes."""
+    return all(len(cell.encode()) < 32 and "\0" not in cell for cell in text)
+
+
 def _write_table(fh: TextIO, header: list[str], columns: list) -> None:
     """Write one row per entry of the equally long ``columns`` under ``header``
     to the open file ``fh``.
 
     A float column writes its cells as ``_fmt`` does (``%.12g``), an integer
     column as ``%d``, and any other column its cells' ``str``, quoted where
-    needed; one ``%`` template per row fills them in, a chunk of rows at a
-    time.
+    needed.  A table of ``_KERNEL_MIN_CELLS`` cells or more is spelled from
+    digit tables by :func:`digits.spell_rows`, unless a text cell does not
+    fit a slot; a smaller one by :func:`_template_rows`, whose fixed cost
+    is lower.  Both write the same bytes.
     """
-    formats, cells = [], []
-    for column in columns:
-        array = np.asarray(column)
-        if array.dtype.kind in "fiu":
-            formats.append("%.12g" if array.dtype.kind == "f" else "%d")
-            cells.append(array)
-        else:
-            formats.append("%s")
-            cells.append(np.array([_quote(str(v)) for v in column], dtype=object))
-    template = ",".join(formats)
+    cells, rows = _table(columns)
     fh.write(_header(header))
-    for i in range(0, max(map(len, cells)), _CSV_CHUNK):
-        rows = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in cells), strict=True)
-        fh.write("\n".join([template % row for row in rows]) + "\n")
+    if rows * len(cells) >= _KERNEL_MIN_CELLS and all(
+            _slotted(c[0]) for c in cells if isinstance(c, tuple)):
+        from . import digits  # compiled and imported by the first such table
+
+        digits.spell_rows(fh, cells, rows)
+    else:
+        _template_rows(fh, cells, rows)
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -125,85 +154,21 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
         _write_table(fh, header, columns)
 
 
-@functools.cache
-def _digit_tables():
-    """``groups[g]`` spells the digits of ``g`` < 10**4 at a word's even
-    bytes, trailing zeros blank (zero bytes); ``groups[10**4 + g]`` keeps
-    them.  ``marks[(16 * negative + 4 + e) * 2 + fraction]``, for exponent e
-    in [-4, 11], holds the ``-`` and ``0.0…`` of word 0 and the ``0`` of
-    each integer digit and ``.`` after them in words 1 to 3; then 10.0**k, k < 16."""
-    g, place = np.arange(10_000, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], "u2")
-    groups = np.zeros((2, 10_000, 8), dtype=np.uint8)  # small types: built mid-run
-    groups[:, :, ::2] = 48 + g // place % 10
-    groups[0, :, ::2][g % (10 * place) == 0] = 0
-    marks = ""
-    for negative, e, fraction in itertools.product((0, 1), range(-4, 12), (0, 1)):
-        head = "-" * negative + ("0." + "0" * (-e - 1) if e < 0 else "")
-        body = ("0\0" * (e + 1))[:-1] + "\0."[fraction] if e >= 0 else ""
-        marks += head.ljust(8, "\0") + body.ljust(24, "\0")
-    return (groups.view("<u8").ravel(), np.frombuffer(marks.encode(), "<u8").reshape(-1, 4),
-            np.array([float(10**k) for k in range(16)]))
-
-
-def _spell(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Spell each float of ``x`` as ``%.12g`` does into its row of the
-    ``(len(x), 4)`` words ``cells``; return where the tables cannot.
-
-    With e = floor(log10|x|) in [-4, 11], ``%.12g`` writes N = |x| *
-    10**(11 - e) rounded.  The power is exact, so y, that product as a
-    float (< 2**40), is off by at most 2**-14: rint(y) is N unless y lies
-    within 1e-4 of a half.  An e one too low, or an x that rounds up to a
-    power of ten, gives N >= 1e12; one too high, N < 1e11 or the power x
-    rounds to.  Float division splits N exactly, and faster than integer
-    division.  Integers below 1e12 in size read the same through ``%d``."""
-    groups, marks, scales = _digit_tables()
-    with np.errstate(all="ignore"):  # log10(0), and inf or nan on the cells left out
-        ax = np.abs(x)
-        e = np.floor(np.log10(ax))
-        ok = (e >= -4) & (e < 12)
-        e[~ok] = 0
-        scale = scales.take((11 - e).astype(np.intp))
-        y = ax * scale
-        n = np.rint(y)
-        ok &= (np.abs(y - n) < 0.4999) & (n >= 1e11) & (n < 1e12)
-        ok |= ax == 0  # e = N = 0: a "0", after its sign
-    n[~ok] = 1e11
-    head = np.floor(n / 1e4)  # N's first eight digits, then its groups of four
-    hi, lo = np.floor(head / 1e4), n - head * 1e4
-    mid = head - hi * 1e4
-    fraction = (q := n / scale) != np.floor(q)  # a digit past the point
-    cells[:] = marks.take(((np.signbit(x) * 16 + e + 4) * 2 + fraction).astype(np.intp), axis=0)
-    cells[:, 1] |= groups.take((hi + 1e4 * (n != hi * 1e8)).astype(np.intp))
-    cells[:, 2] |= groups.take((mid + 1e4 * (lo != 0)).astype(np.intp))
-    cells[:, 3] |= groups.take(lo.astype(np.intp))
-    return ~ok
-
-
-def _write_records(fh: TextIO, records: np.recarray) -> None:
-    """Write a record array of numeric fields to the open file ``fh`` with
-    the bytes :func:`_write_table` writes for its fields.
-
-    Each cell is four words spelled by :func:`_spell`, blank bytes zero,
-    last byte the ``,`` or line end after it; a chunk of rows is its words'
-    bytes less the zeros.  Cells it cannot spell take one ``%`` per column,
-    padded to 31 bytes with spaces, which go too."""
-    names, records = records.dtype.names, np.asarray(records)  # fields without recarray's layer
-    fh.write(_header(names))
-    ends = np.array([ord(",")] * (len(names) - 1) + [ord("\n")], dtype=np.uint64) << 56
-    step = _KERNEL_CELLS // len(names)
-    for i in range(0, len(records), step):
-        chunk = records[i : i + step]
-        values = np.column_stack([chunk[name] for name in names]).astype(float, copy=False)
-        words = np.empty((*values.shape, 4), dtype="<u8")
-        left = _spell(values.ravel(), words.reshape(-1, 4)).reshape(values.shape)
-        for j, name in enumerate(names):
-            rows = np.flatnonzero(left[:, j])
-            if len(rows):
-                fmt = "%31.12g" if chunk[name].dtype.kind == "f" else "%31d"
-                text = (fmt * len(rows) % tuple(chunk[name][rows].tolist())).encode("ascii")
-                words.view(np.uint8)[rows, j, :31] = np.frombuffer(text, np.uint8).reshape(-1, 31)
-        words[:, :, 3] |= ends
-        fh.write(words.tobytes().translate(None, b"\0 ").decode("ascii"))
+def _template_rows(fh: TextIO, cells: list, rows: int) -> None:
+    """Write the ``rows`` rows of ``cells``, as :func:`_table` gives them, by one
+    ``%`` template per row, a chunk of rows at a time."""
+    formats, columns = [], []
+    for c in cells:
+        if isinstance(c, tuple):
+            formats.append("%s")
+            columns.append(np.array(c[0], dtype=object).take(c[1]))
+        else:
+            formats.append("%.12g" if c.dtype.kind == "f" else "%d")
+            columns.append(c)
+    template = ",".join(formats)
+    for i in range(0, rows, _CSV_CHUNK):
+        chunk = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in columns))
+        fh.write("\n".join([template % row for row in chunk]) + "\n")
 
 
 def _slug(label: str) -> str:
@@ -251,15 +216,15 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
         value = analytic.paoi_policy(cfg.distribution, policy)
         labels.append(policy.label())
         values.append((value.zeta, value.received_service, value.interreception))
-    print(f"distribution: {_dist_label(cfg.distribution)}")
-    print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
-    for label, (zeta, e_x, e_y) in zip(labels, values):
-        print(f"{label:<28} {_fmt(zeta):>14} {_fmt(e_x):>14} {_fmt(e_y):>14}")
     _write_csv(
         out_dir / _csv_name(cfg, "eval"),
         ["policy", "zeta", "e_x_check", "e_y"],
         [labels, *np.array(values, dtype=float).T],
     )
+    print(f"distribution: {_dist_label(cfg.distribution)}")  # once the file is closed
+    print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
+    for label, (zeta, e_x, e_y) in zip(labels, values):
+        print(f"{label:<28} {_fmt(zeta):>14} {_fmt(e_x):>14} {_fmt(e_y):>14}")
     return 0
 
 
@@ -293,21 +258,6 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     verdict = optimize.benefit_verdict(d, result)
     bellman_delta = abs(result.bellman_value - result.zeta_opt)
 
-    print(f"distribution: {_dist_label(d)}")
-    print(f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]")
-    print(f"theta_opt:    {_fmt(result.theta_opt)}")
-    print(f"zeta(fixed):  {_fmt(result.zeta_opt)}")
-    print(f"zeta(zero-wait): {_fmt(result.zeta_zero_wait)}")
-    print(f"zeta(xmin):   {_fmt(result.zeta_xmin)}")
-    if not d.atoms():
-        print("              (no atom at the support minimum: the xmin policy never delivers)")
-    print(f"zeta_min:     {_fmt(result.zeta_min)}   winner: {result.winner}")
-    print(
-        f"preemptions beneficial: {verdict.beneficial}   margin vs 2E[X]: {_fmt(verdict.margin)}"
-    )
-    print(f"policy-iteration cross-check delta: {_fmt(bellman_delta)}")
-    print(f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}")
-
     row = [
         _dist_label(d),
         result.theta_opt,
@@ -328,6 +278,21 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         ],
         [[cell] for cell in row],
     )
+
+    print(f"distribution: {_dist_label(d)}")  # once the file is closed
+    print(f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]")
+    print(f"theta_opt:    {_fmt(result.theta_opt)}")
+    print(f"zeta(fixed):  {_fmt(result.zeta_opt)}")
+    print(f"zeta(zero-wait): {_fmt(result.zeta_zero_wait)}")
+    print(f"zeta(xmin):   {_fmt(result.zeta_xmin)}")
+    if not d.atoms():
+        print("              (no atom at the support minimum: the xmin policy never delivers)")
+    print(f"zeta_min:     {_fmt(result.zeta_min)}   winner: {result.winner}")
+    print(
+        f"preemptions beneficial: {verdict.beneficial}   margin vs 2E[X]: {_fmt(verdict.margin)}"
+    )
+    print(f"policy-iteration cross-check delta: {_fmt(bellman_delta)}")
+    print(f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}")
     return 0
 
 
@@ -362,6 +327,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         base_seed, replications = seed + 1, replications - 1
     replicated = simulate._replications(d, cfg.policies, sim.peaks, replications, base_seed,
                                         sim.stall_limit, sim.warmup, workers)
+    report = []  # printed once every file is closed
     with contextlib.ExitStack() as stack:
         def open_csv(kind, policy):
             return stack.enter_context(_open_csv(out_dir / _csv_name(cfg, kind, policy)))
@@ -378,9 +344,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             if dump is not None:
                 estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
             pooled = simulate.pooled_estimate(estimates, seed=seed)
-            print(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
-                  f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
-                  f"({sim.replications} x {sim.peaks} peaks)")
+            report.append(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
+                          f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
+                          f"({sim.replications} x {sim.peaks} peaks)")
             fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
             with _writing(summary):
                 _write_table(summary, ["replication", "seed", "peaks", "mean", "stderr",
@@ -389,8 +355,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                     *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
                 ])
             for fh, records in rows:
+                names, records = records.dtype.names, np.asarray(records)
                 with _writing(fh):
-                    _write_records(fh, records)
+                    _write_table(fh, list(names), [records[name] for name in names])
+    print("\n".join(report))
     return 0
 
 

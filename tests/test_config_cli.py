@@ -13,6 +13,7 @@ import tempfile
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -43,12 +44,13 @@ from paoi_lab import (
     ZeroWait,
     cli,
     config,
+    digits,
     simulate,
 )
 from paoi_lab.cli import (
     _fmt,
     _write_csv,
-    _write_records,
+    _write_table,
     build_parser,
     cmd_optimize,
     main,
@@ -488,10 +490,12 @@ class TestCli:
     @pytest.mark.parametrize("verb, name", [
         ("eval", "paoi_eval.csv"),  # a few bytes: the write fails as the file closes
         ("sweep", "paoi_sweep.csv"),
+        ("optimize", "paoi_optimize.csv"),
         ("simulate", "paoi_simulate_zero-wait.csv"),
         ("simulate", "paoi_peaks_zero-wait.csv"),  # past the buffer: a write fails
     ])
     def test_write_to_a_full_device_exit_2(self, tmp_path, capsys, verb, name):
+        # stdout is printed only once every file is closed, so it stays empty
         cfg = tmp_path / "f.yaml"
         cfg.write_text(ERLANG + "policies: [zero-wait]\n"
                        "simulation: {peaks: 2000, replications: 1, dump_peaks: true}\n")
@@ -499,8 +503,8 @@ class TestCli:
         out.mkdir()
         (out / name).symlink_to("/dev/full")
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
 
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
@@ -755,19 +759,25 @@ class TestCsvWriter:
             _write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
-def write_records(path, records):
-    """Write a record array, one row per record under its field names,
-    through :func:`_write_table`: the bytes :func:`_write_records` must
-    write."""
+def fill_text(fill, header, columns):
+    """What ``fill``, :func:`cli._template_rows` or :func:`digits.spell_rows`,
+    writes for ``columns`` under ``header``, whatever the table's size."""
+    fh = io.StringIO()
+    fh.write(cli._header(header))
+    fill(fh, *cli._table(columns))
+    return fh.getvalue()
+
+
+def record_text(fill, records):
+    """What ``fill`` writes for a record array, one row per record under its
+    field names, as ``simulate`` passes a peak dump or a trajectory."""
     names = list(records.dtype.names)
-    _write_csv(path, names, [records[name] for name in names])
+    return fill_text(fill, names, [records[name] for name in names])
 
 
 def kernel_text(records):
-    """What :func:`_write_records` writes for ``records``."""
-    fh = io.StringIO()
-    _write_records(fh, records)
-    return fh.getvalue()
+    """What the digit-table kernel writes for ``records``."""
+    return record_text(digits.spell_rows, records)
 
 
 class TestEngineRowWriter:
@@ -802,20 +812,18 @@ class TestEngineRowWriter:
         return trajectory, dump
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_the_files_written_one_at_a_time(self, case, tmp_path):
+    def test_matches_the_files_written_one_at_a_time(self, case):
         for records in self.records(case):
-            write_records(tmp_path / "reference.csv", records)
-            assert kernel_text(records) == (tmp_path / "reference.csv").read_text()
+            assert kernel_text(records) == record_text(cli._template_rows, records)
         if case == "non-finite cells":
             assert ",inf," in kernel_text(records)
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_across_chunks(self, case, tmp_path):
+    def test_across_chunks(self, case):
         # 15 dump rows or 30 trajectory rows per chunk
         for records in self.records(case):
-            write_records(tmp_path / "reference.csv", records)
-            with mock.patch.object(cli, "_KERNEL_CELLS", 90):
-                assert kernel_text(records) == (tmp_path / "reference.csv").read_text()
+            with mock.patch.object(digits, "CHUNK_CELLS", 90):
+                assert kernel_text(records) == record_text(cli._template_rows, records)
 
 
 def float_text(values):
@@ -835,16 +843,23 @@ class TestCellKernel:
     ``'%d' % v``, whether the tables spell it or the fallback does."""
 
     def test_random_bit_patterns(self):
-        # subnormals, both zeros, infinities and nans among them
+        # subnormals, both zeros, infinities and nans among them; then
+        # subnormals and magnitudes spread over every exponent
         bits = np.random.default_rng(12).integers(0, 2**64, 1_000_000, dtype=np.uint64)
         values = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
                                                           math.nan, 5e-324, -5e-324]])
         assert kernel_text(one_field(values)) == float_text(values)
+        rng = np.random.default_rng(17)
+        subnormal = rng.integers(1, 2**52, 100_000, dtype=np.uint64).view(np.float64)
+        anywhere = 10.0 ** rng.uniform(-323.3, 308.25, 200_000)
+        for values in (subnormal, -subnormal, anywhere, -anywhere):
+            assert kernel_text(one_field(values)) == float_text(values)
 
     def test_next_to_every_power_of_ten(self):
         # log10 may miss the exponent by one here, and 12 digits round up
-        # to the power itself just below it
-        powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        # to the power itself just below it; every decimal exponent a
+        # double has, subnormals included
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         below = np.nextafter(powers, 0)
         values = np.concatenate([np.nextafter(below, 0), below, powers,
                                  np.nextafter(powers, math.inf)])
@@ -852,11 +867,15 @@ class TestCellKernel:
         assert kernel_text(one_field(values)) == float_text(values)
 
     def test_thirteen_digit_halves(self):
-        # each rounds to 12 digits by the last bits of its double
+        # each rounds to 12 digits by the last bits of its double; then at
+        # every exponent, where the exponent form's power of ten is rounded
+        # too, a second rounding
         rng = np.random.default_rng(13)
-        digits = rng.integers(10**11, 10**12, 200_000) * 10 + 5
-        values = np.array([float(f"{m}e{k}") for m, k in
-                           zip(digits.tolist(), rng.integers(-17, 1, 200_000).tolist())])
+        mantissas = rng.integers(10**11, 10**12, 200_000) * 10 + 5
+        pairs = list(zip(mantissas.tolist(), rng.integers(-17, 1, 200_000).tolist()))
+        mantissas = rng.integers(10**11, 10**12, 200_000) * 10 + 5
+        pairs += zip(mantissas.tolist(), rng.integers(-335, 296, 200_000).tolist())
+        values = np.array([float(f"{m}e{k}") for m, k in pairs])
         assert kernel_text(one_field(values)) == float_text(values)
 
     def test_dyadic_rationals_and_short_decimals(self):
@@ -886,10 +905,59 @@ class TestCellKernel:
         want = "k,x\n" + "".join("%d,%.12g\n" % row for row in rows)
         assert kernel_text(np.rec.fromarrays([k, x], names="k,x")) == want
 
+    # text that holds spaces, commas and quotes, and text that does not fit a
+    # slot's 31 bytes or holds the NUL the kernel deletes
+    LABELS = ["zero-wait", "fixed(2)", 'say "hi"', "a,b", "two words", " padded ", "x" * 31]
+    UNFIT = ["y" * 32, "HyperExponential((10.0, 1.0), (0.9, 0.1))", "nul\0"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_table(self, data):
+        # up to 12 rows of a text, an integer and a float column, repeated to
+        # either side of the cut: the bytes of the template fill, by
+        # whichever fill the table takes
+        text = st.sampled_from(self.LABELS) | st.text(
+            st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=8)
+        row = st.tuples(text, st.integers(-2**63, 2**63 - 1), st.floats() | st.floats(-1e13, 1e13))
+        rows = data.draw(st.lists(row, min_size=1, max_size=12))
+        n = data.draw(st.integers(0, 2 * cli._KERNEL_MIN_CELLS // 3))
+        columns = [list(column) for column in zip(*(rows * n)[:n])] or [[], [], []]
+        unfit = n > 0 and data.draw(st.booleans())
+        if unfit:  # one cell
+            columns[0][data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(self.UNFIT))
+        header, fh = ["policy", "k", "x"], io.StringIO()
+        with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
+            _write_table(fh, header, columns)
+        assert fh.getvalue() == fill_text(cli._template_rows, header, columns)
+        assert kernel.called == (3 * n >= cli._KERNEL_MIN_CELLS and not unfit)
+
+    @pytest.mark.parametrize("unfit", UNFIT)
+    def test_text_that_does_not_fit_a_slot_takes_the_template(self, unfit):
+        columns = [["two words"] * 199 + [unfit], list(range(200)), [0.5] * 200]
+        fh = io.StringIO()
+        with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
+            _write_table(fh, ["policy", "k", "x"], columns)
+        assert not kernel.called
+        assert fh.getvalue() == fill_text(cli._template_rows, ["policy", "k", "x"], columns)
+
+    def test_falls_back_only_near_a_half(self):
+        # in either form, every other finite cell is spelled by the tables:
+        # the fallback takes only digits past the 12th within 1e-3 of a half
+        rng = np.random.default_rng(18)
+        values = np.concatenate([10.0 ** rng.uniform(-323.3, 308.25, 100_000),
+                                 rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64)])
+        words = np.empty((len(values), 1, 4), dtype="<u8")
+        left = digits.spell(values[:, None], words, np.array([True]))[:, 0]
+        assert left.sum() < 200
+        for v in values[left].tolist():
+            scaled = Fraction(v) * Fraction(10) ** (11 - int(("%.11e" % v).split("e")[1]))
+            assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 1000)
+
     def test_import_builds_no_table(self):
-        out = run_fresh("import paoi_lab.cli as cli\n"
-                        "print(cli._digit_tables.cache_info().currsize)")
-        assert out == "0"
+        # the kernel's module, tables and all, waits for the first large table
+        out = run_fresh("import sys, paoi_lab.cli\n"
+                        "print('paoi_lab.digits' in sys.modules)")
+        assert out == "False"
 
 
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
@@ -1791,12 +1859,17 @@ _configs = st.fixed_dictionaries({
 
 @settings(max_examples=400, deadline=None)
 @given(cfg=_configs,
-       command=st.sampled_from(["eval", "sweep", "optimize", "simulate", "check"]))
-def test_any_config_exits_cleanly(cfg, command):
+       command=st.sampled_from(["eval", "sweep", "optimize", "simulate", "check"]),
+       kernel=st.booleans())
+def test_any_config_exits_cleanly(cfg, command, kernel):
     # every command on any config exits 0, 2 or 3 without an exception or
-    # a RuntimeWarning, and an exit 2 prints nothing and writes no file
+    # a RuntimeWarning, and an exit 2 prints nothing and writes no file;
+    # with ``kernel`` every table, however small, is spelled from the digit
+    # tables
+    cut = 0 if kernel else cli._KERNEL_MIN_CELLS
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            mock.patch.dict(os.environ, {"PAOI_THREADS": "1"}):
+            mock.patch.dict(os.environ, {"PAOI_THREADS": "1"}), \
+            mock.patch.object(cli, "_KERNEL_MIN_CELLS", cut):
         warnings.simplefilter("error", RuntimeWarning)
         path, out = Path(tmp) / "fuzz.yaml", Path(tmp) / "out"
         path.write_text(yaml.safe_dump(cfg))
@@ -1807,11 +1880,46 @@ def test_any_config_exits_cleanly(cfg, command):
         if code == 2:
             assert stdout.getvalue() == ""
             assert not out.exists() or not any(out.iterdir())
-        # every cell of a peak dump or a trajectory, whichever way it was
-        # spelled, is the canonical %.12g or %d of the value it reads as
-        for path in (*out.glob("*_peaks_*.csv"), *out.glob("*_trajectory_*.csv")):
+        law = load_config(path).distribution if code == 0 else None
+        # the known defect the README names: M reads 0 * inf past x / xm = inf
+        pareto_nan = isinstance(law, Pareto) and law.alpha * law.xm == 0
+        if code == 0 and not pareto_nan:
+            assert_nan_where_documented(stdout.getvalue(), law)
+        # every numeric cell of every CSV, whichever way it was spelled, is
+        # the canonical %.12g or %d of the value it reads as, and a nan
+        # stands where the README says it may
+        for path in out.glob("*.csv"):
             with open(path, newline="") as fh:
                 for row in csv.DictReader(fh):
                     for name, cell in row.items():
-                        integer = name in ("k", "preemptions")
+                        if name in TEXT_COLUMNS:
+                            continue
+                        integer = name in INTEGER_COLUMNS
                         assert (str(int(cell)) if integer else "%.12g" % float(cell)) == cell
+                        if cell == "nan" and not pareto_nan:
+                            assert (name, row.get("mean"), row.get("zeta_opt")) in (
+                                ("stderr", "inf", None), ("ci_low", "inf", None),
+                                ("ci_high", "inf", None), ("bellman_delta", None, "inf"))
+
+
+TEXT_COLUMNS = {"policy", "distribution", "winner", "replication"}
+INTEGER_COLUMNS = {"k", "preemptions", "seed", "peaks", "is_minimum", "beneficial"}
+
+
+def assert_nan_where_documented(stdout, law):
+    """An exit-0 run prints ``nan`` only where the README says it may: the
+    ``max_margin`` of ``check`` for a law of infinite mean, the cross-check
+    delta of an ``optimize`` whose optimum is inf, and the ci95 of a
+    ``simulate`` pooled mean that overflowed."""
+    for line in stdout.splitlines():
+        if not re.search(r"\bnan\b", line):
+            continue
+        if line.startswith("sufficient-residual:"):
+            assert line == "sufficient-residual:  witness=- max_margin=nan"
+            assert math.isinf(law.mean())
+        elif line.startswith("policy-iteration cross-check delta:"):
+            assert line == "policy-iteration cross-check delta: nan"
+            assert "\nzeta(fixed):  inf\n" in stdout
+        else:
+            assert re.fullmatch(
+                r"policy .*: pooled mean inf ci95 \[nan, nan\] \(\d+ x \d+ peaks\)", line)
