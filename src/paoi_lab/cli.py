@@ -388,7 +388,7 @@ def _reproduce_columns(figure: str) -> list:
         law, params, label, thetas = _CURVE_FIGURES[figure]
         return [
             np.tile(thetas, len(params)),
-            [label.format(param) for param in params for _ in thetas],
+            [text for param in params for text in [label.format(param)] * len(thetas)],
             np.concatenate([analytic.paoi_thresholds(law(p), thetas).zeta for p in params]),
         ]
     law, params = _COMPARISON_FIGURES[figure]

@@ -100,13 +100,32 @@ __all__ = [
 ]
 
 
+# the longest weight table picked by comparisons: on 4096 draws, one
+# comparison and add per edge beat the binary search up to about 16 edges
+_PICK_BY_COMPARISON = 16
+
+
 def weighted_pick(weights, u) -> np.ndarray:
     """For each ``u`` in [0, 1), the first index whose running sum of the
     nonnegative ``weights`` exceeds it, capped at the last positive weight
-    (the sum may round below 1): a zero weight is never picked."""
+    (the sum may round below 1): a zero weight is never picked.
+
+    The pick is the number of running sums at or below ``u``, counted
+    among those before the last positive weight, which is the capped
+    ``searchsorted(..., side="right")``.  A table of up to
+    ``_PICK_BY_COMPARISON`` weights counts them with one array comparison
+    per sum (two phases: one comparison); a longer one keeps the binary
+    search."""
     weights = np.asarray(weights, dtype=float)
-    pick = np.searchsorted(np.cumsum(weights), u, side="right")
-    return np.minimum(pick, np.flatnonzero(weights)[-1])
+    edges = np.cumsum(weights)
+    last = np.flatnonzero(weights)[-1]
+    if len(weights) > _PICK_BY_COMPARISON:
+        return np.minimum(np.searchsorted(edges, u, side="right"), last)
+    u = np.asarray(u, dtype=float)
+    pick = np.zeros(u.shape, dtype=np.intp)
+    for edge in edges[:last].tolist():
+        pick += u >= edge
+    return pick
 
 
 def _exp_truncated_moment(rate: float, tau):
@@ -331,7 +350,9 @@ class Pareto(ServiceDistribution):
     The mean is infinite for ``alpha <= 1``; every operation stays total
     in that regime.  ``F`` and ``M`` use ``L = ln(x / xm)`` computed as
     ``log1p((x - xm) / xm)``, plus ``expm1``, so they keep full relative
-    accuracy just above ``xm`` and as ``alpha -> 1``.
+    accuracy just above ``xm`` and as ``alpha -> 1``.  Where ``x / xm``
+    passes the largest float, ``L`` is ``log(x) - log(xm)`` and ``sf`` and
+    ``M`` follow from it (see :meth:`_far_primitives`).
     """
 
     xm: float
@@ -347,6 +368,17 @@ class Pareto(ServiceDistribution):
         return self.xm
 
     def _primitives(self, x):
+        far = (x - self.xm) / self.xm == math.inf
+        if not isinstance(x, np.ndarray):
+            return self._far_primitives(x) if far else self._near_primitives(x)
+        if not far.any():
+            return self._near_primitives(x)
+        out = np.empty((3, *x.shape))
+        out[:, ~far] = self._near_primitives(x[~far])
+        out[:, far] = self._far_primitives(x[far])
+        return tuple(out)
+
+    def _near_primitives(self, x):
         a, xm = self.alpha, self.xm
         log_ratio = _each(math.log1p, (x - xm) / xm)
         f = -_each(math.expm1, -a * log_ratio)
@@ -354,6 +386,23 @@ class Pareto(ServiceDistribution):
         if a == 1.0:
             return f, sf, xm * log_ratio
         return f, sf, a * xm * -_each(math.expm1, -(a - 1.0) * log_ratio) / (a - 1.0)
+
+    def _far_primitives(self, x):
+        """``(F, sf, M)`` where ``(x - xm) / xm`` overflows.  ``xm / x`` may
+        round to 0 there, and ``alpha * xm`` too, so ``sf = exp(-alpha L)``;
+        for ``alpha < 1``, ``M = alpha / (1 - alpha) xm (e^z - 1)`` with
+        ``z = (1 - alpha) L`` reads as ``alpha (1 - e^-z) / (1 - alpha)
+        e^(ln xm + z)``, which stays finite while ``x`` does."""
+        a, xm = self.alpha, self.xm
+        log_ratio = _each(math.log, x) - math.log(xm)
+        f = -_each(math.expm1, -a * log_ratio)
+        sf = _each(math.exp, -a * log_ratio)
+        if a == 1.0:
+            return f, sf, xm * log_ratio
+        if a > 1.0:
+            return f, sf, a * xm * -_each(math.expm1, -(a - 1.0) * log_ratio) / (a - 1.0)
+        z = (1.0 - a) * log_ratio
+        return f, sf, a * -_each(math.expm1, -z) / (1.0 - a) * _each(_exp, math.log(xm) + z)
 
     def _residuals(self, x):
         if self.alpha <= 1.0:

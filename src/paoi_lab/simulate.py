@@ -27,7 +27,10 @@ one block of the seed's stream and hands that same array to every
 policy's engine, and an engine is dropped once it has its peaks or its
 horizon, so memory stays at the step's block plus each running policy's
 columns.  A single-policy run is a lockstep of one, and each policy's
-records and estimate equal the ones it gets alone.
+records and estimate equal the ones it gets alone.  A replication keeps
+only the peak column, so its steps build only that column: each peak is
+still its carried service plus its inter-reception time, one addition, but
+no reception time, carried-service or drop-count column is built.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -207,26 +210,32 @@ def _engine(
     blocks: Iterator[np.ndarray],
     ss_threshold: np.random.SeedSequence,
     stall_limit: int,
+    keep: Optional[int] = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """The endless peak series of ``policy`` on the service ``blocks``: per
     block, the columns ``peak, received_service, interreception,
     preemptions, receive_time`` of the peaks whose reception falls in it
-    (empty columns if none).  Checks its arguments at once; no block is
-    read before the first step, and each step reads exactly one."""
+    (empty columns if none), the first ``keep`` of them or all.  With
+    ``keep == 1`` a step builds the peak column alone.  Checks its
+    arguments at once; no block is read before the first step, and each
+    step reads exactly one."""
     if stall_limit < 1:  # the count is checked after a drop
         raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
     thresholds = _deliverable(d, policy)
     table = None if thresholds is None else np.array(thresholds, dtype=float)
-    return _peak_blocks(policy, blocks, table, np.random.default_rng(ss_threshold), stall_limit)
+    rng_threshold = np.random.default_rng(ss_threshold)
+    return _peak_blocks(policy, blocks, table, rng_threshold, stall_limit, keep)
 
 
 _NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
 
 
-def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit):
+def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit, keep):
     """:func:`_engine`'s series under the threshold sequence ``table``, or
     under thresholds drawn from ``rng_threshold`` where ``table`` is None:
-    a generator, so that its caller can check the arguments at once."""
+    a generator, so that its caller can check the arguments at once.  Each
+    peak is its carried service plus its inter-reception time, one addition
+    whichever columns a step builds."""
     prefix = np.zeros(1)  # of the sequence, see _prefix_sums
     draws = next(blocks)
     x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
@@ -254,7 +263,15 @@ def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit):
         y = y[:-1] + received_next
         stalled = drops.max() >= stall_limit
         k = int(np.argmax(drops >= stall_limit)) if stalled else len(ends)
-        if k:
+        if not k:
+            yield _NO_PEAKS[:keep]
+        elif keep == 1:
+            peak = y[:k]  # a fresh array: add each carried service in place
+            peak[0] += x_prev
+            peak[1:] += received_next[: k - 1]
+            yield (peak,)
+            x_prev = received_next[k - 1]
+        else:
             received = np.empty(k)
             received[0] = x_prev
             received[1:] = received_next[: k - 1]
@@ -262,10 +279,8 @@ def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit):
             times[0] = now
             times[1:] = y[:k]
             times = np.cumsum(times)[1:]
-            yield received + y[:k], received, y[:k], drops[:k], times
+            yield (received + y[:k], received, y[:k], drops[:k], times)[:keep]
             x_prev, now = received_next[k - 1], times[-1]
-        else:
-            yield _NO_PEAKS
         if stalled:
             raise SimulationStall(
                 f"{stall_limit} consecutive preemptions without a reception "
@@ -285,7 +300,9 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
     """Per policy, in ``policies`` order, the columns of :func:`_engine` on
     the stream of ``seed`` (the first ``keep`` of them, or all), each joined
     into one array, up to the block that holds the policy's ``peaks``-th
-    peak or its first reception past ``horizon``.
+    peak or its first reception past ``horizon``.  Without a horizon the
+    engines build only the kept columns; up to one they build all, since
+    the reception times decide where each stops.
 
     The policies read one service stream in lockstep: each step draws one
     block and advances every running engine by one step, which reads that
@@ -305,8 +322,9 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
         while True:
             yield block
 
+    built = keep if horizon == math.inf else None
     engines = [  # every policy checked before the first draw
-        _engine(d, policy, step_blocks(), ss_threshold, stall_limit) for policy in policies
+        _engine(d, policy, step_blocks(), ss_threshold, stall_limit, built) for policy in policies
     ]
     parts = [[] for _ in policies]
     have = [0] * len(policies)
@@ -319,15 +337,18 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
                 continue
             parts[i].append(cols[:keep])
             have[i] += len(cols[0])
-            t_last = cols[-1][-1]
-            if have[i] >= peaks or t_last > horizon:
+            if have[i] >= peaks:
                 engines[i] = None
-            elif horizon < math.inf and have[i] > _MAX_TRAJECTORY * (t_last / horizon):
-                raise ConfigError(
-                    f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
-                    f"receptions under {policies[i]!r}: the first {have[i]} end by time "
-                    f"{t_last:g}"
-                )
+            elif horizon < math.inf:
+                t_last = cols[-1][-1]
+                if t_last > horizon:
+                    engines[i] = None
+                elif have[i] > _MAX_TRAJECTORY * (t_last / horizon):
+                    raise ConfigError(
+                        f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
+                        f"receptions under {policies[i]!r}: the first {have[i]} end by time "
+                        f"{t_last:g}"
+                    )
         running = [i for i in running if engines[i] is not None]
     return [[np.concatenate(c) for c in zip(*p)] for p in parts]
 

@@ -1,4 +1,9 @@
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,9 @@ from paoi_lab import (
     Pareto,
     ShiftedExponential,
     TwoPoint,
+    cli,
     config,
+    digits,
 )
 
 # One representative per catalog kind; parameters chosen so every kind has
@@ -160,3 +167,38 @@ def yaml_loaders_agree(monkeypatch):
 
     monkeypatch.setattr(config, "_load", checked)
     return load
+
+
+def run_fresh(probe):
+    """The stdout of ``probe`` run in a fresh interpreter that imports this
+    ``paoi_lab``: the suite's own process has imported scipy.special."""
+    import paoi_lab
+
+    src = str(Path(paoi_lab.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def fill_text(fill, header, columns):
+    """What ``fill``, :func:`cli._template_rows` or :func:`digits.spell_rows`,
+    writes for ``columns`` under ``header``, whatever the table's size."""
+    fh = io.StringIO()
+    fh.write(cli._header(header))
+    fill(fh, *cli._table(columns))
+    return fh.getvalue()
+
+
+def record_text(fill, records):
+    """What ``fill`` writes for a record array, one row per record under its
+    field names, as ``simulate`` passes a peak dump or a trajectory."""
+    names = list(records.dtype.names)
+    return fill_text(fill, names, [records[name] for name in names])
+
+
+def kernel_text(records):
+    """What the digit-table kernel writes for ``records``."""
+    return record_text(digits.spell_rows, records)

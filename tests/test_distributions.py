@@ -22,6 +22,7 @@ from paoi_lab import (
     TwoPoint,
 )
 from paoi_lab.analytic import paoi_fixed_threshold
+from paoi_lab import distributions
 from paoi_lab.distributions import ServiceDistribution, weighted_pick
 from paoi_lab.policies import resolve
 
@@ -677,6 +678,18 @@ class TestSampling:
         assert weighted_pick([0.5, 0.0, 0.5, 0.0], u).tolist() == [0, 0, 2, 2, 2]
         # the running sum rounds to 1 - 2**-53, so u = 1 - 2**-53 passes it
         assert weighted_pick([0.1] * 10 + [0.0], [1 - 2**-53]).tolist() == [9]
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_size=20)
+           .filter(any), u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    def test_weighted_pick_is_the_capped_binary_search(self, weights, u):
+        # tables of 1 to 20 weights lie on both sides of the comparison cut;
+        # u also sits exactly at each running sum and at its neighbours
+        assert distributions._PICK_BY_COMPARISON < 20
+        edges = np.cumsum(weights)
+        u = np.concatenate([u, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        want = np.minimum(np.searchsorted(edges, u, side="right"), np.flatnonzero(weights)[-1])
+        assert weighted_pick(weights, u).tolist() == want.tolist()
 
 
 class TestValidation:

@@ -200,6 +200,23 @@ def test_pareto_just_above_xm(alpha):
         assert err <= RTOL, (alpha, theta, key, err)
 
 
+# Past x / xm = the largest float, where (x - xm) / xm overflows: sf and M
+# are normal floats there while xm / x, or alpha * xm, rounds to 0.
+# Measured: 5e-14 at most, on sf of Pareto(5e-324, 0.5) at 2.
+@pytest.mark.parametrize("d, theta", [
+    (Pareto(xm=5e-324, alpha=0.5), 2.0),
+    (Pareto(xm=1e-300, alpha=0.5), 1e10),
+    (Pareto(xm=1e-300, alpha=0.01), 1e300),
+    (Pareto(xm=5e-324, alpha=0.01), 1e300),
+])
+def test_pareto_past_the_largest_ratio(d, theta):
+    err, key = worst_error(d, theta)
+    assert err <= 1e-12, (d, theta, key, err)
+    # a grid reads the same bits, next to a threshold short of the far tail
+    grid = d.grid_primitives([d.xm * 2.0, theta])
+    assert [g[1] for g in grid] == list(d.primitives(theta))
+
+
 def test_hyper_exponential_deep_lower_tail():
     d = CATALOG["hyper-exponential"]
     for theta in (1e-15, 1e-12, 1e-9, 1e-6):

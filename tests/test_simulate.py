@@ -43,6 +43,7 @@ from paoi_lab.simulate import (
     DEFAULT_STALL_LIMIT,
     _batch_means,
     _engine,
+    _lockstep,
     _replications,
     _service_blocks,
 )
@@ -490,6 +491,61 @@ class TestLockstep:
         for peaks in (4000, 16_000):
             reference = traced_peak((MIX[1], MIX[1]), peaks)
             assert traced_peak(MIX[:2], peaks) < 1.25 * reference, peaks
+
+
+# every policy kind: zero-wait, fixed, a repetitive sequence, and uniform,
+# choice and triangular draws
+KINDS = MIX + (RandomizedThreshold(TriangularSampler(0.05, 0.3, 2.0)),)
+
+
+def _engine_steps(d, policy, seed, stall_limit, keep):
+    """Every step of one engine on the stream of ``seed``, up to its stall."""
+    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
+    blocks = _service_blocks(d, np.random.default_rng(ss_service))
+    engine = _engine(d, policy, blocks, ss_threshold, stall_limit, keep)
+    steps = []
+    with pytest.raises(SimulationStall):
+        while True:
+            steps.append(next(engine))
+    return steps
+
+
+class TestPeakOnlySteps:
+    """A replication keeps only the peak column, and its engines build only
+    that; each peak has the bits of the full-column run."""
+
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_replications_equal_full_column_runs(self, warmup):
+        d = Exponential(1.0)
+        got = _replications(d, KINDS, 2000, 2, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        for policy, estimates in zip(KINDS, got):
+            assert estimates == [
+                _estimate(d, policy, 2000, DEFAULT_STALL_LIMIT, warmup, seed) for seed in (40, 41)
+            ], policy
+        peak_only = _lockstep(d, KINDS, 40, DEFAULT_STALL_LIMIT, peaks=warmup + 2000, keep=1)
+        for policy, (peak,) in zip(KINDS, peak_only):
+            full = simulate_peaks(d, policy, 2000, 40, warmup=warmup).peak
+            assert peak[warmup : warmup + 2000].tolist() == full.tolist(), policy
+
+    def test_a_stall_mid_block_after_completed_peaks(self):
+        # fixed(0.01) drops about 100 attempts a peak; at seed 2 the 500th
+        # drop in a row comes in the 6th block, after 21 of its peaks
+        d, policy = Exponential(1.0), FixedThreshold(0.01)
+        peak_only = _engine_steps(d, policy, 2, 500, keep=1)
+        full = _engine_steps(d, policy, 2, 500, keep=None)
+        assert len(peak_only) == len(full) == 6
+        assert len(full[-1][0]) == 21
+        assert [cols[0].tolist() for cols in peak_only] == [cols[0].tolist() for cols in full]
+
+    def test_a_peak_only_step_yields_one_column(self):
+        # fixed(1e-4) leaves most blocks without a reception
+        d = Exponential(1.0)
+        blocks = _service_blocks(d, np.random.default_rng(1))
+        engine = _engine(d, FixedThreshold(1e-4), blocks, np.random.SeedSequence(1),
+                         DEFAULT_STALL_LIMIT, 1)
+        steps = [next(engine) for _ in range(12)]
+        assert all(len(cols) == 1 for cols in steps)
+        assert 0 < sum(1 for (peak,) in steps if len(peak)) < len(steps)
 
 
 class TestParallelReplications:
