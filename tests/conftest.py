@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import importlib.util
 import io
 import math
 import os
@@ -48,6 +51,41 @@ CONTINUOUS = [
 ]
 
 FINITE_MEAN = [k for k in CATALOG if not math.isinf(CATALOG[k].mean())]
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """``perfbench/<name>.py`` loaded by path as a new module.
+
+    ``perfbench/oracle.py`` sets mpmath's working precision to 50 digits
+    when it runs, so the precision is put back after loading: the suite's
+    other mpmath calls keep the one they had.
+    """
+    import mpmath
+
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mpmath.workprec(mpmath.mp.prec):
+        spec.loader.exec_module(module)
+    return module
+
+
+_KINDS = {law: kind for kind, law in config._LAWS.items()}
+
+
+@functools.cache
+def _oracle():
+    return perfbench_module("oracle")
+
+
+def oracle_law(d):
+    """``d`` as a ``Law`` of ``perfbench/oracle.py``, the one mpmath law
+    table: its ``cdf``, ``sf`` and ``moment`` take an mpf, and its ``mean``
+    is evaluated here, at mpmath's working precision."""
+    params = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
+    return _oracle().law(_KINDS[type(d)],
+                         {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()})
 
 
 @st.composite

@@ -32,6 +32,7 @@ from conftest import (
     catalog_ids,
     hyper_exponentials,
     ks_statistic,
+    oracle_law,
     quad_integrated_cdf,
     quad_truncated_moment,
     scipy_frozen,
@@ -199,9 +200,7 @@ class TestTruncatedFirstMoment:
         m = d.grid_primitives(thetas)[2]
         assert [d.truncated_first_moment(t) for t in thetas.tolist()] == m.tolist()
         with mpmath.workdps(40):
-            exact = [3 / mpmath.mpf(rate) * mpmath.gammainc(4, 0, rate * mpmath.mpf(t),
-                                                            regularized=True)
-                     for t in thetas.tolist()]
+            exact = [oracle_law(d).moment(mpmath.mpf(t)) for t in thetas.tolist()]
         assert m[:2].tolist() == [0.0, 0.0] == [float(x) for x in exact[:2]]
         assert m[2:].tolist() == pytest.approx([float(x) for x in exact[2:]], rel=1e-14)
         assert math.isinf(d.mean())

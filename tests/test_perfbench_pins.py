@@ -1,23 +1,19 @@
-"""The names the benchmark's traced run wraps or calls must stay.
+"""The names the benchmark's traced run wraps or calls, and the names the
+oracle tests read from the benchmark's oracle, must stay.
 
 ``perfbench/tracing.py`` patches public functions of ``paoi_lab`` by name
 and times a few methods directly; a name it expects that is gone fails the
-traced run, not this suite, unless this test checks it.  The test reads the
-tracer as it is and changes nothing in it.
+traced run, not this suite, unless this test checks it.  The oracle tests
+build every law through ``perfbench/oracle.py``'s ``law``; a name they read
+that is gone fails here with one message, not in every oracle test.  The
+tests read both files as they are and change nothing in them.
 """
 
-import importlib.util
 import inspect
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import mpmath
 
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import CATALOG, catalog_ids, oracle_law, perfbench_module
 
 
 def test_tracer_installs_and_uninstalls_on_the_cli():
@@ -25,7 +21,7 @@ def test_tracer_installs_and_uninstalls_on_the_cli():
     from paoi_lab import config, simulate
 
     originals = (simulate.run_replications, paoi_lab.cli.load_config)
-    tracer = load_tracing().Tracer()
+    tracer = perfbench_module("tracing").Tracer()
     tracer.install()
     try:
         assert simulate.run_replications is not originals[0]
@@ -50,7 +46,7 @@ def test_search_spans_bind_the_window_arguments():
     # its signature and reads d, theta_min, theta_max and grid_points
     from paoi_lab import optimize
 
-    tracing = load_tracing()
+    tracing = perfbench_module("tracing")
     assert tracing.SEARCHES
     for name in tracing.SEARCHES:
         bound = inspect.signature(getattr(optimize, name)).bind("d", "lo", "hi")
@@ -66,7 +62,7 @@ def test_counted_primitives_resolve_where_the_tracer_patches():
     # one from any other class would run it uncounted
     from paoi_lab import distributions
 
-    tracing = load_tracing()
+    tracing = perfbench_module("tracing")
     for name in tracing.LAWS:
         cls = getattr(distributions, name)
         for method in tracing.PRIMITIVES:
@@ -87,7 +83,7 @@ def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
         "trajectory_horizon: 5.0}\n"
     )
     monkeypatch.setenv("PAOI_THREADS", "1")
-    tracer = load_tracing().Tracer()
+    tracer = perfbench_module("tracing").Tracer()
     tracer.install()
     try:
         code = paoi_lab.cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
@@ -96,3 +92,20 @@ def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
     assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"simulate.simulate_peaks", "simulate.aoi_trajectory"} <= names
+
+
+def test_loading_the_oracle_keeps_mpmath_precision():
+    # perfbench/oracle.py sets mp.dps = 50 when it runs
+    with mpmath.workdps(20):
+        perfbench_module("oracle")
+        assert mpmath.mp.dps == 20
+
+
+def test_oracle_laws_have_what_the_oracle_tests_read():
+    assert callable(getattr(perfbench_module("oracle"), "law", None)), \
+        "tests/test_oracle.py builds its laws with perfbench/oracle.py's law(kind, params)"
+    for name in catalog_ids():
+        law = oracle_law(CATALOG[name])
+        for attr in ("cdf", "sf", "moment"):
+            assert callable(getattr(law, attr, None)), f"the oracle tests read Law.{attr}(t)"
+        assert isinstance(getattr(law, "mean", None), mpmath.mpf), "the oracle tests read Law.mean"
