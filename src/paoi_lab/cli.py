@@ -20,9 +20,10 @@ One writer, :func:`_write_table`, spells a table of ``_KERNEL_MIN_CELLS``
 cells or more (sweeps, fig4 and fig6, peak dumps, trajectories) from digit
 tables (:mod:`paoi_lab.digits`) and a smaller one (optimize's row, eval,
 simulate summaries, fig5 and fig7) by one ``%`` template per row, to the
-same bytes; re-runs overwrite them byte-identically.  Commands print their
-stdout only after their last file is closed, so a failed write prints
-nothing.
+same bytes; re-runs overwrite them byte-identically.  A policy's peak dump
+and trajectory, cut from one sample path, go through one kernel pass that
+spells each cell they share once.  Commands print their stdout only after
+their last file is closed, so a failed write prints nothing.
 """
 
 from __future__ import annotations
@@ -126,16 +127,21 @@ def _slotted(text: list[str]) -> bool:
     return all(len(cell.encode()) < 32 and "\0" not in cell for cell in text)
 
 
-def _write_table(fh: TextIO, header: list[str], columns: list) -> None:
+def _write_table(fh: TextIO, header: list[str], columns: list, copies: list = ()) -> None:
     """Write one row per entry of the equally long ``columns`` under ``header``
-    to the open file ``fh``.
+    to the open file ``fh``, and each ``(fh, header, columns, links)`` of
+    ``copies`` to its own file.
 
     A float column writes its cells as ``_fmt`` does (``%.12g``), an integer
     column as ``%d``, and any other column its cells' ``str``, quoted where
     needed.  A table of ``_KERNEL_MIN_CELLS`` cells or more is spelled from
     digit tables by :func:`digits.spell_rows`, unless a text cell does not
     fit a slot; a smaller one by :func:`_template_rows`, whose fixed cost
-    is lower.  Both write the same bytes.
+    is lower.  Both write the same bytes.  A copy, numeric or with text
+    that fits a slot, whose columns ``links`` ties to this table's (see
+    :func:`digits.spell_rows`) is spelled in this table's kernel pass, so
+    that each shared cell is spelled once; without that pass, each copy is
+    written on its own.
     """
     cells, rows = _table(columns)
     fh.write(_header(header))
@@ -143,9 +149,15 @@ def _write_table(fh: TextIO, header: list[str], columns: list) -> None:
             _slotted(c[0]) for c in cells if isinstance(c, tuple)):
         from . import digits  # compiled and imported by the first such table
 
-        digits.spell_rows(fh, cells, rows)
+        shared = []
+        for copy_fh, copy_header, copy_columns, links in copies:
+            copy_fh.write(_header(copy_header))
+            shared.append((copy_fh, *_table(copy_columns), links))
+        digits.spell_rows(fh, cells, rows, shared)
     else:
         _template_rows(fh, cells, rows)
+        for copy_fh, copy_header, copy_columns, _ in copies:
+            _write_table(copy_fh, copy_header, copy_columns)
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -296,6 +308,22 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _record_columns(records: np.recarray) -> tuple[list[str], list]:
+    """The field names of ``records`` and a column per field."""
+    names, records = records.dtype.names, np.asarray(records)
+    return list(names), [records[name] for name in names]
+
+
+def _trajectory_links(dump: list[str], trajectory: list[str], warmup: int) -> dict:
+    """The links (see :func:`digits.spell_rows`) of a trajectory's columns to
+    the peak dump's of the same seed: trajectory row i is the seed's i-th
+    reception, the dump's row i - warmup, and drops to the carried service
+    of the dump's next row."""
+    source = {"time": ("receive_time", 0), "peak": ("peak", 0), "reset_to": ("received_service", 1)}
+    return {j: (dump.index(source[name][0]), source[name][1] - warmup)
+            for j, name in enumerate(trajectory)}
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None) -> int:
     d = cfg.distribution
     sim = cfg.simulation
@@ -354,10 +382,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
                     [*map(str, range(len(estimates))), "pooled"],
                     *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
                 ])
-            for fh, records in rows:
-                names, records = records.dtype.names, np.asarray(records)
-                with _writing(fh):
-                    _write_table(fh, list(names), [records[name] for name in names])
+            with contextlib.ExitStack() as writing:  # the dump first: the trajectory copies it
+                tables = [(writing.enter_context(_writing(fh)), *_record_columns(records))
+                          for fh, records in reversed(rows)]
+                if tables:
+                    (fh, names, columns), *rest = tables
+                    _write_table(fh, names, columns, [
+                        (*table, _trajectory_links(names, table[1], sim.warmup)) for table in rest])
     print("\n".join(report))
     return 0
 

@@ -6,6 +6,11 @@ cells to pay for the fixed cost of some 40 numpy calls per chunk; the
 module is imported only then.  Floats take the fixed form or the exponent
 form of ``%.12g``, integers the fixed form, text cells their quoted UTF-8
 bytes; a cell the tables cannot spell exactly falls back to ``%``.
+
+One pass writes one table or several over a shared row range: a table's
+copies, whose cells repeat its own a fixed number of rows apart (a
+trajectory repeats its peak dump's), take the words of those cells from
+each of its chunks instead of spelling them again.
 """
 
 from __future__ import annotations
@@ -20,49 +25,105 @@ CHUNK_CELLS = 1 << 13  # cells per chunk: 256 KB of words, kept in cache
 EXPONENT_MIN_CELLS = 64  # fewer exponent-form cells in a chunk cost less by ``%``
 
 
-def spell_rows(fh: TextIO, cells: list, rows: int) -> None:
+def spell_rows(fh: TextIO, cells: list, rows: int, copies: list = ()) -> None:
     """Write the ``rows`` rows of ``cells``, as :func:`paoi_lab.cli._table`
     gives them with each text cell :func:`paoi_lab.cli._slotted`, to the
-    open file ``fh``, ``CHUNK_CELLS`` cells at a time.
+    open file ``fh``, ``CHUNK_CELLS`` cells at a time, and each table of
+    ``copies`` in the same pass.
+
+    A copy is ``(fh, cells, rows, links)``: ``links`` maps a column j of it
+    to ``(c, s)`` when its row i holds this table's column c at row i + s,
+    cell for cell and of the same kind.  A chunk spells this table's rows
+    once, and a copy's rows whose linked cells all lie in this table take
+    their words from that chunk; its other rows and columns are spelled on
+    their own.  A lone table is a pass with no copies."""
+    lead = _Table(fh, cells)
+    follow = []
+    ahead = 0  # rows past a chunk that a copy's gathered rows read
+    for fh_copy, cells_copy, rows_copy, links in copies:
+        table, shifts = _Table(fh_copy, cells_copy), [s for _, s in links.values()]
+        first = min(max(-min(shifts), 0), rows_copy)  # [first, last): the gathered rows
+        last = min(max(rows - max(shifts), first), rows_copy)
+        table.write_rows(0, first)
+        follow.append((table, links, min(shifts), first, last, rows_copy))
+        ahead = max(ahead, max(shifts) - min(shifts))
+    for a in range(0, rows, lead.step):
+        b = min(a + lead.step, rows)
+        words = lead.words(a, min(b + ahead, rows))
+        for table, links, low, first, last, _ in follow:
+            i, j = min(max(a - low, first), last), min(max(b - low, first), last)
+            if i < j:  # after the fallback, before the separators
+                gathered = table.words(i, j, links)
+                for column, (c, s) in links.items():
+                    gathered[:, column] = words[i + s - a : j + s - a, c]
+                table.write(gathered)
+        lead.write(words[: b - a])
+    for table, *_, last, rows_copy in follow:
+        table.write_rows(last, rows_copy)
+
+
+class _Table:
+    """One table of a :func:`spell_rows` pass: its file and cells, its text
+    columns' slots and the separator after each column's cells.
 
     Each cell is four words, blank bytes zero, last byte the ``,`` or line
     end after it: a number spelled by :func:`spell`, or a text cell's slot,
     each distinct cell encoded once and gathered by one ``take``.  A chunk
-    of rows is its words' bytes less the zeros.  Numbers the tables cannot
-    spell take one ``%`` per column, padded to 31 bytes with spaces, which
-    become zeros; spaces in text stay."""
-    width = len(cells)
-    slots = {j: np.frombuffer(b"".join(cell.encode().ljust(32, b"\0") for cell in c[0]),
-                              "<u8").reshape(-1, 4)
-             for j, c in enumerate(cells) if isinstance(c, tuple)}
-    exponent = np.array([j not in slots and c.dtype.kind == "f" for j, c in enumerate(cells)])
-    ends = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint64) << 56
-    step = CHUNK_CELLS // width
-    for i in range(0, rows, step):
-        fh.write(_spell_chunk(cells, slots, exponent, ends, slice(i, min(i + step, rows)))
-                 .translate(None, b"\0").decode())
+    of rows is its words' bytes less the zeros.  A number the tables cannot
+    spell takes ``%``, padded to 31 bytes with spaces, which become zeros;
+    spaces in text stay."""
 
+    def __init__(self, fh: TextIO, cells: list):
+        self.fh, self.cells = fh, cells
+        width = len(cells)
+        self.slots = {
+            j: np.frombuffer(b"".join(cell.encode().ljust(32, b"\0") for cell in c[0]),
+                             "<u8").reshape(-1, 4)
+            for j, c in enumerate(cells) if isinstance(c, tuple)}
+        self.ends = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint64) << 56
+        self.step = CHUNK_CELLS // width
 
-def _spell_chunk(cells, slots, exponent, ends, rows: slice) -> bytes:
-    """The words of ``rows`` of ``cells`` for :func:`spell_rows`, as bytes;
-    each array of the chunk is freed as it returns."""
-    size, width = rows.stop - rows.start, len(cells)
-    values = np.empty((size, width))
-    for j, c in enumerate(cells):  # a text column's 0s are spelled, then overwritten
-        values[:, j] = 0 if j in slots else c[rows]
-    words = np.empty((size, width, 4), dtype="<u8")
-    left = spell(values, words, exponent)
-    del values
-    for j, slot in slots.items():
-        words[:, j] = slot.take(cells[j][1][rows], axis=0, mode="clip")
-    for j in np.flatnonzero(left.any(axis=0)):
-        fallback = np.flatnonzero(left[:, j])
-        fmt = "%31.12g" if cells[j].dtype.kind == "f" else "%31d"
-        text = fmt * len(fallback) % tuple(cells[j][rows.start + fallback].tolist())
-        words.view(np.uint8)[fallback, j, :31] = np.frombuffer(
-            text.encode("ascii").replace(b" ", b"\0"), np.uint8).reshape(-1, 31)
-    words[..., 3] |= ends
-    return words.tobytes()
+    def words(self, start: int, stop: int, skip=()) -> np.ndarray:
+        """The words of rows [start, stop), each array freed as it returns;
+        the columns in ``skip`` are left for the caller to fill."""
+        rows, size = slice(start, stop), stop - start
+        words = np.empty((size, len(self.cells), 4), dtype="<u8")
+        for j, slot in self.slots.items():
+            if j not in skip:
+                words[:, j] = slot.take(self.cells[j][1][rows], axis=0, mode="clip")
+        spelled = [j for j in range(len(self.cells)) if j not in skip and j not in self.slots]
+        if not spelled:
+            return words
+        values = np.empty((size, len(spelled)))
+        for k, j in enumerate(spelled):
+            values[:, k] = self.cells[j][rows]
+        every = len(spelled) == len(self.cells)
+        out = words if every else np.empty((size, len(spelled), 4), dtype="<u8")
+        exponent = np.array([self.cells[j].dtype.kind == "f" for j in spelled])
+        left = spell(values, out, exponent)
+        del values
+        if not every:  # one copy of 32-byte items into the spelled columns
+            words.view("V32")[:, spelled, 0] = out.view("V32")[..., 0]
+        del out
+        row, k = np.divmod(np.flatnonzero(left), len(spelled))
+        if len(row):  # a few cells a chunk: one ``%`` each, all written at once
+            column = np.array(spelled)[k]
+            text = "".join(
+                ("%31.12g" if self.cells[j].dtype.kind == "f" else "%31d") % self.cells[j][i]
+                for i, j in zip((start + row).tolist(), column.tolist()))
+            words.view(np.uint8)[row, column, :31] = np.frombuffer(
+                text.encode("ascii").replace(b" ", b"\0"), np.uint8).reshape(-1, 31)
+        return words
+
+    def write(self, words: np.ndarray) -> None:
+        """Separate the cells of ``words`` and write them."""
+        words[..., 3] |= self.ends
+        self.fh.write(words.tobytes().translate(None, b"\0").decode())
+
+    def write_rows(self, start: int, stop: int) -> None:
+        """Spell and write rows [start, stop), a chunk at a time."""
+        for i in range(start, stop, self.step):
+            self.write(self.words(i, min(i + self.step, stop)))
 
 
 @functools.cache

@@ -115,15 +115,28 @@ def weighted_pick(weights, u) -> np.ndarray:
     ``searchsorted(..., side="right")``.  A table of up to
     ``_PICK_BY_COMPARISON`` weights counts them with one array comparison
     per sum (two phases: one comparison); a longer one keeps the binary
-    search."""
+    search.  A caller that picks from the same weights again keeps their
+    :func:`_pick_table` and calls :func:`_pick`."""
+    return _pick(_pick_table(weights), u)
+
+
+def _pick_table(weights) -> tuple[np.ndarray, int, list[float]]:
+    """What :func:`weighted_pick` reads of ``weights``: their running sums,
+    the index of the last positive weight, and the sums before it."""
     weights = np.asarray(weights, dtype=float)
     edges = np.cumsum(weights)
-    last = np.flatnonzero(weights)[-1]
-    if len(weights) > _PICK_BY_COMPARISON:
+    last = int(np.flatnonzero(weights)[-1])
+    return edges, last, edges[:last].tolist()
+
+
+def _pick(table: tuple[np.ndarray, int, list[float]], u) -> np.ndarray:
+    """:func:`weighted_pick` on the weights whose :func:`_pick_table` is ``table``."""
+    edges, last, below = table
+    if len(edges) > _PICK_BY_COMPARISON:
         return np.minimum(np.searchsorted(edges, u, side="right"), last)
     u = np.asarray(u, dtype=float)
     pick = np.zeros(u.shape, dtype=np.intp)
-    for edge in edges[:last].tolist():
+    for edge in below:
         pick += u >= edge
     return pick
 
@@ -524,8 +537,13 @@ class HyperExponential(ServiceDistribution):
             lo, hi = (mid, hi) if gap(_float(mid)) > 0.0 else (lo, mid)
         return _float(hi)
 
+    @functools.cached_property
+    def _pick_table(self) -> tuple[np.ndarray, int, list[float]]:
+        """The phase weights' :func:`_pick_table`, built once per instance."""
+        return _pick_table(self.weights)
+
     def sample_batch(self, rng, n):
-        rates = np.asarray(self.rates)[weighted_pick(self.weights, rng.random(n))]
+        rates = np.asarray(self.rates)[_pick(self._pick_table, rng.random(n))]
         return -np.log1p(-rng.random(n)) / rates
 
 

@@ -15,13 +15,14 @@ closed forms and the simulator both read a policy through it.  Only
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import ServiceDistribution, weighted_pick
+from .distributions import ServiceDistribution, _pick, _pick_table
 from .errors import ConfigError
 
 __all__ = [
@@ -170,8 +171,13 @@ class ChoiceSampler(ThresholdSampler):
         if not all(v >= 0 for v in self.values):
             raise ValueError(f"thresholds must be nonnegative, got {self.values!r}")
 
+    @functools.cached_property
+    def _pick_table(self) -> tuple[np.ndarray, int, list[float]]:
+        """The weights' :func:`distributions._pick_table`, built once per instance."""
+        return _pick_table(self.weights)
+
     def draw_batch(self, rng, n):
-        return np.asarray(self.values)[weighted_pick(self.weights, rng.random(n))]
+        return np.asarray(self.values)[_pick(self._pick_table, rng.random(n))]
 
     def supremum(self):
         return max(v for v, w in zip(self.values, self.weights) if w > 0)

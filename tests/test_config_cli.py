@@ -504,6 +504,23 @@ class TestCli:
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("name", ["paoi_peaks_zero-wait.csv",
+                                      "paoi_trajectory_zero-wait.csv"])
+    def test_full_device_under_one_pass_names_its_file_exit_2(self, tmp_path, capsys, name):
+        # the dump and the trajectory are written in one pass, both open:
+        # the error names the one whose write failed
+        cfg = tmp_path / "f.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+                       "simulation: {peaks: 2000, replications: 1, dump_peaks: true, "
+                       "trajectory_horizon: 5000.0}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(
@@ -787,6 +804,45 @@ class TestEngineRowWriter:
         for records in self.records(case):
             with mock.patch.object(digits, "CHUNK_CELLS", 90):
                 assert kernel_text(records) == record_text(cli._template_rows, records)
+
+    @pytest.mark.parametrize("chunk_cells", [digits.CHUNK_CELLS, 90])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_pass_writes_the_pair(self, case, chunk_cells):
+        # the dump spelled once, the trajectory copying the cells it shares:
+        # its rows before, inside and past the dump's, whatever the table sizes
+        trajectory, dump = self.records(case)
+        (names, columns), (copy_names, copy_columns) = map(cli._record_columns,
+                                                           (dump, trajectory))
+        links = cli._trajectory_links(names, copy_names, self.CASES[case][3])
+        fh, copy_fh = io.StringIO(), io.StringIO()
+        fh.write(cli._header(names))
+        copy_fh.write(cli._header(copy_names))
+        with mock.patch.object(digits, "CHUNK_CELLS", chunk_cells):
+            digits.spell_rows(fh, *cli._table(columns),
+                              [(copy_fh, *cli._table(copy_columns), links)])
+        for text, records in ((fh.getvalue(), dump), (copy_fh.getvalue(), trajectory)):
+            # the first line that differs, not a diff of thousands of lines
+            lines = text.splitlines()
+            want = record_text(cli._template_rows, records).splitlines()
+            assert len(lines) == len(want)
+            assert next(((i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b),
+                        None) is None
+
+    @pytest.mark.parametrize("case, passes", [("trajectory past the dump", 1),
+                                              ("non-finite cells", 0)])
+    def test_the_pair_shares_a_pass_only_on_the_kernel(self, case, passes):
+        # a dump below the kernel's cut takes the template, and its
+        # trajectory is written on its own
+        trajectory, dump = self.records(case)
+        (names, columns), (copy_names, copy_columns) = map(cli._record_columns,
+                                                           (dump, trajectory))
+        links = cli._trajectory_links(names, copy_names, self.CASES[case][3])
+        fh, copy_fh = io.StringIO(), io.StringIO()
+        with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
+            cli._write_table(fh, names, columns, [(copy_fh, copy_names, copy_columns, links)])
+        assert [len(call.args[3]) for call in kernel.call_args_list] == [1] * passes
+        assert fh.getvalue() == record_text(cli._template_rows, dump)
+        assert copy_fh.getvalue() == record_text(cli._template_rows, trajectory)
 
 
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
@@ -1361,6 +1417,42 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
         assert main(["reproduce", "--figure", figure, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == PINNED_SHA256
+
+
+# A 5000-peak dump after 3 warm-up peaks and a trajectory past its last
+# peak, under a fixed and a randomized policy: each file spans several
+# 8192-cell chunks, and the trajectory holds rows before, inside and past the
+# dump's.  Pinned while each file was still written on its own.
+PINNED_CHUNKED_SHA256 = {
+    "chunked_peaks_fixed_2.csv":
+        "9846b6e8a4b92fcbce34bc286efd4e0a2d66ae247e8028d78b215c7f8845569f",
+    "chunked_peaks_randomized_uniform_0.5_3.5.csv":
+        "ca71c9221ffa80bbc38e821225b14640251c473d65323a44fed788794b3746ca",
+    "chunked_simulate_fixed_2.csv":
+        "2bf74b50358ae5ee1065f295f137d016ac826d6877a5478faa8f70c4b3d30715",
+    "chunked_simulate_randomized_uniform_0.5_3.5.csv":
+        "f15e3178fbdbaa8c993bd896fb6c94e347b2287ea52bdec71d6980220d017003",
+    "chunked_trajectory_fixed_2.csv":
+        "c5b211ce3dfebdf9beb2e7c60af0b717748226370548ef1494f03be846e61753",
+    "chunked_trajectory_randomized_uniform_0.5_3.5.csv":
+        "130366d46f1b211dcc6d618d2f6327db9fa596d0f03137b9348622cbe421f586",
+}
+
+
+def test_multi_chunk_outputs_match_pinned_bytes(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(ERLANG + "policies: [{kind: fixed, theta: 2.0}, "
+                   "{kind: randomized, sampler: {kind: uniform, low: 0.5, high: 3.5}}]\n"
+                   "simulation: {peaks: 5000, replications: 1, seed: 5, warmup: 3, "
+                   "dump_peaks: true, trajectory_horizon: 30000.0}\n"
+                   "output: {prefix: chunked}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == PINNED_CHUNKED_SHA256
+    rows = {name: (out / name).read_text().count("\n") - 1 for name in digests}
+    assert rows["chunked_peaks_fixed_2.csv"] == 5000
+    assert rows["chunked_trajectory_fixed_2.csv"] > 5003  # past the dump's last peak
 
 
 # optimize and check on the laws the test above does not search, each read

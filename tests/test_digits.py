@@ -88,6 +88,23 @@ class TestCellKernel:
                                  // 10 ** rng.integers(0, 12, 100_000)])
         assert kernel_text(one_field(values)) == int_text(values)
 
+    def test_integer_columns_among_float_columns(self):
+        # the edges of eight digits and of int64, then integer columns beside
+        # float columns in one table, as one chunk and as many
+        edges = np.array([0, 9, 10, 9999, 10**4, 99_999_999, 10**8, -1, 2**63 - 1, -(2**63)])
+        rng = np.random.default_rng(19)
+        k = np.concatenate([edges, rng.integers(0, 10**8, 100_000)])
+        assert kernel_text(one_field(k)) == int_text(k)
+        x = rng.standard_normal(len(k)) * 10.0 ** rng.integers(-6, 14, len(k))
+        u = rng.integers(0, 2**64, len(k), dtype=np.uint64)
+        columns = [k, x, u, k[::-1]]
+        rows = list(zip(*(c.tolist() for c in columns)))
+        want = "k,x,u,j\n" + "".join("%d,%.12g,%d,%d\n" % row for row in rows)
+        assert kernel_text(np.rec.fromarrays(columns, names="k,x,u,j")) == want
+        with mock.patch.object(digits, "CHUNK_CELLS", 90):
+            head = np.rec.fromarrays([c[:3000] for c in columns], names="k,x,u,j")
+            assert kernel_text(head) == "".join(want.splitlines(keepends=True)[:3001])
+
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
                                    st.floats() | st.floats(-1e13, 1e13)), max_size=40))
