@@ -87,7 +87,9 @@ def _open_csv(path: Path):
 
 @contextlib.contextmanager
 def _writing(fh: TextIO):
-    """Close ``fh`` on exit; an ``OSError`` writing or closing it is a ConfigError."""
+    """Close ``fh`` on exit; an ``OSError`` writing or closing it is a ConfigError.
+    A ConfigError raised inside, as by a pass that writes several files and
+    names the one that failed, passes unchanged."""
     try:
         with fh:
             yield fh
@@ -137,9 +139,9 @@ def _write_table(fh: TextIO, header: list[str], columns: list, copies: list = ()
     needed.  A table of ``_KERNEL_MIN_CELLS`` cells or more is spelled from
     digit tables by :func:`digits.spell_rows`, unless a text cell does not
     fit a slot; a smaller one by :func:`_template_rows`, whose fixed cost
-    is lower.  Both write the same bytes.  A copy, numeric or with text
-    that fits a slot, whose columns ``links`` ties to this table's (see
-    :func:`digits.spell_rows`) is spelled in this table's kernel pass, so
+    is lower.  Both write the same bytes.  A copy, whose columns must be
+    numeric and which ``links`` ties to this table's (see
+    :func:`digits.spell_rows`), is spelled in this table's kernel pass, so
     that each shared cell is spelled once; without that pass, each copy is
     written on its own.
     """

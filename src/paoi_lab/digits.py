@@ -21,6 +21,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .errors import ConfigError
+
 CHUNK_CELLS = 1 << 13  # cells per chunk: 256 KB of words, kept in cache
 EXPONENT_MIN_CELLS = 64  # fewer exponent-form cells in a chunk cost less by ``%``
 
@@ -31,16 +33,18 @@ def spell_rows(fh: TextIO, cells: list, rows: int, copies: list = ()) -> None:
     open file ``fh``, ``CHUNK_CELLS`` cells at a time, and each table of
     ``copies`` in the same pass.
 
-    A copy is ``(fh, cells, rows, links)``: ``links`` maps a column j of it
-    to ``(c, s)`` when its row i holds this table's column c at row i + s,
-    cell for cell and of the same kind.  A chunk spells this table's rows
-    once, and a copy's rows whose linked cells all lie in this table take
-    their words from that chunk; its other rows and columns are spelled on
-    their own.  A lone table is a pass with no copies."""
+    A copy is ``(fh, cells, rows, links)``: ``links`` maps each column j of
+    it to ``(c, s)`` when its row i holds this table's column c at row
+    i + s, cell for cell and of the same kind.  A chunk spells this table's
+    rows once, and a copy's rows whose cells all lie in this table take
+    their words from that chunk; its other rows are spelled on their own.
+    A lone table is a pass with no copies.  An ``OSError`` writing a file
+    is a ConfigError that names it."""
     lead = _Table(fh, cells)
     follow = []
     ahead = 0  # rows past a chunk that a copy's gathered rows read
     for fh_copy, cells_copy, rows_copy, links in copies:
+        assert len(links) == len(cells_copy), "a copy's links cover each of its columns"
         table, shifts = _Table(fh_copy, cells_copy), [s for _, s in links.values()]
         first = min(max(-min(shifts), 0), rows_copy)  # [first, last): the gathered rows
         last = min(max(rows - max(shifts), first), rows_copy)
@@ -53,7 +57,7 @@ def spell_rows(fh: TextIO, cells: list, rows: int, copies: list = ()) -> None:
         for table, links, low, first, last, _ in follow:
             i, j = min(max(a - low, first), last), min(max(b - low, first), last)
             if i < j:  # after the fallback, before the separators
-                gathered = table.words(i, j, links)
+                gathered = np.empty((j - i, len(links), 4), dtype="<u8")
                 for column, (c, s) in links.items():
                     gathered[:, column] = words[i + s - a : j + s - a, c]
                 table.write(gathered)
@@ -69,9 +73,9 @@ class _Table:
     Each cell is four words, blank bytes zero, last byte the ``,`` or line
     end after it: a number spelled by :func:`spell`, or a text cell's slot,
     each distinct cell encoded once and gathered by one ``take``.  A chunk
-    of rows is its words' bytes less the zeros.  A number the tables cannot
-    spell takes ``%``, padded to 31 bytes with spaces, which become zeros;
-    spaces in text stay."""
+    of rows is its words' bytes less the zeros.  Numbers the tables cannot
+    spell take one ``%`` per column, padded to 31 bytes with spaces, which
+    become zeros; spaces in text stay."""
 
     def __init__(self, fh: TextIO, cells: list):
         self.fh, self.cells = fh, cells
@@ -80,45 +84,38 @@ class _Table:
             j: np.frombuffer(b"".join(cell.encode().ljust(32, b"\0") for cell in c[0]),
                              "<u8").reshape(-1, 4)
             for j, c in enumerate(cells) if isinstance(c, tuple)}
+        self.exponent = np.array([j not in self.slots and c.dtype.kind == "f"
+                                  for j, c in enumerate(cells)])
         self.ends = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint64) << 56
         self.step = CHUNK_CELLS // width
 
-    def words(self, start: int, stop: int, skip=()) -> np.ndarray:
-        """The words of rows [start, stop), each array freed as it returns;
-        the columns in ``skip`` are left for the caller to fill."""
-        rows, size = slice(start, stop), stop - start
-        words = np.empty((size, len(self.cells), 4), dtype="<u8")
-        for j, slot in self.slots.items():
-            if j not in skip:
-                words[:, j] = slot.take(self.cells[j][1][rows], axis=0, mode="clip")
-        spelled = [j for j in range(len(self.cells)) if j not in skip and j not in self.slots]
-        if not spelled:
-            return words
-        values = np.empty((size, len(spelled)))
-        for k, j in enumerate(spelled):
-            values[:, k] = self.cells[j][rows]
-        every = len(spelled) == len(self.cells)
-        out = words if every else np.empty((size, len(spelled), 4), dtype="<u8")
-        exponent = np.array([self.cells[j].dtype.kind == "f" for j in spelled])
-        left = spell(values, out, exponent)
+    def words(self, start: int, stop: int) -> np.ndarray:
+        """The words of rows [start, stop), each array freed as it returns."""
+        cells, rows = self.cells, slice(start, stop)
+        values = np.empty((stop - start, len(cells)))
+        for j, c in enumerate(cells):  # a text column's 0s are spelled, then overwritten
+            values[:, j] = 0 if j in self.slots else c[rows]
+        words = np.empty((*values.shape, 4), dtype="<u8")
+        left = spell(values, words, self.exponent)
         del values
-        if not every:  # one copy of 32-byte items into the spelled columns
-            words.view("V32")[:, spelled, 0] = out.view("V32")[..., 0]
-        del out
-        row, k = np.divmod(np.flatnonzero(left), len(spelled))
-        if len(row):  # a few cells a chunk: one ``%`` each, all written at once
-            column = np.array(spelled)[k]
-            text = "".join(
-                ("%31.12g" if self.cells[j].dtype.kind == "f" else "%31d") % self.cells[j][i]
-                for i, j in zip((start + row).tolist(), column.tolist()))
-            words.view(np.uint8)[row, column, :31] = np.frombuffer(
+        for j, slot in self.slots.items():
+            words[:, j] = slot.take(cells[j][1][rows], axis=0, mode="clip")
+        for j in np.flatnonzero(left.any(axis=0)):
+            fallback = np.flatnonzero(left[:, j])
+            fmt = "%31.12g" if cells[j].dtype.kind == "f" else "%31d"
+            text = fmt * len(fallback) % tuple(cells[j][start + fallback].tolist())
+            words.view(np.uint8)[fallback, j, :31] = np.frombuffer(
                 text.encode("ascii").replace(b" ", b"\0"), np.uint8).reshape(-1, 31)
         return words
 
     def write(self, words: np.ndarray) -> None:
         """Separate the cells of ``words`` and write them."""
         words[..., 3] |= self.ends
-        self.fh.write(words.tobytes().translate(None, b"\0").decode())
+        text = words.tobytes().translate(None, b"\0").decode()
+        try:
+            self.fh.write(text)
+        except OSError as exc:  # named here: a pass has several files open
+            raise ConfigError(f"cannot write {self.fh.name}: {exc}") from exc
 
     def write_rows(self, start: int, stop: int) -> None:
         """Spell and write rows [start, stop), a chunk at a time."""

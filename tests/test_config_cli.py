@@ -521,6 +521,45 @@ class TestCli:
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
 
+    @pytest.mark.parametrize("name", ["paoi_peaks_zero-wait.csv",
+                                      "paoi_trajectory_zero-wait.csv"])
+    def test_failed_large_write_under_one_pass_names_its_file_exit_2(
+            self, tmp_path, capsys, name):
+        # a write past the buffer goes straight to the file and, when it
+        # fails, leaves nothing buffered: the close then succeeds, so the
+        # error must be named where the write raised it
+        cfg = tmp_path / "f.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+                       "simulation: {peaks: 2000, replications: 1, dump_peaks: true, "
+                       "trajectory_horizon: 5000.0}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        open_csv = cli._open_csv
+
+        class LargeWritesFail:
+            def __init__(self, fh):
+                self.fh, self.name = fh, fh.name
+
+            def write(self, text):
+                if len(text) > 8192:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def opened(path):
+            fh = open_csv(path)
+            return LargeWritesFail(fh) if path == out / name else fh
+
+        with mock.patch.object(cli, "_open_csv", opened):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
         cfg.write_text(
