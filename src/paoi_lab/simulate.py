@@ -6,20 +6,21 @@ threshold or is preempted at the threshold, and time advances by
 ``min(threshold, service)`` per attempt.  No event queue is needed for a
 single source and server.
 
-The engine reads blocks of 4096 service draws from an iterator over one
-seed's service stream.  Attempt ``i`` reads service draw ``i + 1`` and,
-under a randomized policy, threshold draw ``i`` from the seed's second
-stream (``draw_batch``, bit-equal to one ``draw`` per attempt).  Per block
-it finds the receptions with one array comparison (a threshold sequence
-with a head chases one pointer per peak through a table of where each
-start position leads), sums each peak's dropped thresholds in the order one
-attempt at a time would add them (a sequence's prefix sums are built once
-per engine), and yields the block's peaks as columns, empty when no
-reception falls in the block.  A peak still open at the block end carries
-its partial sum and drop count into the next block.  The result equals the
-one-attempt-at-a-time loop bit for bit.  :func:`simulate_peaks` and
-:func:`aoi_trajectory` return the series as NumPy record arrays, whose
-field names are the CSV headers of the peak dump and the trajectory.
+The loop draws each block of 4096 service draws from one seed's service
+stream and steps each policy's engine on it.  Attempt ``i`` reads service
+draw ``i + 1`` and, under a randomized policy, threshold draw ``i`` from
+the seed's second stream (``draw_batch``, bit-equal to one ``draw`` per
+attempt).  Per block an engine finds the receptions with one array
+comparison (a threshold sequence with a head chases one pointer per peak
+through a table of where each start position leads), sums each peak's
+dropped thresholds in the order one attempt at a time would add them (a
+sequence's prefix sums are built once per engine), and returns the block's
+peaks as columns, empty when no reception falls in the block.  A peak
+still open at the block end carries its partial sum and drop count into
+the next block.  The result equals the one-attempt-at-a-time loop bit for
+bit.  :func:`simulate_peaks` and :func:`aoi_trajectory` return the series
+as NumPy record arrays, whose field names are the CSV headers of the peak
+dump and the trajectory.
 
 Every run, of one policy or of several, goes through one lockstep loop:
 every policy of a seed reads the same service draws, so each step draws
@@ -49,9 +50,10 @@ preemptions raises it, once a caller asks for that peak.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -198,144 +200,119 @@ def _deliverable(d: ServiceDistribution, policy: Policy) -> Optional[tuple[float
     return thresholds
 
 
-def _service_blocks(d: ServiceDistribution, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The endless service draws of one seed, in blocks of ``_DRAW_BLOCK``."""
-    while True:
-        yield np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
-
-
-def _engine(
-    d: ServiceDistribution,
-    policy: Policy,
-    blocks: Iterator[np.ndarray],
-    ss_threshold: np.random.SeedSequence,
-    stall_limit: int,
-    keep: Optional[int] = None,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The endless peak series of ``policy`` on the service ``blocks``: per
-    block, the columns ``peak, received_service, interreception,
-    preemptions, receive_time`` of the peaks whose reception falls in it
-    (empty columns if none), the first ``keep`` of them or all.  With
-    ``keep == 1`` a step builds the peak column alone.  Checks its
-    arguments at once; no block is read before the first step, and each
-    step reads exactly one."""
-    if stall_limit < 1:  # the count is checked after a drop
-        raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
-    thresholds = _deliverable(d, policy)
-    table = None if thresholds is None else np.array(thresholds, dtype=float)
-    rng_threshold = np.random.default_rng(ss_threshold)
-    return _peak_blocks(policy, blocks, table, rng_threshold, stall_limit, keep)
-
-
 _NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
 
 
-def _peak_blocks(policy, blocks, table, rng_threshold, stall_limit, keep):
-    """:func:`_engine`'s series under the threshold sequence ``table``, or
-    under thresholds drawn from ``rng_threshold`` where ``table`` is None:
-    a generator, so that its caller can check the arguments at once.  Each
-    peak is its carried service plus its inter-reception time, one addition
-    whichever columns a step builds."""
-    prefix = np.zeros(1)  # of the sequence, see _prefix_sums
-    draws = next(blocks)
-    x_prev, x = draws[0], draws[1:]  # initial AoI: a packet is received at time zero
-    now = 0.0
-    y_open, drops_open = 0.0, 0  # the peak waiting for its reception
-    while True:
-        size = len(x)
+class _Engine:
+    """The peak series of ``policy`` on one seed, one block of service draws
+    per :meth:`step`, under the threshold sequence ``resolve(policy, d)`` or
+    under thresholds drawn from the stream of ``ss_threshold``.  Checks its
+    arguments at once, before any block is drawn.  A step returns the
+    columns ``peak, received_service, interreception, preemptions,
+    receive_time`` of the peaks received in its block (empty if none), or
+    with ``peaks_only`` the peak column alone.  A step that meets a stall
+    returns the peaks before it, and the next step raises
+    :class:`SimulationStall`, so a caller that stops first never sees it."""
+
+    def __init__(self, d, policy, ss_threshold, stall_limit, peaks_only=False):
+        if stall_limit < 1:  # the count is checked after a drop
+            raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
+        thresholds = _deliverable(d, policy)
+        self.table = None if thresholds is None else np.array(thresholds, dtype=float)
+        self.policy, self.stall_limit, self.peaks_only = policy, stall_limit, peaks_only
+        self.rng_threshold = np.random.default_rng(ss_threshold)
+        self.prefix = np.zeros(1)  # of the sequence, see _prefix_sums
+        self.x_prev = None  # the service the open peak carries; none before the first block
+        self.now = 0.0
+        self.y_open, self.drops_open = 0.0, 0  # the peak waiting for its reception
+        self.stalled = False
+
+    def step(self, x):
+        """The columns of the peaks received in the service block ``x``."""
+        if self.stalled:
+            raise SimulationStall(
+                f"{self.stall_limit} consecutive preemptions without a reception "
+                f"under {self.policy!r}; is the threshold below the support?"
+            )
+        if self.x_prev is None:  # initial AoI: a packet is received at time zero
+            self.x_prev, x = x[0], x[1:]
+        table, size = self.table, len(x)
         if table is None:
-            thetas = policy.sampler.draw_batch(rng_threshold, size)
+            thetas = self.policy.sampler.draw_batch(self.rng_threshold, size)
             ends = (x <= thetas).nonzero()[0]  # reception wins the tie
         else:
-            ends = _sequence_ends(x, table, drops_open)
+            ends = _sequence_ends(x, table, self.drops_open)
         # drops[i]: the attempts peak i drops in this block; the last peak
         # is still open at the block end
         drops = np.concatenate((ends, (size,)))
         drops[1:] -= ends + 1
         if table is None:
-            y = _sampled_sums(thetas, y_open, ends, drops)
+            y = _sampled_sums(thetas, self.y_open, ends, drops)
         else:
-            prefix = _prefix_sums(prefix, table, drops.max())
-            y = _sequence_sums(table, prefix, y_open, drops_open, drops)
-        drops[0] += drops_open
-        y_open, drops_open = y[-1], int(drops[-1])
+            self.prefix = _prefix_sums(self.prefix, table, drops.max())
+            y = _sequence_sums(table, self.prefix, self.y_open, self.drops_open, drops)
+        drops[0] += self.drops_open
+        self.y_open, self.drops_open = y[-1], int(drops[-1])
         received_next = x[ends]  # the service each reception carries into the next peak
         y = y[:-1] + received_next
-        stalled = drops.max() >= stall_limit
-        k = int(np.argmax(drops >= stall_limit)) if stalled else len(ends)
+        self.stalled = drops.max() >= self.stall_limit
+        k = int(np.argmax(drops >= self.stall_limit)) if self.stalled else len(ends)
         if not k:
-            yield _NO_PEAKS[:keep]
-        elif keep == 1:
+            return _NO_PEAKS[:1] if self.peaks_only else _NO_PEAKS
+        x_prev, self.x_prev = self.x_prev, received_next[k - 1]
+        if self.peaks_only:
             peak = y[:k]  # a fresh array: add each carried service in place
             peak[0] += x_prev
             peak[1:] += received_next[: k - 1]
-            yield (peak,)
-            x_prev = received_next[k - 1]
-        else:
-            received = np.empty(k)
-            received[0] = x_prev
-            received[1:] = received_next[: k - 1]
-            times = np.empty(k + 1)
-            times[0] = now
-            times[1:] = y[:k]
-            times = np.cumsum(times)[1:]
-            yield (received + y[:k], received, y[:k], drops[:k], times)[:keep]
-            x_prev, now = received_next[k - 1], times[-1]
-        if stalled:
-            raise SimulationStall(
-                f"{stall_limit} consecutive preemptions without a reception "
-                f"under {policy!r}; is the threshold below the support?"
-            )
-        x = next(blocks)
+            return (peak,)
+        received = np.empty(k)
+        received[0] = x_prev
+        received[1:] = received_next[: k - 1]
+        times = np.empty(k + 1)
+        times[0] = self.now
+        times[1:] = y[:k]
+        times = np.cumsum(times)[1:]
+        self.now = times[-1]
+        return received + y[:k], received, y[:k], drops[:k], times
 
 
 # A draw, a sum or an estimate past the largest float reads inf silently,
-# as Python's float arithmetic does; the state covers the whole loop over an
-# engine, not a block held open across its yield.
+# as Python's float arithmetic does; the state covers the whole block loop.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_silent_overflow
-def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, keep=None):
-    """Per policy, in ``policies`` order, the columns of :func:`_engine` on
-    the stream of ``seed`` (the first ``keep`` of them, or all), each joined
-    into one array, up to the block that holds the policy's ``peaks``-th
-    peak or its first reception past ``horizon``.  Without a horizon the
-    engines build only the kept columns; up to one they build all, since
-    the reception times decide where each stops.
+def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, peaks_only=False):
+    """Per policy, in ``policies`` order, the columns of its :class:`_Engine`
+    on the stream of ``seed``, each joined into one array, up to the step
+    that holds the policy's ``peaks``-th peak or its first reception past
+    ``horizon``.  ``peaks_only`` keeps the peak column alone, and only
+    without a horizon: the reception times decide where a trajectory stops.
 
     The policies read one service stream in lockstep: each step draws one
-    block and advances every running engine by one step, which reads that
-    block, so each policy reads the draws it reads alone.  A policy that is
-    done is dropped, and no block past the last one's is drawn.  The first
-    stall the steps meet raises, whichever policy it is in.  Up to a finite
+    block and hands that same array to every running engine, so each
+    policy reads the draws it reads alone.  A policy that is done is
+    dropped, and no block past the last one's is drawn.  The first stall
+    the steps meet raises, whichever policy it is in.  Up to a finite
     ``horizon``, raises :class:`ConfigError` as soon as a policy's
     receptions so far, at their pace, project past ``_MAX_TRAJECTORY`` by
     the horizon."""
     # two child streams, so that policies which do not randomize consume the
     # exact same service draws as a fixed-threshold run with the same seed
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
-    blocks = _service_blocks(d, np.random.default_rng(ss_service))
-    block = None
-
-    def step_blocks():  # what an engine reads: the block of the current step
-        while True:
-            yield block
-
-    built = keep if horizon == math.inf else None
-    engines = [  # every policy checked before the first draw
-        _engine(d, policy, step_blocks(), ss_threshold, stall_limit, built) for policy in policies
-    ]
+    rng = np.random.default_rng(ss_service)
+    # every policy checked before the first draw
+    engines = [_Engine(d, policy, ss_threshold, stall_limit, peaks_only) for policy in policies]
     parts = [[] for _ in policies]
     have = [0] * len(policies)
     running = list(range(len(policies)))
     while running:
-        block = next(blocks)
+        x = np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
         for i in running:
-            cols = next(engines[i])
+            cols = engines[i].step(x)
             if not len(cols[0]):
                 continue
-            parts[i].append(cols[:keep])
+            parts[i].append(cols)
             have[i] += len(cols[0])
             if have[i] >= peaks:
                 engines[i] = None
@@ -354,7 +331,10 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
 
 
 def _check_range(peaks, warmup):
-    """Reject a peak range that holds no peak."""
+    """Reject a peak range that holds no peak or is not counted in integers."""
+    for name, count in (("peaks", peaks), ("warmup", warmup)):
+        if not isinstance(count, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {count!r}")
     if peaks < 1:
         raise ValueError("need at least one peak")
     if warmup < 0:
@@ -448,7 +428,7 @@ def _seed_estimates(d, policies, peaks, stall_limit, warmup, seed) -> list[PaoiE
     batch means of its peaks after ``warmup``, from a lockstep run (see
     :func:`_lockstep`) that keeps only the peak column."""
     need = warmup + peaks
-    runs = _lockstep(d, policies, seed, stall_limit, peaks=need, keep=1)
+    runs = _lockstep(d, policies, seed, stall_limit, peaks=need, peaks_only=True)
     return [_batch_means(peak[warmup:need], seed) for (peak,) in runs]
 
 

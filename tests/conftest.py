@@ -240,3 +240,18 @@ def record_text(fill, records):
 def kernel_text(records):
     """What the digit-table kernel writes for ``records``."""
     return record_text(digits.spell_rows, records)
+
+
+def assert_same_text(got, want):
+    """``assert got == want`` for two texts, but a failure reports only the
+    first line that differs, both versions of it and the line counts:
+    pytest's own diff of two texts of a megabyte runs for minutes."""
+    __tracebackhide__ = True
+    if got == want:
+        return
+    lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(lines, want_lines)) if a != b),
+             min(len(lines), len(want_lines)))
+    line, want_line = (ls[i] if i < len(ls) else None for ls in (lines, want_lines))
+    raise AssertionError(f"line {i + 1} differs: {line!r} != {want_line!r} "
+                         f"({len(lines)} lines against {len(want_lines)})")

@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from conftest import CATALOG, kernel_text, pure_yaml, record_text, run_fresh
+from conftest import CATALOG, assert_same_text, kernel_text, pure_yaml, record_text, run_fresh
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -833,7 +833,7 @@ class TestEngineRowWriter:
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_the_files_written_one_at_a_time(self, case):
         for records in self.records(case):
-            assert kernel_text(records) == record_text(cli._template_rows, records)
+            assert_same_text(kernel_text(records), record_text(cli._template_rows, records))
         if case == "non-finite cells":
             assert ",inf," in kernel_text(records)
 
@@ -842,7 +842,7 @@ class TestEngineRowWriter:
         # 15 dump rows or 30 trajectory rows per chunk
         for records in self.records(case):
             with mock.patch.object(digits, "CHUNK_CELLS", 90):
-                assert kernel_text(records) == record_text(cli._template_rows, records)
+                assert_same_text(kernel_text(records), record_text(cli._template_rows, records))
 
     @pytest.mark.parametrize("chunk_cells", [digits.CHUNK_CELLS, 90])
     @pytest.mark.parametrize("case", list(CASES))
@@ -860,12 +860,7 @@ class TestEngineRowWriter:
             digits.spell_rows(fh, *cli._table(columns),
                               [(copy_fh, *cli._table(copy_columns), links)])
         for text, records in ((fh.getvalue(), dump), (copy_fh.getvalue(), trajectory)):
-            # the first line that differs, not a diff of thousands of lines
-            lines = text.splitlines()
-            want = record_text(cli._template_rows, records).splitlines()
-            assert len(lines) == len(want)
-            assert next(((i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b),
-                        None) is None
+            assert_same_text(text, record_text(cli._template_rows, records))
 
     @pytest.mark.parametrize("case, passes", [("trajectory past the dump", 1),
                                               ("non-finite cells", 0)])
@@ -880,8 +875,8 @@ class TestEngineRowWriter:
         with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
             cli._write_table(fh, names, columns, [(copy_fh, copy_names, copy_columns, links)])
         assert [len(call.args[3]) for call in kernel.call_args_list] == [1] * passes
-        assert fh.getvalue() == record_text(cli._template_rows, dump)
-        assert copy_fh.getvalue() == record_text(cli._template_rows, trajectory)
+        assert_same_text(fh.getvalue(), record_text(cli._template_rows, dump))
+        assert_same_text(copy_fh.getvalue(), record_text(cli._template_rows, trajectory))
 
 
 ERLANG = "distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from paoi_lab import cli, digits
 from paoi_lab.cli import _write_table
 
-from conftest import fill_text, kernel_text, run_fresh
+from conftest import assert_same_text, fill_text, kernel_text, run_fresh
 
 
 def float_text(values):
@@ -40,12 +40,12 @@ class TestCellKernel:
         bits = np.random.default_rng(12).integers(0, 2**64, 1_000_000, dtype=np.uint64)
         values = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
                                                           math.nan, 5e-324, -5e-324]])
-        assert kernel_text(one_field(values)) == float_text(values)
+        assert_same_text(kernel_text(one_field(values)), float_text(values))
         rng = np.random.default_rng(17)
         subnormal = rng.integers(1, 2**52, 100_000, dtype=np.uint64).view(np.float64)
         anywhere = 10.0 ** rng.uniform(-323.3, 308.25, 200_000)
         for values in (subnormal, -subnormal, anywhere, -anywhere):
-            assert kernel_text(one_field(values)) == float_text(values)
+            assert_same_text(kernel_text(one_field(values)), float_text(values))
 
     def test_next_to_every_power_of_ten(self):
         # log10 may miss the exponent by one here, and 12 digits round up
@@ -56,7 +56,7 @@ class TestCellKernel:
         values = np.concatenate([np.nextafter(below, 0), below, powers,
                                  np.nextafter(powers, math.inf)])
         values = np.concatenate([values, -values])
-        assert kernel_text(one_field(values)) == float_text(values)
+        assert_same_text(kernel_text(one_field(values)), float_text(values))
 
     def test_thirteen_digit_halves(self):
         # each rounds to 12 digits by the last bits of its double; then at
@@ -68,7 +68,7 @@ class TestCellKernel:
         mantissas = rng.integers(10**11, 10**12, 200_000) * 10 + 5
         pairs += zip(mantissas.tolist(), rng.integers(-335, 296, 200_000).tolist())
         values = np.array([float(f"{m}e{k}") for m, k in pairs])
-        assert kernel_text(one_field(values)) == float_text(values)
+        assert_same_text(kernel_text(one_field(values)), float_text(values))
 
     def test_dyadic_rationals_and_short_decimals(self):
         rng = np.random.default_rng(14)
@@ -77,7 +77,7 @@ class TestCellKernel:
                           zip(rng.integers(0, 10**6, 200_000).tolist(),
                               rng.integers(-12, 12, 200_000).tolist())])
         for values in (dyadic, short, -short):
-            assert kernel_text(one_field(values)) == float_text(values)
+            assert_same_text(kernel_text(one_field(values)), float_text(values))
 
     def test_integers(self):
         values = np.array([0, 1, 9, 10, 9999, 10**4, 10**4 + 1, 10**8, 10**8 - 1, 10**11,
@@ -86,7 +86,7 @@ class TestCellKernel:
         rng = np.random.default_rng(15)
         values = np.concatenate([values, rng.integers(0, 10**12, 100_000)
                                  // 10 ** rng.integers(0, 12, 100_000)])
-        assert kernel_text(one_field(values)) == int_text(values)
+        assert_same_text(kernel_text(one_field(values)), int_text(values))
 
     def test_integer_columns_among_float_columns(self):
         # the edges of eight digits and of int64, then integer columns beside
@@ -94,16 +94,16 @@ class TestCellKernel:
         edges = np.array([0, 9, 10, 9999, 10**4, 99_999_999, 10**8, -1, 2**63 - 1, -(2**63)])
         rng = np.random.default_rng(19)
         k = np.concatenate([edges, rng.integers(0, 10**8, 100_000)])
-        assert kernel_text(one_field(k)) == int_text(k)
+        assert_same_text(kernel_text(one_field(k)), int_text(k))
         x = rng.standard_normal(len(k)) * 10.0 ** rng.integers(-6, 14, len(k))
         u = rng.integers(0, 2**64, len(k), dtype=np.uint64)
         columns = [k, x, u, k[::-1]]
         rows = list(zip(*(c.tolist() for c in columns)))
         want = "k,x,u,j\n" + "".join("%d,%.12g,%d,%d\n" % row for row in rows)
-        assert kernel_text(np.rec.fromarrays(columns, names="k,x,u,j")) == want
+        assert_same_text(kernel_text(np.rec.fromarrays(columns, names="k,x,u,j")), want)
         with mock.patch.object(digits, "CHUNK_CELLS", 90):
             head = np.rec.fromarrays([c[:3000] for c in columns], names="k,x,u,j")
-            assert kernel_text(head) == "".join(want.splitlines(keepends=True)[:3001])
+            assert_same_text(kernel_text(head), "".join(want.splitlines(keepends=True)[:3001]))
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
@@ -112,7 +112,7 @@ class TestCellKernel:
         k = np.array([row[0] for row in rows], dtype=np.int64)
         x = np.array([row[1] for row in rows], dtype=float)
         want = "k,x\n" + "".join("%d,%.12g\n" % row for row in rows)
-        assert kernel_text(np.rec.fromarrays([k, x], names="k,x")) == want
+        assert_same_text(kernel_text(np.rec.fromarrays([k, x], names="k,x")), want)
 
     # text that holds spaces, commas and quotes, and text that does not fit a
     # slot's 31 bytes or holds the NUL the kernel deletes
@@ -137,7 +137,7 @@ class TestCellKernel:
         header, fh = ["policy", "k", "x"], io.StringIO()
         with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
             _write_table(fh, header, columns)
-        assert fh.getvalue() == fill_text(cli._template_rows, header, columns)
+        assert_same_text(fh.getvalue(), fill_text(cli._template_rows, header, columns))
         assert kernel.called == (3 * n >= cli._KERNEL_MIN_CELLS and not unfit)
 
     @pytest.mark.parametrize("unfit", UNFIT)
@@ -147,7 +147,8 @@ class TestCellKernel:
         with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
             _write_table(fh, ["policy", "k", "x"], columns)
         assert not kernel.called
-        assert fh.getvalue() == fill_text(cli._template_rows, ["policy", "k", "x"], columns)
+        want = fill_text(cli._template_rows, ["policy", "k", "x"], columns)
+        assert_same_text(fh.getvalue(), want)
 
     def test_falls_back_only_near_a_half(self):
         # in either form, every other finite cell is spelled by the tables:

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from itertools import count, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +43,9 @@ from paoi_lab.policies import resolve
 from paoi_lab.simulate import (
     DEFAULT_STALL_LIMIT,
     _batch_means,
-    _engine,
+    _Engine,
     _lockstep,
     _replications,
-    _service_blocks,
 )
 
 
@@ -180,6 +180,17 @@ class TestEventLoop:
 
         with pytest.raises(ValueError, match="stall_limit"):
             run(Undrawn(1.0), FixedThreshold(2.0), 10, 1, stall_limit=0)
+
+    @pytest.mark.parametrize("counts", [{"peaks": 2.5}, {"peaks": 2, "warmup": 1.0}])
+    def test_counts_that_are_not_integers_raise_before_any_draw(self, counts):
+        class Undrawn(Exponential):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        with pytest.raises(TypeError, match="must be an integer"):
+            simulate_peaks(Undrawn(1.0), ZeroWait(), seed=1, **counts)
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_replications(Undrawn(1.0), ZeroWait(), replications=1, base_seed=1, **counts)
 
     def test_unreached_tail_does_not_stall(self):
         # the first attempt at theta = 3 always delivers, so the tail
@@ -411,6 +422,13 @@ def _estimate(d, policy, peaks, stall_limit, warmup, seed):
     return estimate_paoi(simulate_peaks(d, policy, peaks, seed, stall_limit, warmup), seed)
 
 
+def _service_blocks(d, rng):
+    """The endless service draws of ``rng``, in blocks of 4096, as the
+    lockstep loop draws them."""
+    while True:
+        yield np.asarray(d.sample_batch(rng, 4096), dtype=float)
+
+
 class TestLockstep:
     """A seed's policies read one service stream; each gets the estimate it
     gets alone."""
@@ -457,14 +475,48 @@ class TestLockstep:
                 read.append(len(block))
                 yield block
 
-        engine = _engine(Exponential(1.0), FixedThreshold(1e-4), blocks(),
-                         np.random.SeedSequence(1), DEFAULT_STALL_LIMIT)
+        engine = _Engine(Exponential(1.0), FixedThreshold(1e-4), np.random.SeedSequence(1),
+                         DEFAULT_STALL_LIMIT)
         assert read == []
-        steps = [next(engine) for _ in range(12)]
+        steps = [engine.step(x) for x in islice(blocks(), 12)]
         assert read == [4096] * 12
         empty = [cols for cols in steps if not len(cols[0])]
         assert 0 < len(empty) < len(steps)
         assert all(len(cols) == 5 and not any(map(len, cols)) for cols in empty)
+
+    def test_draws_one_block_per_step_and_none_past_the_last_policy(self):
+        # zero-wait has its 6000 peaks after 2 blocks and fixed(0.01) after
+        # about 150: each draw is followed by one step of each policy still
+        # running, and the last step holds fixed(0.01)'s 6000th peak
+        events = []
+
+        class Counted(Exponential):
+            def sample_batch(self, rng, n):
+                events.append(("draw", n))
+                return super().sample_batch(rng, n)
+
+        step = _Engine.step
+
+        def counted_step(engine, x):
+            cols = step(engine, x)
+            events.append((engine.policy, len(cols[0])))
+            return cols
+
+        with mock.patch.object(_Engine, "step", counted_step):
+            _lockstep(Counted(1.0), MIX[:2], 3, DEFAULT_STALL_LIMIT, peaks=6000)
+        rounds = []
+        for what, n in events:
+            if what == "draw":
+                assert n == 4096
+                rounds.append([])
+            else:
+                rounds[-1].append((what, n))
+        zero_wait, fixed = MIX[:2]
+        assert [[p for p, _ in r] for r in rounds] == (
+            [[zero_wait, fixed]] * 2 + [[fixed]] * (len(rounds) - 2))
+        for have in (np.cumsum([r[0][1] for r in rounds[:2]]),
+                     np.cumsum([r[-1][1] for r in rounds])):
+            assert have[-2] < 6000 <= have[-1]
 
     def test_a_stall_in_one_policy_raises(self):
         d = Exponential(1.0)
@@ -498,15 +550,14 @@ class TestLockstep:
 KINDS = MIX + (RandomizedThreshold(TriangularSampler(0.05, 0.3, 2.0)),)
 
 
-def _engine_steps(d, policy, seed, stall_limit, keep):
+def _engine_steps(d, policy, seed, stall_limit, peaks_only):
     """Every step of one engine on the stream of ``seed``, up to its stall."""
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
-    blocks = _service_blocks(d, np.random.default_rng(ss_service))
-    engine = _engine(d, policy, blocks, ss_threshold, stall_limit, keep)
+    engine = _Engine(d, policy, ss_threshold, stall_limit, peaks_only)
     steps = []
     with pytest.raises(SimulationStall):
-        while True:
-            steps.append(next(engine))
+        for x in _service_blocks(d, np.random.default_rng(ss_service)):
+            steps.append(engine.step(x))
     return steps
 
 
@@ -522,7 +573,8 @@ class TestPeakOnlySteps:
             assert estimates == [
                 _estimate(d, policy, 2000, DEFAULT_STALL_LIMIT, warmup, seed) for seed in (40, 41)
             ], policy
-        peak_only = _lockstep(d, KINDS, 40, DEFAULT_STALL_LIMIT, peaks=warmup + 2000, keep=1)
+        peak_only = _lockstep(d, KINDS, 40, DEFAULT_STALL_LIMIT, peaks=warmup + 2000,
+                              peaks_only=True)
         for policy, (peak,) in zip(KINDS, peak_only):
             full = simulate_peaks(d, policy, 2000, 40, warmup=warmup).peak
             assert peak[warmup : warmup + 2000].tolist() == full.tolist(), policy
@@ -531,8 +583,8 @@ class TestPeakOnlySteps:
         # fixed(0.01) drops about 100 attempts a peak; at seed 2 the 500th
         # drop in a row comes in the 6th block, after 21 of its peaks
         d, policy = Exponential(1.0), FixedThreshold(0.01)
-        peak_only = _engine_steps(d, policy, 2, 500, keep=1)
-        full = _engine_steps(d, policy, 2, 500, keep=None)
+        peak_only = _engine_steps(d, policy, 2, 500, peaks_only=True)
+        full = _engine_steps(d, policy, 2, 500, peaks_only=False)
         assert len(peak_only) == len(full) == 6
         assert len(full[-1][0]) == 21
         assert [cols[0].tolist() for cols in peak_only] == [cols[0].tolist() for cols in full]
@@ -541,9 +593,9 @@ class TestPeakOnlySteps:
         # fixed(1e-4) leaves most blocks without a reception
         d = Exponential(1.0)
         blocks = _service_blocks(d, np.random.default_rng(1))
-        engine = _engine(d, FixedThreshold(1e-4), blocks, np.random.SeedSequence(1),
-                         DEFAULT_STALL_LIMIT, 1)
-        steps = [next(engine) for _ in range(12)]
+        engine = _Engine(d, FixedThreshold(1e-4), np.random.SeedSequence(1),
+                         DEFAULT_STALL_LIMIT, peaks_only=True)
+        steps = [engine.step(x) for x in islice(blocks, 12)]
         assert all(len(cols) == 1 for cols in steps)
         assert 0 < sum(1 for (peak,) in steps if len(peak)) < len(steps)
 
