@@ -6,32 +6,39 @@ threshold or is preempted at the threshold, and time advances by
 ``min(threshold, service)`` per attempt.  No event queue is needed for a
 single source and server.
 
-The loop draws each block of 4096 service draws from one seed's service
-stream and steps each policy's engine on it.  Attempt ``i`` reads service
-draw ``i + 1`` and, under a randomized policy, threshold draw ``i`` from
-the seed's second stream (``draw_batch``, bit-equal to one ``draw`` per
-attempt).  Per block an engine finds the receptions with one array
-comparison (a threshold sequence with a head chases one pointer per peak
-through a table of where each start position leads), sums each peak's
-dropped thresholds in the order one attempt at a time would add them (a
-sequence's prefix sums are built once per engine), and returns the block's
-peaks as columns, empty when no reception falls in the block.  A peak
-still open at the block end carries its partial sum and drop count into
-the next block.  The result equals the one-attempt-at-a-time loop bit for
-bit.  :func:`simulate_peaks` and :func:`aoi_trajectory` return the series
-as NumPy record arrays, whose field names are the CSV headers of the peak
-dump and the trajectory.
+The loop draws blocks of 4096 service draws from one seed's service
+stream, and each policy's engine steps on them, one or more blocks per
+step.  Attempt ``i`` reads service draw ``i + 1`` and, under a randomized
+policy, threshold draw ``i`` from the seed's second stream
+(``draw_batch``, bit-equal to one ``draw`` per attempt).  Per step an
+engine finds the receptions with one array comparison (a threshold
+sequence with a head chases one pointer per peak through a table of where
+each start position leads), sums each peak's dropped thresholds in the
+order one attempt at a time would add them (a sequence's prefix sums are
+built once per engine), and returns the step's peaks as columns, empty
+when no reception falls in its draws.  A peak still open at the end of a
+step carries its partial sum and drop count into the next one.  The
+result equals the one-attempt-at-a-time loop bit for bit, however the
+draws are cut into steps.  :func:`simulate_peaks` and
+:func:`aoi_trajectory` return the series as NumPy record arrays, whose
+field names are the CSV headers of the peak dump and the trajectory.
 
 Every run, of one policy or of several, goes through one lockstep loop:
-every policy of a seed reads the same service draws, so each step draws
-one block of the seed's stream and hands that same array to every
-policy's engine, and an engine is dropped once it has its peaks or its
-horizon, so memory stays at the step's block plus each running policy's
-columns.  A single-policy run is a lockstep of one, and each policy's
-records and estimate equal the ones it gets alone.  A replication keeps
-only the peak column, so its steps build only that column: each peak is
-still its carried service plus its inter-reception time, one addition, but
-no reception time, carried-service or drop-count column is built.
+every policy of a seed reads the same service draws, so the loop draws
+one block of the seed's stream at a time and every policy's engine reads
+each block.  An engine reads the blocks it has not read yet in one step,
+on their concatenation, once they could hold its last peak or a stall
+(or every block, up to a horizon), so a step costs its fixed overhead
+once per such stretch and not once per block; a step on joined blocks
+gives the bits of one step per block.  An engine holds at most
+``_MAX_UNREAD`` blocks unread and is dropped once it has its peaks or its
+horizon, so memory stays at that many blocks and one step's arrays over
+them, plus each running policy's columns.  A single-policy run is a
+lockstep of one, and each policy's records and estimate equal the ones it
+gets alone.  A replication keeps only the peak column, so its steps build
+only that column: each peak is still its carried service plus its
+inter-reception time, one addition, but no reception time,
+carried-service or drop-count column is built.
 
 A packet is received at time zero and the initial AoI equals a fresh
 service draw, so the first peak is that draw plus the first
@@ -74,6 +81,9 @@ DEFAULT_STALL_LIMIT = 10**9
 _BATCH_COUNT = 30
 _Z95 = 1.96
 _DRAW_BLOCK = 4096
+# blocks an engine may leave unread before its next step: a step on them
+# builds arrays of this many blocks
+_MAX_UNREAD = 16
 # receptions one trajectory may hold: building one takes about 80 bytes a
 # reception (4.1M receptions peaked at 0.36 GB resident)
 _MAX_TRAJECTORY = 2**22
@@ -204,17 +214,20 @@ _NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), 
 
 
 class _Engine:
-    """The peak series of ``policy`` on one seed, one block of service draws
-    per :meth:`step`, under the threshold sequence ``resolve(policy, d)`` or
-    under thresholds drawn from the stream of ``ss_threshold``.  Checks its
+    """The peak series of ``policy`` on one seed, one stretch of service
+    draws per :meth:`step`, under the threshold sequence
+    ``resolve(policy, d)`` or under thresholds drawn from the stream of
+    ``ss_threshold``.  Checks its
     arguments at once, before any block is drawn.  A step returns the
     columns ``peak, received_service, interreception, preemptions,
-    receive_time`` of the peaks received in its block (empty if none), or
+    receive_time`` of the peaks received in its draws (empty if none), or
     with ``peaks_only`` the peak column alone.  A step that meets a stall
     returns the peaks before it, and the next step raises
     :class:`SimulationStall`, so a caller that stops first never sees it."""
 
     def __init__(self, d, policy, ss_threshold, stall_limit, peaks_only=False):
+        if not isinstance(stall_limit, numbers.Integral):  # nan would never stall
+            raise TypeError(f"stall_limit must be an integer, got {stall_limit!r}")
         if stall_limit < 1:  # the count is checked after a drop
             raise ValueError(f"stall_limit must be at least 1, got {stall_limit!r}")
         thresholds = _deliverable(d, policy)
@@ -222,13 +235,26 @@ class _Engine:
         self.policy, self.stall_limit, self.peaks_only = policy, stall_limit, peaks_only
         self.rng_threshold = np.random.default_rng(ss_threshold)
         self.prefix = np.zeros(1)  # of the sequence, see _prefix_sums
-        self.x_prev = None  # the service the open peak carries; none before the first block
+        self.x_prev = None  # the service the open peak carries; none before the first step
         self.now = 0.0
         self.y_open, self.drops_open = 0.0, 0  # the peak waiting for its reception
         self.stalled = False
 
+    def could_end(self, draws, peaks):
+        """Whether the next ``draws`` service draws could hold the
+        ``peaks``-th peak from here or a stall: every peak reads at least
+        one draw (the first step one more, the initial AoI), a stall needs
+        ``stall_limit`` drops in a row, and a stalled engine raises on its
+        next step."""
+        return (
+            self.stalled
+            or draws >= peaks + (self.x_prev is None)
+            or self.drops_open + draws >= self.stall_limit
+        )
+
     def step(self, x):
-        """The columns of the peaks received in the service block ``x``."""
+        """The columns of the peaks received in the service draws ``x``,
+        which follow the draws of the previous step."""
         if self.stalled:
             raise SimulationStall(
                 f"{self.stall_limit} consecutive preemptions without a reception "
@@ -242,8 +268,8 @@ class _Engine:
             ends = (x <= thetas).nonzero()[0]  # reception wins the tie
         else:
             ends = _sequence_ends(x, table, self.drops_open)
-        # drops[i]: the attempts peak i drops in this block; the last peak
-        # is still open at the block end
+        # drops[i]: the attempts peak i drops in this step; the last peak
+        # is still open at its end
         drops = np.concatenate((ends, (size,)))
         drops[1:] -= ends + 1
         if table is None:
@@ -289,14 +315,17 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
     ``horizon``.  ``peaks_only`` keeps the peak column alone, and only
     without a horizon: the reception times decide where a trajectory stops.
 
-    The policies read one service stream in lockstep: each step draws one
-    block and hands that same array to every running engine, so each
-    policy reads the draws it reads alone.  A policy that is done is
-    dropped, and no block past the last one's is drawn.  The first stall
-    the steps meet raises, whichever policy it is in.  Up to a finite
-    ``horizon``, raises :class:`ConfigError` as soon as a policy's
-    receptions so far, at their pace, project past ``_MAX_TRAJECTORY`` by
-    the horizon."""
+    The policies read one service stream in lockstep: the loop draws one
+    block at a time and keeps it for every running engine, which steps on
+    the blocks it has not read, joined, once :meth:`_Engine.could_end`
+    holds for them or they reach ``_MAX_UNREAD`` (up to a horizon, on every
+    block).  So each policy reads the draws it reads alone, and it has its
+    last peak, and meets a stall, on the block where one step per block
+    would.  A policy that is done is dropped, and no block past the last
+    one's is drawn.  The first stall the steps meet raises, whichever
+    policy it is in.  Up to a finite ``horizon``, raises
+    :class:`ConfigError` as soon as a policy's receptions so far, at their
+    pace, project past ``_MAX_TRAJECTORY`` by the horizon."""
     # two child streams, so that policies which do not randomize consume the
     # exact same service draws as a fixed-threshold run with the same seed
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
@@ -304,12 +333,21 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
     # every policy checked before the first draw
     engines = [_Engine(d, policy, ss_threshold, stall_limit, peaks_only) for policy in policies]
     parts = [[] for _ in policies]
+    unread = [[] for _ in policies]
     have = [0] * len(policies)
     running = list(range(len(policies)))
     while running:
         x = np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
         for i in running:
-            cols = engines[i].step(x)
+            unread[i].append(x)
+            if not (
+                horizon < math.inf
+                or len(unread[i]) >= _MAX_UNREAD
+                or engines[i].could_end(len(unread[i]) * _DRAW_BLOCK, peaks - have[i])
+            ):
+                continue
+            cols = engines[i].step(np.concatenate(unread[i]))
+            unread[i] = []
             if not len(cols[0]):
                 continue
             parts[i].append(cols)

@@ -2,11 +2,14 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, islice
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from paoi_lab import (
@@ -191,6 +194,22 @@ class TestEventLoop:
             simulate_peaks(Undrawn(1.0), ZeroWait(), seed=1, **counts)
         with pytest.raises(TypeError, match="must be an integer"):
             run_replications(Undrawn(1.0), ZeroWait(), replications=1, base_seed=1, **counts)
+
+    @pytest.mark.parametrize("stall_limit", [float("nan"), 2.5, 500.0])
+    def test_a_stall_limit_that_is_not_an_integer_raises_before_any_draw(self, stall_limit):
+        # nan compares false with every count, so the guard would never fire
+        class Undrawn(Exponential):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        d, policy = Undrawn(1.0), FixedThreshold(1e-3)
+        for run in (
+            partial(simulate_peaks, d, policy, 50, 1),
+            partial(aoi_trajectory, d, policy, 10.0, 1),
+            partial(run_replications, d, policy, 50, 1, 1),
+        ):
+            with pytest.raises(TypeError, match="stall_limit must be an integer"):
+                run(stall_limit=stall_limit)
 
     def test_unreached_tail_does_not_stall(self):
         # the first attempt at theta = 3 always delivers, so the tail
@@ -417,6 +436,11 @@ MIX = (
 )
 
 
+# every policy kind: zero-wait, fixed, a repetitive sequence, and uniform,
+# choice and triangular draws
+KINDS = MIX + (RandomizedThreshold(TriangularSampler(0.05, 0.3, 2.0)),)
+
+
 def _estimate(d, policy, peaks, stall_limit, warmup, seed):
     """The estimate of one replication, from its seed: that of its peak dump."""
     return estimate_paoi(simulate_peaks(d, policy, peaks, seed, stall_limit, warmup), seed)
@@ -427,6 +451,35 @@ def _service_blocks(d, rng):
     lockstep loop draws them."""
     while True:
         yield np.asarray(d.sample_batch(rng, 4096), dtype=float)
+
+
+def _per_block_lockstep(d, policies, seed, stall_limit, peaks, peaks_only=False):
+    """What ``_lockstep`` returns without a horizon, from a loop that steps
+    every running engine on every block it draws."""
+    ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
+    engines = [_Engine(d, policy, ss_threshold, stall_limit, peaks_only) for policy in policies]
+    blocks = _service_blocks(d, np.random.default_rng(ss_service))
+    parts = [[] for _ in policies]
+    have = [0] * len(policies)
+    running = list(range(len(policies)))
+    while running:
+        x = next(blocks)
+        for i in running:
+            cols = engines[i].step(x)
+            parts[i].append(cols)
+            have[i] += len(cols[0])
+        running = [i for i in running if have[i] < peaks]
+    return [[np.concatenate(c) for c in zip(*p)] for p in parts]
+
+
+def _outcome(run):
+    """The type and bytes of every column of every policy that ``run()``
+    returns, or the type and message of what it raises."""
+    try:
+        runs = run()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [[(c.dtype.str, c.tobytes()) for c in cols] for cols in runs]
 
 
 class TestLockstep:
@@ -484,10 +537,11 @@ class TestLockstep:
         assert 0 < len(empty) < len(steps)
         assert all(len(cols) == 5 and not any(map(len, cols)) for cols in empty)
 
-    def test_draws_one_block_per_step_and_none_past_the_last_policy(self):
+    def test_reads_each_block_once_and_draws_none_past_the_last_policy(self):
         # zero-wait has its 6000 peaks after 2 blocks and fixed(0.01) after
-        # about 150: each draw is followed by one step of each policy still
-        # running, and the last step holds fixed(0.01)'s 6000th peak
+        # about 150, as in the loop that steps each engine on each block.
+        # Every step of an engine reads all the blocks drawn since its last
+        # one, so the last draw belongs to fixed(0.01)'s last step.
         events = []
 
         class Counted(Exponential):
@@ -499,36 +553,83 @@ class TestLockstep:
 
         def counted_step(engine, x):
             cols = step(engine, x)
-            events.append((engine.policy, len(cols[0])))
+            events.append((engine.policy, len(x), len(cols[0])))
             return cols
 
+        _per_block_lockstep(Counted(1.0), MIX[:2], 3, DEFAULT_STALL_LIMIT, 6000)
+        drawn, events[:] = len(events), []
         with mock.patch.object(_Engine, "step", counted_step):
             _lockstep(Counted(1.0), MIX[:2], 3, DEFAULT_STALL_LIMIT, peaks=6000)
-        rounds = []
-        for what, n in events:
+        assert [e for e in events if e[0] == "draw"] == [("draw", 4096)] * drawn
+        blocks, read, steps = 0, {}, {}
+        for what, *counts in events:
             if what == "draw":
-                assert n == 4096
-                rounds.append([])
-            else:
-                rounds[-1].append((what, n))
+                blocks += 1
+                continue
+            read[what] = read.get(what, 0) + counts[0]
+            assert read[what] == 4096 * blocks, what
+            steps.setdefault(what, []).append(counts[1])
         zero_wait, fixed = MIX[:2]
-        assert [[p for p, _ in r] for r in rounds] == (
-            [[zero_wait, fixed]] * 2 + [[fixed]] * (len(rounds) - 2))
-        for have in (np.cumsum([r[0][1] for r in rounds[:2]]),
-                     np.cumsum([r[-1][1] for r in rounds])):
+        assert events[-1][0] == fixed
+        assert read == {zero_wait: 2 * 4096, fixed: drawn * 4096}
+        for counts in steps.values():
+            have = np.cumsum([0, *counts])
             assert have[-2] < 6000 <= have[-1]
+        # fixed(0.01) reads its first 2 blocks in one step, as zero-wait does
+        assert len(steps[zero_wait]) == 1
+        assert len(steps[fixed]) < drawn
 
     def test_a_stall_in_one_policy_raises(self):
         d = Exponential(1.0)
         with pytest.raises(SimulationStall, match="FixedThreshold"):
             _replications(d, MIX[:2], 2000, 1, 1, 200, 0, 1)
 
+    def test_the_first_stall_raises_in_policy_order(self):
+        # fixed(0.3) meets 5 drops in a row in the first block; an engine
+        # that waited for blocks that could hold its last peak would meet it
+        # later, after a fixed(2.0) meets one
+        policies = (FixedThreshold(2.0), FixedThreshold(0.3), FixedThreshold(2.0))
+        with pytest.raises(SimulationStall, match=r"FixedThreshold\(theta=0\.3\)"):
+            _lockstep(Exponential(1.0), policies, 623, 5, peaks=9000)
+
+    @pytest.mark.parametrize("first", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        others=st.lists(st.sampled_from(KINDS), max_size=2),
+        peaks=(st.sampled_from([1, 4095, 4097, 8191, 12_289]) | st.integers(1, 12_000)).filter(
+            lambda n: n % 4096),
+        stall_limit=st.sampled_from([3, 50, 4097, 10**9]),
+        peaks_only=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_loop_that_steps_on_every_block(
+        self, first, others, peaks, stall_limit, peaks_only, seed
+    ):
+        # the same columns or the same stall, after the same blocks
+        drawn = []
+
+        class Counted(Exponential):
+            def sample_batch(self, rng, n):
+                drawn.append(n)
+                return super().sample_batch(rng, n)
+
+        d, policies = Counted(1.0), (first, *others)
+        want = _outcome(
+            lambda: _per_block_lockstep(d, policies, seed, stall_limit, peaks, peaks_only))
+        want_drawn, drawn[:] = len(drawn), []
+        got = _outcome(lambda: _lockstep(d, policies, seed, stall_limit, peaks=peaks,
+                                         peaks_only=peaks_only))
+        assert got == want
+        assert len(drawn) == want_drawn
+
     def test_memory_stays_at_one_stream_for_all_policies(self):
         # zero-wait has its 16k peaks after 4 blocks and fixed(0.01) after
         # about 400: zero-wait's engine must stop when it is done, or it
         # holds the peaks of every block fixed(0.01) draws after that.  The
-        # reference, two fixed(0.01) engines, holds the same two peak columns
-        # and finishes both on the same step.
+        # reference, two zero-wait engines, holds two peak columns of the
+        # same length, and each reads its 4 blocks in one step, as zero-wait
+        # does alongside fixed(0.01): a step's arrays grow with the peaks it
+        # finds, and no step of fixed(0.01) finds more than about 160.
         d = Exponential(1.0)
 
         def traced_peak(policies, peaks):
@@ -541,13 +642,8 @@ class TestLockstep:
 
         traced_peak(MIX[:2], 100)  # one-time allocations out of the way
         for peaks in (4000, 16_000):
-            reference = traced_peak((MIX[1], MIX[1]), peaks)
+            reference = traced_peak((MIX[0], MIX[0]), peaks)
             assert traced_peak(MIX[:2], peaks) < 1.25 * reference, peaks
-
-
-# every policy kind: zero-wait, fixed, a repetitive sequence, and uniform,
-# choice and triangular draws
-KINDS = MIX + (RandomizedThreshold(TriangularSampler(0.05, 0.3, 2.0)),)
 
 
 def _engine_steps(d, policy, seed, stall_limit, peaks_only):
