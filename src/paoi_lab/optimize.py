@@ -4,7 +4,12 @@ The threshold search is a dense grid followed by golden-section
 refinement around the best grid cell.  A pure line search is not safe
 here: the PAoI curve is monotone for memoryless service times and only
 becomes convex for more regular shapes, so unimodality can never be
-assumed.
+assumed.  The grid is read in two steps.  A bound pass reads every 32nd
+point and the last.  On a cell between two of its points a < b, M, theta
+and F rise and P(X > theta) falls, so zeta >= (2 M(a) + a P(X > b)) / F(b);
+only cells whose bound comes within 1e-9 (relative) of the pass's smallest
+zeta are read, and the result is a read of the whole grid bit for bit.
+``evaluations`` still counts every grid point, read or bounded.
 
 The optimality cross-check is the fixed point of the one-stage Bellman
 equation
@@ -13,7 +18,8 @@ equation
     c(theta) = 2 * int_0^theta x dF(x) + theta * P(X > theta),
 
 on the search's grid, which is the grid's smallest ``c / F`` (``inf`` if
-``F`` is 0 on the whole grid).  Because ``zeta(s_theta)`` is ``c/F`` by
+``F`` is 0 on the whole grid), taken from the same reads: a shut cell's
+``c / F`` is bounded like its zeta.  Because ``zeta(s_theta)`` is ``c/F`` by
 construction, the cross-check confirms the grid-and-golden search, not
 the peak-age formula.
 """
@@ -63,6 +69,9 @@ _DEFAULT_GRID_POINTS = 2000
 # whatever memory the host has.
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _LOG_SPACING_RATIO = 100.0
+# The bound pass's stride and the relative slack on its cell bounds.
+_CELL = 32
+_BOUND_SLACK = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -193,34 +202,53 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
     return evaluated
 
 
-def _grid(d, theta_min, theta_max, grid_points):
-    """The checked window's grid, its values, and the Bellman cost ``2 M + theta sf``."""
+def _cost(thetas, grid):
+    """The Bellman cost ``2 M + theta sf`` at the points of ``grid``."""
+    with np.errstate(over="ignore"):  # the cost may pass the largest float near its end
+        return 2.0 * grid.m + thetas * grid.sf
+
+
+def _grid_minimum(d, theta_min, theta_max, grid_points):
+    """The checked window's grid, the index of its first smallest zeta (ties
+    go to the smallest theta), the zetas (``inf`` in shut cells), and the
+    smallest ``c / F``.  ``paoi_thresholds`` reads each point alone, so the
+    bound pass and the open cells read the bits of one whole-grid call."""
     _validate_window(d, theta_min, theta_max)
     thetas = theta_grid(theta_min, theta_max, grid_points)
-    grid = paoi_thresholds(d, thetas)
-    with np.errstate(over="ignore"):  # the cost may pass the largest float near its end
-        return thetas, grid, 2.0 * grid.m + thetas * grid.sf
+    ends = np.append(np.arange(0, thetas.size - 1, _CELL), thetas.size - 1)
+    bound = paoi_thresholds(d, thetas[ends])
+    with np.errstate(all="ignore"):  # a nan bound compares False and stays open
+        low = (2.0 * bound.m[:-1] + thetas[ends[:-1]] * bound.sf[1:]) / bound.cdf[1:]
+        shut = (bound.cdf[1:] == 0.0) | (low > np.min(bound.zeta) * (1.0 + _BOUND_SLACK))
+    inner = np.append(np.repeat(~shut, np.diff(ends)), False)
+    inner[ends] = False
+    rest = np.flatnonzero(inner)
+    zeta, ratio = np.full((2, thetas.size), math.inf)
+    for at, grid in (ends, bound), (rest, paoi_thresholds(d, thetas[rest])):
+        delivers = grid.cdf > 0.0
+        zeta[at] = grid.zeta
+        with np.errstate(over="ignore"):  # a subnormal F overflows its quotient to inf
+            ratio[at[delivers]] = _cost(thetas[at], grid)[delivers] / grid.cdf[delivers]
+    return thetas, int(np.argmin(zeta)), zeta, float(np.min(ratio))
 
 
 def _search_optimal(d, theta_min, theta_max, tol, grid_points):
-    thetas, grid, cost = _grid(d, theta_min, theta_max, grid_points)
+    thetas, i, zeta, bellman = _grid_minimum(d, theta_min, theta_max, grid_points)
     if tol is None:
         tol = 1e-8 * (theta_max - theta_min)
     if not tol > 0:
         raise ConfigError("tol must be positive")
 
-    i = int(np.argmin(grid.zeta))  # first minimum: smallest theta wins ties
-
     lo = float(thetas[max(i - 1, 0)])
     hi = float(thetas[min(i + 1, len(thetas) - 1)])
     refined = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta, lo, hi, tol)
-    candidates = [(float(grid.zeta[i]), float(thetas[i])), *refined]
+    candidates = [(float(zeta[i]), float(thetas[i])), *refined]
 
     best_val = min(v for v, _ in candidates)
     cut = best_val + 1e-12 * (1.0 + abs(best_val))  # inf when every candidate is inf
     ties = [t for v, t in candidates if v <= cut]
     evals = len(thetas) + len(refined)
-    return min(ties), best_val, evals, len(refined), _bellman_value(cost, grid.cdf)
+    return min(ties), best_val, evals, len(refined), bellman
 
 
 def optimal_threshold(
@@ -288,8 +316,10 @@ def bellman_tables(
     grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid, per-attempt cost, and survival tables of the Bellman operator."""
-    thetas, grid, cost = _grid(d, theta_min, theta_max, grid_points)
-    return thetas, cost, grid.sf
+    _validate_window(d, theta_min, theta_max)
+    thetas = theta_grid(theta_min, theta_max, grid_points)
+    grid = paoi_thresholds(d, thetas)
+    return thetas, _cost(thetas, grid), grid.sf
 
 
 def bellman_apply(cost: np.ndarray, surv: np.ndarray, u: float) -> float:
@@ -306,14 +336,7 @@ def bellman_fixed_point(
     """Fixed point of ``U = min_theta {c(theta) + U * P(X > theta)}`` on the
     grid: its smallest ``c / F``, as :func:`min_achievable_paoi` reports in
     ``bellman_value``."""
-    _, grid, cost = _grid(d, theta_min, theta_max, grid_points)
-    return _bellman_value(cost, grid.cdf)
-
-
-def _bellman_value(cost: np.ndarray, f: np.ndarray) -> float:
-    """The smallest ``cost / F`` over the grid points with ``F > 0``."""
-    with np.errstate(over="ignore"):  # a subnormal F overflows its quotient to inf
-        return float(np.min(cost[f > 0] / f[f > 0], initial=math.inf))
+    return _grid_minimum(d, theta_min, theta_max, grid_points)[-1]
 
 
 def preemption_beneficial(

@@ -43,9 +43,13 @@ from paoi_lab import (
     ZeroWait,
     cli,
     config,
+    default_window,
     digits,
+    paoi_fixed_threshold,
     simulate,
+    theta_grid,
 )
+from paoi_lab.analytic import paoi_thresholds
 from paoi_lab.cli import (
     _fmt,
     _write_csv,
@@ -63,6 +67,7 @@ from paoi_lab.config import (
     parse_distribution,
     parse_policy,
 )
+from paoi_lab.optimize import _golden_refine
 
 
 def as_node(obj):
@@ -291,19 +296,19 @@ class TestCli:
         assert len(searches) == 1
 
     def test_optimize_reads_each_grid_point_once(self, tmp_path, capsys):
-        # the search, the golden refinement and the cross-check share one
-        # evaluation per point; the primitives are read once more at the
-        # support minimum, for the xmin candidate (the no-atom note reads
-        # atoms())
-        calls = Counter()
+        # the search reads the bound pass and the cells it leaves open, and
+        # the cross-check shares those reads; the primitives are read once
+        # more per golden step and at the support minimum, for the xmin
+        # candidate (the no-atom note reads atoms())
+        calls, read = Counter(), []
 
         class Counting(Erlang):
             def primitives(self, theta):
-                calls["primitives"] += 1
+                read.append(float(theta))
                 return super().primitives(theta)
 
             def grid_primitives(self, thetas):
-                calls["grid points"] += len(thetas)
+                read.extend(np.asarray(thetas, dtype=float).tolist())
                 return super().grid_primitives(thetas)
 
             def cdf(self, x):
@@ -323,7 +328,18 @@ class TestCli:
         assert evaluations == 2000 + 29  # the grid plus the golden steps
         assert calls["cdf"] <= evaluations + 1
         assert calls["sf"] <= evaluations and calls["m"] <= evaluations
-        assert calls["primitives"] + calls["grid points"] == evaluations + 1, calls
+        assert len(set(read)) == len(read), "a threshold is read twice"
+
+        d = Erlang(3, 1.0)
+        lo, hi = default_window(d)
+        grid = theta_grid(lo, hi)
+        i = int(np.argmin(paoi_thresholds(d, grid).zeta))
+        golden = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta,
+                                float(grid[i - 1]), float(grid[i + 1]), 1e-8 * (hi - lo))
+        assert len(golden) == 29
+        grid = set(grid.tolist())
+        assert set(read) <= grid | {t for _, t in golden} | {d.support_min()}
+        assert len(grid.intersection(read)) < 500, len(grid.intersection(read))
 
     @pytest.mark.parametrize(
         "argv", [["optimize", "--seed", "5"], ["reproduce", "--figure", "fig4", "--config", "x"]]

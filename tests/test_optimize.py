@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
@@ -11,8 +12,11 @@ from paoi_lab import (
     Deterministic,
     Erlang,
     Exponential,
+    HyperExponential,
+    LogNormal,
     Pareto,
     PreemptionVerdict,
+    ShiftedExponential,
     TwoPoint,
     bellman_fixed_point,
     default_window,
@@ -25,7 +29,15 @@ from paoi_lab import (
     twopoint_benefit_threshold,
 )
 from paoi_lab.analytic import paoi_thresholds
-from paoi_lab.optimize import _bellman_value, bellman_apply, bellman_tables, benefit_verdict
+from paoi_lab.optimize import (
+    _BOUND_SLACK,
+    _CELL,
+    _grid_minimum,
+    bellman_apply,
+    bellman_tables,
+    benefit_verdict,
+    window_or_default,
+)
 
 from conftest import CATALOG
 
@@ -314,8 +326,12 @@ class TestBellmanClosedForm:
         assert policy_iteration(cost, f) > 1.0
 
     def test_no_delivering_grid_point_is_inf(self):
-        cost, f = np.array([1.0, 2.0]), np.zeros(2)
-        assert _bellman_value(cost, f) == policy_iteration(cost, f) == math.inf
+        # F(theta) ~ theta^3 / 6 underflows to 0 on the whole window
+        d = Erlang(3, 1.0)
+        thetas, cost, _ = bellman_tables(d, 0.0, 1e-120, 40)
+        f = paoi_thresholds(d, thetas).cdf
+        assert not f.any()
+        assert bellman_fixed_point(d, 0.0, 1e-120, 40) == policy_iteration(cost, f) == math.inf
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_is_a_fixed_point_of_the_operator(self, name):
@@ -328,6 +344,112 @@ class TestBellmanClosedForm:
             u = bellman_fixed_point(d, lo, hi)
             _, cost, surv = bellman_tables(d, lo, hi)
             assert abs(bellman_apply(cost, surv, u) - u) <= 4 * math.ulp(u), (lo, hi)
+
+
+# The catalog kinds with the time unit divided by ``s``.
+SCALED = {
+    "exponential": lambda s: Exponential(1.0 / s),
+    "erlang": lambda s: Erlang(3, 1.0 / s),
+    "pareto": lambda s: Pareto(s, 2.0),
+    "shifted-exponential": lambda s: ShiftedExponential(0.5 * s, 2.0 / s),
+    "two-point": lambda s: TwoPoint(s, 3.0 * s, 0.5),
+    "hyper-exponential": lambda s: HyperExponential((10.0 / s, 1.0 / s), (10 / 11, 1 / 11)),
+    "log-normal": lambda s: LogNormal(math.log(s), 1.0),
+    "deterministic": lambda s: Deterministic(1.5 * s),
+}
+
+
+def full_grid_minimum(d, lo, hi, grid_points):
+    """Reference for the bounded search: every grid point read in one call,
+    as ``(first argmin, its zeta, smallest c/F)``."""
+    thetas = theta_grid(lo, hi, grid_points)
+    grid = paoi_thresholds(d, thetas)
+    f = grid.cdf
+    with np.errstate(over="ignore"):
+        cost = 2.0 * grid.m + thetas * grid.sf
+        ratio = cost[f > 0] / f[f > 0]
+    i = int(np.argmin(grid.zeta))
+    return i, float(grid.zeta[i]), float(np.min(ratio, initial=math.inf))
+
+
+@st.composite
+def search_windows(draw):
+    """A scaled catalog law and a window: the default one, or one that
+    starts at the support minimum (an atom, or where F is 0), at 0, or
+    inside the support, and ends near it, at a quantile or at the largest
+    float.  Spans below about 1e-100 of the law's scale keep F at 0 on
+    Erlang and log-normal windows."""
+    name = draw(st.sampled_from(sorted(SCALED)))
+    d = SCALED[name](2.0 ** draw(st.integers(-30, 30)))
+    base = d.support_min()
+    if name != "deterministic" and draw(st.booleans()):
+        return d, *window_or_default(d, None, None)
+    scale = d.quantile(0.5)
+    lo = draw(st.sampled_from([base, base * (1.0 + 1e-6) + 1e-9 * scale, base + scale]))
+    hi = draw(st.one_of(
+        st.just(sys.float_info.max),
+        st.floats(-300.0, 3.0).map(lambda e: lo + scale * 10.0 ** e),
+    ))
+    return d, lo, hi
+
+
+class TestBoundedGridMinimum:
+    """The search reads the bound pass and only the cells it leaves open,
+    and returns what a read of the whole grid returns, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=search_windows(), grid_points=st.sampled_from([2, 31, 32, 33, 65, 5000]))
+    def test_equals_the_full_grid(self, window, grid_points):
+        d, lo, hi = window
+        assume(lo < hi)  # a span that rounds away
+        thetas, i, zeta, bellman = _grid_minimum(d, lo, hi, grid_points)
+        got = (i, float(zeta[i]).hex(), bellman.hex())
+        want_i, want_zeta, want_bellman = full_grid_minimum(d, lo, hi, grid_points)
+        assert got == (want_i, want_zeta.hex(), want_bellman.hex()), (d, lo, hi)
+
+    SOUNDNESS_LAWS = {
+        **CATALOG,
+        # zeta drops from 2 + theta to 2 E[X] = 2.5 at the atom 1.5, which the
+        # 2000-point grid on [1, 2] places inside a cell
+        "two-point dip": TwoPoint(1.0, 1.5, 0.5),
+        "hyper-exponential 2^8": HyperExponential((256.0, 1.0), (0.5, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOUNDNESS_LAWS))
+    def test_shut_cells_stay_above_the_bound_pass(self, name):
+        d = self.SOUNDNESS_LAWS[name]
+        lo, hi = {"deterministic": (1.5, 3.0), "two-point dip": (1.0, 2.0)}.get(
+            name) or default_window(d)
+        thetas = theta_grid(lo, hi)
+        grid = paoi_thresholds(d, thetas)
+        ends = np.append(np.arange(0, thetas.size - 1, _CELL), thetas.size - 1)
+        best = np.min(grid.zeta[ends])
+        m, sf, f = grid.m, grid.sf, grid.cdf
+        with np.errstate(divide="ignore", over="ignore"):
+            low = (2.0 * m[ends[:-1]] + thetas[ends[:-1]] * sf[ends[1:]]) / f[ends[1:]]
+            ratio = np.divide(2.0 * m + thetas * sf, f, out=np.full(f.size, math.inf), where=f > 0)
+        floor = best * (1.0 + _BOUND_SLACK / 2)
+        shut = 0
+        for k in np.flatnonzero((f[ends[1:]] > 0) & (low > best * (1.0 + _BOUND_SLACK))):
+            cell = slice(ends[k] + 1, ends[k + 1])
+            assert (grid.zeta[cell] > floor).all(), (name, k)
+            assert (ratio[cell] > floor).all(), (name, k)
+            shut += 1
+        if name in ("erlang", "pareto", "log-normal", "two-point dip"):
+            assert shut > 0, name
+
+    @pytest.mark.parametrize("name", ["erlang", "log-normal", "pareto"])
+    def test_an_interior_optimum_reads_a_quarter_of_the_grid(self, name, monkeypatch):
+        d, read = CATALOG[name], []
+        grid_primitives = type(d).grid_primitives
+
+        def counting(self, thetas):
+            read.append(len(thetas))
+            return grid_primitives(self, thetas)
+
+        monkeypatch.setattr(type(d), "grid_primitives", counting)
+        assert min_achievable_paoi(d).evaluations > 2000
+        assert sum(read) <= 500, read
 
 
 class TestPreemptionVerdicts:
