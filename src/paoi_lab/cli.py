@@ -336,27 +336,24 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
             raise ConfigError(f"--seed: {exc}") from exc
     seed = sim.seed
     workers = _workers()
-    _reject_clashes(cfg.policies, lambda p: _slug(p.label()), "write the files of")
-    for policy in cfg.policies:  # one that overflows or never delivers fails before any output
-        simulate._deliverable(d, policy)
-    # every trajectory, peak dump and replication before any output
-    trajectories = dumps = [None] * len(cfg.policies)
+    policies = cfg.policies
+    _reject_clashes(policies, lambda p: _slug(p.label()), "write the files of")
+    # every trajectory, peak dump and replication before any output, each
+    # one lockstep of all policies, which checks every policy before its
+    # first draw
+    trajectories = dumps = [None] * len(policies)
     if sim.trajectory_horizon is not None:
-        trajectories = [
-            simulate.aoi_trajectory(d, policy, horizon=sim.trajectory_horizon, seed=seed,
-                                    stall_limit=sim.stall_limit)
-            for policy in cfg.policies
-        ]
+        trajectories = simulate.aoi_trajectory(d, policies, horizon=sim.trajectory_horizon,
+                                               seed=seed, stall_limit=sim.stall_limit)
     base_seed, replications = seed, sim.replications
     if sim.dump_peaks:  # the dumped peaks are replication 0
-        dumps = [
-            simulate.simulate_peaks(d, policy, peaks=sim.peaks, seed=seed,
-                                    stall_limit=sim.stall_limit, warmup=sim.warmup)
-            for policy in cfg.policies
-        ]
+        dumps = simulate.simulate_peaks(d, policies, peaks=sim.peaks, seed=seed,
+                                        stall_limit=sim.stall_limit, warmup=sim.warmup)
         base_seed, replications = seed + 1, replications - 1
-    replicated = simulate._replications(d, cfg.policies, sim.peaks, replications, base_seed,
-                                        sim.stall_limit, sim.warmup, workers)
+    replicated = [[] for _ in policies]
+    if replications:
+        replicated = simulate.run_replications(d, policies, sim.peaks, replications, base_seed,
+                                               sim.stall_limit, sim.warmup, workers)
     report = []  # printed once every file is closed
     with contextlib.ExitStack() as stack:
         def open_csv(kind, policy):
@@ -365,12 +362,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
         # every file of every policy opened before any output, so that a path
         # that cannot be opened leaves no output but empty files
         files = []  # per policy: its summary and seed 0's (file, records) pairs
-        for policy, trajectory, dump in zip(cfg.policies, trajectories, dumps):
+        for policy, trajectory, dump in zip(policies, trajectories, dumps):
             files.append((open_csv("simulate", policy), [
                 (open_csv(kind, policy), records) for kind, records
                 in (("trajectory", trajectory), ("peaks", dump)) if records is not None]))
-        for policy, (summary, rows), dump, estimates in zip(cfg.policies, files, dumps,
-                                                            replicated):
+        for policy, (summary, rows), dump, estimates in zip(policies, files, dumps, replicated):
             if dump is not None:
                 estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
             pooled = simulate.pooled_estimate(estimates, seed=seed)

@@ -5,10 +5,12 @@ refinement around the best grid cell.  A pure line search is not safe
 here: the PAoI curve is monotone for memoryless service times and only
 becomes convex for more regular shapes, so unimodality can never be
 assumed.  The grid is read in two steps.  A bound pass reads every 32nd
-point and the last.  On a cell between two of its points a < b, M, theta
-and F rise and P(X > theta) falls, so zeta >= (2 M(a) + a P(X > b)) / F(b);
-only cells whose bound comes within 1e-9 (relative) of the pass's smallest
-zeta are read, and the result is a read of the whole grid bit for bit.
+point and the last.  The Bellman cost c = 2 M + theta P(X > theta) below
+never falls (its slope is P(X > theta) + theta f(theta)) and F rises, so
+on a cell between two of the pass's points a < b, zeta = c / F >=
+c(a) / F(b); only cells whose bound comes within 1e-9 (relative) of the
+pass's smallest zeta are read, and the result is a read of the whole grid
+bit for bit.
 ``evaluations`` still counts every grid point, read or bounded.
 
 The optimality cross-check is the fixed point of the one-stage Bellman
@@ -218,7 +220,7 @@ def _grid_minimum(d, theta_min, theta_max, grid_points):
     ends = np.append(np.arange(0, thetas.size - 1, _CELL), thetas.size - 1)
     bound = paoi_thresholds(d, thetas[ends])
     with np.errstate(all="ignore"):  # a nan bound compares False and stays open
-        low = (2.0 * bound.m[:-1] + thetas[ends[:-1]] * bound.sf[1:]) / bound.cdf[1:]
+        low = _cost(thetas[ends], bound)[:-1] / bound.cdf[1:]
         shut = (bound.cdf[1:] == 0.0) | (low > np.min(bound.zeta) * (1.0 + _BOUND_SLACK))
     inner = np.append(np.repeat(~shut, np.diff(ends)), False)
     inner[ends] = False

@@ -17,11 +17,15 @@ each start position leads), sums each peak's dropped thresholds in the
 order one attempt at a time would add them (a sequence's prefix sums are
 built once per engine), and returns the step's peaks as columns, empty
 when no reception falls in its draws.  A peak still open at the end of a
-step carries its partial sum and drop count into the next one.  The
+step carries its partial sum and drop count into the next one.  A step
+in which every draw is a reception and no drop is carried in (as under
+zero-wait) builds its columns from the draws alone: each
+inter-reception time is its draw, and no drop is counted or added.  The
 result equals the one-attempt-at-a-time loop bit for bit, however the
 draws are cut into steps.  :func:`simulate_peaks` and
 :func:`aoi_trajectory` return the series as NumPy record arrays, whose
-field names are the CSV headers of the peak dump and the trajectory.
+field names are the CSV headers of the peak dump and the trajectory; each
+record is copied once, from the columns of the step that found it.
 
 Every run, of one policy or of several, goes through one lockstep loop:
 every policy of a seed reads the same service draws, so the loop draws
@@ -30,12 +34,18 @@ each block.  An engine reads the blocks it has not read yet in one step,
 on their concatenation, once they could hold its last peak or a stall
 (or every block, up to a horizon), so a step costs its fixed overhead
 once per such stretch and not once per block; a step on joined blocks
-gives the bits of one step per block.  An engine holds at most
+gives the bits of one step per block.  A step only reads its draws, so
+the engines that step on the same stretch share one concatenation, and
+a stretch of one block is that block.  An engine holds at most
 ``_MAX_UNREAD`` blocks unread and is dropped once it has its peaks or its
 horizon, so memory stays at that many blocks and one step's arrays over
-them, plus each running policy's columns.  A single-policy run is a
-lockstep of one, and each policy's records and estimate equal the ones it
-gets alone.  A replication keeps only the peak column, so its steps build
+them, plus each running policy's columns.  :func:`simulate_peaks`,
+:func:`aoi_trajectory` and :func:`run_replications` take one policy or a
+sequence of them; a sequence runs as one lockstep (per seed, for
+replications) and returns one result per policy, in policy order, each
+equal to the one its policy gets alone.  The first stall, or trajectory
+past its cap, that the lockstep meets raises, whichever policy it is
+in.  A replication keeps only the peak column, so its steps build
 only that column: each peak is still its carried service plus its
 inter-reception time, one addition, but no reception time,
 carried-service or drop-count column is built.
@@ -60,7 +70,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -211,6 +221,11 @@ def _deliverable(d: ServiceDistribution, policy: Policy) -> Optional[tuple[float
 
 
 _NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
+# the records of a peak series: k, then an engine step's columns
+_PEAK_RECORD = np.dtype([("k", int), ("peak", float), ("received_service", float),
+                         ("interreception", float), ("preemptions", np.intp),
+                         ("receive_time", float)])
+_TRAJECTORY_RECORD = np.dtype([("time", float), ("peak", float), ("reset_to", float)])
 
 
 class _Engine:
@@ -233,7 +248,8 @@ class _Engine:
         thresholds = _deliverable(d, policy)
         self.table = None if thresholds is None else np.array(thresholds, dtype=float)
         self.policy, self.stall_limit, self.peaks_only = policy, stall_limit, peaks_only
-        self.rng_threshold = np.random.default_rng(ss_threshold)
+        if thresholds is None:  # only a randomized policy reads its threshold stream
+            self.rng_threshold = np.random.default_rng(ss_threshold)
         self.prefix = np.zeros(1)  # of the sequence, see _prefix_sums
         self.x_prev = None  # the service the open peak carries; none before the first step
         self.now = 0.0
@@ -268,23 +284,29 @@ class _Engine:
             ends = (x <= thetas).nonzero()[0]  # reception wins the tie
         else:
             ends = _sequence_ends(x, table, self.drops_open)
-        # drops[i]: the attempts peak i drops in this step; the last peak
-        # is still open at its end
-        drops = np.concatenate((ends, (size,)))
-        drops[1:] -= ends + 1
-        if table is None:
-            y = _sampled_sums(thetas, self.y_open, ends, drops)
+        if size and len(ends) == size and not self.drops_open:
+            # every draw a reception and no drop carried in (so y_open is
+            # 0.0): each inter-reception time is its draw, and the service
+            # each reception carries into the next peak is that draw too
+            k, y, received_next, drops = size, 0.0 + x, x, np.zeros(size, dtype=np.intp)
         else:
-            self.prefix = _prefix_sums(self.prefix, table, drops.max())
-            y = _sequence_sums(table, self.prefix, self.y_open, self.drops_open, drops)
-        drops[0] += self.drops_open
-        self.y_open, self.drops_open = y[-1], int(drops[-1])
-        received_next = x[ends]  # the service each reception carries into the next peak
-        y = y[:-1] + received_next
-        self.stalled = drops.max() >= self.stall_limit
-        k = int(np.argmax(drops >= self.stall_limit)) if self.stalled else len(ends)
-        if not k:
-            return _NO_PEAKS[:1] if self.peaks_only else _NO_PEAKS
+            # drops[i]: the attempts peak i drops in this step; the last
+            # peak is still open at its end
+            drops = np.concatenate((ends, (size,)))
+            drops[1:] -= ends + 1
+            if table is None:
+                y = _sampled_sums(thetas, self.y_open, ends, drops)
+            else:
+                self.prefix = _prefix_sums(self.prefix, table, drops.max())
+                y = _sequence_sums(table, self.prefix, self.y_open, self.drops_open, drops)
+            drops[0] += self.drops_open
+            self.y_open, self.drops_open = y[-1], int(drops[-1])
+            received_next = x[ends]
+            y = y[:-1] + received_next
+            self.stalled = drops.max() >= self.stall_limit
+            k = int(np.argmax(drops >= self.stall_limit)) if self.stalled else len(ends)
+            if not k:
+                return _NO_PEAKS[:1] if self.peaks_only else _NO_PEAKS
         x_prev, self.x_prev = self.x_prev, received_next[k - 1]
         if self.peaks_only:
             peak = y[:k]  # a fresh array: add each carried service in place
@@ -309,11 +331,13 @@ _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @_silent_overflow
 def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, peaks_only=False):
-    """Per policy, in ``policies`` order, the columns of its :class:`_Engine`
-    on the stream of ``seed``, each joined into one array, up to the step
-    that holds the policy's ``peaks``-th peak or its first reception past
-    ``horizon``.  ``peaks_only`` keeps the peak column alone, and only
-    without a horizon: the reception times decide where a trajectory stops.
+    """Per policy, in ``policies`` order, the columns of each step of its
+    :class:`_Engine` on the stream of ``seed`` that received, in step
+    order, up to the step that holds the policy's ``peaks``-th peak or its
+    first reception past ``horizon``; a caller copies each row it keeps
+    once, from its step (see :func:`_put_rows`).  ``peaks_only`` keeps the
+    peak column alone, and only without a horizon: the reception times
+    decide where a trajectory stops.
 
     The policies read one service stream in lockstep: the loop draws one
     block at a time and keeps it for every running engine, which steps on
@@ -338,6 +362,7 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
     running = list(range(len(policies)))
     while running:
         x = np.asarray(d.sample_batch(rng, _DRAW_BLOCK), dtype=float)
+        first = joined = None  # the first block and the join of the last stretch stepped on
         for i in running:
             unread[i].append(x)
             if not (
@@ -346,8 +371,14 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
                 or engines[i].could_end(len(unread[i]) * _DRAW_BLOCK, peaks - have[i])
             ):
                 continue
-            cols = engines[i].step(np.concatenate(unread[i]))
-            unread[i] = []
+            stretch, unread[i] = unread[i], []
+            if stretch[0] is not first:
+                # every stretch ends at this block, so two that start at the
+                # same block are one, and a step only reads its draws: the
+                # engines that step on it share one join
+                first = stretch[0]
+                joined = first if len(stretch) == 1 else np.concatenate(stretch)
+            cols = engines[i].step(joined)
             if not len(cols[0]):
                 continue
             parts[i].append(cols)
@@ -365,7 +396,26 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
                         f"{t_last:g}"
                     )
         running = [i for i in running if engines[i] is not None]
-    return [[np.concatenate(c) for c in zip(*p)] for p in parts]
+    return parts
+
+
+def _put_rows(field, parts, j, start):
+    """Fill ``field`` with the rows of column ``j`` of the step columns
+    ``parts`` from row ``start`` on, each copied once from its step."""
+    at = -start  # where the next step's rows begin in field
+    for cols in parts:
+        column = cols[j]
+        lo, hi = max(at, 0), min(at + len(column), len(field))
+        if lo < hi:
+            field[lo:hi] = column[lo - at : hi - at]
+        at += len(column)
+
+
+def _as_sequence(policy) -> tuple[tuple, bool]:
+    """The policies of ``policy``, one policy or a sequence of them, and
+    whether it is one policy."""
+    one = not isinstance(policy, Sequence)
+    return ((policy,) if one else tuple(policy)), one
 
 
 def _check_range(peaks, warmup):
@@ -381,12 +431,12 @@ def _check_range(peaks, warmup):
 
 def simulate_peaks(
     d: ServiceDistribution,
-    policy: Policy,
+    policy: Union[Policy, Sequence[Policy]],
     peaks: int,
     seed: int,
     stall_limit: int = DEFAULT_STALL_LIMIT,
     warmup: int = 0,
-) -> np.recarray:
+) -> Union[np.recarray, list[np.recarray]]:
     """Simulate exactly ``peaks`` AoI peaks after ``warmup`` discarded ones.
 
     Returns a record array, one record per peak, with the fields ``k``
@@ -403,21 +453,29 @@ def simulate_peaks(
     its carried service is the unconditioned initial draw, where every
     later peak carries a service time that completed within its threshold
     (``X | X <= theta``).  Any ``warmup >= 1`` drops it.
+
+    A sequence of policies runs as one lockstep and returns a list of
+    record arrays in policy order, each the one its policy gets alone.
     """
+    policies, one = _as_sequence(policy)
     _check_range(peaks, warmup)
-    (cols,) = _lockstep(d, (policy,), seed, stall_limit, peaks=warmup + peaks)
-    k = np.arange(warmup + 1, warmup + peaks + 1)
-    fields = "k,peak,received_service,interreception,preemptions,receive_time"
-    return np.rec.fromarrays([k, *(c[warmup : warmup + peaks] for c in cols)], names=fields)
+    records = []
+    for parts in _lockstep(d, policies, seed, stall_limit, peaks=warmup + peaks):
+        rec = np.recarray(peaks, _PEAK_RECORD)
+        rec["k"] = np.arange(warmup + 1, warmup + peaks + 1)
+        for j, name in enumerate(_PEAK_RECORD.names[1:]):
+            _put_rows(rec[name], parts, j, warmup)
+        records.append(rec)
+    return records[0] if one else records
 
 
 def aoi_trajectory(
     d: ServiceDistribution,
-    policy: Policy,
+    policy: Union[Policy, Sequence[Policy]],
     horizon: float,
     seed: int,
     stall_limit: int = DEFAULT_STALL_LIMIT,
-) -> np.recarray:
+) -> Union[np.recarray, list[np.recarray]]:
     """Sawtooth breakpoints of the AoI path for receptions up to ``horizon``.
 
     Returns a record array, one record per reception, with the fields
@@ -429,13 +487,24 @@ def aoi_trajectory(
     ``horizon``, whose carried service time is the last drop-to value.
     Raises :class:`ConfigError` as soon as the receptions so far, at their
     pace, project past 2**22 by the horizon.
+
+    A sequence of policies runs as one lockstep and returns a list of
+    record arrays in policy order; the first stall or cap the lockstep
+    meets raises, whichever policy it is in.
     """
+    policies, one = _as_sequence(policy)
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    ((peak, received, _, _, times),) = _lockstep(d, (policy,), seed, stall_limit, horizon=horizon)
-    n = int(np.searchsorted(times, horizon, side="right"))
-    # a reception's drop-to value is the next peak's carried service time
-    return np.rec.fromarrays([times[:n], peak[:n], received[1 : n + 1]], names="time,peak,reset_to")
+    points = []
+    for parts in _lockstep(d, policies, seed, stall_limit, horizon=horizon):
+        times = np.concatenate([cols[4] for cols in parts])
+        rec = np.recarray(int(np.searchsorted(times, horizon, side="right")), _TRAJECTORY_RECORD)
+        rec["time"] = times[: len(rec)]
+        _put_rows(rec["peak"], parts, 0, 0)
+        # a reception's drop-to value is the next peak's carried service time
+        _put_rows(rec["reset_to"], parts, 1, 1)
+        points.append(rec)
+    return points[0] if one else points
 
 
 def _with_ci95(mean: float, se: float, peak_count: int, seed: Optional[int]) -> PaoiEstimate:
@@ -466,26 +535,43 @@ def _seed_estimates(d, policies, peaks, stall_limit, warmup, seed) -> list[PaoiE
     batch means of its peaks after ``warmup``, from a lockstep run (see
     :func:`_lockstep`) that keeps only the peak column."""
     need = warmup + peaks
-    runs = _lockstep(d, policies, seed, stall_limit, peaks=need, peaks_only=True)
-    return [_batch_means(peak[warmup:need], seed) for (peak,) in runs]
+    estimates = []
+    for parts in _lockstep(d, policies, seed, stall_limit, peaks=need, peaks_only=True):
+        peak = parts[0][0] if len(parts) == 1 else np.concatenate([p for (p,) in parts])
+        estimates.append(_batch_means(peak[warmup:need], seed))
+    return estimates
 
 
-def _replications(
-    d, policies, peaks, replications, base_seed, stall_limit, warmup, workers
-) -> list[list[PaoiEstimate]]:
-    """Per policy, the estimates of seeds ``base_seed + i`` for ``i`` below
-    ``replications``, in seed order; none for no replication.
+def run_replications(
+    d: ServiceDistribution,
+    policy: Union[Policy, Sequence[Policy]],
+    peaks: int,
+    replications: int,
+    base_seed: int,
+    stall_limit: int = DEFAULT_STALL_LIMIT,
+    warmup: int = 0,
+    workers: int = 1,
+) -> Union[list[PaoiEstimate], list[list[PaoiEstimate]]]:
+    """Independent replications with seeds ``base_seed + i``, in seed order.
 
-    One job is one seed for every policy (see :func:`_seed_estimates`).
-    ``workers > 1`` fans the seeds out to processes; results are reduced
-    by seed, so the output never depends on the completion order.
+    One job is one seed for every policy (see :func:`_seed_estimates`), so
+    a seed's policies share its service draws, and each reads them as if
+    alone.  A sequence of policies returns a list of estimates per policy,
+    in policy order.  ``workers > 1`` fans the seeds out to processes;
+    results are reduced by seed, so the output never depends on the
+    completion order.
     """
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    policies, one = _as_sequence(policy)
     _check_range(peaks, warmup)
-    job = partial(_seed_estimates, d, tuple(policies), peaks, stall_limit, warmup)
+    job = partial(_seed_estimates, d, policies, peaks, stall_limit, warmup)
     seeds = range(base_seed, base_seed + replications)
     if workers <= 1 or replications <= 1:
         rows = list(map(job, seeds))
     else:
+        for policy in policies:  # one that never delivers raises before any worker starts
+            _deliverable(d, policy)
         # imported here: the pool's modules (multiprocessing, queue) cost
         # every command's start-up about 14 ms, and only a fanned-out run
         # needs them
@@ -493,33 +579,8 @@ def _replications(
 
         with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
             rows = list(pool.map(job, seeds))
-    return [[row[i] for row in rows] for i in range(len(policies))]
-
-
-def run_replications(
-    d: ServiceDistribution,
-    policy: Policy,
-    peaks: int,
-    replications: int,
-    base_seed: int,
-    stall_limit: int = DEFAULT_STALL_LIMIT,
-    warmup: int = 0,
-    workers: int = 1,
-) -> list[PaoiEstimate]:
-    """Independent replications with seeds ``base_seed + i``, in seed order.
-
-    ``workers > 1`` fans replications out to processes; results are
-    reduced by replication index, so the output never depends on the
-    completion order.  Each replication equals the one that
-    ``simulate`` runs for ``policy`` among other policies: a seed's
-    policies share its service draws, and each reads them as if alone.
-    """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    (estimates,) = _replications(
-        d, (policy,), peaks, replications, base_seed, stall_limit, warmup, workers
-    )
-    return estimates
+    estimates = [[row[i] for row in rows] for i in range(len(policies))]
+    return estimates[0] if one else estimates
 
 
 @_silent_overflow

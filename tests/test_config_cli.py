@@ -1061,6 +1061,50 @@ class TestDegenerateInputs:
         assert "FixedThreshold(theta=0.01)" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_the_first_error_the_lockstep_meets_exits(self, tmp_path, capsys):
+        # alone, fixed(0.3)'s trajectory stalls, which raises on its second
+        # step; zero-wait's passes its cap on its first, which the one
+        # lockstep of both policies meets first, although fixed(0.3) comes
+        # first
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+                       "policies: [{kind: fixed, theta: 0.3}, zero-wait]\n"
+                       "simulation: {peaks: 10, replications: 1, seed: 1, stall_limit: 1000, "
+                       "trajectory_horizon: 1.0e+8}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a trajectory to time 1e+08 needs more than 4194304 "
+                              "receptions under ZeroWait()")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("simulation, calls", [
+        ("replications: 3", (0, 0, 1)),
+        ("replications: 1, dump_peaks: true", (0, 1, 0)),
+        ("replications: 3, dump_peaks: true, trajectory_horizon: 50.0", (1, 1, 1)),
+    ], ids=["replicated", "dumped", "dumped with trajectory"])
+    def test_simulate_calls_each_public_function_at_most_once(self, tmp_path, monkeypatch,
+                                                              simulation, calls):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+                       "policies: [zero-wait, {kind: fixed, theta: 2.0}, median]\n"
+                       f"simulation: {{peaks: 100, seed: 4, {simulation}}}\n")
+        monkeypatch.setenv("PAOI_THREADS", "1")
+        names = ("aoi_trajectory", "simulate_peaks", "run_replications")
+        with contextlib.ExitStack() as stack:
+            wraps = [stack.enter_context(mock.patch.object(simulate, name,
+                                                           wraps=getattr(simulate, name)))
+                     for name in names]
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert tuple(w.call_count for w in wraps) == calls
+        for w in wraps:  # with every policy, in config order
+            for call in w.call_args_list:
+                assert [p.label() for p in call.args[1]] == [
+                    "zero-wait", "fixed(2)", "median-threshold"]
+        rows = read_csv(tmp_path / "paoi_simulate_median-threshold.csv")
+        replications = int(re.search(r"replications: (\d)", simulation)[1])
+        assert [r["seed"] for r in rows] == [*map(str, range(4, 4 + replications)), "4"]
+
     @pytest.mark.parametrize(
         "sampler",
         [

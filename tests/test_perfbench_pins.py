@@ -71,15 +71,16 @@ def test_counted_primitives_resolve_where_the_tracer_patches():
 
 
 def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
-    # the traced run reads simulate.trajectory_ms and the peak-dump time
-    # from spans named after these two functions, so the CLI must call them
+    # the traced run reads simulate.trajectory_ms from the aoi_trajectory
+    # spans and self_ms.simulate from the spans of all three functions, so
+    # the CLI must call them
     import paoi_lab.cli
 
     config = tmp_path / "sim.yaml"
     config.write_text(
         "distribution: {kind: exponential, params: {rate: 1.0}}\n"
         "policies: [zero-wait]\n"
-        "simulation: {peaks: 20, replications: 1, seed: 3, dump_peaks: true, "
+        "simulation: {peaks: 20, replications: 2, seed: 3, dump_peaks: true, "
         "trajectory_horizon: 5.0}\n"
     )
     monkeypatch.setenv("PAOI_THREADS", "1")
@@ -91,7 +92,8 @@ def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
         tracer.uninstall()
     assert code == 0
     names = {span[0] for span in tracer.spans}
-    assert {"simulate.simulate_peaks", "simulate.aoi_trajectory"} <= names
+    assert {"simulate.simulate_peaks", "simulate.aoi_trajectory",
+            "simulate.run_replications"} <= names
 
 
 def test_loading_the_oracle_keeps_mpmath_precision():

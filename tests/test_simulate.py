@@ -40,15 +40,16 @@ from paoi_lab import (
     paoi_xmin,
     pooled_estimate,
     run_replications,
+    simulate,
     simulate_peaks,
 )
 from paoi_lab.policies import resolve
 from paoi_lab.simulate import (
     DEFAULT_STALL_LIMIT,
+    PaoiEstimate,
     _batch_means,
     _Engine,
     _lockstep,
-    _replications,
 )
 
 
@@ -453,9 +454,16 @@ def _service_blocks(d, rng):
         yield np.asarray(d.sample_batch(rng, 4096), dtype=float)
 
 
+def _joined(runs):
+    """Per policy, the step columns that ``_lockstep`` returns, each column
+    joined into one array."""
+    return [[np.concatenate(c) for c in zip(*parts)] for parts in runs]
+
+
 def _per_block_lockstep(d, policies, seed, stall_limit, peaks, peaks_only=False):
-    """What ``_lockstep`` returns without a horizon, from a loop that steps
-    every running engine on every block it draws."""
+    """What ``_lockstep`` returns without a horizon, joined (see
+    :func:`_joined`), from a loop that steps every running engine on every
+    block it draws."""
     ss_service, ss_threshold = np.random.SeedSequence(seed).spawn(2)
     engines = [_Engine(d, policy, ss_threshold, stall_limit, peaks_only) for policy in policies]
     blocks = _service_blocks(d, np.random.default_rng(ss_service))
@@ -469,7 +477,7 @@ def _per_block_lockstep(d, policies, seed, stall_limit, peaks, peaks_only=False)
             parts[i].append(cols)
             have[i] += len(cols[0])
         running = [i for i in running if have[i] < peaks]
-    return [[np.concatenate(c) for c in zip(*p)] for p in parts]
+    return _joined(parts)
 
 
 def _outcome(run):
@@ -489,7 +497,7 @@ class TestLockstep:
     @pytest.mark.parametrize("warmup", [0, 5])
     def test_each_policy_equals_its_run_alone(self, warmup):
         d = Exponential(1.0)
-        got = _replications(d, MIX, 300, 3, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        got = run_replications(d, MIX, 300, 3, 40, DEFAULT_STALL_LIMIT, warmup, 1)
         for policy, estimates in zip(MIX, got):
             alone = run_replications(d, policy, 300, 3, base_seed=40, warmup=warmup)
             assert estimates == alone, policy
@@ -510,13 +518,20 @@ class TestLockstep:
         # simulate writes the dump's estimate as replication 0, in place of
         # the lockstep replication of that seed
         d = Exponential(1.0)
-        lockstep = _replications(d, MIX, 300, 1, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        lockstep = run_replications(d, MIX, 300, 1, 40, DEFAULT_STALL_LIMIT, warmup, 1)
         for policy, (want,) in zip(MIX, lockstep):
             dump = simulate_peaks(d, policy, peaks=300, seed=40, warmup=warmup)
             assert estimate_paoi(dump, seed=40) == want, policy
 
-    def test_no_replication_gives_no_estimates(self):
-        assert _replications(Exponential(1.0), MIX[:2], 10, 0, 1, 100, 0, 2) == [[], []]
+    def test_no_replication_raises_before_any_draw(self):
+        # simulate with dump_peaks and one replication calls no replication
+        class Undrawn(Exponential):
+            def sample_batch(self, rng, n):
+                raise AssertionError("drew a service time")
+
+        for policy in (ZeroWait(), MIX[:2]):
+            with pytest.raises(ValueError, match="at least one replication"):
+                run_replications(Undrawn(1.0), policy, 10, 0, 1, 100, 0, 2)
 
     def test_each_step_reads_one_block(self):
         # fixed(1e-4) takes about 1e4 attempts a peak, so most blocks hold
@@ -582,7 +597,7 @@ class TestLockstep:
     def test_a_stall_in_one_policy_raises(self):
         d = Exponential(1.0)
         with pytest.raises(SimulationStall, match="FixedThreshold"):
-            _replications(d, MIX[:2], 2000, 1, 1, 200, 0, 1)
+            run_replications(d, MIX[:2], 2000, 1, 1, 200, 0, 1)
 
     def test_the_first_stall_raises_in_policy_order(self):
         # fixed(0.3) meets 5 drops in a row in the first block; an engine
@@ -617,8 +632,8 @@ class TestLockstep:
         want = _outcome(
             lambda: _per_block_lockstep(d, policies, seed, stall_limit, peaks, peaks_only))
         want_drawn, drawn[:] = len(drawn), []
-        got = _outcome(lambda: _lockstep(d, policies, seed, stall_limit, peaks=peaks,
-                                         peaks_only=peaks_only))
+        got = _outcome(lambda: _joined(_lockstep(d, policies, seed, stall_limit, peaks=peaks,
+                                                 peaks_only=peaks_only)))
         assert got == want
         assert len(drawn) == want_drawn
 
@@ -635,7 +650,7 @@ class TestLockstep:
         def traced_peak(policies, peaks):
             tracemalloc.start()
             try:
-                _replications(d, policies, peaks, 1, 3, DEFAULT_STALL_LIMIT, 0, 1)
+                run_replications(d, policies, peaks, 1, 3, DEFAULT_STALL_LIMIT, 0, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -644,6 +659,64 @@ class TestLockstep:
         for peaks in (4000, 16_000):
             reference = traced_peak((MIX[0], MIX[0]), peaks)
             assert traced_peak(MIX[:2], peaks) < 1.25 * reference, peaks
+
+
+class TestSequenceCalls:
+    """A sequence of policies runs as one lockstep and returns, in policy
+    order, what each policy returns alone; one policy returns its own
+    result, not a list."""
+
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_peaks_equal_each_policy_alone(self, warmup):
+        d = Exponential(1.0)
+        got = simulate_peaks(d, KINDS, 300, 40, warmup=warmup)
+        assert isinstance(got, list) and len(got) == len(KINDS)
+        for policy, records in zip(KINDS, got):
+            alone = simulate_peaks(d, policy, 300, 40, warmup=warmup)
+            assert records.dtype == alone.dtype, policy
+            assert records.tobytes() == alone.tobytes(), policy
+
+    def test_trajectories_equal_each_policy_alone(self):
+        d = Exponential(1.0)
+        got = aoi_trajectory(d, KINDS, 300.0, 40)
+        assert isinstance(got, list) and len(got) == len(KINDS)
+        for policy, points in zip(KINDS, got):
+            alone = aoi_trajectory(d, policy, 300.0, 40)
+            assert len(points) > 100, policy
+            assert points.dtype == alone.dtype, policy
+            assert points.tobytes() == alone.tobytes(), policy
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("warmup", [0, 5])
+    def test_replications_equal_each_policy_alone(self, warmup, workers):
+        d = Exponential(1.0)
+        got = run_replications(d, KINDS, 300, 3, 40, DEFAULT_STALL_LIMIT, warmup, workers)
+        assert got == [run_replications(d, policy, 300, 3, 40, warmup=warmup) for policy in KINDS]
+
+    def test_one_policy_returns_its_own_result(self):
+        d, policy = Exponential(1.0), FixedThreshold(1.0)
+        records = simulate_peaks(d, policy, 10, 1)
+        assert isinstance(records, np.recarray) and len(records) == 10
+        assert isinstance(aoi_trajectory(d, policy, 5.0, 1), np.recarray)
+        estimates = run_replications(d, policy, 10, 2, 1)
+        assert [type(e) for e in estimates] == [PaoiEstimate, PaoiEstimate]
+        # a sequence of one is a list of one, and no policy gives an empty list
+        (alone,) = simulate_peaks(d, [policy], 10, 1)
+        assert alone.tobytes() == records.tobytes()
+        assert run_replications(d, (policy,), 10, 2, 1) == [estimates]
+        assert simulate_peaks(d, (), 10, 1) == run_replications(d, (), 10, 2, 1) == []
+
+    def test_the_first_error_the_lockstep_meets_raises(self):
+        # alone, fixed(0.3) stalls, which raises on its second step, and
+        # zero-wait passes the 2**22 reception cap on its first, so together
+        # they raise the cap, whatever their order
+        d, fixed = Erlang(3, 1.0), FixedThreshold(0.3)
+        run = partial(aoi_trajectory, d, horizon=1e8, seed=1, stall_limit=1000)
+        with pytest.raises(SimulationStall, match=r"FixedThreshold\(theta=0\.3\)"):
+            run(fixed)
+        for policies in ((fixed, ZeroWait()), (ZeroWait(), fixed)):
+            with pytest.raises(ConfigError, match=r"receptions under ZeroWait\(\)"):
+                run(policies)
 
 
 def _engine_steps(d, policy, seed, stall_limit, peaks_only):
@@ -664,14 +737,14 @@ class TestPeakOnlySteps:
     @pytest.mark.parametrize("warmup", [0, 5])
     def test_replications_equal_full_column_runs(self, warmup):
         d = Exponential(1.0)
-        got = _replications(d, KINDS, 2000, 2, 40, DEFAULT_STALL_LIMIT, warmup, 1)
+        got = run_replications(d, KINDS, 2000, 2, 40, DEFAULT_STALL_LIMIT, warmup, 1)
         for policy, estimates in zip(KINDS, got):
             assert estimates == [
                 _estimate(d, policy, 2000, DEFAULT_STALL_LIMIT, warmup, seed) for seed in (40, 41)
             ], policy
         peak_only = _lockstep(d, KINDS, 40, DEFAULT_STALL_LIMIT, peaks=warmup + 2000,
                               peaks_only=True)
-        for policy, (peak,) in zip(KINDS, peak_only):
+        for policy, (peak,) in zip(KINDS, _joined(peak_only)):
             full = simulate_peaks(d, policy, 2000, 40, warmup=warmup).peak
             assert peak[warmup : warmup + 2000].tolist() == full.tolist(), policy
 
@@ -696,6 +769,54 @@ class TestPeakOnlySteps:
         assert 0 < sum(1 for (peak,) in steps if len(peak)) < len(steps)
 
 
+# stretches of draws: the first opens with the initial AoI; under
+# fixed(2.0) the second drops three times and carries the last two into
+# the third; the fifth is empty, and the sixth holds zero draws and a tie
+# at the threshold
+_RNG = np.random.default_rng(5)
+STRETCHES = (_RNG.uniform(0.0, 2.0, 100), [1.0, 3.0, 0.5, 2.5, 4.0], _RNG.uniform(0.0, 2.0, 50),
+             _RNG.uniform(0.0, 2.0, 60), [], [0.0, -0.0, 2.0, 1.5], _RNG.uniform(0.0, 2.0, 30))
+
+
+class TestNoDropSteps:
+    """A step whose draws are all receptions, with no drop carried in,
+    builds its columns from the draws alone, to the bits of the general
+    step and of the attempt-at-a-time loop."""
+
+    @pytest.mark.parametrize("peaks_only", [False, True])
+    @pytest.mark.parametrize("policy, drops, general_steps",
+                             [(ZeroWait(), 0, 1), (FixedThreshold(2.0), 3, 3)],
+                             ids=["zero-wait", "fixed(2)"])
+    def test_equals_the_general_step_and_the_reference_loop(self, policy, drops, general_steps,
+                                                            peaks_only):
+        draws = np.concatenate([np.asarray(x, dtype=float) for x in STRETCHES])
+
+        def columns(stretches):
+            engine = _Engine(Scripted(()), policy, np.random.SeedSequence(0),
+                             DEFAULT_STALL_LIMIT, peaks_only)
+            steps = [engine.step(np.asarray(x, dtype=float)) for x in stretches]
+            return [np.concatenate(c) for c in zip(*steps)]
+
+        with mock.patch.object(simulate, "_sequence_sums", wraps=simulate._sequence_sums) as sums:
+            got = columns(STRETCHES)
+        # only the empty stretch, and under fixed(2.0) the one that drops
+        # and the one after it, take the general step
+        assert sums.call_count == general_steps
+        # a nan draw is never received, so one stretch that ends in it
+        # takes the general step; its peaks are those of the draws before it
+        want = columns([np.append(draws, math.nan)])
+        n = len(want[0])
+        assert n == len(draws) - 1 - drops
+        reference = _reference(Scripted(tuple(draws)), policy, n, seed=0)
+        ref_columns = [np.array(c) for c in list(zip(*reference))[1:]]
+        for got_col, want_col, ref_col in zip(got, want, ref_columns):
+            assert got_col.dtype == want_col.dtype
+            assert got_col.tobytes() == want_col.tobytes()
+            assert got_col.tolist() == ref_col.tolist()
+            if got_col.dtype.kind == "f":  # a -0.0 draw carries its sign
+                assert got_col.tobytes() == ref_col.tobytes()
+
+
 class TestParallelReplications:
     def test_worker_pool_matches_sequential(self):
         d = Exponential(1.0)
@@ -705,11 +826,19 @@ class TestParallelReplications:
         )
         assert seq == par
 
+    def test_a_policy_that_never_delivers_raises_before_the_pool_starts(self):
+        # P(X <= 0.5) = 0 under Pareto(1, 2)
+        policies = [ZeroWait(), FixedThreshold(0.5)]
+        with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                        side_effect=AssertionError("started a pool")):
+            with pytest.raises(SimulationStall, match=r"FixedThreshold\(theta=0\.5\)"):
+                run_replications(Pareto(1.0, 2.0), policies, 100, 4, 1, workers=2)
+
     @pytest.mark.parametrize("warmup", [0, 5])
     def test_worker_pool_matches_sequential_in_lockstep(self, warmup):
         d = Exponential(1.0)
-        seq = _replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 1)
-        par = _replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 2)
+        seq = run_replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 1)
+        par = run_replications(d, MIX, 300, 4, 55, DEFAULT_STALL_LIMIT, warmup, 2)
         assert seq == par
         assert [e.seed for e in par[0]] == [55, 56, 57, 58]
 
