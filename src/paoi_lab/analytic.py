@@ -27,13 +27,12 @@ entry, weighted by the probability of reaching it (:func:`paoi_repetitive`).
 Every deterministic policy is such a sequence (:func:`paoi_policy`).
 
 A single threshold reads ``F``, ``P(X > theta)`` and ``M`` from one call
-of :meth:`~paoi_lab.distributions.ServiceDistribution.primitives`.  Every
-grid of thresholds (the optimizer's search and cross-check, the sweep, the
-figure curves) is read in one pass by :func:`paoi_thresholds`, which takes
-the three for the whole grid from one call of
-:meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`.  Both
-run the law's one formula, so the grid and a single value agree bit for
-bit.
+of :meth:`~paoi_lab.distributions.ServiceDistribution.primitives`.  A grid
+of thresholds (the sweep, the figure curves) is read in one pass by
+:func:`paoi_thresholds`, which takes the three for the whole grid from one
+call of :meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`;
+the optimizer's search reads that call and :func:`_paoi` itself.  All run
+the law's one formula, so the grid and a single value agree bit for bit.
 """
 
 from __future__ import annotations
@@ -84,14 +83,19 @@ def _paoi(theta, f, sf, m):
     return ex + ey, ex, ey
 
 
-def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
+def _fixed(d: ServiceDistribution, theta: float) -> tuple[float, float, float]:
+    """:func:`paoi_fixed_threshold`'s values, without building a ``PaoiValue``."""
     if theta == math.inf:  # never preempt: each attempt is received
         m = d.mean()
-        return PaoiValue(zeta=2.0 * m, received_service=m, interreception=m)
+        return 2.0 * m, m, m
     f, sf, m = d.primitives(theta)
     if f <= 0.0:
-        return PaoiValue(math.inf, math.inf, math.inf)
-    return PaoiValue(*_paoi(theta, f, sf, m))
+        return math.inf, math.inf, math.inf
+    return _paoi(theta, f, sf, m)
+
+
+def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
+    return PaoiValue(*_fixed(d, theta))
 
 
 def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
@@ -108,8 +112,9 @@ def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
     delivers = (f > 0.0) & ~never
     with np.errstate(over="ignore"):  # a subnormal F overflows the quotients to inf
         values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
-    mean = d.mean()  # as paoi_fixed_threshold(d, inf)
-    values[0, never], values[1:, never] = 2.0 * mean, mean
+    if never.any():  # as paoi_fixed_threshold(d, inf)
+        mean = d.mean()
+        values[0, never], values[1:, never] = 2.0 * mean, mean
     return PaoiGrid(*values, f, sf, m)
 
 

@@ -1,16 +1,16 @@
 """Optimal fixed thresholds and preemption-benefit verdicts.
 
 The threshold search is a dense grid followed by golden-section
-refinement around the best grid cell.  A pure line search is not safe
-here: the PAoI curve is monotone for memoryless service times and only
-becomes convex for more regular shapes, so unimodality can never be
-assumed.  The grid is read in two steps.  A bound pass reads every 32nd
-point and the last.  The Bellman cost c = 2 M + theta P(X > theta) below
+refinement around the best grid cell, whose steps read zeta alone.  A
+line search is not safe: the PAoI curve is monotone for memoryless service
+times and convex only for more regular shapes.  The grid is read in two
+sets, each by one ``grid_primitives`` call.  A bound pass reads zeta,
+c / F and the Bellman cost c below at every 32nd point and the last.  c
 never falls (its slope is P(X > theta) + theta f(theta)) and F rises, so
-on a cell between two of the pass's points a < b, zeta = c / F >=
-c(a) / F(b); only cells whose bound comes within 1e-9 (relative) of the
-pass's smallest zeta are read, and the result is a read of the whole grid
-bit for bit.
+zeta = c / F >= c(a) / F(b) on a cell between two of its points a < b.
+Cells whose bound is within 1e-9 (relative) of the pass's smallest zeta
+are read, for zeta and c / F; the first minimum is picked between the two
+sets as a whole-grid read picks it, and no full-length array is built.
 ``evaluations`` still counts every grid point, read or bounded.
 
 The optimality cross-check is the fixed point of the one-stage Bellman
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import paoi_fixed_threshold, paoi_thresholds, paoi_xmin, paoi_zero_wait
+from .analytic import _fixed, _paoi, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
 from .errors import ConfigError
 
@@ -204,34 +204,42 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
     return evaluated
 
 
-def _cost(thetas, grid):
-    """The Bellman cost ``2 M + theta sf`` at the points of ``grid``."""
-    with np.errstate(over="ignore"):  # the cost may pass the largest float near its end
-        return 2.0 * grid.m + thetas * grid.sf
+def _read(d, thetas):
+    """``F``, ``sf``, the Bellman cost ``c = 2 M + theta sf`` (it may overflow),
+    ``zeta`` and ``c / F`` at ``thetas`` from one ``d.grid_primitives`` call;
+    ``zeta`` and ``c / F`` are ``inf`` where ``F`` is not positive."""
+    f, sf, m = d.grid_primitives(thetas)
+    cost = 2.0 * m + thetas * sf
+    zeta, ratio = _paoi(thetas, f, sf, m)[0], cost / f
+    never = ~(f > 0.0)
+    zeta[never] = ratio[never] = math.inf
+    return f, sf, cost, zeta, ratio
 
 
 def _grid_minimum(d, theta_min, theta_max, grid_points):
     """The checked window's grid, the index of its first smallest zeta (ties
-    go to the smallest theta), the zetas (``inf`` in shut cells), and the
-    smallest ``c / F``.  ``paoi_thresholds`` reads each point alone, so the
-    bound pass and the open cells read the bits of one whole-grid call."""
+    go to the smallest theta, a ``nan`` wins, as in ``np.argmin``), that zeta,
+    and the smallest ``c / F``, each the bits of a read of the whole grid."""
     _validate_window(d, theta_min, theta_max)
     thetas = theta_grid(theta_min, theta_max, grid_points)
-    ends = np.append(np.arange(0, thetas.size - 1, _CELL), thetas.size - 1)
-    bound = paoi_thresholds(d, thetas[ends])
-    with np.errstate(all="ignore"):  # a nan bound compares False and stays open
-        low = _cost(thetas[ends], bound)[:-1] / bound.cdf[1:]
-        shut = (bound.cdf[1:] == 0.0) | (low > np.min(bound.zeta) * (1.0 + _BOUND_SLACK))
-    inner = np.append(np.repeat(~shut, np.diff(ends)), False)
-    inner[ends] = False
-    rest = np.flatnonzero(inner)
-    zeta, ratio = np.full((2, thetas.size), math.inf)
-    for at, grid in (ends, bound), (rest, paoi_thresholds(d, thetas[rest])):
-        delivers = grid.cdf > 0.0
-        zeta[at] = grid.zeta
-        with np.errstate(over="ignore"):  # a subnormal F overflows its quotient to inf
-            ratio[at[delivers]] = _cost(thetas[at], grid)[delivers] / grid.cdf[delivers]
-    return thetas, int(np.argmin(zeta)), zeta, float(np.min(ratio))
+    n = thetas.size
+    ends = np.arange(0, n - 1 + _CELL, _CELL)  # every 32nd point, and the last
+    ends[-1] = n - 1
+    with np.errstate(all="ignore"):  # F = 0 divides by 0; a nan bound stays open
+        f, _, cost, zeta, ratio = _read(d, thetas[ends])
+        shut = (f[1:] == 0.0) | (cost[:-1] / f[1:] > zeta.min() * (1.0 + _BOUND_SLACK))
+        inner = np.repeat(~shut, _CELL)[:n - 1]
+        inner[::_CELL] = False
+        rest = np.flatnonzero(inner)
+        *_, zeta_rest, ratio_rest = _read(d, thetas[rest])
+    j = int(zeta.argmin())
+    i, best = int(ends[j]), float(zeta[j])
+    if rest.size:  # the later set's first wins below the earlier's, or as a nan after a number
+        k = int(zeta_rest.argmin())
+        (i, best), (k, later) = sorted([(i, best), (int(rest[k]), float(zeta_rest[k]))])
+        if best == best and not best <= later:
+            i, best = k, later
+    return thetas, i, best, float(ratio_rest.min(initial=ratio.min()))
 
 
 def _search_optimal(d, theta_min, theta_max, tol, grid_points):
@@ -243,8 +251,8 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
 
     lo = float(thetas[max(i - 1, 0)])
     hi = float(thetas[min(i + 1, len(thetas) - 1)])
-    refined = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta, lo, hi, tol)
-    candidates = [(float(zeta[i]), float(thetas[i])), *refined]
+    refined = _golden_refine(lambda t: _fixed(d, t)[0], lo, hi, tol)
+    candidates = [(zeta, float(thetas[i])), *refined]
 
     best_val = min(v for v, _ in candidates)
     cut = best_val + 1e-12 * (1.0 + abs(best_val))  # inf when every candidate is inf
@@ -320,8 +328,9 @@ def bellman_tables(
     """Grid, per-attempt cost, and survival tables of the Bellman operator."""
     _validate_window(d, theta_min, theta_max)
     thetas = theta_grid(theta_min, theta_max, grid_points)
-    grid = paoi_thresholds(d, thetas)
-    return thetas, _cost(thetas, grid), grid.sf
+    with np.errstate(all="ignore"):
+        _, sf, cost, *_ = _read(d, thetas)
+    return thetas, cost, sf
 
 
 def bellman_apply(cost: np.ndarray, surv: np.ndarray, u: float) -> float:

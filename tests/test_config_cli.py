@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from paoi_lab import (
     ChoiceSampler,
     ConfigError,
+    Deterministic,
     Erlang,
     Exponential,
     FixedThreshold,
@@ -43,7 +44,6 @@ from paoi_lab import (
     ZeroWait,
     cli,
     config,
-    default_window,
     digits,
     paoi_fixed_threshold,
     simulate,
@@ -67,7 +67,7 @@ from paoi_lab.config import (
     parse_distribution,
     parse_policy,
 )
-from paoi_lab.optimize import _golden_refine
+from paoi_lab.optimize import _golden_refine, window_or_default
 
 
 def as_node(obj):
@@ -295,14 +295,21 @@ class TestCli:
         assert main(["optimize", "--config", str(tp_config), "--out", str(tmp_path)]) == 0
         assert len(searches) == 1
 
-    def test_optimize_reads_each_grid_point_once(self, tmp_path, capsys):
+    @pytest.mark.parametrize("law, window, golden_steps, grid_read", [
+        (Erlang(3, 1.0), (None, None), 29, 219),
+        (Exponential(1.0), (None, None), 0, 1769),  # the optimum sits at the window floor
+        (Deterministic(1.5), (1.5, 3.0), 24, 2000),  # zeta is flat: every cell is open
+    ], ids=["erlang", "exponential", "deterministic"])
+    def test_optimize_reads_each_grid_point_once(
+        self, law, window, golden_steps, grid_read, tmp_path, capsys
+    ):
         # the search reads the bound pass and the cells it leaves open, and
         # the cross-check shares those reads; the primitives are read once
         # more per golden step and at the support minimum, for the xmin
         # candidate (the no-atom note reads atoms())
         calls, read = Counter(), []
 
-        class Counting(Erlang):
+        class Counting(type(law)):
             def primitives(self, theta):
                 read.append(float(theta))
                 return super().primitives(theta)
@@ -323,23 +330,26 @@ class TestCli:
                 calls["m"] += 1
                 return super().truncated_first_moment(theta)
 
-        assert cmd_optimize(ExperimentConfig(distribution=Counting(3, 1.0)), tmp_path) == 0
+        d = Counting(*(getattr(law, f.name) for f in fields(law)))
+        cfg = ExperimentConfig(distribution=d, optimizer=OptimizerSpec(*window))
+        assert cmd_optimize(cfg, tmp_path) == 0
         evaluations = int(re.search(r"grid evaluations: (\d+)", capsys.readouterr().out)[1])
-        assert evaluations == 2000 + 29  # the grid plus the golden steps
+        assert evaluations == 2000 + golden_steps  # the grid plus the golden steps
         assert calls["cdf"] <= evaluations + 1
         assert calls["sf"] <= evaluations and calls["m"] <= evaluations
+        read.remove(law.support_min())  # the xmin candidate's read
         assert len(set(read)) == len(read), "a threshold is read twice"
 
-        d = Erlang(3, 1.0)
-        lo, hi = default_window(d)
+        lo, hi = window_or_default(law, *window)
         grid = theta_grid(lo, hi)
-        i = int(np.argmin(paoi_thresholds(d, grid).zeta))
-        golden = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta,
-                                float(grid[i - 1]), float(grid[i + 1]), 1e-8 * (hi - lo))
-        assert len(golden) == 29
+        i = int(np.argmin(paoi_thresholds(law, grid).zeta))
+        bracket = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+        golden = _golden_refine(lambda t: paoi_fixed_threshold(law, t).zeta, *bracket,
+                                1e-8 * (hi - lo))
+        assert len(golden) == golden_steps
         grid = set(grid.tolist())
-        assert set(read) <= grid | {t for _, t in golden} | {d.support_min()}
-        assert len(grid.intersection(read)) < 500, len(grid.intersection(read))
+        assert set(read) <= grid | {t for _, t in golden}
+        assert len(grid.intersection(read)) == grid_read
 
     @pytest.mark.parametrize(
         "argv", [["optimize", "--seed", "5"], ["reproduce", "--figure", "fig4", "--config", "x"]]

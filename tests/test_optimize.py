@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from paoi_lab import (
     theta_grid,
     twopoint_benefit_threshold,
 )
-from paoi_lab.analytic import paoi_thresholds
+from paoi_lab.analytic import _fixed, paoi_thresholds
 from paoi_lab.optimize import (
     _BOUND_SLACK,
     _CELL,
@@ -372,6 +373,54 @@ def full_grid_minimum(d, lo, hi, grid_points):
     return i, float(grid.zeta[i]), float(np.min(ratio, initial=math.inf))
 
 
+@dataclass(frozen=True)
+class NanMomentAt(Erlang):
+    """Erlang whose truncated first moment is ``nan`` at one threshold."""
+
+    at: float = math.nan
+
+    def _primitives(self, x):
+        f, sf, m = super()._primitives(x)
+        return f, sf, np.where(x == self.at, math.nan, m)
+
+
+@st.composite
+def golden_thresholds(draw):
+    """A scaled catalog law and a threshold inside its support, below it, at
+    an atom (the support minimum on a law without one), ``nan``, ``inf``,
+    or where ``F`` is subnormal, on the laws that have such a threshold."""
+    name = draw(st.sampled_from(sorted(SCALED)))
+    d = SCALED[name](2.0 ** draw(st.integers(-30, 30)))
+    base, scale = d.support_min(), d.quantile(0.5)
+    where = draw(st.sampled_from(["inside", "below", "atom", "nan", "inf", "subnormal"]))
+    if where == "subnormal":
+        thetas = base + scale * 2.0 ** -np.arange(1100.0)
+        f = d.grid_primitives(thetas)[0]
+        thetas = thetas[(f > 0.0) & (f < sys.float_info.min)]
+        assume(thetas.size)
+        return d, float(draw(st.sampled_from(thetas.tolist())))
+    return d, {
+        "inside": lambda: base + scale * draw(st.floats(0.0, 100.0)),
+        "below": lambda: base - scale * draw(st.floats(1e-9, 1.0)),
+        "atom": lambda: draw(st.sampled_from([a for a, _ in d.atoms()] or [base])),
+        "nan": lambda: math.nan,
+        "inf": lambda: math.inf,
+    }[where]()
+
+
+class TestGoldenStep:
+    """The golden steps read zeta through ``analytic._fixed``, the value
+    behind ``paoi_fixed_threshold``, without building a ``PaoiValue``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=golden_thresholds())
+    def test_equals_paoi_fixed_threshold(self, point):
+        d, theta = point
+        want = paoi_fixed_threshold(d, theta).zeta
+        assert _fixed(d, theta)[0].hex() == want.hex(), (d, theta)
+        assert float(paoi_thresholds(d, [theta]).zeta[0]).hex() == want.hex(), (d, theta)
+
+
 @st.composite
 def search_windows(draw):
     """A scaled catalog law and a window: the default one, or one that
@@ -403,9 +452,42 @@ class TestBoundedGridMinimum:
         d, lo, hi = window
         assume(lo < hi)  # a span that rounds away
         thetas, i, zeta, bellman = _grid_minimum(d, lo, hi, grid_points)
-        got = (i, float(zeta[i]).hex(), bellman.hex())
+        got = (i, zeta.hex(), bellman.hex())
         want_i, want_zeta, want_bellman = full_grid_minimum(d, lo, hi, grid_points)
         assert got == (want_i, want_zeta.hex(), want_bellman.hex()), (d, lo, hi)
+
+    @pytest.mark.parametrize("d, lo, hi, first", [
+        (Deterministic(1.5), 1.5, 3.0, 0),  # zeta = 3 everywhere, every cell open
+        # zeta = 2 + theta below the upper atom 3, then 4: grid point 667, inside
+        # a cell, ties with the bound pass's points from 672 on
+        (TP, 2.5, 4.0, 667),
+    ], ids=["deterministic", "two-point"])
+    def test_flat_ties_go_to_the_smallest_theta(self, d, lo, hi, first):
+        _, i, zeta, bellman = _grid_minimum(d, lo, hi, 2000)
+        want_i, want_zeta, want_bellman = full_grid_minimum(d, lo, hi, 2000)
+        assert (i, zeta.hex(), bellman.hex()) == (want_i, want_zeta.hex(), want_bellman.hex())
+        assert i == first
+        # bound-pass points after the first minimum tie with it
+        later_ends = theta_grid(lo, hi)[_CELL * (i // _CELL + 1)::_CELL]
+        assert (paoi_thresholds(d, later_ends).zeta == zeta).any()
+
+    @pytest.mark.parametrize("where", ["cell before", "cell after", "first end", "last end"])
+    def test_the_first_nan_wins(self, where):
+        # M is nan at one point, before or after the bound pass's first
+        # minimum e, in one of the open cells beside e or at an end of the
+        # bound pass: zeta and c / F are nan there, np.argmin picks it and
+        # np.min returns it
+        erlang = CATALOG["erlang"]
+        lo, hi = default_window(erlang)
+        thetas = theta_grid(lo, hi)
+        ends = [*range(0, thetas.size - 1, _CELL), thetas.size - 1]
+        e = ends[int(np.argmin(paoi_thresholds(erlang, thetas[ends]).zeta))]
+        p = {"cell before": e - 1, "cell after": e + 1, "first end": 0, "last end": ends[-1]}[where]
+        d = NanMomentAt(3, 1.0, float(thetas[p]))
+        _, i, zeta, bellman = _grid_minimum(d, lo, hi, 2000)
+        assert (i, zeta.hex(), bellman.hex()) == (p, "nan", "nan")
+        want_i, want_zeta, want_bellman = full_grid_minimum(d, lo, hi, 2000)
+        assert (want_i, want_zeta.hex(), want_bellman.hex()) == (p, "nan", "nan")
 
     SOUNDNESS_LAWS = {
         **CATALOG,
