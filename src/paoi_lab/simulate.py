@@ -105,7 +105,8 @@ class PaoiEstimate:
 
     Consecutive peaks share a service term and are not independent, so
     the standard error comes from batch means rather than the i.i.d.
-    formula.  ``ci_low`` and ``ci_high`` are ``mean -+ 1.96 * std_error``.
+    formula.  ``ci_low`` and ``ci_high`` are ``mean -+ 1.96 * std_error``,
+    and nan when the mean is not finite.
     """
 
     mean: float
@@ -508,7 +509,10 @@ def aoi_trajectory(
 
 
 def _with_ci95(mean: float, se: float, peak_count: int, seed: Optional[int]) -> PaoiEstimate:
-    return PaoiEstimate(mean, se, mean - _Z95 * se, mean + _Z95 * se, peak_count, seed)
+    # a mean that overflowed has no interval: nan at both ends, where an
+    # inf std_error would give ``inf - inf`` below and inf above
+    half = _Z95 * se if math.isfinite(mean) else math.nan
+    return PaoiEstimate(mean, se, mean - half, mean + half, peak_count, seed)
 
 
 @_silent_overflow

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import yaml
 from conftest import CATALOG, assert_same_text, kernel_text, pure_yaml, record_text, run_fresh
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paoi_lab import (
@@ -1886,6 +1886,12 @@ _configs = st.fixed_dictionaries({
 @given(cfg=_configs,
        command=st.sampled_from(["eval", "sweep", "optimize", "simulate", "check"]),
        kernel=st.booleans())
+# two peaks whose sum and spread both overflow: the interval is [nan, nan]
+@example(cfg={"distribution": {"kind": "erlang", "params": {"shape": 1.7976931348623157e308,
+                                                            "rate": 2.0}},
+              "policies": ["zero-wait"],
+              "simulation": {"peaks": 2, "replications": 1, "seed": 0, "warmup": 0}},
+         command="simulate", kernel=False)
 def test_any_config_exits_cleanly(cfg, command, kernel):
     # every command on any config exits 0, 2 or 3 without an exception or
     # a RuntimeWarning, and an exit 2 prints nothing and writes no file;

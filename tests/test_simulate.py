@@ -288,6 +288,17 @@ class TestEstimator:
         assert pooled.ci_low == pooled.mean - 1.96 * pooled.std_error
         assert pooled.ci_high == pooled.mean + 1.96 * pooled.std_error
 
+    def test_an_overflowed_mean_has_a_nan_interval(self):
+        # the sum of the peaks overflows, and so does their spread: the
+        # interval is nan at both ends, not [inf - inf, inf + inf]
+        peaks = np.rec.fromarrays([np.array([1e308, 1.7e308])], names="peak")
+        est = estimate_paoi(peaks)
+        assert (est.mean, est.std_error) == (math.inf, math.inf)
+        assert math.isnan(est.ci_low) and math.isnan(est.ci_high)
+        pooled = pooled_estimate([est, est])
+        assert (pooled.mean, pooled.std_error) == (math.inf, math.inf)
+        assert math.isnan(pooled.ci_low) and math.isnan(pooled.ci_high)
+
     def test_pooling(self):
         ests = run_replications(
             Exponential(1.0), ZeroWait(), peaks=5000, replications=4, base_seed=100
