@@ -28,18 +28,18 @@ Every deterministic policy is such a sequence (:func:`paoi_policy`).
 
 A single threshold reads ``F``, ``P(X > theta)`` and ``M`` from one call
 of :meth:`~paoi_lab.distributions.ServiceDistribution.primitives`.  A grid
-of thresholds (the sweep, the figure curves) is read in one pass by
-:func:`paoi_thresholds`, which takes the three for the whole grid from one
-call of :meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives`;
-the optimizer's search reads that call and :func:`_paoi` itself.  All run
-the law's one formula, so the grid and a single value agree bit for bit.
+of thresholds (the sweep, the figure curves, the optimizer's grid) is read
+by :func:`paoi_thresholds`, which takes the three from one call of
+:meth:`~paoi_lab.distributions.ServiceDistribution.grid_primitives` and
+runs the formula on whole arrays.  No other module evaluates zeta, and the
+grid and a single value agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PaoiValue:
+class PaoiValue(NamedTuple):
     """Average PAoI with its two-component decomposition.
 
     ``zeta = received_service + interreception`` whenever both are finite.
@@ -83,19 +82,14 @@ def _paoi(theta, f, sf, m):
     return ex + ey, ex, ey
 
 
-def _fixed(d: ServiceDistribution, theta: float) -> tuple[float, float, float]:
-    """:func:`paoi_fixed_threshold`'s values, without building a ``PaoiValue``."""
+def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
     if theta == math.inf:  # never preempt: each attempt is received
         m = d.mean()
-        return 2.0 * m, m, m
+        return PaoiValue(2.0 * m, m, m)
     f, sf, m = d.primitives(theta)
     if f <= 0.0:
-        return math.inf, math.inf, math.inf
-    return _paoi(theta, f, sf, m)
-
-
-def paoi_fixed_threshold(d: ServiceDistribution, theta: float) -> PaoiValue:
-    return PaoiValue(*_fixed(d, theta))
+        return PaoiValue(math.inf, math.inf, math.inf)
+    return PaoiValue(*_paoi(theta, f, sf, m))
 
 
 def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
@@ -107,15 +101,15 @@ def paoi_thresholds(d: ServiceDistribution, thetas) -> PaoiGrid:
     """
     thetas = np.asarray(thetas, dtype=float)
     f, sf, m = d.grid_primitives(thetas)
-    values = np.full((3, thetas.size), math.inf)
+    with np.errstate(all="ignore"):  # F = 0 divides by 0, theta = inf reads inf * 0
+        zeta, ex, ey = _paoi(thetas, f, sf, m)
+    silent = ~(f > 0.0)  # never delivers
+    zeta[silent] = ex[silent] = ey[silent] = math.inf
     never = thetas == math.inf
-    delivers = (f > 0.0) & ~never
-    with np.errstate(over="ignore"):  # a subnormal F overflows the quotients to inf
-        values[:, delivers] = _paoi(thetas[delivers], f[delivers], sf[delivers], m[delivers])
     if never.any():  # as paoi_fixed_threshold(d, inf)
         mean = d.mean()
-        values[0, never], values[1:, never] = 2.0 * mean, mean
-    return PaoiGrid(*values, f, sf, m)
+        zeta[never], ex[never], ey[never] = 2.0 * mean, mean, mean
+    return PaoiGrid(zeta, ex, ey, f, sf, m)
 
 
 def paoi_zero_wait(d: ServiceDistribution) -> float:

@@ -1,10 +1,11 @@
 """Optimal fixed thresholds and preemption-benefit verdicts.
 
 The threshold search is a dense grid followed by golden-section
-refinement around the best grid cell, whose steps read zeta alone.  A
-line search is not safe: the PAoI curve is monotone for memoryless service
-times and convex only for more regular shapes.  The grid is read in two
-sets, each by one ``grid_primitives`` call.  A bound pass reads zeta,
+refinement around the best grid cell.  A line search is not safe: the PAoI
+curve is monotone for memoryless service times and convex only for more
+regular shapes.  Each golden step reads ``paoi_fixed_threshold``, and the
+grid is read in two sets, each by one ``paoi_thresholds`` call, so every
+zeta comes from :mod:`paoi_lab.analytic`.  A bound pass reads zeta,
 c / F and the Bellman cost c below at every 32nd point and the last.  c
 never falls (its slope is P(X > theta) + theta f(theta)) and F rises, so
 zeta = c / F >= c(a) / F(b) on a cell between two of its points a < b.
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import _fixed, _paoi, paoi_xmin, paoi_zero_wait
+from .analytic import paoi_fixed_threshold, paoi_thresholds, paoi_xmin, paoi_zero_wait
 from .distributions import ServiceDistribution
 from .errors import ConfigError
 
@@ -206,14 +207,13 @@ def _golden_refine(fn, lo: float, hi: float, tol: float):
 
 def _read(d, thetas):
     """``F``, ``sf``, the Bellman cost ``c = 2 M + theta sf`` (it may overflow),
-    ``zeta`` and ``c / F`` at ``thetas`` from one ``d.grid_primitives`` call;
-    ``zeta`` and ``c / F`` are ``inf`` where ``F`` is not positive."""
-    f, sf, m = d.grid_primitives(thetas)
-    cost = 2.0 * m + thetas * sf
-    zeta, ratio = _paoi(thetas, f, sf, m)[0], cost / f
-    never = ~(f > 0.0)
-    zeta[never] = ratio[never] = math.inf
-    return f, sf, cost, zeta, ratio
+    ``zeta`` and ``c / F`` at ``thetas`` from one :func:`paoi_thresholds`
+    read; ``c / F`` is ``inf`` where ``F`` is not positive."""
+    grid = paoi_thresholds(d, thetas)
+    cost = 2.0 * grid.m + thetas * grid.sf
+    ratio = cost / grid.cdf
+    ratio[~(grid.cdf > 0.0)] = math.inf
+    return grid.cdf, grid.sf, cost, grid.zeta, ratio
 
 
 def _grid_minimum(d, theta_min, theta_max, grid_points):
@@ -251,7 +251,7 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
 
     lo = float(thetas[max(i - 1, 0)])
     hi = float(thetas[min(i + 1, len(thetas) - 1)])
-    refined = _golden_refine(lambda t: _fixed(d, t)[0], lo, hi, tol)
+    refined = _golden_refine(lambda t: paoi_fixed_threshold(d, t).zeta, lo, hi, tol)
     candidates = [(zeta, float(thetas[i])), *refined]
 
     best_val = min(v for v, _ in candidates)

@@ -41,6 +41,19 @@ CATALOG = {
     "deterministic": Deterministic(value=1.5),
 }
 
+# Each catalog law as a function of its time scale ``s``: ``SCALED[k](s)`` is
+# ``s * X`` for ``X = CATALOG[k]``, and ``SCALED[k](1.0) == CATALOG[k]``.
+SCALED = {
+    "exponential": lambda s: Exponential(1.0 / s),
+    "erlang": lambda s: Erlang(3, 1.0 / s),
+    "pareto": lambda s: Pareto(s, 2.0),
+    "shifted-exponential": lambda s: ShiftedExponential(0.5 * s, 2.0 / s),
+    "two-point": lambda s: TwoPoint(s, 3.0 * s, 0.5),
+    "hyper-exponential": lambda s: HyperExponential((10.0 / s, 1.0 / s), (10 / 11, 1 / 11)),
+    "log-normal": lambda s: LogNormal(math.log(s), 1.0),
+    "deterministic": lambda s: Deterministic(1.5 * s),
+}
+
 CONTINUOUS = [
     "exponential",
     "erlang",

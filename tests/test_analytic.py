@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from paoi_lab.analytic import paoi_thresholds
 from paoi_lab.optimize import default_window, theta_grid
 from paoi_lab.policies import FixedThreshold, MedianThreshold, resolve
 
-from conftest import CATALOG, FINITE_MEAN, theta_probe_grid
+from conftest import CATALOG, FINITE_MEAN, SCALED, theta_probe_grid
 
 TP = CATALOG["two-point"]
 EXP = CATALOG["exponential"]
@@ -115,6 +116,22 @@ class TestFixedThreshold:
             if math.isfinite(z):
                 assert z >= 2 * lo - 1e-9
 
+    def test_pareto_half_optimum_to_fifty_digits(self):
+        # Pareto(1, 1/2): zeta = (3u - 2) u / (u - 1) with u = sqrt(theta),
+        # least at u = 1 + 1/sqrt(3), where it is 4 + 2 sqrt(3)
+        with mp.workdps(50):
+            theta = float((1 + 1 / mp.sqrt(3)) ** 2)
+            want = 4 + 2 * mp.sqrt(3)
+            z = paoi_fixed_threshold(Pareto(1.0, 0.5), theta).zeta
+            assert abs(z - want) <= 1e-14 * want
+
+    def test_value_is_an_immutable_named_record(self):
+        v = PaoiValue(zeta=3.0, received_service=1.0, interreception=2.0)
+        assert v == PaoiValue(3.0, 1.0, 2.0)
+        assert repr(v) == "PaoiValue(zeta=3.0, received_service=1.0, interreception=2.0)"
+        with pytest.raises(AttributeError):
+            v.zeta = 0.0
+
     @pytest.mark.parametrize("name", FINITE_MEAN)
     def test_large_threshold_limit_is_zero_wait(self, name):
         d = CATALOG[name]
@@ -167,6 +184,43 @@ class TestThresholdGrid:
         assert (grid.zeta[0], grid.received_service[0], grid.interreception[0]) == (
             v.zeta, v.received_service, v.interreception) == (math.inf,) * 3
         assert (grid.cdf[0], grid.sf[0], grid.m[0]) == d.primitives(math.nan) == (0.0, 1.0, 0.0)
+
+
+class TestTimeScale:
+    """zeta(s X, s theta) = s zeta(X, theta): with s = 2^k every step of the
+    formula scales exactly, except log-normal's, whose mu moves by log(s)."""
+
+    SCALES = [2.0 ** k for k in range(-60, 61)]
+
+    @staticmethod
+    def thresholds(d):
+        atoms = [a for a, _ in d.atoms()]
+        return np.array([0.0, 0.5 * d.support_min(), d.support_min(), *atoms,
+                         *theta_probe_grid(d, 40, 1e-3, 1 - 1e-3), math.inf])
+
+    @staticmethod
+    def assert_scaled(name, got, want):
+        if name == "log-normal":  # 1.5e-14 measured
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        else:
+            assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+
+    @pytest.mark.parametrize("name", sorted(SCALED))
+    def test_grid_scales_with_the_time_unit(self, name):
+        d = CATALOG[name]
+        thetas = self.thresholds(d)
+        zeta = paoi_thresholds(d, thetas).zeta
+        for s in self.SCALES:
+            self.assert_scaled(name, paoi_thresholds(SCALED[name](s), s * thetas).zeta, s * zeta)
+
+    @pytest.mark.parametrize("name", sorted(SCALED))
+    def test_fixed_threshold_scales_with_the_time_unit(self, name):
+        d = CATALOG[name]
+        thetas = self.thresholds(d)
+        zeta = [paoi_fixed_threshold(d, t).zeta for t in thetas]
+        for s in self.SCALES:
+            got = [paoi_fixed_threshold(SCALED[name](s), s * t).zeta for t in thetas]
+            self.assert_scaled(name, got, [s * z for z in zeta])
 
 
 class TestSimplePolicies:

@@ -29,7 +29,7 @@ from paoi_lab import (
     theta_grid,
     twopoint_benefit_threshold,
 )
-from paoi_lab.analytic import _fixed, paoi_thresholds
+from paoi_lab.analytic import paoi_thresholds
 from paoi_lab.optimize import (
     _BOUND_SLACK,
     _CELL,
@@ -40,7 +40,7 @@ from paoi_lab.optimize import (
     window_or_default,
 )
 
-from conftest import CATALOG
+from conftest import CATALOG, SCALED, hyper_exponentials
 
 TP = TwoPoint(1.0, 3.0, 0.5)
 
@@ -108,6 +108,34 @@ class TestOptimalThreshold:
         assert np.allclose(np.diff(g2), g2[1] - g2[0])  # arithmetic
 
 
+@st.composite
+def scaled_laws(draw):
+    """A law of any catalog kind with drawn shape parameters, at a time scale
+    2^k, and its window: the default one, or ``[v, 2v]`` for Deterministic(v).
+    Below about 2^-20 the default window's absolute 1e-9 floor can lie above
+    the optimum, or above a narrow support."""
+    s = 2.0 ** draw(st.integers(-20, 30))
+    kind = draw(st.sampled_from(sorted(SCALED)))
+    if kind == "deterministic":
+        v = s * draw(st.floats(0.1, 10.0))
+        return Deterministic(v), (v, 2.0 * v)
+    unit = st.floats(0.05, 0.95)
+    d = {
+        "exponential": lambda: Exponential(1.0 / s),
+        "erlang": lambda: Erlang(draw(st.integers(1, 40)), 1.0 / s),
+        "pareto": lambda: Pareto(s, draw(st.floats(0.3, 5.0))),
+        "shifted-exponential": lambda: ShiftedExponential(s * draw(st.floats(0.0, 10.0)), 1.0 / s),
+        "two-point": lambda: TwoPoint(s, s * draw(st.floats(1.01, 10.0)), draw(unit)),
+        "hyper-exponential": lambda: scaled_rates(draw(hyper_exponentials()), s),
+        "log-normal": lambda: LogNormal(math.log(s), draw(st.floats(0.1, 3.0))),
+    }[kind]()
+    return d, (None, None)
+
+
+def scaled_rates(d, s):
+    return HyperExponential(tuple(r / s for r in d.rates), d.weights)
+
+
 class TestMinAchievable:
     def test_two_point_winner_is_xmin(self):
         res = min_achievable_paoi(TP)
@@ -156,6 +184,15 @@ class TestMinAchievable:
                 assert res.zeta_min <= 2 * d.mean() + 1e-12
             assert res.zeta_min <= res.zeta_opt
             assert res.window[0] <= res.theta_opt <= res.window[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(law=scaled_laws())
+    def test_lemma_2_optimum_sits_below_its_value(self, law):
+        # Lemma 2: zeta strictly increases wherever theta >= zeta(theta) and
+        # P(X > theta) > 0, so the best threshold lies below the best value
+        d, window = law
+        res = min_achievable_paoi(d, *window)
+        assert res.theta_opt <= res.zeta_opt, (d, res)
 
 
 class TestBellman:
@@ -347,19 +384,6 @@ class TestBellmanClosedForm:
             assert abs(bellman_apply(cost, surv, u) - u) <= 4 * math.ulp(u), (lo, hi)
 
 
-# The catalog kinds with the time unit divided by ``s``.
-SCALED = {
-    "exponential": lambda s: Exponential(1.0 / s),
-    "erlang": lambda s: Erlang(3, 1.0 / s),
-    "pareto": lambda s: Pareto(s, 2.0),
-    "shifted-exponential": lambda s: ShiftedExponential(0.5 * s, 2.0 / s),
-    "two-point": lambda s: TwoPoint(s, 3.0 * s, 0.5),
-    "hyper-exponential": lambda s: HyperExponential((10.0 / s, 1.0 / s), (10 / 11, 1 / 11)),
-    "log-normal": lambda s: LogNormal(math.log(s), 1.0),
-    "deterministic": lambda s: Deterministic(1.5 * s),
-}
-
-
 def full_grid_minimum(d, lo, hi, grid_points):
     """Reference for the bounded search: every grid point read in one call,
     as ``(first argmin, its zeta, smallest c/F)``."""
@@ -409,16 +433,17 @@ def golden_thresholds(draw):
 
 
 class TestGoldenStep:
-    """The golden steps read zeta through ``analytic._fixed``, the value
-    behind ``paoi_fixed_threshold``, without building a ``PaoiValue``."""
+    """The golden steps read zeta through ``paoi_fixed_threshold``, and a
+    grid read gives the same bits at the same threshold."""
 
     @settings(max_examples=300, deadline=None)
     @given(point=golden_thresholds())
     def test_equals_paoi_fixed_threshold(self, point):
         d, theta = point
-        want = paoi_fixed_threshold(d, theta).zeta
-        assert _fixed(d, theta)[0].hex() == want.hex(), (d, theta)
-        assert float(paoi_thresholds(d, [theta]).zeta[0]).hex() == want.hex(), (d, theta)
+        want = paoi_fixed_threshold(d, theta)
+        grid = paoi_thresholds(d, [theta])
+        for name, value in want._asdict().items():
+            assert float(getattr(grid, name)[0]).hex() == value.hex(), (d, theta, name)
 
 
 @st.composite

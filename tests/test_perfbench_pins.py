@@ -96,6 +96,22 @@ def test_simulate_runs_the_functions_the_tracer_spans(tmp_path, monkeypatch):
             "simulate.run_replications"} <= names
 
 
+def test_every_zeta_of_a_search_is_a_traced_span():
+    # the traced run reads analytic.zeta_evals from the paoi_fixed_threshold
+    # spans, so each golden step must call it, as zero-wait and xmin do
+    from paoi_lab import Erlang, optimize
+
+    tracer = perfbench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        res = optimize.min_achievable_paoi(Erlang(3, 1.0))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert res.refine_iters > 0
+    assert names.count("analytic.paoi_fixed_threshold") == res.refine_iters + 2
+
+
 def test_loading_the_oracle_keeps_mpmath_precision():
     # perfbench/oracle.py sets mp.dps = 50 when it runs
     with mpmath.workdps(20):
