@@ -22,8 +22,10 @@ tables (:mod:`paoi_lab.digits`) and a smaller one (optimize's row, eval,
 simulate summaries, fig5 and fig7) by one ``%`` template per row, to the
 same bytes; re-runs overwrite them byte-identically.  A policy's peak dump
 and trajectory, cut from one sample path, go through one kernel pass that
-spells each cell they share once.  Commands print their stdout only after
-their last file is closed, so a failed write prints nothing.
+spells each cell they share once.  Commands return their tables and stdout
+lines, and neither open a file nor print: :func:`main` writes the tables by
+:func:`_write_files` and prints the lines once every file is closed, so a
+failed write prints nothing.
 """
 
 from __future__ import annotations
@@ -162,15 +164,10 @@ def _write_table(fh: TextIO, header: list[str], columns: list, copies: list = ()
             _write_table(copy_fh, copy_header, copy_columns)
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """:func:`_write_table` to ``path``."""
-    with _writing(_open_csv(path)) as fh:
-        _write_table(fh, header, columns)
-
-
 def _template_rows(fh: TextIO, cells: list, rows: int) -> None:
     """Write the ``rows`` rows of ``cells``, as :func:`_table` gives them, by one
-    ``%`` template per row, a chunk of rows at a time."""
+    ``%`` template per row, a chunk of rows at a time.  An ``OSError``
+    writing ``fh`` is a ConfigError that names it: other files are open."""
     formats, columns = [], []
     for c in cells:
         if isinstance(c, tuple):
@@ -180,9 +177,29 @@ def _template_rows(fh: TextIO, cells: list, rows: int) -> None:
             formats.append("%.12g" if c.dtype.kind == "f" else "%d")
             columns.append(c)
     template = ",".join(formats)
-    for i in range(0, rows, _CSV_CHUNK):
-        chunk = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in columns))
-        fh.write("\n".join([template % row for row in chunk]) + "\n")
+    try:
+        for i in range(0, rows, _CSV_CHUNK):
+            chunk = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in columns))
+            fh.write("\n".join([template % row for row in chunk]) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {fh.name}: {exc}") from exc
+
+
+def _write_files(tables: list) -> None:
+    """Write each ``(path, header, columns)`` of ``tables`` to its file, and
+    each ``(path, header, columns, (source, links))`` as a copy (see
+    :func:`_write_table`) of the table written to ``source``.  Every file is
+    opened, in order, before any is written; an ``OSError`` opening,
+    writing or closing a file is a ConfigError that names it."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_writing(_open_csv(path))) for path, *_ in tables]
+        copies = {}  # source path -> the tables spelled in its pass
+        for fh, (_, header, columns, *copied) in zip(files, tables):
+            for source, links in copied:
+                copies.setdefault(source, []).append((fh, header, columns, links))
+        for fh, (path, header, columns, *copied) in zip(files, tables):
+            if not copied:
+                _write_table(fh, header, columns, copies.get(path, ()))
 
 
 def _slug(label: str) -> str:
@@ -223,26 +240,24 @@ def _reject_clashes(policies, key, clash: str) -> None:
         seen[k] = i
 
 
-def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_eval(cfg: ExperimentConfig, out_dir: Path) -> tuple[list, list[str]]:
     _reject_clashes(cfg.policies, lambda p: p.label(), "be labelled")
     labels, values = [], []
-    for policy in cfg.policies:  # every value before any output
+    for policy in cfg.policies:
         value = analytic.paoi_policy(cfg.distribution, policy)
         labels.append(policy.label())
         values.append((value.zeta, value.received_service, value.interreception))
-    _write_csv(
-        out_dir / _csv_name(cfg, "eval"),
-        ["policy", "zeta", "e_x_check", "e_y"],
-        [labels, *np.array(values, dtype=float).T],
-    )
-    print(f"distribution: {_dist_label(cfg.distribution)}")  # once the file is closed
-    print(f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}")
-    for label, (zeta, e_x, e_y) in zip(labels, values):
-        print(f"{label:<28} {_fmt(zeta):>14} {_fmt(e_x):>14} {_fmt(e_y):>14}")
-    return 0
+    table = (out_dir / _csv_name(cfg, "eval"), ["policy", "zeta", "e_x_check", "e_y"],
+             [labels, *np.array(values, dtype=float).T])
+    return [table], [
+        f"distribution: {_dist_label(cfg.distribution)}",
+        f"{'policy':<28} {'zeta':>14} {'e_x_check':>14} {'e_y':>14}",
+        *(f"{label:<28} {_fmt(zeta):>14} {_fmt(e_x):>14} {_fmt(e_y):>14}"
+          for label, (zeta, e_x, e_y) in zip(labels, values)),
+    ]
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> tuple[list, list[str]]:
     d = cfg.distribution
     spec = cfg.sweep
     lo, hi = optimize.window_or_default(d, spec.theta_min, spec.theta_max)
@@ -258,15 +273,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     is_minimum = np.zeros(len(thetas), dtype=int)
     is_minimum[i_min] = 1
     path = out_dir / _csv_name(cfg, "sweep")
-    _write_csv(  # zeta, E[Xr], E[Y]
-        path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], [thetas, *grid[:3], is_minimum]
-    )
-    print(f"sweep: {len(thetas)} rows -> {path}")
-    print(f"minimum zeta {_fmt(grid.zeta[i_min])} at theta {_fmt(thetas[i_min])}")
-    return 0
+    columns = [thetas, *grid[:3], is_minimum]  # zeta, E[Xr], E[Y]
+    return [(path, ["theta", "zeta", "e_x_check", "e_y", "is_minimum"], columns)], [
+        f"sweep: {len(thetas)} rows -> {path}",
+        f"minimum zeta {_fmt(grid.zeta[i_min])} at theta {_fmt(thetas[i_min])}"]
 
 
-def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> tuple[list, list[str]]:
     d = cfg.distribution
     result = optimize.min_achievable_paoi(d, **vars(cfg.optimizer))
     verdict = optimize.benefit_verdict(d, result)
@@ -284,30 +297,24 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
         verdict.margin,
         bellman_delta,
     ]
-    _write_csv(
-        out_dir / _csv_name(cfg, "optimize"),
-        [
-            "distribution", "theta_opt", "zeta_opt", "zeta_zero_wait", "zeta_xmin",
-            "zeta_min", "winner", "beneficial", "margin", "bellman_delta",
-        ],
-        [[cell] for cell in row],
-    )
-
-    print(f"distribution: {_dist_label(d)}")  # once the file is closed
-    print(f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]")
-    print(f"theta_opt:    {_fmt(result.theta_opt)}")
-    print(f"zeta(fixed):  {_fmt(result.zeta_opt)}")
-    print(f"zeta(zero-wait): {_fmt(result.zeta_zero_wait)}")
-    print(f"zeta(xmin):   {_fmt(result.zeta_xmin)}")
-    if not d.atoms():
-        print("              (no atom at the support minimum: the xmin policy never delivers)")
-    print(f"zeta_min:     {_fmt(result.zeta_min)}   winner: {result.winner}")
-    print(
-        f"preemptions beneficial: {verdict.beneficial}   margin vs 2E[X]: {_fmt(verdict.margin)}"
-    )
-    print(f"policy-iteration cross-check delta: {_fmt(bellman_delta)}")
-    print(f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}")
-    return 0
+    table = (out_dir / _csv_name(cfg, "optimize"), [
+        "distribution", "theta_opt", "zeta_opt", "zeta_zero_wait", "zeta_xmin",
+        "zeta_min", "winner", "beneficial", "margin", "bellman_delta",
+    ], [[cell] for cell in row])
+    no_atom = "              (no atom at the support minimum: the xmin policy never delivers)"
+    return [table], [
+        f"distribution: {_dist_label(d)}",
+        f"window:       [{_fmt(result.window[0])}, {_fmt(result.window[1])}]",
+        f"theta_opt:    {_fmt(result.theta_opt)}",
+        f"zeta(fixed):  {_fmt(result.zeta_opt)}",
+        f"zeta(zero-wait): {_fmt(result.zeta_zero_wait)}",
+        f"zeta(xmin):   {_fmt(result.zeta_xmin)}",
+        *([] if d.atoms() else [no_atom]),
+        f"zeta_min:     {_fmt(result.zeta_min)}   winner: {result.winner}",
+        f"preemptions beneficial: {verdict.beneficial}   margin vs 2E[X]: {_fmt(verdict.margin)}",
+        f"policy-iteration cross-check delta: {_fmt(bellman_delta)}",
+        f"grid evaluations: {result.evaluations}, refinement iterations: {result.refine_iters}",
+    ]
 
 
 def _record_columns(records: np.recarray) -> tuple[list[str], list]:
@@ -326,7 +333,8 @@ def _trajectory_links(dump: list[str], trajectory: list[str], warmup: int) -> di
             for j, name in enumerate(trajectory)}
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
+                 seed_override: int | None) -> tuple[list, list[str]]:
     d = cfg.distribution
     sim = cfg.simulation
     if seed_override is not None:
@@ -338,9 +346,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     workers = _workers()
     policies = cfg.policies
     _reject_clashes(policies, lambda p: _slug(p.label()), "write the files of")
-    # every trajectory, peak dump and replication before any output, each
-    # one lockstep of all policies, which checks every policy before its
-    # first draw
+    # every trajectory, peak dump and replication, each one lockstep of all
+    # policies, which checks every policy before its first draw
     trajectories = dumps = [None] * len(policies)
     if sim.trajectory_horizon is not None:
         trajectories = simulate.aoi_trajectory(d, policies, horizon=sim.trajectory_horizon,
@@ -354,61 +361,52 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, seed_override: int | None
     if replications:
         replicated = simulate.run_replications(d, policies, sim.peaks, replications, base_seed,
                                                sim.stall_limit, sim.warmup, workers)
-    report = []  # printed once every file is closed
-    with contextlib.ExitStack() as stack:
-        def open_csv(kind, policy):
-            return stack.enter_context(_open_csv(out_dir / _csv_name(cfg, kind, policy)))
-
-        # every file of every policy opened before any output, so that a path
-        # that cannot be opened leaves no output but empty files
-        files = []  # per policy: its summary and seed 0's (file, records) pairs
-        for policy, trajectory, dump in zip(policies, trajectories, dumps):
-            files.append((open_csv("simulate", policy), [
-                (open_csv(kind, policy), records) for kind, records
-                in (("trajectory", trajectory), ("peaks", dump)) if records is not None]))
-        for policy, (summary, rows), dump, estimates in zip(policies, files, dumps, replicated):
-            if dump is not None:
-                estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
-            pooled = simulate.pooled_estimate(estimates, seed=seed)
-            report.append(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
-                          f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
-                          f"({sim.replications} x {sim.peaks} peaks)")
-            fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
-            with _writing(summary):
-                _write_table(summary, ["replication", "seed", "peaks", "mean", "stderr",
-                                       "ci_low", "ci_high"], [
-                    [*map(str, range(len(estimates))), "pooled"],
-                    *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
-                ])
-            with contextlib.ExitStack() as writing:  # the dump first: the trajectory copies it
-                tables = [(writing.enter_context(_writing(fh)), *_record_columns(records))
-                          for fh, records in reversed(rows)]
-                if tables:
-                    (fh, names, columns), *rest = tables
-                    _write_table(fh, names, columns, [
-                        (*table, _trajectory_links(names, table[1], sim.warmup)) for table in rest])
-    print("\n".join(report))
-    return 0
+    tables, lines = [], []  # per policy: its summary, trajectory and peak dump
+    for policy, trajectory, dump, estimates in zip(policies, trajectories, dumps, replicated):
+        path = {kind: out_dir / _csv_name(cfg, kind, policy)
+                for kind in ("simulate", "trajectory", "peaks")}
+        if dump is not None:
+            estimates.insert(0, simulate.estimate_paoi(dump, seed=seed))
+        pooled = simulate.pooled_estimate(estimates, seed=seed)
+        lines.append(f"policy {policy.label()}: pooled mean {_fmt(pooled.mean)} "
+                     f"ci95 [{_fmt(pooled.ci_low)}, {_fmt(pooled.ci_high)}] "
+                     f"({sim.replications} x {sim.peaks} peaks)")
+        fields = ("seed", "peak_count", "mean", "std_error", "ci_low", "ci_high")
+        tables.append((path["simulate"], ["replication", "seed", "peaks", "mean", "stderr",
+                                          "ci_low", "ci_high"], [
+            [*map(str, range(len(estimates))), "pooled"],
+            *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
+        ]))
+        if trajectory is not None:  # spelled in the dump's pass, when there is one
+            names, columns = _record_columns(trajectory)
+            copied = [] if dump is None else [
+                (path["peaks"], _trajectory_links(dump.dtype.names, names, sim.warmup))]
+            tables.append((path["trajectory"], names, columns, *copied))
+        if dump is not None:
+            tables.append((path["peaks"], *_record_columns(dump)))
+    return tables, lines
 
 
-def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[list, list[str]]:
     d = cfg.distribution
     result = optimize.min_achievable_paoi(d, **vars(cfg.optimizer))
     exact = optimize.benefit_verdict(d, result)
     grid = optimize.theta_grid(*result.window, cfg.optimizer.grid_points)
     residual = optimize.mean_residual_witness(d, grid)
 
-    print(f"distribution: {_dist_label(d)}")
-    print(f"necessary-sufficient: beneficial={exact.beneficial} "
-          f"margin={_fmt(exact.margin)} witness_theta="
-          f"{'-' if exact.witness_theta is None else _fmt(exact.witness_theta)}")
-    print(f"sufficient-residual:  witness="
-          f"{'-' if residual.witness_theta is None else _fmt(residual.witness_theta)} "
-          f"max_margin={_fmt(residual.margin)}")
+    lines = [
+        f"distribution: {_dist_label(d)}",
+        f"necessary-sufficient: beneficial={exact.beneficial} "
+        f"margin={_fmt(exact.margin)} witness_theta="
+        f"{'-' if exact.witness_theta is None else _fmt(exact.witness_theta)}",
+        f"sufficient-residual:  witness="
+        f"{'-' if residual.witness_theta is None else _fmt(residual.witness_theta)} "
+        f"max_margin={_fmt(residual.margin)}",
+    ]
     if isinstance(d, TwoPoint):
         critical = optimize.twopoint_benefit_threshold(d.p, d.t1)
-        print(f"two-point critical t2: {_fmt(critical)} (beneficial iff t2 > critical)")
-    return 0
+        lines.append(f"two-point critical t2: {_fmt(critical)} (beneficial iff t2 > critical)")
+    return [], lines  # writes no file
 
 
 def _reproduce_columns(figure: str) -> list:
@@ -424,9 +422,9 @@ def _reproduce_columns(figure: str) -> list:
     zetas = []
     for param in params:
         d = law(param)
-        _, zeta_opt = optimize.optimal_threshold(d, *optimize.default_window(d))
+        result = optimize.min_achievable_paoi(d)
         median = analytic.paoi_policy(d, MedianThreshold()).zeta
-        zetas += [analytic.paoi_zero_wait(d), zeta_opt, median]
+        zetas += [result.zeta_zero_wait, result.zeta_opt, median]
     return [
         [param for param in params for _ in range(3)],
         ["zero-wait", "optimal", "median"] * len(params),
@@ -434,14 +432,13 @@ def _reproduce_columns(figure: str) -> list:
     ]
 
 
-def cmd_reproduce(figure: str, out_dir: Path) -> int:
+def cmd_reproduce(figure: str, out_dir: Path) -> tuple[list, list[str]]:
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; one of {', '.join(_FIGURES)}")
     columns = _reproduce_columns(figure)
     path = out_dir / f"{figure}.csv"
-    _write_csv(path, ["param", "policy", "zeta"], columns)
-    print(f"{figure}: {len(columns[0])} rows -> {path}")
-    return 0
+    return [(path, ["param", "policy", "zeta"], columns)], [
+        f"{figure}: {len(columns[0])} rows -> {path}"]
 
 
 @functools.cache
@@ -483,26 +480,28 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             if args.figure in _FIGURES:
                 _make_out_dir(out_dir, f"{args.figure}.csv")
-            return cmd_reproduce(args.figure, out_dir)
-        cfg = load_config(args.config)
-        if args.command != "check":  # check writes no file
-            policy = cfg.policies[0] if args.command == "simulate" else None
-            _make_out_dir(out_dir, _csv_name(cfg, args.command, policy))
-        if args.command == "eval":
-            return cmd_eval(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir)
-        return cmd_simulate(cfg, out_dir, args.seed)
+            tables, lines = cmd_reproduce(args.figure, out_dir)
+        else:
+            cfg = load_config(args.config)
+            if args.command != "check":  # check writes no file
+                policy = cfg.policies[0] if args.command == "simulate" else None
+                _make_out_dir(out_dir, _csv_name(cfg, args.command, policy))
+            if args.command == "simulate":
+                tables, lines = cmd_simulate(cfg, out_dir, args.seed)
+            else:
+                commands = {"eval": cmd_eval, "sweep": cmd_sweep, "optimize": cmd_optimize,
+                            "check": cmd_check}
+                tables, lines = commands[args.command](cfg, out_dir)
+        _write_files(tables)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationStall as exc:
         print(f"simulation stalled: {exc}", file=sys.stderr)
         return 3
+    for line in lines:  # once the last file is closed
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -96,7 +96,6 @@ __all__ = [
     "HyperExponential",
     "LogNormal",
     "Deterministic",
-    "weighted_pick",
 ]
 
 
@@ -105,24 +104,9 @@ __all__ = [
 _PICK_BY_COMPARISON = 16
 
 
-def weighted_pick(weights, u) -> np.ndarray:
-    """For each ``u`` in [0, 1), the first index whose running sum of the
-    nonnegative ``weights`` exceeds it, capped at the last positive weight
-    (the sum may round below 1): a zero weight is never picked.
-
-    The pick is the number of running sums at or below ``u``, counted
-    among those before the last positive weight, which is the capped
-    ``searchsorted(..., side="right")``.  A table of up to
-    ``_PICK_BY_COMPARISON`` weights counts them with one array comparison
-    per sum (two phases: one comparison); a longer one keeps the binary
-    search.  A caller that picks from the same weights again keeps their
-    :func:`_pick_table` and calls :func:`_pick`."""
-    return _pick(_pick_table(weights), u)
-
-
 def _pick_table(weights) -> tuple[np.ndarray, int, list[float]]:
-    """What :func:`weighted_pick` reads of ``weights``: their running sums,
-    the index of the last positive weight, and the sums before it."""
+    """What :func:`_pick` reads of ``weights``: their running sums, the
+    index of the last positive weight, and the sums before it."""
     weights = np.asarray(weights, dtype=float)
     edges = np.cumsum(weights)
     last = int(np.flatnonzero(weights)[-1])
@@ -130,7 +114,18 @@ def _pick_table(weights) -> tuple[np.ndarray, int, list[float]]:
 
 
 def _pick(table: tuple[np.ndarray, int, list[float]], u) -> np.ndarray:
-    """:func:`weighted_pick` on the weights whose :func:`_pick_table` is ``table``."""
+    """For each ``u`` in [0, 1), the pick among the nonnegative weights whose
+    :func:`_pick_table` is ``table``: the first index whose running sum
+    exceeds ``u``, capped at the last positive weight (the sum may round
+    below 1), so that a zero weight is never picked.
+
+    The pick is the number of running sums at or below ``u``, counted
+    among those before the last positive weight, which is the capped
+    ``searchsorted(..., side="right")``.  A table of up to
+    ``_PICK_BY_COMPARISON`` weights counts them with one array comparison
+    per sum (two phases: one comparison); a longer one keeps the binary
+    search.  A caller that picks from the same weights again keeps their
+    table."""
     edges, last, below = table
     if len(edges) > _PICK_BY_COMPARISON:
         return np.minimum(np.searchsorted(edges, u, side="right"), last)

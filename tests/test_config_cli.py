@@ -52,7 +52,7 @@ from paoi_lab import (
 from paoi_lab.analytic import paoi_thresholds
 from paoi_lab.cli import (
     _fmt,
-    _write_csv,
+    _write_files,
     build_parser,
     cmd_optimize,
     main,
@@ -301,7 +301,7 @@ class TestCli:
         (Deterministic(1.5), (1.5, 3.0), 24, 2000),  # zeta is flat: every cell is open
     ], ids=["erlang", "exponential", "deterministic"])
     def test_optimize_reads_each_grid_point_once(
-        self, law, window, golden_steps, grid_read, tmp_path, capsys
+        self, law, window, golden_steps, grid_read, tmp_path
     ):
         # the search reads the bound pass and the cells it leaves open, and
         # the cross-check shares those reads; the primitives are read once
@@ -332,8 +332,8 @@ class TestCli:
 
         d = Counting(*(getattr(law, f.name) for f in fields(law)))
         cfg = ExperimentConfig(distribution=d, optimizer=OptimizerSpec(*window))
-        assert cmd_optimize(cfg, tmp_path) == 0
-        evaluations = int(re.search(r"grid evaluations: (\d+)", capsys.readouterr().out)[1])
+        _, lines = cmd_optimize(cfg, tmp_path)
+        evaluations = int(re.search(r"grid evaluations: (\d+)", "\n".join(lines))[1])
         assert evaluations == 2000 + golden_steps  # the grid plus the golden steps
         assert calls["cdf"] <= evaluations + 1
         assert calls["sf"] <= evaluations and calls["m"] <= evaluations
@@ -517,6 +517,7 @@ class TestCli:
         ("optimize", "paoi_optimize.csv"),
         ("simulate", "paoi_simulate_zero-wait.csv"),
         ("simulate", "paoi_peaks_zero-wait.csv"),  # past the buffer: a write fails
+        ("reproduce", "fig5.csv"),
     ])
     def test_write_to_a_full_device_exit_2(self, tmp_path, capsys, verb, name):
         # stdout is printed only once every file is closed, so it stays empty
@@ -526,7 +527,8 @@ class TestCli:
         out = tmp_path / "out"
         out.mkdir()
         (out / name).symlink_to("/dev/full")
-        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        source = ["--figure", "fig5"] if verb == "reproduce" else ["--config", str(cfg)]
+        assert main([verb, *source, "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
 
@@ -580,6 +582,47 @@ class TestCli:
         def opened(path):
             fh = open_csv(path)
             return LargeWritesFail(fh) if path == out / name else fh
+
+        with mock.patch.object(cli, "_open_csv", opened):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("name", ["paoi_simulate_zero-wait.csv",
+                                      "paoi_trajectory_zero-wait.csv",
+                                      "paoi_peaks_zero-wait.csv"])
+    def test_failed_row_write_below_the_kernel_names_its_file_exit_2(
+            self, tmp_path, capsys, name):
+        # every table here takes the template, and its rows are written
+        # while the command's other files are open: the error must be
+        # named where the write raised it, not by the last file opened
+        cfg = tmp_path / "f.yaml"
+        cfg.write_text(ERLANG + "policies: [zero-wait]\n"
+                       "simulation: {peaks: 20, replications: 1, dump_peaks: true, "
+                       "trajectory_horizon: 20.0}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        open_csv = cli._open_csv
+
+        class RowWritesFail:
+            def __init__(self, fh):
+                self.fh, self.name, self.header = fh, fh.name, True
+
+            def write(self, text):
+                if not self.header:
+                    raise OSError(28, "No space left on device")
+                self.header = False
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def opened(path):
+            fh = open_csv(path)
+            return RowWritesFail(fh) if path == out / name else fh
 
         with mock.patch.object(cli, "_open_csv", opened):
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -816,13 +859,13 @@ class TestCsvWriter:
         if rows is None:
             rows = list(zip(*(np.asarray(c).tolist() if isinstance(c, np.ndarray) else c
                               for c in columns)))
-        _write_csv(tmp_path / "new.csv", header, columns)
+        _write_files([(tmp_path / "new.csv", header, columns)])
         reference_csv(tmp_path / "old.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_unequal_columns_are_an_error(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+            _write_files([(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])])
 
 
 class TestEngineRowWriter:

@@ -17,6 +17,7 @@ from paoi_lab import (
     LogNormal,
     Pareto,
     PreemptionVerdict,
+    ServiceDistribution,
     ShiftedExponential,
     TwoPoint,
     bellman_fixed_point,
@@ -559,6 +560,22 @@ class TestBoundedGridMinimum:
         assert sum(read) <= 500, read
 
 
+@dataclass(frozen=True)
+class Uniform(ServiceDistribution):
+    """Uniform on (0, b): zeta(theta) = (theta^2 / b + theta (b - theta) / b)
+    / (theta / b) = b = 2E[X] on (0, b], so Lemma 1's witness does not
+    exist, and no threshold beats zero-wait."""
+
+    b: float
+
+    def _primitives(self, x):
+        x = np.minimum(x, self.b)
+        return x / self.b, (self.b - x) / self.b, x * x / (2.0 * self.b)
+
+    def quantile(self, q):
+        return q * self.b
+
+
 class TestPreemptionVerdicts:
     def test_two_point_beneficial(self):
         v = preemption_beneficial(TP)
@@ -583,6 +600,14 @@ class TestPreemptionVerdicts:
         v = preemption_beneficial(Deterministic(1.0), 1.0, 5.0)
         assert not v.beneficial
         assert v.margin == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(-20, 21))
+    def test_flat_zeta_at_twice_the_mean_is_not_beneficial(self, k):
+        # where Lemma 1 does not decide, the search's verdict reads the tie
+        b = 2.0**k
+        v = preemption_beneficial(Uniform(b))
+        assert not v.beneficial and v.witness_theta is None
+        assert 0.0 <= v.margin <= 1e-12 * b
 
     def test_infinite_mean_short_circuit(self):
         v = preemption_beneficial(Pareto(1.0, 0.5))
