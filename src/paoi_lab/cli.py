@@ -25,7 +25,8 @@ and trajectory, cut from one sample path, go through one kernel pass that
 spells each cell they share once.  Commands return their tables and stdout
 lines, and neither open a file nor print: :func:`main` writes the tables by
 :func:`_write_files` and prints the lines once every file is closed, so a
-failed write prints nothing.
+failed write prints nothing.  An :class:`_OutputFile` owns each output
+file: it names the file in the error of a failed open, write or close.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ _COMPARISON_FIGURES = {
     "fig7": (lambda alpha: Pareto(xm=1.0, alpha=alpha), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
 }
 _FIGURES = tuple(sorted(_CURVE_FIGURES.keys() | _COMPARISON_FIGURES.keys()))
-_CSV_CHUNK = 1024  # rows joined per write
 _KERNEL_MIN_CELLS = 512  # a smaller table takes the template: the kernel's fixed cost outweighs it
 
 
@@ -79,24 +79,34 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _open_csv(path: Path):
-    """``path`` opened for writing a CSV."""
-    try:
-        return open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+class _OutputFile(contextlib.AbstractContextManager):
+    """An output file, truncated as it opens.  An ``OSError`` opening,
+    writing or closing it is a ConfigError that names it, and an exception
+    that leaves its ``with`` closes it and then empties it, best effort."""
 
+    def __init__(self, path: Path):
+        self.path = path
+        self.fh = self._named(open, path, "w", newline="", encoding="utf-8")
 
-@contextlib.contextmanager
-def _writing(fh: TextIO):
-    """Close ``fh`` on exit; an ``OSError`` writing or closing it is a ConfigError.
-    A ConfigError raised inside, as by a pass that writes several files and
-    names the one that failed, passes unchanged."""
-    try:
-        with fh:
-            yield fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {fh.name}: {exc}") from exc
+    def _named(self, call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
+
+    def write(self, text: str) -> None:
+        self._named(self.fh.write, text)
+
+    def close(self) -> None:
+        self._named(self.fh.close)
+
+    def __exit__(self, kind, *_):
+        if kind is None:
+            return self.close()
+        with contextlib.suppress(OSError):  # the first error is the one reported
+            self.fh.close()
+        with contextlib.suppress(OSError):
+            os.truncate(self.path, 0)
 
 
 def _header(names) -> str:
@@ -131,20 +141,20 @@ def _slotted(text: list[str]) -> bool:
     return all(len(cell.encode()) < 32 and "\0" not in cell for cell in text)
 
 
-def _write_table(fh: TextIO, header: list[str], columns: list, copies: list = ()) -> None:
+def _write_table(fh: TextIO, header: list[str], columns: list, copy=None) -> None:
     """Write one row per entry of the equally long ``columns`` under ``header``
-    to the open file ``fh``, and each ``(fh, header, columns, links)`` of
-    ``copies`` to its own file.
+    to the open file ``fh``, and ``copy``, an ``(fh, header, columns,
+    links)``, to its own file.
 
     A float column writes its cells as ``_fmt`` does (``%.12g``), an integer
     column as ``%d``, and any other column its cells' ``str``, quoted where
     needed.  A table of ``_KERNEL_MIN_CELLS`` cells or more is spelled from
     digit tables by :func:`digits.spell_rows`, unless a text cell does not
     fit a slot; a smaller one by :func:`_template_rows`, whose fixed cost
-    is lower.  Both write the same bytes.  A copy, whose columns must be
+    is lower.  Both write the same bytes.  The copy, whose columns must be
     numeric and which ``links`` ties to this table's (see
     :func:`digits.spell_rows`), is spelled in this table's kernel pass, so
-    that each shared cell is spelled once; without that pass, each copy is
+    that each shared cell is spelled once; without that pass, it is
     written on its own.
     """
     cells, rows = _table(columns)
@@ -153,21 +163,20 @@ def _write_table(fh: TextIO, header: list[str], columns: list, copies: list = ()
             _slotted(c[0]) for c in cells if isinstance(c, tuple)):
         from . import digits  # compiled and imported by the first such table
 
-        shared = []
-        for copy_fh, copy_header, copy_columns, links in copies:
+        if copy is not None:
+            copy_fh, copy_header, copy_columns, links = copy
             copy_fh.write(_header(copy_header))
-            shared.append((copy_fh, *_table(copy_columns), links))
-        digits.spell_rows(fh, cells, rows, shared)
+            copy = (copy_fh, *_table(copy_columns), links)
+        digits.spell_rows(fh, cells, rows, copy)
     else:
         _template_rows(fh, cells, rows)
-        for copy_fh, copy_header, copy_columns, _ in copies:
-            _write_table(copy_fh, copy_header, copy_columns)
+        if copy is not None:
+            _write_table(*copy[:3])
 
 
 def _template_rows(fh: TextIO, cells: list, rows: int) -> None:
     """Write the ``rows`` rows of ``cells``, as :func:`_table` gives them, by one
-    ``%`` template per row, a chunk of rows at a time.  An ``OSError``
-    writing ``fh`` is a ConfigError that names it: other files are open."""
+    ``%`` template per row, in one write."""
     formats, columns = [], []
     for c in cells:
         if isinstance(c, tuple):
@@ -176,30 +185,26 @@ def _template_rows(fh: TextIO, cells: list, rows: int) -> None:
         else:
             formats.append("%.12g" if c.dtype.kind == "f" else "%d")
             columns.append(c)
-    template = ",".join(formats)
-    try:
-        for i in range(0, rows, _CSV_CHUNK):
-            chunk = zip(*(c[i : i + _CSV_CHUNK].tolist() for c in columns))
-            fh.write("\n".join([template % row for row in chunk]) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {fh.name}: {exc}") from exc
+    line = ",".join(formats) + "\n"
+    fh.write("".join([line % row for row in zip(*(c.tolist() for c in columns))]))
 
 
 def _write_files(tables: list) -> None:
     """Write each ``(path, header, columns)`` of ``tables`` to its file, and
-    each ``(path, header, columns, (source, links))`` as a copy (see
+    each ``(path, header, columns, (source, links))`` as the copy (see
     :func:`_write_table`) of the table written to ``source``.  Every file is
-    opened, in order, before any is written; an ``OSError`` opening,
-    writing or closing a file is a ConfigError that names it."""
+    opened, in order, before any is written, and closed, in order, after the
+    last write, each by its :class:`_OutputFile`."""
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(_writing(_open_csv(path))) for path, *_ in tables]
-        copies = {}  # source path -> the tables spelled in its pass
-        for fh, (_, header, columns, *copied) in zip(files, tables):
-            for source, links in copied:
-                copies.setdefault(source, []).append((fh, header, columns, links))
+        files = [stack.enter_context(_OutputFile(path)) for path, *_ in tables]
+        copies = {source: (fh, header, columns, links)  # one per source, as simulate gives
+                  for fh, (_, header, columns, *copied) in zip(files, tables)
+                  for source, links in copied}
         for fh, (path, header, columns, *copied) in zip(files, tables):
             if not copied:
-                _write_table(fh, header, columns, copies.get(path, ()))
+                _write_table(fh, header, columns, copies.get(path))
+        for fh in files:  # inside the stack: a failed close empties every file
+            fh.close()
 
 
 def _slug(label: str) -> str:
@@ -323,14 +328,13 @@ def _record_columns(records: np.recarray) -> tuple[list[str], list]:
     return list(names), [records[name] for name in names]
 
 
-def _trajectory_links(dump: list[str], trajectory: list[str], warmup: int) -> dict:
+def _trajectory_links(dump: list[str], warmup: int) -> dict:
     """The links (see :func:`digits.spell_rows`) of a trajectory's columns to
     the peak dump's of the same seed: trajectory row i is the seed's i-th
-    reception, the dump's row i - warmup, and drops to the carried service
-    of the dump's next row."""
-    source = {"time": ("receive_time", 0), "peak": ("peak", 0), "reset_to": ("received_service", 1)}
-    return {j: (dump.index(source[name][0]), source[name][1] - warmup)
-            for j, name in enumerate(trajectory)}
+    reception, the dump's row i - warmup, each column shifted as
+    ``simulate._TRAJECTORY_FIELDS`` says."""
+    return {j: (dump.index(field), shift - warmup)
+            for j, (field, shift) in enumerate(simulate._TRAJECTORY_FIELDS.values())}
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
@@ -378,10 +382,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
             *([getattr(e, name) for e in (*estimates, pooled)] for name in fields),
         ]))
         if trajectory is not None:  # spelled in the dump's pass, when there is one
-            names, columns = _record_columns(trajectory)
             copied = [] if dump is None else [
-                (path["peaks"], _trajectory_links(dump.dtype.names, names, sim.warmup))]
-            tables.append((path["trajectory"], names, columns, *copied))
+                (path["peaks"], _trajectory_links(dump.dtype.names, sim.warmup))]
+            tables.append((path["trajectory"], *_record_columns(trajectory), *copied))
         if dump is not None:
             tables.append((path["peaks"], *_record_columns(dump)))
     return tables, lines

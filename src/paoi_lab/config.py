@@ -20,6 +20,7 @@ reads the rest.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -133,6 +134,10 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class _Output:  # the file's output section, which sets ExperimentConfig.prefix
     prefix: str = ExperimentConfig.prefix
+
+    def __post_init__(self):  # a file name's prefix: every file lands inside --out
+        if {os.sep, os.altsep, "\0"} & set(self.prefix):
+            raise ValueError(f"prefix must hold no path separator or NUL, got {self.prefix!r}")
 
 
 _LAWS = {

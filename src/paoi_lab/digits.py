@@ -7,10 +7,10 @@ module is imported only then.  Floats take the fixed form or the exponent
 form of ``%.12g``, integers the fixed form, text cells their quoted UTF-8
 bytes; a cell the tables cannot spell exactly falls back to ``%``.
 
-One pass writes one table or several over a shared row range: a table's
-copies, whose cells repeat its own a fixed number of rows apart (a
-trajectory repeats its peak dump's), take the words of those cells from
-each of its chunks instead of spelling them again.
+One pass writes a table, or a table and its copy over a shared row range:
+the copy, whose cells repeat the table's a fixed number of rows apart (a
+trajectory repeats its peak dump's), takes the words of those cells from
+each of the table's chunks instead of spelling them again.
 """
 
 from __future__ import annotations
@@ -21,49 +21,42 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError
-
 CHUNK_CELLS = 1 << 13  # cells per chunk: 256 KB of words, kept in cache
 EXPONENT_MIN_CELLS = 64  # fewer exponent-form cells in a chunk cost less by ``%``
 
 
-def spell_rows(fh: TextIO, cells: list, rows: int, copies: list = ()) -> None:
+def spell_rows(fh: TextIO, cells: list, rows: int, copy=None) -> None:
     """Write the ``rows`` rows of ``cells``, as :func:`paoi_lab.cli._table`
     gives them with each text cell :func:`paoi_lab.cli._slotted`, to the
-    open file ``fh``, ``CHUNK_CELLS`` cells at a time, and each table of
-    ``copies`` in the same pass.
+    open file ``fh``, ``CHUNK_CELLS`` cells at a time, and the table
+    ``copy`` in the same pass.
 
-    A copy is ``(fh, cells, rows, links)``: ``links`` maps each column j of
-    it to ``(c, s)`` when its row i holds this table's column c at row
+    The copy is ``(fh, cells, rows, links)``: ``links`` maps each column j
+    of it to ``(c, s)`` when its row i holds this table's column c at row
     i + s, cell for cell and of the same kind.  A chunk spells this table's
-    rows once, and a copy's rows whose cells all lie in this table take
-    their words from that chunk; its other rows are spelled on their own.
-    A lone table is a pass with no copies.  An ``OSError`` writing a file
-    is a ConfigError that names it."""
+    rows once, and the copy's rows whose cells all lie in this table take
+    their words from that chunk; its other rows are spelled on their own."""
     lead = _Table(fh, cells)
-    follow = []
-    ahead = 0  # rows past a chunk that a copy's gathered rows read
-    for fh_copy, cells_copy, rows_copy, links in copies:
-        assert len(links) == len(cells_copy), "a copy's links cover each of its columns"
-        table, shifts = _Table(fh_copy, cells_copy), [s for _, s in links.values()]
-        first = min(max(-min(shifts), 0), rows_copy)  # [first, last): the gathered rows
-        last = min(max(rows - max(shifts), first), rows_copy)
-        table.write_rows(0, first)
-        follow.append((table, links, min(shifts), first, last, rows_copy))
-        ahead = max(ahead, max(shifts) - min(shifts))
+    if copy is None:
+        return lead.write_rows(0, rows)
+    fh_copy, cells_copy, rows_copy, links = copy
+    assert len(links) == len(cells_copy), "a copy's links cover each of its columns"
+    table, shifts = _Table(fh_copy, cells_copy), [s for _, s in links.values()]
+    low, high = min(shifts), max(shifts)
+    first = min(max(-low, 0), rows_copy)  # [first, last): the gathered rows
+    last = min(max(rows - high, first), rows_copy)
+    table.write_rows(0, first)
     for a in range(0, rows, lead.step):
         b = min(a + lead.step, rows)
-        words = lead.words(a, min(b + ahead, rows))
-        for table, links, low, first, last, _ in follow:
-            i, j = min(max(a - low, first), last), min(max(b - low, first), last)
-            if i < j:  # after the fallback, before the separators
-                gathered = np.empty((j - i, len(links), 4), dtype="<u8")
-                for column, (c, s) in links.items():
-                    gathered[:, column] = words[i + s - a : j + s - a, c]
-                table.write(gathered)
+        words = lead.words(a, min(b + high - low, rows))  # and the rows the copy reads past it
+        i, j = min(max(a - low, first), last), min(max(b - low, first), last)
+        if i < j:  # after the fallback, before the separators
+            gathered = np.empty((j - i, len(links), 4), dtype="<u8")
+            for column, (c, s) in links.items():
+                gathered[:, column] = words[i + s - a : j + s - a, c]
+            table.write(gathered)
         lead.write(words[: b - a])
-    for table, *_, last, rows_copy in follow:
-        table.write_rows(last, rows_copy)
+    table.write_rows(last, rows_copy)
 
 
 class _Table:
@@ -111,11 +104,7 @@ class _Table:
     def write(self, words: np.ndarray) -> None:
         """Separate the cells of ``words`` and write them."""
         words[..., 3] |= self.ends
-        text = words.tobytes().translate(None, b"\0").decode()
-        try:
-            self.fh.write(text)
-        except OSError as exc:  # named here: a pass has several files open
-            raise ConfigError(f"cannot write {self.fh.name}: {exc}") from exc
+        self.fh.write(words.tobytes().translate(None, b"\0").decode())
 
     def write_rows(self, start: int, stop: int) -> None:
         """Spell and write rows [start, stop), a chunk at a time."""

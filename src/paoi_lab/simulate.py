@@ -226,7 +226,11 @@ _NO_PEAKS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), 
 _PEAK_RECORD = np.dtype([("k", int), ("peak", float), ("received_service", float),
                          ("interreception", float), ("preemptions", np.intp),
                          ("receive_time", float)])
-_TRAJECTORY_RECORD = np.dtype([("time", float), ("peak", float), ("reset_to", float)])
+# trajectory field -> (peak field, shift): trajectory row i holds that field of
+# peak i + shift, so a reception drops to the service the next peak carries
+_TRAJECTORY_FIELDS = {"time": ("receive_time", 0), "peak": ("peak", 0),
+                      "reset_to": ("received_service", 1)}
+_TRAJECTORY_RECORD = np.dtype([(name, float) for name in _TRAJECTORY_FIELDS])
 
 
 class _Engine:
@@ -500,10 +504,8 @@ def aoi_trajectory(
     for parts in _lockstep(d, policies, seed, stall_limit, horizon=horizon):
         times = np.concatenate([cols[4] for cols in parts])
         rec = np.recarray(int(np.searchsorted(times, horizon, side="right")), _TRAJECTORY_RECORD)
-        rec["time"] = times[: len(rec)]
-        _put_rows(rec["peak"], parts, 0, 0)
-        # a reception's drop-to value is the next peak's carried service time
-        _put_rows(rec["reset_to"], parts, 1, 1)
+        for name, (field, shift) in _TRAJECTORY_FIELDS.items():
+            _put_rows(rec[name], parts, _PEAK_RECORD.names.index(field) - 1, shift)
         points.append(rec)
     return points[0] if one else points
 

@@ -253,6 +253,12 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def written_csvs(out):
+    """The regular ``.csv`` files under ``out`` that hold a byte: a link to
+    ``/dev/full`` is not one."""
+    return [p for p in out.rglob("*.csv") if p.is_file() and p.stat().st_size]
+
+
 class TestCli:
     def test_eval(self, tp_config, tmp_path, capsys):
         rc = main(["eval", "--config", str(tp_config), "--out", str(tmp_path)])
@@ -531,6 +537,26 @@ class TestCli:
         assert main([verb, *source, "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+        assert not written_csvs(out)
+
+    @pytest.mark.parametrize("prefix", ["a\0b", "/abs", "../x"])
+    def test_prefix_that_is_not_a_file_name_prefix_exit_2(self, tmp_path, capsys, prefix):
+        # rejected as the config loads: a NUL would fail the open, and a
+        # separator would write outside --out ("/abs" is made absolute
+        # under tmp_path, so that a wrong exit 0 writes there)
+        if prefix.startswith("/"):
+            prefix = str(tmp_path) + prefix
+        cfg = tmp_path / "p.yaml"
+        cfg.write_text(yaml.safe_dump({"distribution": {"kind": "exponential",
+                                                        "params": {"rate": 1.0}},
+                                       "output": {"prefix": prefix}}))
+        out = tmp_path / "run" / "out"
+        out.mkdir(parents=True)
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: output: prefix ") and err.count("\n") == 1
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("name", ["paoi_peaks_zero-wait.csv",
@@ -548,6 +574,7 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+        assert not written_csvs(out)
 
     @pytest.mark.parametrize("name", ["paoi_peaks_zero-wait.csv",
                                       "paoi_trajectory_zero-wait.csv"])
@@ -562,7 +589,6 @@ class TestCli:
                        "trajectory_horizon: 5000.0}\n")
         out = tmp_path / "out"
         out.mkdir()
-        open_csv = cli._open_csv
 
         class LargeWritesFail:
             def __init__(self, fh):
@@ -573,20 +599,18 @@ class TestCli:
                     raise OSError(28, "No space left on device")
                 return self.fh.write(text)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
+            def close(self):
                 self.fh.close()
 
-        def opened(path):
-            fh = open_csv(path)
+        def opened(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
             return LargeWritesFail(fh) if path == out / name else fh
 
-        with mock.patch.object(cli, "_open_csv", opened):
+        with mock.patch.object(cli, "open", opened, create=True):
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+        assert not written_csvs(out)
 
     @pytest.mark.parametrize("name", ["paoi_simulate_zero-wait.csv",
                                       "paoi_trajectory_zero-wait.csv",
@@ -602,7 +626,6 @@ class TestCli:
                        "trajectory_horizon: 20.0}\n")
         out = tmp_path / "out"
         out.mkdir()
-        open_csv = cli._open_csv
 
         class RowWritesFail:
             def __init__(self, fh):
@@ -614,20 +637,18 @@ class TestCli:
                 self.header = False
                 return self.fh.write(text)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
+            def close(self):
                 self.fh.close()
 
-        def opened(path):
-            fh = open_csv(path)
+        def opened(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
             return RowWritesFail(fh) if path == out / name else fh
 
-        with mock.patch.object(cli, "_open_csv", opened):
+        with mock.patch.object(cli, "open", opened, create=True):
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {out / name}: [Errno 28] No space left on device\n")
+        assert not written_csvs(out)
 
     def test_invalid_sweep_window_exit_2(self, tmp_path):
         cfg = tmp_path / "w.yaml"
@@ -921,13 +942,13 @@ class TestEngineRowWriter:
         trajectory, dump = self.records(case)
         (names, columns), (copy_names, copy_columns) = map(cli._record_columns,
                                                            (dump, trajectory))
-        links = cli._trajectory_links(names, copy_names, self.CASES[case][3])
+        links = cli._trajectory_links(names, self.CASES[case][3])
         fh, copy_fh = io.StringIO(), io.StringIO()
         fh.write(cli._header(names))
         copy_fh.write(cli._header(copy_names))
         with mock.patch.object(digits, "CHUNK_CELLS", chunk_cells):
             digits.spell_rows(fh, *cli._table(columns),
-                              [(copy_fh, *cli._table(copy_columns), links)])
+                              (copy_fh, *cli._table(copy_columns), links))
         for text, records in ((fh.getvalue(), dump), (copy_fh.getvalue(), trajectory)):
             assert_same_text(text, record_text(cli._template_rows, records))
 
@@ -939,11 +960,11 @@ class TestEngineRowWriter:
         trajectory, dump = self.records(case)
         (names, columns), (copy_names, copy_columns) = map(cli._record_columns,
                                                            (dump, trajectory))
-        links = cli._trajectory_links(names, copy_names, self.CASES[case][3])
+        links = cli._trajectory_links(names, self.CASES[case][3])
         fh, copy_fh = io.StringIO(), io.StringIO()
         with mock.patch.object(digits, "spell_rows", wraps=digits.spell_rows) as kernel:
-            cli._write_table(fh, names, columns, [(copy_fh, copy_names, copy_columns, links)])
-        assert [len(call.args[3]) for call in kernel.call_args_list] == [1] * passes
+            cli._write_table(fh, names, columns, (copy_fh, copy_names, copy_columns, links))
+        assert [call.args[3] is not None for call in kernel.call_args_list] == [True] * passes
         assert_same_text(fh.getvalue(), record_text(cli._template_rows, dump))
         assert_same_text(copy_fh.getvalue(), record_text(cli._template_rows, trajectory))
 
@@ -1922,6 +1943,12 @@ _configs = st.fixed_dictionaries({
     "optimizer": st.fixed_dictionaries({
         "theta_min": _maybe, "theta_max": _maybe, "tol": _maybe,
         "grid_points": st.integers(2, 50)}),
+    # null keeps the default; a drawn prefix may hold a separator or a NUL,
+    # but does not start with "/": code that took it for a path would write
+    # at the filesystem root
+    "output": st.none() | st.fixed_dictionaries({"prefix": st.text(
+        st.sampled_from("/.\0") | st.characters(exclude_categories=("Cs",)), max_size=4,
+    ).filter(lambda prefix: not prefix.startswith("/"))}),
 })
 
 
