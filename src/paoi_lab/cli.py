@@ -21,8 +21,10 @@ cells or more (sweeps, fig4 and fig6, peak dumps, trajectories) from digit
 tables (:mod:`paoi_lab.digits`) and a smaller one (optimize's row, eval,
 simulate summaries, fig5 and fig7) by one ``%`` template per row, to the
 same bytes; re-runs overwrite them byte-identically.  A policy's peak dump
-and trajectory, cut from one sample path, go through one kernel pass that
-spells each cell they share once.  Commands return their tables and stdout
+and trajectory are cut from one sample path: the dump runs first, and the
+trajectory is read off its records where they reach past the horizon, so
+the path is drawn once.  The two go through one kernel pass that spells
+each cell they share once.  Commands return their tables and stdout
 lines, and neither open a file nor print: :func:`main` writes the tables by
 :func:`_write_files` and prints the lines once every file is closed, so a
 failed write prints nothing.  An :class:`_OutputFile` owns each output
@@ -350,17 +352,20 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     workers = _workers()
     policies = cfg.policies
     _reject_clashes(policies, lambda p: _slug(p.label()), "write the files of")
-    # every trajectory, peak dump and replication, each one lockstep of all
-    # policies, which checks every policy before its first draw
+    # every peak dump, trajectory and replication, each one lockstep of all
+    # policies, which checks every policy before its first draw; the
+    # trajectories are read off the dumps' records where those pass the horizon
     trajectories = dumps = [None] * len(policies)
+    records, base_seed, replications = None, seed, sim.replications
+    if sim.dump_peaks:  # the dumped peaks are replication 0
+        records = simulate.simulate_peaks(d, policies, sim.warmup + sim.peaks, seed,
+                                          sim.stall_limit)
+        dumps = [rec[sim.warmup:] for rec in records]
+        base_seed, replications = seed + 1, replications - 1
     if sim.trajectory_horizon is not None:
         trajectories = simulate.aoi_trajectory(d, policies, horizon=sim.trajectory_horizon,
-                                               seed=seed, stall_limit=sim.stall_limit)
-    base_seed, replications = seed, sim.replications
-    if sim.dump_peaks:  # the dumped peaks are replication 0
-        dumps = simulate.simulate_peaks(d, policies, peaks=sim.peaks, seed=seed,
-                                        stall_limit=sim.stall_limit, warmup=sim.warmup)
-        base_seed, replications = seed + 1, replications - 1
+                                               seed=seed, stall_limit=sim.stall_limit,
+                                               records=records)
     replicated = [[] for _ in policies]
     if replications:
         replicated = simulate.run_replications(d, policies, sim.peaks, replications, base_seed,

@@ -329,6 +329,12 @@ class _Engine:
         return received + y[:k], received, y[:k], drops[:k], times
 
 
+def _past_cap(have, t_last, horizon):
+    """Whether ``have`` receptions by time ``t_last``, at their pace,
+    project past ``_MAX_TRAJECTORY`` by ``horizon``."""
+    return have > _MAX_TRAJECTORY * (t_last / horizon)
+
+
 # A draw, a sum or an estimate past the largest float reads inf silently,
 # as Python's float arithmetic does; the state covers the whole block loop.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
@@ -394,7 +400,7 @@ def _lockstep(d, policies, seed, stall_limit, peaks=math.inf, horizon=math.inf, 
                 t_last = cols[-1][-1]
                 if t_last > horizon:
                     engines[i] = None
-                elif have[i] > _MAX_TRAJECTORY * (t_last / horizon):
+                elif _past_cap(have[i], t_last, horizon):
                     raise ConfigError(
                         f"a trajectory to time {horizon:g} needs more than {_MAX_TRAJECTORY} "
                         f"receptions under {policies[i]!r}: the first {have[i]} end by time "
@@ -474,12 +480,50 @@ def simulate_peaks(
     return records[0] if one else records
 
 
+def _peak_series(records, count: int, one: bool) -> tuple:
+    """``records``, one peak series or a sequence of ``count``, as a tuple;
+    each must be a series of :func:`simulate_peaks` from peak 1 on."""
+    if one != isinstance(records, np.ndarray) or not one and not isinstance(records, Sequence):
+        raise TypeError("records must be one record array for one policy, and a sequence of "
+                        f"them for a sequence of policies, got {type(records).__name__}")
+    series = (records,) if one else tuple(records)
+    if len(series) != count:
+        raise ValueError(f"records holds {len(series)} peak series for {count} policies")
+    for rec in series:
+        if not isinstance(rec, np.ndarray) or rec.dtype != _PEAK_RECORD:
+            raise TypeError(f"records must have the fields {', '.join(_PEAK_RECORD.names)}")
+        if len(rec) and rec["k"][0] != 1:
+            raise ValueError(f"records must start at peak 1 (warmup 0), not {rec['k'][0]}")
+    return series
+
+
+def _read_off(rec, horizon):
+    """The columns of the peak series ``rec`` as the one step of a lockstep
+    to ``horizon``, or None where that lockstep reads draws past ``rec`` or
+    raises its cap.
+
+    Up to a horizon, the lockstep steps every engine on every block, so it
+    checks the cap at the last reception of each block before the horizon.
+    Reception ``r`` (from 0) reads draw ``sum(preemptions[:r + 1] + 1)`` of
+    the service stream, whose draw 0 is the initial AoI."""
+    times = rec["receive_time"]
+    if not (len(rec) and times[-1] > horizon):
+        return None
+    cut = int(np.searchsorted(times, horizon, side="right"))  # the first reception past it
+    block = np.cumsum(rec["preemptions"][: cut + 1] + 1) // _DRAW_BLOCK
+    checked = np.flatnonzero(block[:-1] != block[1:])
+    if _past_cap(checked + 1, times[checked], horizon).any():
+        return None
+    return [tuple(rec[name] for name in _PEAK_RECORD.names[1:])]
+
+
 def aoi_trajectory(
     d: ServiceDistribution,
     policy: Union[Policy, Sequence[Policy]],
     horizon: float,
     seed: int,
     stall_limit: int = DEFAULT_STALL_LIMIT,
+    records: Union[np.ndarray, Sequence[np.ndarray], None] = None,
 ) -> Union[np.recarray, list[np.recarray]]:
     """Sawtooth breakpoints of the AoI path for receptions up to ``horizon``.
 
@@ -496,12 +540,25 @@ def aoi_trajectory(
     A sequence of policies runs as one lockstep and returns a list of
     record arrays in policy order; the first stall or cap the lockstep
     meets raises, whichever policy it is in.
+
+    ``records``, when given, is what ``simulate_peaks(d, policy, peaks,
+    seed, stall_limit)`` returned, with warmup 0 and the same law,
+    policies, seed and stall limit: one record array for one policy, one
+    per policy for a sequence.  When every one reaches past ``horizon`` and
+    the lockstep to it would not raise its cap, the trajectories are read
+    off them and nothing is drawn; otherwise the lockstep runs as it does
+    without them.  Either way the result, or the error, is the same.
     """
     policies, one = _as_sequence(policy)
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    read = []
+    if records is not None:
+        read = [_read_off(rec, horizon) for rec in _peak_series(records, len(policies), one)]
+    if records is None or any(parts is None for parts in read):
+        read = _lockstep(d, policies, seed, stall_limit, horizon=horizon)
     points = []
-    for parts in _lockstep(d, policies, seed, stall_limit, horizon=horizon):
+    for parts in read:
         times = np.concatenate([cols[4] for cols in parts])
         rec = np.recarray(int(np.searchsorted(times, horizon, side="right")), _TRAJECTORY_RECORD)
         for name, (field, shift) in _TRAJECTORY_FIELDS.items():

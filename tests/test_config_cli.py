@@ -1152,6 +1152,63 @@ class TestDegenerateInputs:
                               "receptions under ZeroWait()")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("peaks", ["", "peaks: 20, "], ids=["default peaks", "20 peaks"])
+    def test_with_a_peak_dump_the_dump_meets_the_stall_first(self, tmp_path, capsys, peaks):
+        # the config above with a peak dump that reaches fixed(0.3)'s stall:
+        # the dump's lockstep runs before the trajectory's and meets it
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("distribution: {kind: erlang, params: {shape: 3, rate: 1.0}}\n"
+                       "policies: [{kind: fixed, theta: 0.3}, zero-wait]\n"
+                       f"simulation: {{{peaks}replications: 1, seed: 1, stall_limit: 1000, "
+                       "trajectory_horizon: 1.0e+8, dump_peaks: true}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("simulation stalled: 1000 consecutive preemptions")
+        assert "FixedThreshold(theta=0.3)" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_read_off_past_the_cap_exits_as_the_lockstep_does(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the dump passes the horizon, but the receptions of the first block
+        # project past a cap of 50 by it
+        monkeypatch.setattr(simulate, "_MAX_TRAJECTORY", 50)
+        errors = []
+        for dump in ("false", "true"):
+            cfg = tmp_path / f"{dump}.yaml"
+            cfg.write_text(ERLANG + "policies: [{kind: fixed, theta: 2.0}, zero-wait]\n"
+                           "simulation: {peaks: 8000, replications: 1, seed: 3, "
+                           f"trajectory_horizon: 1.0e+4, dump_peaks: {dump}}}\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: a trajectory to time 10000 needs more than 50 ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, lockstep_runs", [
+        # the dump of 100 peaks passes time 50, so the trajectories are read off it
+        ("policies: [zero-wait, {kind: fixed, theta: 2.0}, median]\n"
+         "simulation: {peaks: 100, replications: 3, seed: 4, dump_peaks: true, "
+         "trajectory_horizon: 50.0}\n", 3),
+        # the config of PINNED_CHUNKED_SHA256: the trajectories run past the dump
+        ("policies: [{kind: fixed, theta: 2.0}, "
+         "{kind: randomized, sampler: {kind: uniform, low: 0.5, high: 3.5}}]\n"
+         "simulation: {peaks: 5000, replications: 1, seed: 5, warmup: 3, "
+         "dump_peaks: true, trajectory_horizon: 30000.0}\n", 2),
+    ], ids=["read off the dump", "past the dump"])
+    def test_simulate_draws_the_first_seed_once(self, tmp_path, monkeypatch, text,
+                                                 lockstep_runs):
+        # one lockstep per replication's seed, and one more for the first
+        # seed's trajectories only where they run past its dump
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(ERLANG + text)
+        monkeypatch.setenv("PAOI_THREADS", "1")
+        with mock.patch.object(simulate, "_lockstep", wraps=simulate._lockstep) as run:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert run.call_count == lockstep_runs
+
     @pytest.mark.parametrize("simulation, calls", [
         ("replications: 3", (0, 0, 1)),
         ("replications: 1, dump_peaks: true", (0, 1, 0)),

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import CATALOG, catalog_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -728,6 +729,88 @@ class TestSequenceCalls:
         for policies in ((fixed, ZeroWait()), (ZeroWait(), fixed)):
             with pytest.raises(ConfigError, match=r"receptions under ZeroWait\(\)"):
                 run(policies)
+
+
+# each delivers under every catalog law: fixed, zero-wait, median, a
+# sequence, and uniform and choice draws
+READ_OFF = (
+    FixedThreshold(1.5),
+    ZeroWait(),
+    MedianThreshold(),
+    RepetitiveSequence((0.5, 0.05, 2.0)),
+    RandomizedThreshold(UniformSampler(0.05, 2.0)),
+    RandomizedThreshold(ChoiceSampler((0.5, 2.0), (0.5, 0.5))),
+)
+
+
+def _bytes(points):
+    return [(p.dtype, p.tobytes()) for p in points]
+
+
+class TestReadOff:
+    """A trajectory read off a peak series of its seed is the one the
+    lockstep simulates, and it draws nothing when every series passes the
+    horizon."""
+
+    @pytest.mark.parametrize("name", catalog_ids())
+    def test_equals_the_simulated_trajectory(self, name):
+        d, horizon, seed = CATALOG[name], 600.0, 21
+        want = aoi_trajectory(d, READ_OFF, horizon, seed, 10**6)
+        rows = sorted(len(points) for points in want)
+        assert rows[0] > 20 and rows[0] < rows[-1], rows
+        # every series passes the horizon, none does, or only some do: a
+        # series passes it once it holds the first reception past it
+        for peaks, passing in ((rows[-1] + 1, len(READ_OFF)), (rows[-1] + 40, len(READ_OFF)),
+                               (rows[0], 0), (rows[0] + 1, rows.count(rows[0]))):
+            records = simulate_peaks(d, READ_OFF, peaks, seed, 10**6)
+            assert sum(r.receive_time[-1] > horizon for r in records) == passing
+            with mock.patch.object(simulate, "_lockstep", wraps=simulate._lockstep) as run:
+                got = aoi_trajectory(d, READ_OFF, horizon, seed, 10**6, records=records)
+            assert run.call_count == (passing < len(READ_OFF))
+            assert _bytes(got) == _bytes(want), peaks
+            for policy, rec, points in zip(READ_OFF, records, want):
+                alone = aoi_trajectory(d, policy, horizon, seed, 10**6, records=rec)
+                assert isinstance(alone, np.recarray)
+                assert _bytes([alone]) == _bytes([points]), (peaks, policy)
+
+    def test_a_cap_the_lockstep_meets_raises_though_the_cut_fits(self, monkeypatch):
+        # the first block's 4095 receptions end by time 4.095, a pace that
+        # projects past a cap of 4200 by time 100, where the cut holds 4190
+        draws = (1.0,) + (0.001,) * 4095 + (1.0,) * 200
+        monkeypatch.setattr(simulate, "_MAX_TRAJECTORY", 4200)
+        records = simulate_peaks(Scripted(draws), ZeroWait(), 4300, 0)
+        assert np.searchsorted(records.receive_time, 100.0, side="right") == 4190
+        messages = []
+        for series in (None, records):
+            with pytest.raises(ConfigError, match="more than 4200 receptions") as exc:
+                aoi_trajectory(Scripted(draws), ZeroWait(), 100.0, 0, records=series)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "the first 4095 end by time 4.095" in messages[0]
+
+    def test_past_the_cap_raises_as_the_lockstep_does(self, monkeypatch):
+        d, policies = Erlang(3, 1.0), (FixedThreshold(2.0), ZeroWait())
+        monkeypatch.setattr(simulate, "_MAX_TRAJECTORY", 50)
+        records = simulate_peaks(d, policies, 8000, 3)
+        assert all(r.receive_time[-1] > 1e4 for r in records)
+        want = _outcome(lambda: aoi_trajectory(d, policies, 1e4, 3))
+        assert want[0] is ConfigError and "more than 50 receptions" in want[1]
+        assert _outcome(lambda: aoi_trajectory(d, policies, 1e4, 3, records=records)) == want
+
+    def test_rejects_records_of_another_shape(self):
+        d, policy = Exponential(1.0), FixedThreshold(1.0)
+        records = simulate_peaks(d, [policy, policy], 50, 1)
+        run = partial(aoi_trajectory, d, horizon=5.0, seed=1)
+        with pytest.raises(TypeError, match="one record array for one policy"):
+            run(policy, records=records)
+        with pytest.raises(TypeError, match="a sequence of them"):
+            run([policy], records=records[0])
+        with pytest.raises(ValueError, match="2 peak series for 3 policies"):
+            run([policy] * 3, records=records)
+        with pytest.raises(TypeError, match="fields k, peak"):
+            run(policy, records=aoi_trajectory(d, policy, 5.0, 1))
+        with pytest.raises(ValueError, match="start at peak 1"):
+            run(policy, records=simulate_peaks(d, policy, 50, 1, warmup=5))
 
 
 def _engine_steps(d, policy, seed, stall_limit, peaks_only):
