@@ -31,12 +31,10 @@ from .errors import ConfigError, PaoiLabError, SimulationStall
 from .optimize import (
     OptimizationResult,
     PreemptionVerdict,
-    bellman_fixed_point,
+    benefit_verdict,
     default_window,
     mean_residual_witness,
     min_achievable_paoi,
-    optimal_threshold,
-    preemption_beneficial,
     theta_grid,
     twopoint_benefit_threshold,
 )

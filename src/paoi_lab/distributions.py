@@ -239,7 +239,7 @@ class ServiceDistribution:
         return self.primitives(theta)[2]
 
     def integrated_cdf(self, theta: float) -> float:
-        """int_0^theta F(x) dx, by parts ``theta F(theta) - M(theta)``."""
+        """int_0^theta F(x) dx, ``theta F - M``; only the benchmark's tracer calls it."""
         f, _, m = self.primitives(theta)
         return theta * f - m
 

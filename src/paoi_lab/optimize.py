@@ -48,12 +48,7 @@ __all__ = [
     "default_window",
     "window_or_default",
     "theta_grid",
-    "optimal_threshold",
     "min_achievable_paoi",
-    "bellman_tables",
-    "bellman_apply",
-    "bellman_fixed_point",
-    "preemption_beneficial",
     "benefit_verdict",
     "mean_residual_witness",
     "twopoint_benefit_threshold",
@@ -261,22 +256,6 @@ def _search_optimal(d, theta_min, theta_max, tol, grid_points):
     return min(ties), best_val, evals, len(refined), bellman
 
 
-def optimal_threshold(
-    d: ServiceDistribution,
-    theta_min: float,
-    theta_max: float,
-    tol: Optional[float] = None,
-    grid_points: int = _DEFAULT_GRID_POINTS,
-) -> tuple[float, float]:
-    """Global minimizer of the fixed-threshold PAoI over ``[theta_min, theta_max]``.
-
-    Returns ``(theta, zeta)``.  Flat stretches tie-break toward the
-    smallest threshold.
-    """
-    theta, zeta, *_ = _search_optimal(d, theta_min, theta_max, tol, grid_points)
-    return theta, zeta
-
-
 def min_achievable_paoi(
     d: ServiceDistribution,
     theta_min: Optional[float] = None,
@@ -286,8 +265,11 @@ def min_achievable_paoi(
 ) -> OptimizationResult:
     """Minimum average PAoI over {best fixed threshold, zero-wait, xmin}.
 
-    Candidates that are infinite still participate in the min; with an
-    infinite service mean the zero-wait candidate simply never wins.
+    ``theta_opt`` and ``zeta_opt`` are the global minimizer of the
+    fixed-threshold PAoI over the window and its value; flat stretches
+    tie-break toward the smallest threshold.  Candidates that are infinite
+    still participate in the min; with an infinite service mean the
+    zero-wait candidate simply never wins.
     """
     theta_min, theta_max = window_or_default(d, theta_min, theta_max)
     theta_opt, zeta_opt, evals, iters, bellman = _search_optimal(
@@ -319,53 +301,9 @@ def min_achievable_paoi(
     )
 
 
-def bellman_tables(
-    d: ServiceDistribution,
-    theta_min: float,
-    theta_max: float,
-    grid_points: int = _DEFAULT_GRID_POINTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid, per-attempt cost, and survival tables of the Bellman operator."""
-    _validate_window(d, theta_min, theta_max)
-    thetas = theta_grid(theta_min, theta_max, grid_points)
-    with np.errstate(all="ignore"):
-        _, sf, cost, *_ = _read(d, thetas)
-    return thetas, cost, sf
-
-
-def bellman_apply(cost: np.ndarray, surv: np.ndarray, u: float) -> float:
-    """One sweep of the operator: ``min over the grid of cost + u * surv``."""
-    return float(np.min(cost + u * surv))
-
-
-def bellman_fixed_point(
-    d: ServiceDistribution,
-    theta_min: float,
-    theta_max: float,
-    grid_points: int = _DEFAULT_GRID_POINTS,
-) -> float:
-    """Fixed point of ``U = min_theta {c(theta) + U * P(X > theta)}`` on the
-    grid: its smallest ``c / F``, as :func:`min_achievable_paoi` reports in
-    ``bellman_value``."""
-    return _grid_minimum(d, theta_min, theta_max, grid_points)[-1]
-
-
-def preemption_beneficial(
-    d: ServiceDistribution,
-    theta_min: Optional[float] = None,
-    theta_max: Optional[float] = None,
-    grid_points: int = _DEFAULT_GRID_POINTS,
-) -> PreemptionVerdict:
-    """Exact verdict: does some preemptive policy strictly beat ``2 E[X]``?
-
-    Runs the search of :func:`min_achievable_paoi` and judges it with
-    :func:`benefit_verdict`.
-    """
-    return benefit_verdict(d, min_achievable_paoi(d, theta_min, theta_max, None, grid_points))
-
-
 def benefit_verdict(d: ServiceDistribution, result: OptimizationResult) -> PreemptionVerdict:
-    """The exact verdict for ``d``, read off a finished optimization.
+    """The exact verdict for ``d``, read off a finished optimization: does
+    some preemptive policy strictly beat ``2 E[X]``?
 
     Compares ``min(zeta(s_theta_opt), zeta_xmin)`` against ``2 E[X]`` with
     a 1e-9 relative strictness guard.  An infinite mean short-circuits to
@@ -425,3 +363,61 @@ def twopoint_benefit_threshold(p: float, t1: float) -> float:
     if t1 <= 0:
         raise ValueError("need t1 > 0")
     return t1 * (1.0 / p + 1.0 - 2.0 * p) / (2.0 * (1.0 - p))
+
+
+# Second spellings of the calls above: perfbench/tracing.py wraps them, nothing else calls them.
+
+
+def optimal_threshold(
+    d: ServiceDistribution,
+    theta_min: float,
+    theta_max: float,
+    tol: Optional[float] = None,
+    grid_points: int = _DEFAULT_GRID_POINTS,
+) -> tuple[float, float]:
+    """``(r.theta_opt, r.zeta_opt)`` of ``r = min_achievable_paoi(d,
+    theta_min, theta_max, tol, grid_points)``."""
+    theta, zeta, *_ = _search_optimal(d, theta_min, theta_max, tol, grid_points)
+    return theta, zeta
+
+
+def bellman_tables(
+    d: ServiceDistribution,
+    theta_min: float,
+    theta_max: float,
+    grid_points: int = _DEFAULT_GRID_POINTS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid, ``2 M + theta sf`` and ``sf`` of ``paoi_thresholds(d,
+    theta_grid(theta_min, theta_max, grid_points))``."""
+    _validate_window(d, theta_min, theta_max)
+    thetas = theta_grid(theta_min, theta_max, grid_points)
+    with np.errstate(all="ignore"):
+        _, sf, cost, *_ = _read(d, thetas)
+    return thetas, cost, sf
+
+
+def bellman_apply(cost: np.ndarray, surv: np.ndarray, u: float) -> float:
+    """``float(np.min(cost + u * surv))``."""
+    return float(np.min(cost + u * surv))
+
+
+def bellman_fixed_point(
+    d: ServiceDistribution,
+    theta_min: float,
+    theta_max: float,
+    grid_points: int = _DEFAULT_GRID_POINTS,
+) -> float:
+    """``min_achievable_paoi(d, theta_min, theta_max,
+    grid_points=grid_points).bellman_value``."""
+    return _grid_minimum(d, theta_min, theta_max, grid_points)[-1]
+
+
+def preemption_beneficial(
+    d: ServiceDistribution,
+    theta_min: Optional[float] = None,
+    theta_max: Optional[float] = None,
+    grid_points: int = _DEFAULT_GRID_POINTS,
+) -> PreemptionVerdict:
+    """``benefit_verdict(d, min_achievable_paoi(d, theta_min, theta_max,
+    None, grid_points))``."""
+    return benefit_verdict(d, min_achievable_paoi(d, theta_min, theta_max, None, grid_points))

@@ -89,7 +89,7 @@ class RepetitiveSequence:
             raise ValueError("thresholds must be finite and nonnegative")
 
     def threshold_for_attempt(self, r: int) -> float:
-        """Threshold used by the r-th request (1-based) since the last reception."""
+        """``thresholds[min(r, len(thresholds)) - 1]``; only the benchmark's tracer calls it."""
         return self.thresholds[min(r, len(self.thresholds)) - 1]
 
     def label(self) -> str:
@@ -99,8 +99,8 @@ class RepetitiveSequence:
 class ThresholdSampler:
     """Base for i.i.d. per-request threshold samplers.
 
-    ``draw_batch(rng, n)`` returns the same ``n`` thresholds, bit for bit,
-    as ``n`` successive ``draw(rng)`` calls on the same generator.
+    ``draw_batch(rng, n)`` returns the bits of ``n`` successive one-threshold
+    batches on ``rng``; ``draw(rng)`` is one, called only by the benchmark's tracer.
     """
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:

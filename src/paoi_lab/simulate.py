@@ -482,7 +482,7 @@ def simulate_peaks(
 
 def _peak_series(records, count: int, one: bool) -> tuple:
     """``records``, one peak series or a sequence of ``count``, as a tuple;
-    each must be a series of :func:`simulate_peaks` from peak 1 on."""
+    each must be a series of :func:`simulate_peaks` holding peaks 1..n in order."""
     if one != isinstance(records, np.ndarray) or not one and not isinstance(records, Sequence):
         raise TypeError("records must be one record array for one policy, and a sequence of "
                         f"them for a sequence of policies, got {type(records).__name__}")
@@ -492,8 +492,13 @@ def _peak_series(records, count: int, one: bool) -> tuple:
     for rec in series:
         if not isinstance(rec, np.ndarray) or rec.dtype != _PEAK_RECORD:
             raise TypeError(f"records must have the fields {', '.join(_PEAK_RECORD.names)}")
-        if len(rec) and rec["k"][0] != 1:
-            raise ValueError(f"records must start at peak 1 (warmup 0), not {rec['k'][0]}")
+        k = rec["k"]
+        wrong = np.flatnonzero(k != np.arange(1, len(k) + 1))
+        if wrong.size and wrong[0] == 0:
+            raise ValueError(f"records must start at peak 1 (warmup 0), not {k[0]}")
+        if wrong.size:
+            raise ValueError(f"records must hold every peak in order: peak {k[wrong[0] - 1]} "
+                             f"is followed by peak {k[wrong[0]]}")
     return series
 
 

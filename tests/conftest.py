@@ -26,7 +26,9 @@ from paoi_lab import (
     cli,
     config,
     digits,
+    theta_grid,
 )
+from paoi_lab.analytic import paoi_thresholds
 
 # One representative per catalog kind; parameters chosen so every kind has
 # a comfortable quantile range for grid-based checks.
@@ -79,6 +81,7 @@ def perfbench_module(name):
 
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     with mpmath.workprec(mpmath.mp.prec):
         spec.loader.exec_module(module)
     return module
@@ -167,6 +170,28 @@ def quad_integrated_cdf(name, theta):
     return val
 
 
+def bellman_operator(d, lo, hi, grid_points=2000):
+    """Reference tables of the Bellman operator on the search's grid: the
+    grid, the per-attempt cost ``2 M + theta sf`` (summed in that order, so
+    its bits are the search's) and the survival ``sf``."""
+    thetas = theta_grid(lo, hi, grid_points)
+    grid = paoi_thresholds(d, thetas)
+    with np.errstate(over="ignore"):
+        return thetas, 2.0 * grid.m + thetas * grid.sf, grid.sf
+
+
+def bellman_sweep(cost, surv, u):
+    """One sweep of the operator: ``min over the grid of cost + u * surv``."""
+    return float(np.min(cost + u * surv))
+
+
+def cdf_integral(d, theta):
+    """int_0^theta F by parts, ``theta F(theta) - M(theta)``, from one
+    :meth:`~paoi_lab.distributions.ServiceDistribution.primitives` read."""
+    f, _, m = d.primitives(theta)
+    return theta * f - m
+
+
 def theta_probe_grid(d, n=20, q_lo=0.05, q_hi=0.95):
     """Representative thresholds inside the support of ``d``."""
     return np.array([d.quantile(q) for q in np.linspace(q_lo, q_hi, n)])
@@ -220,18 +245,27 @@ def yaml_loaders_agree(monkeypatch):
     return load
 
 
-def run_fresh(probe):
-    """The stdout of ``probe`` run in a fresh interpreter that imports this
-    ``paoi_lab``: the suite's own process has imported scipy.special."""
+def _fresh(args, check):
+    """``python args`` in a fresh interpreter that imports this ``paoi_lab``."""
     import paoi_lab
 
     src = str(Path(paoi_lab.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=check)
+
+
+def run_fresh(probe):
+    """The stdout of ``probe`` run in a fresh interpreter that imports this
+    ``paoi_lab``: the suite's own process has imported scipy.special."""
+    return _fresh(["-c", probe], check=True).stdout.strip()
+
+
+def run_cli(*args):
+    """``python -m paoi_lab.cli *args`` in a fresh interpreter, as its
+    ``subprocess.CompletedProcess``: exit status, stdout and stderr."""
+    return _fresh(["-m", "paoi_lab.cli", *args], check=False)
 
 
 def fill_text(fill, header, columns):

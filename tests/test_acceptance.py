@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import paoi_lab as pl
-from conftest import CATALOG, catalog_ids
+from conftest import CATALOG, bellman_operator, bellman_sweep, catalog_ids
 from paoi_lab.cli import main as cli_main
-from paoi_lab.optimize import bellman_apply, bellman_tables
 
 SEED = 4242
 
@@ -51,9 +50,9 @@ def test_c01_two_point_closed_form():
 
 def test_c02_two_point_critical_atom():
     assert pl.twopoint_benefit_threshold(0.5, 1.0) == 2.0
-    above = pl.preemption_beneficial(pl.TwoPoint(1.0, 2.0 + 1e-3, 0.5))
-    below = pl.preemption_beneficial(pl.TwoPoint(1.0, 2.0 - 1e-3, 0.5))
-    assert above.beneficial and not below.beneficial
+    above, below = pl.TwoPoint(1.0, 2.0 + 1e-3, 0.5), pl.TwoPoint(1.0, 2.0 - 1e-3, 0.5)
+    assert pl.benefit_verdict(above, pl.min_achievable_paoi(above)).beneficial
+    assert not pl.benefit_verdict(below, pl.min_achievable_paoi(below)).beneficial
     report(2, "critical t2")
 
 
@@ -69,7 +68,7 @@ def test_c03_exponential_memorylessness():
     grid = np.linspace(0.05, 15.0, 50)
     zetas = [pl.paoi_fixed_threshold(d, float(t)).zeta for t in grid]
     assert all(b > a for a, b in zip(zetas, zetas[1:]))
-    theta_opt, _ = pl.optimal_threshold(d, 0.01, 20.0)
+    theta_opt = pl.min_achievable_paoi(d, 0.01, 20.0).theta_opt
     assert theta_opt <= 0.01 + 1e-6
     report(3, "exponential memorylessness")
 
@@ -93,11 +92,11 @@ def test_c04_erlang_shape_transition():
 def test_c05_heavy_tail_benefit():
     heavy = pl.Pareto(1.0, 0.5)
     assert math.isinf(pl.paoi_zero_wait(heavy))
-    _, zeta_opt = pl.optimal_threshold(heavy, *pl.default_window(heavy))
+    zeta_opt = pl.min_achievable_paoi(heavy, *pl.default_window(heavy)).zeta_opt
     assert math.isfinite(zeta_opt)
 
     light = pl.Pareto(1.0, 3.0)
-    _, zeta_opt3 = pl.optimal_threshold(light, *pl.default_window(light))
+    zeta_opt3 = pl.min_achievable_paoi(light, *pl.default_window(light)).zeta_opt
     zw = pl.paoi_zero_wait(light)
     assert abs(zeta_opt3 - zw) / zw <= 0.05
     report(5, "heavy-tail benefit")
@@ -135,16 +134,16 @@ def test_c08_bellman_verification():
     }
     rng = np.random.default_rng(SEED)
     for name, (d, (lo, hi)) in windows.items():
-        fp = pl.bellman_fixed_point(d, lo, hi)
+        fp = pl.min_achievable_paoi(d, lo, hi).bellman_value
         grid = pl.theta_grid(lo, hi, 2000)
         grid_min = min(pl.paoi_fixed_threshold(d, float(t)).zeta for t in grid)
         assert abs(fp - grid_min) / grid_min <= 1e-6, name
 
-        _, cost, surv = bellman_tables(d, lo, hi)
+        _, cost, surv = bellman_operator(d, lo, hi)
         modulus = surv[0]
         for _ in range(100):
             u1, u2 = rng.uniform(0.0, 40.0, size=2)
-            gap = abs(bellman_apply(cost, surv, u1) - bellman_apply(cost, surv, u2))
+            gap = abs(bellman_sweep(cost, surv, u1) - bellman_sweep(cost, surv, u2))
             assert gap <= modulus * abs(u1 - u2) + 1e-12, name
     report(8, "policy-iteration verification")
 
@@ -158,7 +157,7 @@ def _policy_cells():
     }
     for name, (d, window) in cases.items():
         lo, hi = window if window else pl.default_window(d)
-        theta_opt, _ = pl.optimal_threshold(d, lo, hi)
+        theta_opt = pl.min_achievable_paoi(d, lo, hi).theta_opt
         yield name, d, {
             "zero-wait": pl.ZeroWait(),
             "fixed-opt": pl.FixedThreshold(theta_opt),
@@ -196,7 +195,7 @@ def test_c09_simulation_confirms_analytics_on_every_law(name):
     # standard errors around the closed form.
     d = CATALOG[name]
     lo, hi = _C09_WINDOWS.get(name) or pl.default_window(d)
-    theta_opt, _ = pl.optimal_threshold(d, lo, hi)
+    theta_opt = pl.min_achievable_paoi(d, lo, hi).theta_opt
     for policy in (pl.ZeroWait(), pl.MedianThreshold(), pl.FixedThreshold(theta_opt)):
         zeta = pl.paoi_policy(d, policy).zeta
         estimates = pl.run_replications(
@@ -209,7 +208,8 @@ def test_c09_simulation_confirms_analytics_on_every_law(name):
 def test_c10_randomized_never_beats_fixed_optimum():
     for d in (pl.Erlang(3, 1.0), pl.Pareto(1.0, 2.0)):
         lo, hi = pl.default_window(d)
-        theta, zeta_opt = pl.optimal_threshold(d, lo, hi)
+        r = pl.min_achievable_paoi(d, lo, hi)
+        theta, zeta_opt = r.theta_opt, r.zeta_opt
         samplers = [
             pl.PointSampler(1.5 * theta),
             pl.UniformSampler(max(theta - 0.5, lo), theta + 0.5),

@@ -20,7 +20,15 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from conftest import CATALOG, assert_same_text, kernel_text, pure_yaml, record_text, run_fresh
+from conftest import (
+    CATALOG,
+    assert_same_text,
+    kernel_text,
+    pure_yaml,
+    record_text,
+    run_cli,
+    run_fresh,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -764,6 +772,26 @@ class TestCliExtras:
             assert main(["simulate", "--config", str(tp_config), "--out", str(out)]) == 0
             outputs[raw] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert outputs["1"] and outputs["0"] == outputs["1"] == outputs["2"]
+
+    def test_exit_statuses_leave_the_process(self, tmp_path):
+        # every other test reads main()'s return value; here sys.exit(main())
+        # carries the README's exit statuses 0, 2 and 3 out of the process
+        done = run_cli("reproduce", "--figure", "fig5", "--out", str(tmp_path / "fig"))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("fig5: 18 rows -> ")
+        assert (tmp_path / "fig" / "fig5.csv").stat().st_size > 0
+        bogus, stall = tmp_path / "bogus.yaml", tmp_path / "stall.yaml"
+        bogus.write_text("distribution: {kind: exponential, params: {rate: 1.0}}\n"
+                         "policies: [zero-wait]\nbogus: 1\n")
+        stall.write_text("distribution: {kind: pareto, params: {xm: 1.0, alpha: 2.0}}\n"
+                         "policies: [{kind: fixed, theta: 0.5}]\n")
+        refused = run_cli("eval", "--config", str(bogus), "--out", str(tmp_path / "eval"))
+        assert (refused.returncode, refused.stdout) == (2, "")
+        assert refused.stderr.startswith("error: config: unknown key(s) bogus")
+        stalled = run_cli("simulate", "--config", str(stall), "--out", str(tmp_path / "sim"))
+        assert (stalled.returncode, stalled.stdout) == (3, "")
+        assert stalled.stderr.startswith("simulation stalled:")
+        assert not list((tmp_path / "sim").rglob("*"))
 
     def test_import_loads_only_scipy_special(self):
         # scipy.integrate and scipy.optimize add about 0.4 s to every

@@ -20,13 +20,11 @@ from paoi_lab import (
     ServiceDistribution,
     ShiftedExponential,
     TwoPoint,
-    bellman_fixed_point,
+    benefit_verdict,
     default_window,
     mean_residual_witness,
     min_achievable_paoi,
-    optimal_threshold,
     paoi_fixed_threshold,
-    preemption_beneficial,
     theta_grid,
     twopoint_benefit_threshold,
 )
@@ -35,13 +33,10 @@ from paoi_lab.optimize import (
     _BOUND_SLACK,
     _CELL,
     _grid_minimum,
-    bellman_apply,
-    bellman_tables,
-    benefit_verdict,
     window_or_default,
 )
 
-from conftest import CATALOG, SCALED, hyper_exponentials
+from conftest import CATALOG, SCALED, bellman_operator, bellman_sweep, hyper_exponentials
 
 TP = TwoPoint(1.0, 3.0, 0.5)
 
@@ -57,19 +52,21 @@ def erlang_zeta_dense(k, rate, thetas):
 
 class TestOptimalThreshold:
     def test_exponential_minimum_sits_at_left_endpoint(self):
-        theta, zeta = optimal_threshold(Exponential(1.0), 0.01, 20.0)
-        assert theta == pytest.approx(0.01, abs=1e-6)
-        assert zeta == pytest.approx(paoi_fixed_threshold(Exponential(1.0), theta).zeta)
+        d = Exponential(1.0)
+        r = min_achievable_paoi(d, 0.01, 20.0)
+        assert r.theta_opt == pytest.approx(0.01, abs=1e-6)
+        assert r.zeta_opt == pytest.approx(paoi_fixed_threshold(d, r.theta_opt).zeta)
 
     def test_deterministic_flat_curve_ties_to_smallest(self):
-        theta, zeta = optimal_threshold(Deterministic(1.0), 1.0, 5.0)
-        assert zeta == 2.0
-        assert theta == 1.0
+        r = min_achievable_paoi(Deterministic(1.0), 1.0, 5.0)
+        assert r.zeta_opt == 2.0
+        assert r.theta_opt == 1.0
 
     def test_erlang3_interior_minimum_vs_dense_sweep(self):
         d = Erlang(3, 1.0)
         lo, hi = 0.01, 30.0
-        theta, zeta = optimal_threshold(d, lo, hi)
+        r = min_achievable_paoi(d, lo, hi)
+        theta, zeta = r.theta_opt, r.zeta_opt
         assert lo < theta < hi
         dense = np.linspace(lo, hi, 100_000)
         zd = erlang_zeta_dense(3, 1.0, dense)
@@ -80,21 +77,21 @@ class TestOptimalThreshold:
     def test_invalid_windows(self):
         d = Exponential(1.0)
         with pytest.raises(ConfigError):
-            optimal_threshold(d, 2.0, 1.0)
+            min_achievable_paoi(d, 2.0, 1.0)
         with pytest.raises(ConfigError):
-            optimal_threshold(d, 0.1, math.inf)
+            min_achievable_paoi(d, 0.1, math.inf)
         with pytest.raises(ConfigError):
-            optimal_threshold(Pareto(1.0, 2.0), 0.2, 0.8)
+            min_achievable_paoi(Pareto(1.0, 2.0), 0.2, 0.8)
         for tol in (-1.0, math.nan):
             with pytest.raises(ConfigError):
-                optimal_threshold(d, 0.1, 1.0, tol=tol)
+                min_achievable_paoi(d, 0.1, 1.0, tol=tol)
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
     def test_tiny_tolerance_over_a_wide_bracket(self, tol):
         # tol / (hi - lo) underflows to 0, whose log raised ValueError
-        theta, zeta = optimal_threshold(Exponential(1.0), 0.5, 1e300, tol=tol, grid_points=2)
-        assert theta == 0.5
-        assert zeta == paoi_fixed_threshold(Exponential(1.0), 0.5).zeta
+        r = min_achievable_paoi(Exponential(1.0), 0.5, 1e300, tol=tol, grid_points=2)
+        assert r.theta_opt == 0.5
+        assert r.zeta_opt == paoi_fixed_threshold(Exponential(1.0), 0.5).zeta
 
     def test_default_window_collapses_for_deterministic(self):
         with pytest.raises(ConfigError):
@@ -208,25 +205,25 @@ class TestBellman:
     def test_fixed_point_matches_grid_minimum(self, name):
         d = CATALOG[name]
         lo, hi = self.WINDOWS[name]
-        fp = bellman_fixed_point(d, lo, hi)
+        fp = min_achievable_paoi(d, lo, hi).bellman_value
         thetas = theta_grid(lo, hi, 2000)
         grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in thetas)
         assert fp == pytest.approx(grid_min, rel=1e-9)
 
     def test_deterministic_single_sweep(self):
-        assert bellman_fixed_point(Deterministic(1.0), 1.0, 5.0) == 2.0
+        assert min_achievable_paoi(Deterministic(1.0), 1.0, 5.0).bellman_value == 2.0
 
     def test_exponential_left_endpoint_window(self):
         # increasing curve: the fixed point is the left endpoint's value
         d = Exponential(1.0)
-        fp = bellman_fixed_point(d, 0.5, 10.0)
+        fp = min_achievable_paoi(d, 0.5, 10.0).bellman_value
         assert fp == pytest.approx(paoi_fixed_threshold(d, 0.5).zeta, rel=1e-9)
 
     def test_support_edge_windows_match_grid_minimum(self):
         # P(X > theta_min) == 1 here, so these windows admit no contraction
         # modulus; F == 0 at theta = 0 must not be divided by
         for d, lo, hi in [(Pareto(1.0, 2.0), 1.0, 5.0), (Exponential(1.0), 0.0, 5.0)]:
-            fp = bellman_fixed_point(d, lo, hi)
+            fp = min_achievable_paoi(d, lo, hi).bellman_value
             grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in theta_grid(lo, hi))
             assert fp == pytest.approx(grid_min, rel=1e-12), d
 
@@ -236,21 +233,20 @@ class TestBellman:
         # hyper-exponential optima sit there
         for name, d in CATALOG.items():
             lo, hi = (1.5, 3.0) if name == "deterministic" else default_window(d)
-            fp = bellman_fixed_point(d, lo, hi)
+            # the search's own cross-check, on the arrays it read
+            fp = min_achievable_paoi(d, lo, hi).bellman_value
             grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in theta_grid(lo, hi))
             assert fp == pytest.approx(grid_min, rel=1e-9), name
-            # the search's own cross-check, on the arrays it read
-            assert min_achievable_paoi(d, lo, hi).bellman_value == fp, name
 
     def test_contraction_modulus(self):
         d = CATALOG["erlang"]
         lo, hi = self.WINDOWS["erlang"]
-        _, cost, surv = bellman_tables(d, lo, hi)
+        _, cost, surv = bellman_operator(d, lo, hi)
         modulus = surv[0]
         rng = np.random.default_rng(5)
         for _ in range(100):
             u1, u2 = rng.uniform(0.0, 50.0, size=2)
-            t1, t2 = bellman_apply(cost, surv, u1), bellman_apply(cost, surv, u2)
+            t1, t2 = bellman_sweep(cost, surv, u1), bellman_sweep(cost, surv, u2)
             assert abs(t1 - t2) <= modulus * abs(u1 - u2) + 1e-12
 
     def test_fixed_point_across_catalog_windows(self):
@@ -265,7 +261,7 @@ class TestBellman:
                     (d.quantile(0.40), d.quantile(0.80)),
                 ]
             for lo, hi in windows:
-                fp = bellman_fixed_point(d, lo, hi, grid_points=400)
+                fp = min_achievable_paoi(d, lo, hi, grid_points=400).bellman_value
                 grid = theta_grid(lo, hi, 400)
                 grid_min = min(paoi_fixed_threshold(d, float(t)).zeta for t in grid)
                 assert fp == pytest.approx(grid_min, rel=1e-8), (name, lo, hi)
@@ -292,7 +288,7 @@ def policy_iteration(cost, f):
 
 
 def reference_fixed_point(d, lo, hi, grid_points=2000):
-    thetas, cost, _ = bellman_tables(d, lo, hi, grid_points)
+    thetas, cost, _ = bellman_operator(d, lo, hi, grid_points)
     return policy_iteration(cost, paoi_thresholds(d, thetas).cdf)
 
 
@@ -303,7 +299,6 @@ class TestBellmanClosedForm:
 
     def assert_matches_loop(self, d, lo, hi, grid_points=2000):
         want = reference_fixed_point(d, lo, hi, grid_points)
-        assert bellman_fixed_point(d, lo, hi, grid_points) == want, (d, lo, hi)
         result = min_achievable_paoi(d, lo, hi, grid_points=grid_points)
         assert result.bellman_value == want, (d, lo, hi)
 
@@ -346,9 +341,9 @@ class TestBellmanClosedForm:
         # a window starting far down the lower tail can stop the loop above
         # the smallest c/F (see below); the closed form reads that minimum
         d, lo, hi = self.window(name, start, width)
-        thetas, cost, _ = bellman_tables(d, lo, hi, grid_points)
+        thetas, cost, _ = bellman_operator(d, lo, hi, grid_points)
         f = paoi_thresholds(d, thetas).cdf
-        got = bellman_fixed_point(d, lo, hi, grid_points)
+        got = min_achievable_paoi(d, lo, hi, grid_points=grid_points).bellman_value
         ratios = [c / x for c, x in zip(cost.tolist(), f.tolist()) if x > 0.0]
         assert got == min(ratios, default=math.inf)
         assert got <= policy_iteration(cost, f)
@@ -358,19 +353,20 @@ class TestBellmanClosedForm:
         # below the rounding of c - U F at the other points, so the loop
         # stops a step early; zeta(s_theta) there is 1 + O(theta)
         d = Exponential(1.0)
-        thetas, cost, _ = bellman_tables(d, 1e-300, 0.0135, 45)
+        thetas, cost, _ = bellman_operator(d, 1e-300, 0.0135, 45)
         f = paoi_thresholds(d, thetas).cdf
         assert cost[0] / f[0] == 1.0
-        assert bellman_fixed_point(d, 1e-300, 0.0135, 45) == 1.0
+        assert min_achievable_paoi(d, 1e-300, 0.0135, grid_points=45).bellman_value == 1.0
         assert policy_iteration(cost, f) > 1.0
 
     def test_no_delivering_grid_point_is_inf(self):
         # F(theta) ~ theta^3 / 6 underflows to 0 on the whole window
         d = Erlang(3, 1.0)
-        thetas, cost, _ = bellman_tables(d, 0.0, 1e-120, 40)
+        thetas, cost, _ = bellman_operator(d, 0.0, 1e-120, 40)
         f = paoi_thresholds(d, thetas).cdf
         assert not f.any()
-        assert bellman_fixed_point(d, 0.0, 1e-120, 40) == policy_iteration(cost, f) == math.inf
+        u = min_achievable_paoi(d, 0.0, 1e-120, grid_points=40).bellman_value
+        assert u == policy_iteration(cost, f) == math.inf
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_is_a_fixed_point_of_the_operator(self, name):
@@ -380,9 +376,9 @@ class TestBellmanClosedForm:
         else:
             windows = [default_window(d), (d.quantile(0.05), d.quantile(0.9))]
         for lo, hi in windows:
-            u = bellman_fixed_point(d, lo, hi)
-            _, cost, surv = bellman_tables(d, lo, hi)
-            assert abs(bellman_apply(cost, surv, u) - u) <= 4 * math.ulp(u), (lo, hi)
+            u = min_achievable_paoi(d, lo, hi).bellman_value
+            _, cost, surv = bellman_operator(d, lo, hi)
+            assert abs(bellman_sweep(cost, surv, u) - u) <= 4 * math.ulp(u), (lo, hi)
 
 
 def full_grid_minimum(d, lo, hi, grid_points):
@@ -578,13 +574,14 @@ class Uniform(ServiceDistribution):
 
 class TestPreemptionVerdicts:
     def test_two_point_beneficial(self):
-        v = preemption_beneficial(TP)
+        v = benefit_verdict(TP, min_achievable_paoi(TP))
         assert v.beneficial
         assert v.margin == pytest.approx(1.0)
         assert v.witness_theta == 1.0  # the xmin policy wins
 
     def test_two_point_below_critical(self):
-        v = preemption_beneficial(TwoPoint(1.0, 1.9, 0.5))
+        d = TwoPoint(1.0, 1.9, 0.5)
+        v = benefit_verdict(d, min_achievable_paoi(d))
         assert not v.beneficial
         assert v.witness_theta is None
         # the window's upper endpoint is t2, where a right-closed threshold
@@ -592,33 +589,30 @@ class TestPreemptionVerdicts:
         assert v.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_below_critical_interior_window(self):
-        v = preemption_beneficial(TwoPoint(1.0, 1.9, 0.5), 1.0001, 1.8999)
+        d = TwoPoint(1.0, 1.9, 0.5)
+        v = benefit_verdict(d, min_achievable_paoi(d, 1.0001, 1.8999))
         assert not v.beneficial
         assert v.margin == pytest.approx(2.9 - 3.0, abs=1e-3)
 
     def test_deterministic_never_beneficial(self):
-        v = preemption_beneficial(Deterministic(1.0), 1.0, 5.0)
+        d = Deterministic(1.0)
+        v = benefit_verdict(d, min_achievable_paoi(d, 1.0, 5.0))
         assert not v.beneficial
         assert v.margin == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(-20, 21))
     def test_flat_zeta_at_twice_the_mean_is_not_beneficial(self, k):
         # where Lemma 1 does not decide, the search's verdict reads the tie
-        b = 2.0**k
-        v = preemption_beneficial(Uniform(b))
+        d = Uniform(2.0**k)
+        v = benefit_verdict(d, min_achievable_paoi(d))
         assert not v.beneficial and v.witness_theta is None
-        assert 0.0 <= v.margin <= 1e-12 * b
+        assert 0.0 <= v.margin <= 1e-12 * d.b
 
     def test_infinite_mean_short_circuit(self):
-        v = preemption_beneficial(Pareto(1.0, 0.5))
+        d = Pareto(1.0, 0.5)
+        v = benefit_verdict(d, min_achievable_paoi(d))
         assert v.beneficial and math.isinf(v.margin)
         assert v.witness_theta is not None
-
-    @pytest.mark.parametrize(
-        "d", [TP, TwoPoint(1.0, 1.9, 0.5), Erlang(3, 1.0), Pareto(1.0, 2.0), Pareto(1.0, 0.5)]
-    )
-    def test_verdict_reads_the_optimization(self, d):
-        assert benefit_verdict(d, min_achievable_paoi(d)) == preemption_beneficial(d)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -630,8 +624,8 @@ class TestPreemptionVerdicts:
     def test_monotone_in_upper_atom(self, p, t1, bump, extra):
         # once beneficial at some t2, beneficial for every larger t2
         base = twopoint_benefit_threshold(p, t1) + bump
-        a = preemption_beneficial(TwoPoint(t1, base, p))
-        b = preemption_beneficial(TwoPoint(t1, base + extra, p))
+        a, b = (benefit_verdict(d, min_achievable_paoi(d))
+                for d in (TwoPoint(t1, base, p), TwoPoint(t1, base + extra, p)))
         assert a.beneficial and b.beneficial
 
 
@@ -677,13 +671,13 @@ class TestResidualCondition:
         lo, hi = default_window(d)
         suff = mean_residual_witness(d, theta_grid(lo, hi, 2000))
         assert suff.beneficial
-        assert preemption_beneficial(d, lo, hi).beneficial
+        assert benefit_verdict(d, min_achievable_paoi(d, lo, hi)).beneficial
 
     def test_pareto3_witness_implies_exact_verdict(self):
         d = Pareto(1.0, 3.0)
         lo, hi = default_window(d)
         assert mean_residual_witness(d, theta_grid(lo, hi, 2000)).beneficial
-        assert preemption_beneficial(d, lo, hi).beneficial
+        assert benefit_verdict(d, min_achievable_paoi(d, lo, hi)).beneficial
 
 
 def loop_witness(d, thetas):
@@ -756,10 +750,9 @@ class TestTwoPointCritical:
         delta = 1e-3
         for p, t1 in ((0.5, 1.0), (0.3, 2.0), (0.7, 0.5)):
             crit = twopoint_benefit_threshold(p, t1)
-            above = preemption_beneficial(TwoPoint(t1, crit + delta, p))
-            below = preemption_beneficial(TwoPoint(t1, crit - delta, p))
-            assert above.beneficial
-            assert not below.beneficial
+            above, below = TwoPoint(t1, crit + delta, p), TwoPoint(t1, crit - delta, p)
+            assert benefit_verdict(above, min_achievable_paoi(above)).beneficial
+            assert not benefit_verdict(below, min_achievable_paoi(below)).beneficial
 
     def test_validation(self):
         with pytest.raises(ValueError):

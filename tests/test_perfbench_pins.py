@@ -9,11 +9,23 @@ that is gone fails here with one message, not in every oracle test.  The
 tests read both files as they are and change nothing in them.
 """
 
+import dataclasses
 import inspect
 
 import mpmath
+import numpy as np
+import pytest
 
-from conftest import CATALOG, catalog_ids, oracle_law, perfbench_module
+from conftest import (
+    CATALOG,
+    bellman_operator,
+    bellman_sweep,
+    catalog_ids,
+    cdf_integral,
+    oracle_law,
+    perfbench_module,
+)
+from paoi_lab import Erlang, Pareto, RepetitiveSequence, TwoPoint, UniformSampler, optimize
 
 
 def test_tracer_installs_and_uninstalls_on_the_cli():
@@ -39,6 +51,71 @@ def test_names_the_benchmark_calls_directly_exist():
     assert "workers" in inspect.signature(run_replications).parameters
     assert callable(RepetitiveSequence.threshold_for_attempt)
     assert callable(ThresholdSampler.draw)
+
+
+def _bits(value):
+    """``value`` with every float as its hex spelling and every array as its
+    bytes, so that ``==`` compares bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _spelled_twice(name, d):
+    """The value of the name the tracer wraps, and of the canonical call it
+    stands for, on ``d``'s default window."""
+    lo, hi = optimize.default_window(d)
+    n = 2000
+    qs = [d.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    if name == "optimal_threshold":
+        r = optimize.min_achievable_paoi(d, lo, hi, None, n)
+        return optimize.optimal_threshold(d, lo, hi, None, n), (r.theta_opt, r.zeta_opt)
+    if name == "bellman_fixed_point":
+        return (optimize.bellman_fixed_point(d, lo, hi, n),
+                optimize.min_achievable_paoi(d, lo, hi, grid_points=n).bellman_value)
+    if name == "preemption_beneficial":
+        return (optimize.preemption_beneficial(d),
+                optimize.benefit_verdict(d, optimize.min_achievable_paoi(d)))
+    if name == "bellman_tables":
+        return optimize.bellman_tables(d, lo, hi, n), bellman_operator(d, lo, hi, n)
+    if name == "bellman_apply":
+        _, cost, surv = bellman_operator(d, lo, hi, n)
+        us = [0.0, 1.0, optimize.min_achievable_paoi(d, lo, hi, grid_points=n).bellman_value]
+        return ([optimize.bellman_apply(cost, surv, u) for u in us],
+                [bellman_sweep(cost, surv, u) for u in us])
+    if name == "integrated_cdf":
+        return [d.integrated_cdf(t) for t in qs], [cdf_integral(d, t) for t in qs]
+    if name == "threshold_for_attempt":
+        seq = RepetitiveSequence(tuple(qs[:3]))
+        return ([seq.threshold_for_attempt(r) for r in range(1, 6)],
+                [seq.thresholds[min(r, len(seq.thresholds)) - 1] for r in range(1, 6)])
+    assert name == "draw"
+    sampler = UniformSampler(qs[1], qs[3])
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    return ([sampler.draw(rng_a) for _ in range(20)],
+            [float(sampler.draw_batch(rng_b, 1)[0]) for _ in range(20)])
+
+
+SPELLED_TWICE = ["optimal_threshold", "bellman_fixed_point", "preemption_beneficial",
+                 "bellman_tables", "bellman_apply", "integrated_cdf", "threshold_for_attempt",
+                 "draw"]
+PIN_LAWS = [TwoPoint(1.0, 3.0, 0.5), TwoPoint(1.0, 1.9, 0.5), Erlang(3, 1.0), Pareto(1.0, 2.0),
+            Pareto(1.0, 0.5)]
+
+
+@pytest.mark.parametrize("d", PIN_LAWS, ids=repr)
+@pytest.mark.parametrize("name", SPELLED_TWICE)
+def test_second_spellings_equal_their_canonical_calls(name, d):
+    # the tracer wraps or times these names, and no program path calls
+    # them; each must still return the bits of the call it stands for
+    got, want = _spelled_twice(name, d)
+    assert _bits(got) == _bits(want), (name, d)
 
 
 def test_search_spans_bind_the_window_arguments():

@@ -35,7 +35,7 @@ from paoi_lab import (
     ZeroWait,
     aoi_trajectory,
     estimate_paoi,
-    optimal_threshold,
+    min_achievable_paoi,
     paoi_fixed_threshold,
     paoi_repetitive,
     paoi_xmin,
@@ -76,9 +76,6 @@ class Scripted(ServiceDistribution):
         raise NotImplementedError
 
     def truncated_first_moment(self, theta):
-        raise NotImplementedError
-
-    def integrated_cdf(self, theta):
         raise NotImplementedError
 
     def quantile(self, q):
@@ -273,7 +270,8 @@ class TestEstimator:
 
     def test_fixed_threshold_matches_analytics(self):
         d = Erlang(2, 1.0)
-        theta, zeta = optimal_threshold(d, 0.05, 20.0)
+        r = min_achievable_paoi(d, 0.05, 20.0)
+        theta, zeta = r.theta_opt, r.zeta_opt
         records = simulate_peaks(d, FixedThreshold(theta), peaks=100_000, seed=13)
         est = estimate_paoi(records)
         assert est.ci_low <= zeta <= est.ci_high
@@ -387,7 +385,8 @@ class TestRandomized:
         ],
     )
     def test_never_beats_optimal_fixed_threshold(self, dist, window):
-        theta_opt, zeta_opt = optimal_threshold(dist, *window)
+        r = min_achievable_paoi(dist, *window)
+        theta_opt, zeta_opt = r.theta_opt, r.zeta_opt
         samplers = [
             UniformSampler(max(theta_opt - 0.5, window[0]), theta_opt + 0.5),
             UniformSampler(theta_opt, 2 * theta_opt),
@@ -812,6 +811,24 @@ class TestReadOff:
         with pytest.raises(ValueError, match="start at peak 1"):
             run(policy, records=simulate_peaks(d, policy, 50, 1, warmup=5))
 
+    def test_rejects_a_series_with_gaps(self):
+        # every series below reaches past the horizon, so a read-off of it
+        # would draw nothing and return rows of the wrong peaks
+        d, policy = Exponential(1.0), FixedThreshold(1.5)
+        rec = simulate_peaks(d, policy, 400, 5)
+        run = partial(aoi_trajectory, d, policy, 50.0, 5)
+        with mock.patch.object(simulate, "_lockstep", wraps=simulate._lockstep) as lockstep:
+            got = run(records=rec)
+        assert lockstep.call_count == 0
+        assert _bytes([got]) == _bytes([run()]) and len(got) == 58
+        cut = np.concatenate([rec[:100], rec[200:]]).view(np.recarray)
+        for series, match in ((rec[::2], "peak 1 is followed by peak 3"),
+                              (cut, "peak 100 is followed by peak 201"),
+                              (rec[::-1], r"start at peak 1 \(warmup 0\), not 400")):
+            assert series.receive_time.max() > 50.0
+            with pytest.raises(ValueError, match=match):
+                run(records=series)
+
 
 def _engine_steps(d, policy, seed, stall_limit, peaks_only):
     """Every step of one engine on the stream of ``seed``, up to its stall."""
@@ -1085,7 +1102,7 @@ class TestMatchesReferenceLoop:
         want = [_scalar_draw(sampler, rng_a) for _ in range(10_000)]
         batches = [sampler.draw_batch(rng_b, n) for n in (4095, 4096, 1809)]
         assert np.concatenate(batches).tolist() == want
-        assert [sampler.draw(rng_c) for _ in range(10_000)] == want
+        assert [float(sampler.draw_batch(rng_c, 1)[0]) for _ in range(10_000)] == want
 
 
 def test_memory_stays_bounded_over_many_blocks():
